@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -221,17 +219,14 @@ def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
     else:
         result = strategies.cognitive_strategy(structure, target, params, player, index)
     if isinstance(result, strategies.Action):
-        if ctx.obj["format"] == "json":
-            click.echo(json.dumps({"action": result.value}))
-        else:
-            _check_format(ctx.obj["format"], ("table", "json"))
-            click.echo(result.value)
+        payload, text = {"action": result.value}, result.value
     else:
-        if ctx.obj["format"] == "json":
-            click.echo(json.dumps({"prob_a": format_rational(result)}))
-        else:
-            _check_format(ctx.obj["format"], ("table", "json"))
-            click.echo(_rational_with_decimal(result))
+        payload, text = {"prob_a": format_rational(result)}, _rational_with_decimal(result)
+    if ctx.obj["format"] == "json":
+        click.echo(json.dumps(payload))
+    else:
+        _check_format(ctx.obj["format"], ("table", "json"))
+        click.echo(text)
 
 
 @cli.command()
@@ -393,12 +388,9 @@ def sweep(ctx, human_path, delta, grid_text, out):
 def fuzz(ctx, seeds, states):
     """Check the engine against the brute-force oracle on random structures.
 
-    Honors EPICOORD_THREADS for parallel seed checking; output order is
-    deterministic either way.  Prints the first counterexample and exits 1
-    on any disagreement.
+    Prints the first counterexample and exits 1 on any disagreement.
     """
-
-    def check(seed: int):
+    for seed in range(seeds):
         structure, target = oracle.random_structure(
             oracle.RandomStructureConfig(seed=seed, num_states=states)
         )
@@ -417,20 +409,8 @@ def fuzz(ctx, seeds, states):
                             "actual": format_rational(actual),
                         }
                     )
-                    return dump
-        return None
-
-    workers = max(1, int(os.environ.get("EPICOORD_THREADS", "1") or "1"))
-    seed_range = range(seeds)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, seed_range))
-    else:
-        results = [check(seed) for seed in seed_range]
-    for dump in results:
-        if dump is not None:
-            click.echo(json.dumps(dump, indent=2))
-            ctx.exit(1)
+                    click.echo(json.dumps(dump, indent=2))
+                    ctx.exit(1)
     click.echo(f"fuzz: {seeds} seeds x {states} states: engine matches the oracle exactly")
 
 

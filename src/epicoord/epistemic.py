@@ -1,20 +1,26 @@
 """Exact conditional belief and graded common belief over finite information structures.
 
+`InformationStructure` owns all belief arithmetic: on first use it scales the
+measures to integer weights over their common denominator, so a belief or a
+block expectation is a ratio of integer sums over one information set.
+
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
 the largest subset whose members all hold strictly higher belief in both the
 subset and the target than the current evidence level.  The sequence is
-finite, unique, and player-independent; a player's perceived maximal common
-belief at a state is the evidence level of the deepest rung that still
-intersects the player's information set.  Everything here is exact rational
-arithmetic — no epsilons, because weak-vs-strict inequality is load-bearing.
+finite, unique, and player-independent, so it is stored as each state's
+depth; a player's perceived maximal common belief at a state is the level of
+the deepest depth in the player's information set.  Everything here is exact,
+with no epsilons, because weak-vs-strict inequality is load-bearing.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .worldmodel import (
     Partition,
@@ -42,6 +48,23 @@ class InformationStructure:
             if len(partition.block_of) != len(self.space.states):
                 raise ValueError(f"partition for player {player} does not cover the state space")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # lru_cache lookups keyed on a structure hash it every time
+        return hash((self.space, self.partitions))
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        """Each state's measure times the least common denominator of all of them."""
+        measures = self.space.measures
+        denominator = math.lcm(*(m.denominator for m in measures))
+        return tuple(m.numerator * (denominator // m.denominator) for m in measures)
+
+    def _weight(self, members) -> int:
+        return sum(map(self._weights.__getitem__, members))
+
     def __len__(self) -> int:
         return len(self.space.states)
 
@@ -58,8 +81,19 @@ class InformationStructure:
         return partition.blocks[partition.block_of[state]]
 
     def measure_of(self, event: Event) -> Fraction:
-        measures = self.space.measures
-        return sum((measures[index] for index in event), Fraction(0))
+        # The measures sum to 1, so the weights sum to their common denominator.
+        return Fraction(self._weight(event), sum(self._weights))
+
+    def conditional_belief(self, player: int, event: Event, state: int) -> Fraction:
+        """The probability `player` assigns to `event` at `state`: mu(E | block)."""
+        block = self.block(player, state)
+        return Fraction(self._weight(event & block), self._weight(block))
+
+    def expectation(self, player: int, state: int, value: Callable[[int], Fraction]) -> Fraction:
+        """The exact mean of `value(member)` over `player`'s information set at `state`."""
+        block = self.block(player, state)
+        total = sum((self._weights[member] * value(member) for member in block), Fraction(0))
+        return total / self._weight(block)
 
 
 @lru_cache(maxsize=None)
@@ -75,20 +109,16 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
     )
 
 
-def conditional_belief(structure: InformationStructure, player: int, event: Event, state: int) -> Fraction:
-    """The probability `player` assigns to `event` at `state`: mu(E | block)."""
-    block = structure.block(player, state)
-    return structure.measure_of(event & block) / structure.measure_of(block)
+# Module-level spelling: conditional_belief(structure, player, event, state).
+conditional_belief = InformationStructure.conditional_belief
 
 
 def min_belief(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
     """The weakest of both players' beliefs in the event and in the target at `state`."""
     return min(
-        min(
-            conditional_belief(structure, player, event, state),
-            conditional_belief(structure, player, target, state),
-        )
+        conditional_belief(structure, player, members, state)
         for player in (0, 1)
+        for members in (event, target)
     )
 
 
@@ -131,33 +161,42 @@ class LadderRung:
 class EvidentLadder:
     """The nested maximally evident target-indicating events, shallowest first.
 
-    Rung 0 is always the full space; each later rung is a strict subset of its
-    predecessor with a strictly larger evidence level.
+    Stored as `depth[s]`, the index of the deepest rung containing state `s`,
+    and one level per rung: rung k is the states of depth >= k.  Rung 0 is the
+    full space; each later rung is a strict subset of its predecessor with a
+    strictly larger evidence level.
     """
 
-    rungs: tuple[LadderRung, ...]
+    depth: tuple[int, ...]
+    levels: tuple[Fraction, ...]
 
     def __len__(self) -> int:
-        return len(self.rungs)
+        return len(self.levels)
 
     def __iter__(self):
         return iter(self.rungs)
 
     @property
-    def levels(self) -> tuple[Fraction, ...]:
-        return tuple(rung.level for rung in self.rungs)
+    def rungs(self) -> tuple[LadderRung, ...]:
+        return tuple(
+            LadderRung(frozenset(s for s, d in enumerate(self.depth) if d >= k), level)
+            for k, level in enumerate(self.levels)
+        )
 
 
 @lru_cache(maxsize=None)
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """Walk the full nested sequence of maximally evident target-indicating events."""
-    rungs = []
+    depth = [0] * len(structure)
+    levels: list[Fraction] = []
     event = structure.universe()
     while event:
         level = evidence_level(structure, event, target)
-        rungs.append(LadderRung(event, level))
+        for state in event:
+            depth[state] = len(levels)
+        levels.append(level)
         event = super_p_evident(structure, event, target, level)
-    return EvidentLadder(tuple(rungs))
+    return EvidentLadder(tuple(depth), tuple(levels))
 
 
 def common_p_belief(structure: InformationStructure, target: Event, player: int, state: int) -> Fraction:
@@ -168,24 +207,13 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     nonempty intersection is exactly positive belief.  Depends on `state`
     only through the player's block.
     """
-    block = structure.block(player, state)
-    result = None
-    for rung in evident_ladder(structure, target).rungs:
-        if rung.event & block:
-            result = rung.level
-        else:
-            break
-    assert result is not None  # rung 0 is the universe, which meets every block
-    return result
+    ladder = evident_ladder(structure, target)
+    return ladder.levels[max(ladder.depth[member] for member in structure.block(player, state))]
 
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:
     """Does every member state give both players belief >= level in the event?"""
-    return all(
-        conditional_belief(structure, player, event, state) >= level
-        for state in event
-        for player in (0, 1)
-    )
+    return is_c_indicating(structure, event, event, level)
 
 
 def is_c_indicating(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> bool:

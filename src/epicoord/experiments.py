@@ -117,6 +117,8 @@ class HumanData:
                     f"{path}: expected columns {sorted(required)}, found {sorted(fields)}"
                 )
             for row in reader:
+                if any(row[column] is None for column in required):
+                    raise ValueError(f"{path}, line {reader.line_num}: expected condition,n,prob_a values")
                 name = row["condition"].strip()
                 if name in prob_a:
                     raise ValueError(f"{path}: duplicate condition {name!r}")

@@ -85,19 +85,9 @@ def expected_utility(
 ) -> Fraction:
     """Expected payoff over the player's information set, against the
     companion's policy at each state it contains."""
-    structure = game.structure
-    block = structure.block(player, state)
-    block_mass = structure.measure_of(block)
-    total = ZERO
-    for member in sorted(block):
-        weight = structure.space.measures[member] / block_mass
-        total += weight * stage_payoff(
-            game.payoffs,
-            member in game.target,
-            my_prob_a,
-            companion.prob(1 - player, member),
-        )
-    return total
+    return game.structure.expectation(player, state, lambda member: stage_payoff(
+        game.payoffs, member in game.target, my_prob_a, companion.prob(1 - player, member)
+    ))
 
 
 def noiseless_check(game: GameInstance) -> bool:
@@ -107,7 +97,7 @@ def noiseless_check(game: GameInstance) -> bool:
     prior = structure.measure_of(game.target)
     for player in (0, 1):
         for block in structure.partitions[player].blocks:
-            belief = structure.measure_of(game.target & block) / structure.measure_of(block)
+            belief = structure.conditional_belief(player, game.target, min(block))
             if belief > prior and belief != 1:
                 return False
     return True

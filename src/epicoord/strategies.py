@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .epistemic import (
-    Event,
-    InformationStructure,
-    common_p_belief,
-    conditional_belief,
-)
+from .epistemic import Event, InformationStructure, common_p_belief
 from .rational import parse_rational
 
 ONE = Fraction(1)
@@ -111,28 +106,19 @@ def _maximization_value(
     player: int,
     block: frozenset[int],
 ) -> Fraction:
+    anchor = min(block)
+    belief = structure.conditional_belief(player, target, anchor)
     if level == 0:
         if level0 is Level0Rule.ALWAYS_A:
             return ONE
         if level0 is Level0Rule.UNIFORM:
             return Fraction(1, 2)
-        belief = conditional_belief(structure, player, target, min(block))
         return ONE if belief > risk_threshold(payoffs) else ZERO
     companion = 1 - player
-    block_mass = structure.measure_of(block)
-    utility = ZERO
-    for member in sorted(block):
-        weight = structure.space.measures[member] / block_mass
-        partner = _maximization_value(
-            structure, target, payoffs, level0, level - 1, companion,
-            structure.block(companion, member),
-        )
-        good = conditional_belief(structure, player, target, member)
-        utility += weight * (
-            good * partner * payoffs.a
-            + (1 - good) * partner * payoffs.d
-            + (1 - partner) * payoffs.b
-        )
+    partner = structure.expectation(player, anchor, lambda member: _maximization_value(
+        structure, target, payoffs, level0, level - 1, companion, structure.block(companion, member)
+    ))
+    utility = partner * (belief * payoffs.a + (1 - belief) * payoffs.d) + (1 - partner) * payoffs.b
     return ONE if utility > payoffs.c else ZERO
 
 
@@ -149,6 +135,13 @@ def iterated_maximization_prob(
 
     Deterministic (0 or 1) except for the uniform grounding at level 0, which
     is the mixed value 1/2.  Memoized per (player, level, information set).
+
+    The utility of A multiplies the player's block-level belief in the target
+    by the companion's expected play over the block, treating the two as
+    independent within the block.  `cognitive_strategy` and
+    `game.expected_utility` instead pair the companion's play with the target
+    state by state, so the two forms can disagree on a block where the
+    companion's play and the target are correlated.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -185,7 +178,7 @@ def _matching_value(
     block: frozenset[int],
 ) -> Fraction:
     anchor = min(block)
-    belief = conditional_belief(structure, player, target, anchor)
+    belief = structure.conditional_belief(player, target, anchor)
     if level == 0:
         if level0 is Level0Rule.ALWAYS_A:
             return ONE
@@ -193,15 +186,9 @@ def _matching_value(
             return Fraction(1, 2)
         return belief
     companion = 1 - player
-    block_mass = structure.measure_of(block)
-    expected_partner = ZERO
-    for member in sorted(block):
-        weight = structure.space.measures[member] / block_mass
-        expected_partner += weight * _matching_value(
-            structure, target, level0, level - 1, companion,
-            structure.block(companion, member),
-        )
-    return belief * expected_partner
+    return belief * structure.expectation(player, anchor, lambda member: _matching_value(
+        structure, target, level0, level - 1, companion, structure.block(companion, member)
+    ))
 
 
 def iterated_matching(
@@ -223,7 +210,7 @@ def private_heuristic(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Action:
     """Play A exactly when the player is certain the target holds."""
-    if conditional_belief(structure, player, target, state) == 1:
+    if structure.conditional_belief(player, target, state) == 1:
         return Action.A
     return Action.B
 
@@ -233,15 +220,15 @@ def pair_heuristic(
 ) -> Action:
     """Play A exactly when the player is certain the target holds and certain
     the companion is certain too."""
-    if conditional_belief(structure, player, target, state) != 1:
+    if structure.conditional_belief(player, target, state) != 1:
         return Action.B
     companion = 1 - player
     companion_certain = frozenset(
         index
         for index in range(len(structure))
-        if conditional_belief(structure, companion, target, index) == 1
+        if structure.conditional_belief(companion, target, index) == 1
     )
-    if conditional_belief(structure, player, companion_certain, state) == 1:
+    if structure.conditional_belief(player, companion_certain, state) == 1:
         return Action.A
     return Action.B
 
@@ -257,12 +244,11 @@ def cognitive_strategy(
     on perceived common belief; play A only on a strict improvement over the
     safe payoff."""
     companion = 1 - player
-    block = structure.block(player, state)
-    block_mass = structure.measure_of(block)
-    utility = ZERO
-    for member in sorted(block):
-        weight = structure.space.measures[member] / block_mass
+
+    def payoff_of_a(member: int) -> Fraction:
         partner = matched_p_belief_prob(structure, target, companion, member)
         match_payoff = payoffs.a if member in target else payoffs.d
-        utility += weight * (partner * match_payoff + (1 - partner) * payoffs.b)
+        return partner * match_payoff + (1 - partner) * payoffs.b
+
+    utility = structure.expectation(player, state, payoff_of_a)
     return Action.A if utility > payoffs.c else Action.B

@@ -287,15 +287,28 @@ _VARIABLE_KEYS = {"name", "bias", "gate"}
 _RULE_KEYS = {"guard", "player", "observed"}
 
 
+def _json_objects(document: Mapping, key: str, what: str) -> list[Mapping]:
+    """The list under `key`, each of whose entries must be a JSON object."""
+    entries = document.get(key, [])
+    if not isinstance(entries, (list, tuple)):
+        raise SpecError(f"{key!r} must be a list, got {entries!r}")
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, Mapping):
+            raise SpecError(f"{what} {index}: expected an object, got {entry!r}")
+    return entries
+
+
 def spec_from_json(document: Mapping) -> WorldModelSpec:
     """Build a model from the JSON document shape produced by spec_to_json."""
+    if not isinstance(document, Mapping):
+        raise SpecError(f"a world model must be a JSON object, got {document!r}")
     unknown = set(document) - {"variables", "observations"}
     if unknown:
         raise SpecError(f"unknown top-level keys: {sorted(unknown)}")
     if "variables" not in document:
         raise SpecError("missing 'variables'")
     variables = []
-    for entry in document["variables"]:
+    for entry in _json_objects(document, "variables", "variable entry"):
         extra = set(entry) - _VARIABLE_KEYS
         if extra:
             raise SpecError(f"variable entry {entry.get('name', '?')!r}: unknown keys {sorted(extra)}")
@@ -305,7 +318,7 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
             VariableSpec(entry["name"], entry["bias"], tuple(entry.get("gate", ())))
         )
     observations = []
-    for index, entry in enumerate(document.get("observations", ())):
+    for index, entry in enumerate(_json_objects(document, "observations", "observation rule")):
         extra = set(entry) - _RULE_KEYS
         if extra:
             raise SpecError(f"observation rule {index}: unknown keys {sorted(extra)}")

@@ -4,11 +4,16 @@ from fractions import Fraction
 import pytest
 
 from epicoord import (
+    InformationStructure,
+    LadderRung,
+    Partition,
     RandomStructureConfig,
+    StateSpace,
     common_p_belief,
     conditional_belief,
     evidence_level,
     evident_ladder,
+    fixedpoint_common_p_belief,
     is_c_indicating,
     is_p_evident,
     largest_p_evident_indicating_event,
@@ -24,6 +29,38 @@ def states_of(structure, event):
 
 def event_of(structure, states):
     return frozenset(structure.space.index_of(s) for s in states)
+
+
+def _random_partition(rng, n):
+    labels = [rng.randrange(max(1, n // 4)) for _ in range(n)]
+    block_ids = {label: block_id for block_id, label in enumerate(dict.fromkeys(labels))}
+    blocks = tuple(frozenset(s for s in range(n) if labels[s] == label) for label in block_ids)
+    return Partition(blocks, tuple(block_ids[label] for label in labels))
+
+
+def large_structure(seed, n):
+    """An n-state structure past the exhaustive oracle's cap: ~n/4 blocks per
+    player, weights 1..9, and a random nonempty target."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    space = StateSpace(
+        tuple((index,) for index in range(n)),
+        tuple(Fraction(w, sum(weights)) for w in weights),
+    )
+    structure = InformationStructure(space, (_random_partition(rng, n), _random_partition(rng, n)))
+    target = frozenset(i for i in range(n) if rng.random() < 0.5) or frozenset({0})
+    return structure, target
+
+
+def definitional_rungs(structure, target):
+    """The ladder walk on frozensets, straight from the definitions."""
+    rungs = []
+    event = structure.universe()
+    while event:
+        level = evidence_level(structure, event, target)
+        rungs.append(LadderRung(event, level))
+        event = super_p_evident(structure, event, target, level)
+    return tuple(rungs)
 
 
 class TestConditionalBelief:
@@ -144,6 +181,56 @@ class TestEvidentLadder:
             (1, 1, 1, 1, 1),
         }
         assert states_of(messenger, ladder.rungs[3].event) == {(1, 1, 1, 1, 1)}
+
+
+class TestBeliefKernel:
+    SEEDS = range(40)
+
+    def test_expectation_and_belief_match_literal_sums(self):
+        for seed in self.SEEDS:
+            structure, target = random_structure(RandomStructureConfig(seed=seed))
+            rng = random.Random(seed + 30_000)
+            measures = structure.space.measures
+            values = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(len(structure))]
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    block = structure.block(player, state)
+                    mass = sum((measures[member] for member in block), Fraction(0))
+                    mean = sum((measures[m] / mass * values[m] for m in block), Fraction(0))
+                    in_target = sum((measures[m] for m in block & target), Fraction(0)) / mass
+                    expectation = structure.expectation(player, state, values.__getitem__)
+                    assert isinstance(expectation, Fraction) and expectation == mean
+                    assert conditional_belief(structure, player, target, state) == in_target
+            assert structure.measure_of(target) == sum((measures[m] for m in target), Fraction(0))
+
+    def test_weights_and_hash_are_computed_on_first_use(self):
+        structure, target = random_structure(RandomStructureConfig(seed=0))
+        twin = InformationStructure(structure.space, structure.partitions)
+        assert not {"_hash", "_weights"} & vars(twin).keys()
+        assert twin == structure and hash(twin) == hash(structure)
+        assert conditional_belief(twin, 0, target, 0) == conditional_belief(structure, 0, target, 0)
+        assert {"_hash", "_weights"} <= vars(twin).keys()
+
+    def test_rungs_match_definitional_walk(self):
+        cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]
+        cases += [large_structure(seed, 24) for seed in range(4)]
+        for structure, target in cases:
+            walk = definitional_rungs(structure, target)
+            ladder = evident_ladder(structure, target)
+            assert ladder.rungs == walk
+            assert tuple(ladder) == walk
+            assert len(ladder) == len(walk)
+            assert ladder.levels == tuple(rung.level for rung in walk)
+
+    @pytest.mark.parametrize("seed,n", [(0, 16), (1, 24), (2, 32), (3, 40)])
+    def test_common_p_belief_matches_fixedpoint_beyond_exhaustive_cap(self, seed, n):
+        structure, target = large_structure(seed, n)
+        for player in (0, 1):
+            for block in structure.partitions[player].blocks:
+                state = min(block)
+                assert common_p_belief(structure, target, player, state) == (
+                    fixedpoint_common_p_belief(structure, target, player, state)
+                )
 
 
 class TestDefinitionalChecks:

@@ -178,6 +178,23 @@ class TestIteratedMaximization:
                         messenger, messenger_target, PAYOFF_CONDITION_1, level, player, state
                     )
 
+    def test_block_belief_is_independent_of_partner_play(self, messenger, messenger_target):
+        """Level k multiplies the block's target belief by the partner's expected
+        play; pairing the two state by state, as cognitive_strategy does, differs."""
+        payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 5), Fraction(0))
+        state = messenger.space.index_of((0, 0, 0, 0, 0))
+        block = messenger.block(0, state)
+        mass = sum(messenger.space.measures[member] for member in block)
+        correlated = Fraction(0)
+        for member in block:
+            partner = iterated_maximization_prob(messenger, messenger_target, payoffs, 0, 1, member)
+            match_payoff = payoffs.a if member in messenger_target else payoffs.d
+            correlated += messenger.space.measures[member] / mass * (
+                partner * match_payoff + (1 - partner) * payoffs.b
+            )
+        assert Fraction(int(correlated > payoffs.c)) == 1
+        assert iterated_maximization_prob(messenger, messenger_target, payoffs, 1, 0, state) == 0
+
     def test_alternative_level0_groundings(self, loudspeaker, loudspeaker_target):
         silent = loudspeaker.space.index_of((1, 0))
         assert iterated_maximization(
