@@ -12,6 +12,14 @@ finite, unique, and player-independent, so it is stored as each state's
 depth; a player's perceived maximal common belief at a state is the level of
 the deepest depth in the player's information set.  Everything here is exact,
 with no epsilons, because weak-vs-strict inequality is load-bearing.
+
+A belief depends on the state only through the information set, so the
+shrinking works on blocks: each block of either player keeps its total,
+target and surviving weights as integers, a block at or below the level
+loses all its survivors, and a removal re-checks only the other player's
+block holding that state.  One ladder removes each state once, so it costs
+O(n) integer updates plus one scan of the live blocks per rung, and makes no
+per-state belief evaluation.  `min_belief` stays the per-state definition.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ from .worldmodel import (
 )
 
 Event = frozenset[int]
+
+# Entries kept by each of this module's caches, which are keyed on whole models or structures.
+CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class InformationStructure:
         return total / self._weight(block)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def from_world_model(spec: WorldModelSpec) -> InformationStructure:
     """Enumerate a world model's states and build both players' partitions."""
     space = enumerate_states(spec)
@@ -122,6 +133,76 @@ def min_belief(structure: InformationStructure, event: Event, target: Event, sta
     )
 
 
+class _Peel:
+    """Survivors of an event, peeled block by block against a target.
+
+    For each block of either player it keeps three integer weights: the
+    block's total, its part on the target (constant) and its part that still
+    survives.  Every member of a block gets the same beliefs, so the block's
+    weakest belief in the survivors and in the target is
+    min(surviving, on_target) / total, and a state survives only while both of
+    its blocks stay strictly above the level.
+    """
+
+    def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
+        weights = self.weights = structure._weights
+        self.alive = bytearray(len(structure))
+        for state in event:
+            self.alive[state] = 1
+        self.total: list[int] = []
+        self.on_target: list[int] = []
+        self.surviving: list[int] = []
+        # Each block's members, paired with the global id of the other player's block holding it.
+        self.members: list[tuple[tuple[int, int], ...]] = []
+        first, second = structure.partitions
+        for partition, other, offset in ((first, second, len(first.blocks)), (second, first, 0)):
+            for block in partition.blocks:
+                self.total.append(sum(weights[s] for s in block))
+                self.on_target.append(sum(weights[s] for s in block if s in target))
+                self.surviving.append(sum(weights[s] for s in block if self.alive[s]))
+                self.members.append(tuple((s, offset + other.block_of[s]) for s in block))
+        self.live = [b for b, weight in enumerate(self.surviving) if weight]
+
+    def level(self) -> Fraction:
+        """The survivors' evidence level: the least block belief over blocks that still hold one."""
+        self.live = [b for b in self.live if self.surviving[b]]
+        low, total = 1, 1
+        for b in self.live:
+            held = min(self.surviving[b], self.on_target[b])
+            if held * total < low * self.total[b]:
+                low, total = held, self.total[b]
+        return Fraction(low, total)
+
+    def peel(self, level: Fraction) -> list[int]:
+        """Remove every survivor until each live block's belief is strictly above `level`.
+
+        A block at or below the level loses all its survivors; each removal
+        lowers the surviving weight of the other player's block that holds the
+        state, and only that block is checked again.  Returns the removed states.
+        """
+        numerator, denominator = level.numerator, level.denominator
+        total, on_target, surviving = self.total, self.on_target, self.surviving
+        alive, weights = self.alive, self.weights
+
+        def fails(b: int) -> bool:
+            return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
+
+        removed: list[int] = []
+        work = [b for b in self.live if surviving[b] and fails(b)]
+        while work:
+            b = work.pop()
+            for state, other in self.members[b]:
+                if alive[state]:
+                    alive[state] = 0
+                    removed.append(state)
+                    weight = weights[state]
+                    surviving[b] -= weight
+                    surviving[other] -= weight
+                    if surviving[other] and fails(other):
+                        work.append(other)
+        return removed
+
+
 def evidence_level(structure: InformationStructure, event: Event, target: Event) -> Fraction:
     """The largest p at which `event` is p-evident and target-indicating.
 
@@ -130,25 +211,18 @@ def evidence_level(structure: InformationStructure, event: Event, target: Event)
     """
     if not event:
         raise ValueError("the empty event has no evidence level")
-    return min(min_belief(structure, event, target, state) for state in event)
+    return _Peel(structure, event, target).level()
 
 
 def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
     """Largest subset whose members all keep strictly-above-`level` belief in it and the target.
 
-    Repeatedly removes, in batch, every member whose min_belief against the
-    current survivor set is <= level, until a full scan removes nothing.  The
-    fixpoint is order-independent; the result may be empty.
+    Removing a member only lowers the others' beliefs, so the fixpoint of
+    removing every member whose min_belief is <= level does not depend on the
+    order of removal; the result may be empty.
     """
-    current = frozenset(event)
-    while current:
-        violators = frozenset(
-            state for state in current if min_belief(structure, current, target, state) <= level
-        )
-        if not violators:
-            break
-        current -= violators
-    return current
+    event = frozenset(event)
+    return event.difference(_Peel(structure, event, target).peel(level))
 
 
 @dataclass(frozen=True)
@@ -184,18 +258,25 @@ class EvidentLadder:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
-    """Walk the full nested sequence of maximally evident target-indicating events."""
+    """Walk the full nested sequence of maximally evident target-indicating events.
+
+    One peel runs from the full space to empty: each rung's level is the
+    survivors' evidence level, and the states peeled at that level are the
+    ones whose deepest rung it is, so each state is removed once.
+    """
     depth = [0] * len(structure)
     levels: list[Fraction] = []
-    event = structure.universe()
-    while event:
-        level = evidence_level(structure, event, target)
-        for state in event:
+    peel = _Peel(structure, structure.universe(), target)
+    remaining = len(structure)
+    while remaining:
+        level = peel.level()
+        removed = peel.peel(level)
+        for state in removed:
             depth[state] = len(levels)
         levels.append(level)
-        event = super_p_evident(structure, event, target, level)
+        remaining -= len(removed)
     return EvidentLadder(tuple(depth), tuple(levels))
 
 

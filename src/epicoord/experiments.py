@@ -122,8 +122,15 @@ class HumanData:
                 name = row["condition"].strip()
                 if name in prob_a:
                     raise ValueError(f"{path}: duplicate condition {name!r}")
-                counts[name] = int(row["n"])
-                prob_a[name] = parse_rational(row["prob_a"])
+                where = f"{path}, line {reader.line_num}"
+                try:
+                    counts[name] = int(row["n"])
+                except ValueError:
+                    raise ValueError(f"{where}: n must be an integer, got {row['n']!r}") from None
+                try:
+                    prob_a[name] = parse_rational(row["prob_a"])
+                except ValueError as exc:
+                    raise ValueError(f"{where}: prob_a: {exc}") from None
         return cls(counts, prob_a)
 
 

@@ -298,6 +298,14 @@ def _json_objects(document: Mapping, key: str, what: str) -> list[Mapping]:
     return entries
 
 
+def _json_names(entry: Mapping, key: str, where: str) -> tuple[str, ...]:
+    """The list of variable names under `key` of one entry (absent means empty)."""
+    names = entry.get(key, [])
+    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
+        raise SpecError(f"{where}: {key!r} must be a list of variable names, got {names!r}")
+    return tuple(names)
+
+
 def spec_from_json(document: Mapping) -> WorldModelSpec:
     """Build a model from the JSON document shape produced by spec_to_json."""
     if not isinstance(document, Mapping):
@@ -308,15 +316,17 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
     if "variables" not in document:
         raise SpecError("missing 'variables'")
     variables = []
-    for entry in _json_objects(document, "variables", "variable entry"):
+    for index, entry in enumerate(_json_objects(document, "variables", "variable entry")):
         extra = set(entry) - _VARIABLE_KEYS
         if extra:
             raise SpecError(f"variable entry {entry.get('name', '?')!r}: unknown keys {sorted(extra)}")
         if "name" not in entry or "bias" not in entry:
             raise SpecError(f"variable entry {entry!r}: 'name' and 'bias' are required")
-        variables.append(
-            VariableSpec(entry["name"], entry["bias"], tuple(entry.get("gate", ())))
-        )
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise SpecError(f"variable entry {index}: 'name' must be a string, got {name!r}")
+        gate = _json_names(entry, "gate", f"variable {name!r}")
+        variables.append(VariableSpec(name, entry["bias"], gate))
     observations = []
     for index, entry in enumerate(_json_objects(document, "observations", "observation rule")):
         extra = set(entry) - _RULE_KEYS
@@ -325,8 +335,13 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
         missing = _RULE_KEYS - set(entry)
         if missing:
             raise SpecError(f"observation rule {index}: missing keys {sorted(missing)}")
+        where = f"observation rule {index}"
         observations.append(
-            ObservationRule(tuple(entry["guard"]), entry["player"], tuple(entry["observed"]))
+            ObservationRule(
+                _json_names(entry, "guard", where),
+                entry["player"],
+                _json_names(entry, "observed", where),
+            )
         )
     return WorldModelSpec(tuple(variables), tuple(observations))
 

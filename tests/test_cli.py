@@ -219,6 +219,44 @@ class TestUsageAndErrors:
         assert "Traceback" not in result.output
         assert "variable entry 0" in result.output
 
+    @pytest.mark.parametrize(
+        "document,message",
+        [
+            (
+                {"variables": [{"name": "x", "bias": "1/2", "gate": 5}]},
+                "variable 'x': 'gate' must be a list of variable names, got 5",
+            ),
+            (
+                {
+                    "variables": [{"name": "x", "bias": "1/2"}],
+                    "observations": [{"guard": 5, "player": 0, "observed": ["x"]}],
+                },
+                "observation rule 0: 'guard' must be a list of variable names, got 5",
+            ),
+            (
+                {"variables": [{"name": ["x"], "bias": "1/2"}]},
+                "variable entry 0: 'name' must be a string, got ['x']",
+            ),
+        ],
+        ids=["gate", "guard", "name"],
+    )
+    def test_mistyped_model_field_names_entry_and_field(self, runner, tmp_path, document, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document))
+        result = runner.invoke(cli, ["partition", "--model", str(path), "--player", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert message in result.output
+
+    def test_non_integer_human_count_names_its_line(self, runner, tmp_path):
+        path = tmp_path / "human.csv"
+        path.write_text("condition,n,prob_a\nprivate,abc,0.1\n")
+        result = runner.invoke(cli, ["sweep", "--human", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "line 2: n must be an integer" in result.output
+
     def test_csv_format_rejected_where_meaningless(self, runner):
         result = runner.invoke(
             cli,

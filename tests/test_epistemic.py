@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicoord import (
     InformationStructure,
@@ -9,11 +11,13 @@ from epicoord import (
     Partition,
     RandomStructureConfig,
     StateSpace,
+    builtin_loudspeaker,
     common_p_belief,
     conditional_belief,
     evidence_level,
     evident_ladder,
     fixedpoint_common_p_belief,
+    from_world_model,
     is_c_indicating,
     is_p_evident,
     largest_p_evident_indicating_event,
@@ -21,6 +25,7 @@ from epicoord import (
     random_structure,
     super_p_evident,
 )
+from epicoord.epistemic import CACHE_SIZE
 
 
 def states_of(structure, event):
@@ -31,11 +36,16 @@ def event_of(structure, states):
     return frozenset(structure.space.index_of(s) for s in states)
 
 
-def _random_partition(rng, n):
-    labels = [rng.randrange(max(1, n // 4)) for _ in range(n)]
+def _partition_from_labels(labels):
     block_ids = {label: block_id for block_id, label in enumerate(dict.fromkeys(labels))}
-    blocks = tuple(frozenset(s for s in range(n) if labels[s] == label) for label in block_ids)
+    blocks = tuple(
+        frozenset(s for s, label in enumerate(labels) if label == wanted) for wanted in block_ids
+    )
     return Partition(blocks, tuple(block_ids[label] for label in labels))
+
+
+def _random_partition(rng, n):
+    return _partition_from_labels([rng.randrange(max(1, n // 4)) for _ in range(n)])
 
 
 def large_structure(seed, n):
@@ -52,15 +62,63 @@ def large_structure(seed, n):
     return structure, target
 
 
+def weakest_belief(structure, event, target, state):
+    return min(
+        conditional_belief(structure, player, members, state)
+        for player in (0, 1)
+        for members in (event, target)
+    )
+
+
+def literal_super_p_evident(structure, event, target, level):
+    """Remove, in batch, every state whose weakest belief is <= level, until none is."""
+    current = frozenset(event)
+    while True:
+        violators = frozenset(
+            state for state in current if weakest_belief(structure, current, target, state) <= level
+        )
+        if not violators:
+            return current
+        current -= violators
+
+
 def definitional_rungs(structure, target):
-    """The ladder walk on frozensets, straight from the definitions."""
+    """The ladder walk on frozensets, straight from the definitions, one state at a time."""
     rungs = []
     event = structure.universe()
     while event:
-        level = evidence_level(structure, event, target)
+        level = min(weakest_belief(structure, event, target, state) for state in event)
         rungs.append(LadderRung(event, level))
-        event = super_p_evident(structure, event, target, level)
+        event = literal_super_p_evident(structure, event, target, level)
     return tuple(rungs)
+
+
+@st.composite
+def peel_cases(draw):
+    """A structure of 1-64 states with weights 1..9 and a target, plus an (event, level) pair.
+
+    Each partition is all singletons, the whole space, or random labels;
+    the target is empty, full or random.
+    """
+    n = draw(st.integers(1, 64))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    labels = st.one_of(
+        st.just(list(range(n))),
+        st.just([0] * n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    )
+    space = StateSpace(
+        tuple((index,) for index in range(n)),
+        tuple(Fraction(w, sum(weights)) for w in weights),
+    )
+    structure = InformationStructure(
+        space, (_partition_from_labels(draw(labels)), _partition_from_labels(draw(labels)))
+    )
+    states = st.frozensets(st.integers(0, n - 1))
+    target = draw(st.one_of(st.just(frozenset()), st.just(structure.universe()), states))
+    event = draw(states)
+    level = draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+    return structure, target, event, level
 
 
 class TestConditionalBelief:
@@ -222,6 +280,24 @@ class TestBeliefKernel:
             assert len(ladder) == len(walk)
             assert ladder.levels == tuple(rung.level for rung in walk)
 
+    @given(peel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_peel_matches_literal_walk(self, case):
+        structure, target, event, level = case
+        ladder = evident_ladder(structure, target)
+        walk = definitional_rungs(structure, target)
+        assert ladder.levels == tuple(rung.level for rung in walk)
+        assert ladder.depth == tuple(
+            max(k for k, rung in enumerate(walk) if state in rung.event) for state in range(len(structure))
+        )
+        assert super_p_evident(structure, event, target, level) == (
+            literal_super_p_evident(structure, event, target, level)
+        )
+        if event:
+            assert evidence_level(structure, event, target) == min(
+                weakest_belief(structure, event, target, state) for state in event
+            )
+
     @pytest.mark.parametrize("seed,n", [(0, 16), (1, 24), (2, 32), (3, 40)])
     def test_common_p_belief_matches_fixedpoint_beyond_exhaustive_cap(self, seed, n):
         structure, target = large_structure(seed, n)
@@ -231,6 +307,23 @@ class TestBeliefKernel:
                 assert common_p_belief(structure, target, player, state) == (
                     fixedpoint_common_p_belief(structure, target, player, state)
                 )
+
+    def test_common_p_belief_matches_fixedpoint_at_64_states(self):
+        structure, target = large_structure(4, 64)
+        for block in structure.partitions[0].blocks:
+            state = min(block)
+            assert common_p_belief(structure, target, 0, state) == (
+                fixedpoint_common_p_belief(structure, target, 0, state)
+            )
+
+    def test_caches_stay_within_their_bound(self):
+        # More distinct keys than the bound: every size, every delta differs.
+        for n in range(1, CACHE_SIZE + 9):
+            evident_ladder(*large_structure(0, n))
+            from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
+        for cache in (evident_ladder, from_world_model):
+            info = cache.cache_info()
+            assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
 
 
 class TestDefinitionalChecks:

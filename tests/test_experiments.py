@@ -208,6 +208,21 @@ class TestHumanDataCsv:
         with pytest.raises(ValueError, match="duplicate"):
             HumanData.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("secondary,abc,1/2", "line 3: n must be an integer, got 'abc'"),
+            ("secondary,5,half", "line 3: prob_a: not a rational number: 'half'"),
+        ],
+        ids=["n", "prob_a"],
+    )
+    def test_unparsable_value_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "human.csv"
+        path.write_text(f"condition,n,prob_a\nprivate,1,0\n{row}\n")
+        with pytest.raises(ValueError) as excinfo:
+            HumanData.from_csv(path)
+        assert str(excinfo.value) == f"{path}, {message}"
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "human.csv"
         path.write_text("cond,count,p\nprivate,1,0\n")
