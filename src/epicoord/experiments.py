@@ -28,12 +28,6 @@ from .strategies import (
 from .worldmodel import State, WorldModelSpec, builtin_loudspeaker, builtin_messenger, x_event
 
 CONDITION_NAMES = ("private", "secondary", "tertiary", "common")
-CONDITION_LABELS = {
-    "private": "Private",
-    "secondary": "Secondary",
-    "tertiary": "Tertiary",
-    "common": "Common Knowledge",
-}
 DEFAULT_DELTA = Fraction(1, 4)
 PAYOFF_CONDITION_1 = PayoffParams("1.1", "0", "1", "0.4")
 

@@ -124,7 +124,9 @@ class _BeliefTables:
         return best
 
 
-@lru_cache(maxsize=64)
+# One entry: callers query one structure at a time, and an entry holds a belief
+# and a level for every event scanned, up to 2^n of them.
+@lru_cache(maxsize=1)
 def _tables(structure: InformationStructure, target: Event) -> _BeliefTables:
     return _BeliefTables(structure, target)
 

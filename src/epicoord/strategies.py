@@ -6,6 +6,10 @@ it, and two bounded-recursion (level-k) families.  Two certainty heuristics
 and an expected-utility "cognitive" agent round out the simulated-agent side.
 All outputs are exact rationals; action-valued strategies break ties toward
 the safe action B.
+
+Both level-k families run on one routine: from a family's primary level-0
+value and response it computes every block of both players level by level,
+into a cached list that grows in place on demand, so no depth recurses.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .epistemic import Event, InformationStructure, common_p_belief
+from .epistemic import CACHE_SIZE, Event, InformationStructure, common_p_belief
 from .rational import parse_rational
 
 ONE = Fraction(1)
@@ -96,30 +100,52 @@ def matched_p_belief_prob(
     return common_p_belief(structure, target, player, state)
 
 
-@lru_cache(maxsize=None)
-def _maximization_value(
-    structure: InformationStructure,
-    target: Event,
-    payoffs: PayoffParams,
-    level0: Level0Rule,
-    level: int,
-    player: int,
-    block: frozenset[int],
-) -> Fraction:
-    anchor = min(block)
-    belief = structure.conditional_belief(player, target, anchor)
-    if level == 0:
-        if level0 is Level0Rule.ALWAYS_A:
-            return ONE
-        if level0 is Level0Rule.UNIFORM:
-            return Fraction(1, 2)
-        return ONE if belief > risk_threshold(payoffs) else ZERO
-    companion = 1 - player
-    partner = structure.expectation(player, anchor, lambda member: _maximization_value(
-        structure, target, payoffs, level0, level - 1, companion, structure.block(companion, member)
-    ))
+def _maximization_primary(payoffs: PayoffParams, belief: Fraction) -> Fraction:
+    return ONE if belief > risk_threshold(payoffs) else ZERO
+
+
+def _maximization_response(payoffs: PayoffParams, belief: Fraction, partner: Fraction) -> Fraction:
     utility = partner * (belief * payoffs.a + (1 - belief) * payoffs.d) + (1 - partner) * payoffs.b
     return ONE if utility > payoffs.c else ZERO
+
+
+def _matching_primary(payoffs: None, belief: Fraction) -> Fraction:
+    return belief
+
+
+def _matching_response(payoffs: None, belief: Fraction, partner: Fraction) -> Fraction:
+    return belief * partner
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _levels(structure: InformationStructure, target: Event, payoffs, level0: Level0Rule, family):
+    primary, _ = family
+    beliefs = tuple(
+        tuple(structure.conditional_belief(player, target, min(block)) for block in partition.blocks)
+        for player, partition in enumerate(structure.partitions)
+    )
+    ground = {Level0Rule.ALWAYS_A: ONE, Level0Rule.UNIFORM: Fraction(1, 2)}.get(level0)
+    level_0 = tuple(tuple(primary(payoffs, b) if ground is None else ground for b in own) for own in beliefs)
+    return beliefs, [level_0]
+
+
+def _level_value(structure, target, payoffs, level0, level, player, state, family) -> Fraction:
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    structure.block(player, state)  # IndexError for a bad player or state
+    beliefs, levels = _levels(structure, target, payoffs, level0, family)
+    _, respond = family
+    while len(levels) <= level:
+        # Each player's play at the last level, state by state.
+        play = [tuple(v[b] for b in p.block_of) for v, p in zip(levels[-1], structure.partitions)]
+        levels.append(tuple(
+            tuple(
+                respond(payoffs, belief, structure.expectation(own, min(block), play[1 - own].__getitem__))
+                for block, belief in zip(partition.blocks, beliefs[own])
+            )
+            for own, partition in enumerate(structure.partitions)
+        ))
+    return levels[level][player][structure.partitions[player].block_of[state]]
 
 
 def iterated_maximization_prob(
@@ -134,7 +160,7 @@ def iterated_maximization_prob(
     """Probability of A under level-`level` iterated maximization.
 
     Deterministic (0 or 1) except for the uniform grounding at level 0, which
-    is the mixed value 1/2.  Memoized per (player, level, information set).
+    is the mixed value 1/2.  Computed level by level on whole information sets.
 
     The utility of A multiplies the player's block-level belief in the target
     by the companion's expected play over the block, treating the two as
@@ -143,11 +169,8 @@ def iterated_maximization_prob(
     state by state, so the two forms can disagree on a block where the
     companion's play and the target are correlated.
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return _maximization_value(
-        structure, target, payoffs, level0, level, player, structure.block(player, state)
-    )
+    family = (_maximization_primary, _maximization_response)
+    return _level_value(structure, target, payoffs, level0, level, player, state, family)
 
 
 def iterated_maximization(
@@ -168,29 +191,6 @@ def iterated_maximization(
     raise ValueError("the uniform level-0 rule yields a mixed act, not a pure action")
 
 
-@lru_cache(maxsize=None)
-def _matching_value(
-    structure: InformationStructure,
-    target: Event,
-    level0: Level0Rule,
-    level: int,
-    player: int,
-    block: frozenset[int],
-) -> Fraction:
-    anchor = min(block)
-    belief = structure.conditional_belief(player, target, anchor)
-    if level == 0:
-        if level0 is Level0Rule.ALWAYS_A:
-            return ONE
-        if level0 is Level0Rule.UNIFORM:
-            return Fraction(1, 2)
-        return belief
-    companion = 1 - player
-    return belief * structure.expectation(player, anchor, lambda member: _matching_value(
-        structure, target, level0, level - 1, companion, structure.block(companion, member)
-    ))
-
-
 def iterated_matching(
     structure: InformationStructure,
     target: Event,
@@ -200,10 +200,9 @@ def iterated_matching(
     level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> Fraction:
     """Probability of A under level-`level` iterated matching: own target
-    belief times the expected level-(k-1) companion probability.  Memoized."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return _matching_value(structure, target, level0, level, player, structure.block(player, state))
+    belief times the expected level-(k-1) companion probability."""
+    family = (_matching_primary, _matching_response)
+    return _level_value(structure, target, None, level0, level, player, state, family)
 
 
 def private_heuristic(

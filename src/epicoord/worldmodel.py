@@ -325,6 +325,8 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
         name = entry["name"]
         if not isinstance(name, str):
             raise SpecError(f"variable entry {index}: 'name' must be a string, got {name!r}")
+        if isinstance(entry["bias"], bool):
+            raise SpecError(f"variable {name!r}: 'bias' must be a rational, got {entry['bias']!r}")
         gate = _json_names(entry, "gate", f"variable {name!r}")
         variables.append(VariableSpec(name, entry["bias"], gate))
     observations = []
@@ -336,10 +338,13 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
         if missing:
             raise SpecError(f"observation rule {index}: missing keys {sorted(missing)}")
         where = f"observation rule {index}"
+        player = entry["player"]
+        if type(player) is not int or player not in (0, 1):
+            raise SpecError(f"{where}: 'player' must be the integer 0 or 1, got {player!r}")
         observations.append(
             ObservationRule(
                 _json_names(entry, "guard", where),
-                entry["player"],
+                player,
                 _json_names(entry, "observed", where),
             )
         )

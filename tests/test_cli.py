@@ -137,6 +137,23 @@ class TestActCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "1/4 (0.25)"
 
+    @pytest.mark.parametrize(
+        "strategy,expected",
+        [
+            (["itermatch"], {"prob_a": "1/1"}),
+            (["itermax", "--payoffs", "1.1,0,1,0.4"], {"action": "A"}),
+        ],
+        ids=["itermatch", "itermax"],
+    )
+    def test_deep_level_needs_no_recursion(self, runner, strategy, expected):
+        result = runner.invoke(
+            cli,
+            ["--format", "json", "act", "--strategy", *strategy, "--k", "400",
+             "--model", "builtin:loudspeaker", "--player", "0", "--state", "1,1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == expected
+
     def test_payoffs_required_for_rational(self, runner):
         result = runner.invoke(
             cli,
@@ -237,8 +254,26 @@ class TestUsageAndErrors:
                 {"variables": [{"name": ["x"], "bias": "1/2"}]},
                 "variable entry 0: 'name' must be a string, got ['x']",
             ),
+            (
+                {"variables": [{"name": "x", "bias": True}]},
+                "variable 'x': 'bias' must be a rational, got True",
+            ),
+            (
+                {
+                    "variables": [{"name": "x", "bias": "1/2"}],
+                    "observations": [{"guard": [], "player": True, "observed": ["x"]}],
+                },
+                "observation rule 0: 'player' must be the integer 0 or 1, got True",
+            ),
+            (
+                {
+                    "variables": [{"name": "x", "bias": "1/2"}],
+                    "observations": [{"guard": [], "player": 1.0, "observed": ["x"]}],
+                },
+                "observation rule 0: 'player' must be the integer 0 or 1",
+            ),
         ],
-        ids=["gate", "guard", "name"],
+        ids=["gate", "guard", "name", "bias-bool", "player-bool", "player-float"],
     )
     def test_mistyped_model_field_names_entry_and_field(self, runner, tmp_path, document, message):
         path = tmp_path / "model.json"

@@ -11,6 +11,7 @@ from epicoord import (
     Partition,
     RandomStructureConfig,
     StateSpace,
+    brute_force_common_p_belief,
     builtin_loudspeaker,
     common_p_belief,
     conditional_belief,
@@ -20,11 +21,13 @@ from epicoord import (
     from_world_model,
     is_c_indicating,
     is_p_evident,
+    iterated_matching,
     largest_p_evident_indicating_event,
     min_belief,
     random_structure,
     super_p_evident,
 )
+from epicoord import oracle, strategies
 from epicoord.epistemic import CACHE_SIZE
 
 
@@ -319,11 +322,20 @@ class TestBeliefKernel:
     def test_caches_stay_within_their_bound(self):
         # More distinct keys than the bound: every size, every delta differs.
         for n in range(1, CACHE_SIZE + 9):
-            evident_ladder(*large_structure(0, n))
+            structure, target = large_structure(0, n)
+            evident_ladder(structure, target)
+            iterated_matching(structure, target, 2, 0, 0)
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
-        for cache in (evident_ladder, from_world_model):
+            brute_force_common_p_belief(*large_structure(n, 4), 0, 0)
+        for cache, bound in (
+            (evident_ladder, CACHE_SIZE),
+            (from_world_model, CACHE_SIZE),
+            (strategies._levels, CACHE_SIZE),
+            # The oracle keeps only the structure in use.
+            (oracle._tables, 1),
+        ):
             info = cache.cache_info()
-            assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
+            assert info.maxsize == bound and info.currsize <= bound
 
 
 class TestDefinitionalChecks:

@@ -25,17 +25,25 @@ from epicoord.experiments import PAYOFF_CONDITION_1
 from .conftest import DELTA
 
 
-def naive_maximization(structure, target, payoffs, level, player, state):
-    """Literal unmemoized recursion; the memoized path must agree exactly."""
+def naive_ground(level0, primary):
+    if level0 is Level0Rule.ALWAYS_A:
+        return Fraction(1)
+    if level0 is Level0Rule.UNIFORM:
+        return Fraction(1, 2)
+    return primary
+
+
+def naive_maximization(structure, target, payoffs, level, player, state, level0=Level0Rule.PRIMARY):
+    """Literal unmemoized recursion; the level-by-level path must agree exactly."""
     if level == 0:
         belief = conditional_belief(structure, player, target, state)
-        return Fraction(int(belief > risk_threshold(payoffs)))
+        return naive_ground(level0, Fraction(int(belief > risk_threshold(payoffs))))
     block = structure.block(player, state)
     mass = structure.measure_of(block)
     total = Fraction(0)
     for member in block:
         weight = structure.space.measures[member] / mass
-        partner = naive_maximization(structure, target, payoffs, level - 1, 1 - player, member)
+        partner = naive_maximization(structure, target, payoffs, level - 1, 1 - player, member, level0)
         good = conditional_belief(structure, player, target, member)
         total += weight * (
             good * partner * payoffs.a + (1 - good) * partner * payoffs.d + (1 - partner) * payoffs.b
@@ -43,17 +51,38 @@ def naive_maximization(structure, target, payoffs, level, player, state):
     return Fraction(int(total > payoffs.c))
 
 
-def naive_matching(structure, target, level, player, state):
+def naive_matching(structure, target, level, player, state, level0=Level0Rule.PRIMARY):
     belief = conditional_belief(structure, player, target, state)
     if level == 0:
-        return belief
+        return naive_ground(level0, belief)
     block = structure.block(player, state)
     mass = structure.measure_of(block)
     total = Fraction(0)
     for member in block:
         weight = structure.space.measures[member] / mass
-        total += weight * naive_matching(structure, target, level - 1, 1 - player, member)
+        total += weight * naive_matching(structure, target, level - 1, 1 - player, member, level0)
     return belief * total
+
+
+def messenger_cases(messenger, messenger_target):
+    for level in range(4):
+        for player in (0, 1):
+            for state in range(len(messenger)):
+                yield messenger, messenger_target, level, player, state
+
+
+def random_cases():
+    """(structure, target, level, player, state) on random structures of 1-12 states,
+    levels 0-4, one state per information set (the naive recursion is exponential).
+    Even sizes get a uniform measure, which makes exact ties with 1/2 reachable."""
+    for num_states in range(1, 13):
+        structure, target = random_structure(
+            RandomStructureConfig(seed=num_states, num_states=num_states, uniform_measure=num_states % 2 == 0)
+        )
+        for level in range(5):
+            for player in (0, 1):
+                for block in structure.partitions[player].blocks:
+                    yield structure, target, level, player, min(block)
 
 
 class TestPayoffs:
@@ -169,14 +198,14 @@ class TestIteratedMaximization:
         assert values == tuple(Fraction(v) for v in expected)
 
     def test_agrees_with_naive_recursion(self, messenger, messenger_target):
-        for level in range(4):
-            for player in (0, 1):
-                for state in range(len(messenger)):
-                    assert iterated_maximization_prob(
-                        messenger, messenger_target, PAYOFF_CONDITION_1, level, player, state
-                    ) == naive_maximization(
-                        messenger, messenger_target, PAYOFF_CONDITION_1, level, player, state
-                    )
+        ties = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
+        cases = [(PAYOFF_CONDITION_1, *case) for case in messenger_cases(messenger, messenger_target)]
+        cases += [(ties, *case) for case in random_cases()]
+        for level0 in Level0Rule:
+            for payoffs, structure, target, level, player, state in cases:
+                assert iterated_maximization_prob(
+                    structure, target, payoffs, level, player, state, level0
+                ) == naive_maximization(structure, target, payoffs, level, player, state, level0)
 
     def test_block_belief_is_independent_of_partner_play(self, messenger, messenger_target):
         """Level k multiplies the block's target belief by the partner's expected
@@ -237,12 +266,12 @@ class TestIteratedMatching:
         assert values == expected
 
     def test_agrees_with_naive_recursion(self, messenger, messenger_target):
-        for level in range(4):
-            for player in (0, 1):
-                for state in range(len(messenger)):
-                    assert iterated_matching(
-                        messenger, messenger_target, level, player, state
-                    ) == naive_matching(messenger, messenger_target, level, player, state)
+        cases = [*messenger_cases(messenger, messenger_target), *random_cases()]
+        for level0 in Level0Rule:
+            for structure, target, level, player, state in cases:
+                assert iterated_matching(structure, target, level, player, state, level0) == (
+                    naive_matching(structure, target, level, player, state, level0)
+                )
 
     def test_bounded_by_own_belief(self):
         for seed in range(20):
