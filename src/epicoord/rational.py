@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
+
+# Characters of an unreadable value quoted back in its error message.
+_SHOWN = 40
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
@@ -18,12 +22,22 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a string like '1/4' or '0.25'")
+    text = str(value).strip()
     try:
-        return Fraction(str(value).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        if len(text) > _SHOWN:
+            # Quote the start only; the cause says why, e.g. that Python reads no
+            # integer of more than 4300 digits (sys.int_max_str_digits).
+            raise ValueError(f"cannot read the {len(text)}-character value {text[:_SHOWN]!r}...: {exc}") from exc
         raise ValueError(f"not a rational number: {value!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/q`` with an explicit denominator (``1`` -> ``1/1``)."""
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as ``p/q`` with an explicit denominator (``1`` -> ``1/1``).
+
+    Exact values of any size print: the digits come from `Decimal`, whose
+    exact integer conversion is not capped like ``str(int)`` is (by
+    sys.int_max_str_digits, 4300 digits by default).
+    """
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"

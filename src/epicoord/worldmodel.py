@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -129,10 +130,14 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def _index(self) -> dict[State, int]:  # built on first lookup: most spaces never need it
+        return {state: index for index, state in enumerate(self.states)}
+
     def index_of(self, state: State) -> int:
         try:
-            return self.states.index(tuple(state))
-        except ValueError:
+            return self._index[tuple(state)]
+        except KeyError:
             raise ValueError(f"state {tuple(state)} has zero measure or is not in the space") from None
 
 
@@ -158,38 +163,79 @@ class Partition:
         return self.blocks[self.block_of[index]]
 
 
+def _positions(spec: WorldModelSpec) -> dict[str, int]:
+    return {name: index for index, name in enumerate(spec.variable_names)}
+
+
 def enumerate_states(spec: WorldModelSpec) -> StateSpace:
     """Enumerate every positive-measure assignment with its exact probability.
 
     An active variable contributes a factor of `bias` (value 1) or `1 - bias`
     (value 0); a gated-off variable contributes no factor but must hold value
-    0.  Assignments containing an impossible value (a gated-off 1, or a factor
-    of 0 from a degenerate bias) are dropped outright, so conditional beliefs
-    are defined at every enumerated state and the measures sum to exactly 1.
+    0.  Values that are impossible (a gated-off 1, or a factor of 0 from a
+    degenerate bias) are never branched on, so conditional beliefs are defined
+    at every enumerated state, the measures sum to exactly 1, and the cost
+    follows the number of reachable states times the number of variables
+    rather than 2^V.
+
+    Assignments are extended one variable at a time in declaration order,
+    depth first without recursion: the 0 branch is taken at once and the 1
+    branch is deferred on a stack, so the most recently deferred choice is
+    revisited first.  Trying 0 before 1 at each variable and backtracking to
+    the latest open choice emits the states in lexicographic order, which is
+    exactly the order of ``itertools.product((0, 1), repeat=V)`` with the
+    impossible assignments left out.
     """
-    names = spec.variable_names
-    gate_indices = tuple(
-        tuple(names.index(g) for g in var.gate) for var in spec.variables
-    )
+    position = _positions(spec)
+    plan = tuple((tuple(position[g] for g in var.gate), var.bias) for var in spec.variables)
+    values = [0] * len(plan)
     states: list[State] = []
     measures: list[Fraction] = []
-    for assignment in itertools.product((0, 1), repeat=len(spec.variables)):
-        weight: Fraction | None = Fraction(1)
-        for var, value, gates in zip(spec.variables, assignment, gate_indices):
-            if any(assignment[g] == 0 for g in gates):
-                if value == 1:
-                    weight = None
-                    break
-                continue
-            factor = var.bias if value == 1 else 1 - var.bias
-            if factor == 0:
-                weight = None
-                break
-            weight *= factor
-        if weight is not None:
-            states.append(assignment)
-            measures.append(weight)
-    return StateSpace(tuple(states), tuple(measures))
+    # Deferred 1 branches, as (variable index, weight with its factor applied);
+    # the indices rise from bottom to top, so values below the top one are intact.
+    pending: list[tuple[int, Fraction]] = []
+    start, weight = 0, Fraction(1)
+    while True:
+        for index in range(start, len(plan)):
+            gates, bias = plan[index]
+            if not bias or not all(values[g] for g in gates):  # 0 is the only value, factor 1
+                values[index] = 0
+            elif bias == 1:
+                values[index] = 1
+            else:
+                pending.append((index, weight * bias))
+                weight *= 1 - bias
+                values[index] = 0
+        states.append(tuple(values))
+        measures.append(weight)
+        if not pending:
+            return StateSpace(tuple(states), tuple(measures))
+        index, weight = pending.pop()
+        values[index] = 1
+        start = index + 1
+
+
+def _player_rules(spec: WorldModelSpec, player: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The player's rules as (rule index, guard positions, observed positions)."""
+    position = _positions(spec)
+    return [
+        (rule_index, tuple(position[g] for g in rule.guard), tuple(position[v] for v in rule.observed))
+        for rule_index, rule in enumerate(spec.observations)
+        if rule.player == player
+    ]
+
+
+def _trace(spec: WorldModelSpec, rules, state: State) -> ObservationTrace:
+    """Replay rules resolved by `_player_rules` at one state."""
+    if len(state) != len(spec.variables):
+        raise SpecError(
+            f"state has {len(state)} values but the model declares {len(spec.variables)} variables"
+        )
+    return tuple(
+        (rule_index, tuple(state[v] for v in observed))
+        for rule_index, guard, observed in rules
+        if all(state[g] == 1 for g in guard)
+    )
 
 
 def run_observations(spec: WorldModelSpec, player: int, state: State) -> ObservationTrace:
@@ -198,19 +244,7 @@ def run_observations(spec: WorldModelSpec, player: int, state: State) -> Observa
     Returns the ordered trace of (rule index, observed values) for every rule
     owned by the player whose guard variables are all 1 at the state.
     """
-    if len(state) != len(spec.variables):
-        raise SpecError(
-            f"state has {len(state)} values but the model declares {len(spec.variables)} variables"
-        )
-    names = spec.variable_names
-    trace = []
-    for rule_index, rule in enumerate(spec.observations):
-        if rule.player != player:
-            continue
-        if all(state[names.index(g)] == 1 for g in rule.guard):
-            values = tuple(state[names.index(v)] for v in rule.observed)
-            trace.append((rule_index, values))
-    return tuple(trace)
+    return _trace(spec, _player_rules(spec, player), state)
 
 
 def trace_values(trace: ObservationTrace) -> tuple[tuple[int, ...], ...]:
@@ -220,9 +254,10 @@ def trace_values(trace: ObservationTrace) -> tuple[tuple[int, ...], ...]:
 
 def build_information_partition(spec: WorldModelSpec, space: StateSpace, player: int) -> Partition:
     """Group the states a player cannot tell apart: equal traces, same block."""
+    rules = _player_rules(spec, player)
     groups: dict[ObservationTrace, list[int]] = {}
     for index, state in enumerate(space.states):
-        groups.setdefault(run_observations(spec, player, state), []).append(index)
+        groups.setdefault(_trace(spec, rules, state), []).append(index)
     blocks = tuple(frozenset(members) for members in groups.values())
     block_of = [0] * len(space.states)
     for block_id, members in enumerate(groups.values()):
@@ -369,7 +404,7 @@ def load_spec(path) -> WorldModelSpec:
     text = Path(path).read_text()
     try:
         document = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number longer than Python reads
         raise SpecError(f"{path}: invalid JSON ({exc})") from exc
     return spec_from_json(document)
 

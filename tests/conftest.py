@@ -6,6 +6,9 @@ import pytest
 
 from epicoord import (
     HumanData,
+    ObservationRule,
+    VariableSpec,
+    WorldModelSpec,
     builtin_loudspeaker,
     builtin_messenger,
     from_world_model,
@@ -72,3 +75,19 @@ def make_human(private, secondary, tertiary, common, n=40) -> HumanData:
 def synthetic_human():
     # deliberately made-up proportions with the low / mid / mid / high shape
     return make_human(Fraction(1, 5), Fraction(11, 20), Fraction(3, 5), Fraction(17, 20))
+
+
+def email_chain(variables: int, delta: Fraction, loss: Fraction) -> WorldModelSpec:
+    """Rubinstein's (1989) electronic-mail game as a gated world model.
+
+    Player 0 learns x; while x = 1 the confirmations m1, m2, ... are sent,
+    each only if the previous one arrived, and each is lost with probability
+    `loss`.  Player 1 reads the odd messages, player 0 the even ones.  Of the
+    2^V assignments only V + 1 are reachable.
+    """
+    specs = [VariableSpec("x", delta)]
+    rules = [ObservationRule((), 0, ("x",))]
+    for k in range(1, variables):
+        specs.append(VariableSpec(f"m{k}", 1 - loss, gate=(specs[-1].name,)))
+        rules.append(ObservationRule((), k % 2, (f"m{k}",)))
+    return WorldModelSpec(tuple(specs), tuple(rules))

@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from epicoord import builtin_messenger, from_world_model
+from epicoord import builtin_messenger, from_world_model, iterated_matching, spec_to_json, x_event
 from epicoord.cli import cli
 from epicoord.rational import parse_rational
+
+from .conftest import email_chain
 
 SYNTHETIC_CSV = (
     "condition,n,prob_a\n"
@@ -102,6 +105,15 @@ class TestBeliefCommands:
         assert result.exit_code == 0
         assert result.output.strip() == "1/1 (1.0)"
 
+    def test_ladder_on_forty_variable_chain(self, runner, tmp_path):
+        # 2^40 assignments, 41 reachable states: enumeration must not try them all.
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(spec_to_json(email_chain(40, Fraction(1, 3), Fraction(1, 10)))))
+        result = runner.invoke(cli, ["--format", "json", "ladder", "--model", str(path)])
+        assert result.exit_code == 0, result.output
+        rungs = json.loads(result.output)["rungs"]
+        assert len(rungs[0]["members"]) == 41
+
 
 class TestActCommand:
     def test_rational_action(self, runner):
@@ -153,6 +165,28 @@ class TestActCommand:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output) == expected
+
+    def test_answer_longer_than_python_prints(self, runner):
+        # The level-5000 probability has a denominator of more than 4300 digits,
+        # more than str(int) converts under Python's default limit.
+        result = runner.invoke(
+            cli,
+            ["--format", "json", "act", "--strategy", "itermatch", "--k", "5000",
+             "--model", "builtin:messenger", "--player", "0", "--state", "1,1,0,1,0"],
+        )
+        assert result.exit_code == 0, result.output
+        text = json.loads(result.output)["prob_a"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            value = parse_rational(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(text.split("/")[1]) > limit
+        spec = builtin_messenger(Fraction(1, 4))
+        structure = from_world_model(spec)
+        index = structure.space.index_of((1, 1, 0, 1, 0))
+        assert value == iterated_matching(structure, x_event(spec, structure.space), 5000, 0, index)
 
     def test_payoffs_required_for_rational(self, runner):
         result = runner.invoke(
@@ -283,6 +317,24 @@ class TestUsageAndErrors:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("where", ["payoffs", "bias-string", "bias-number"])
+    def test_over_long_number_is_a_domain_error(self, runner, tmp_path, where):
+        digits = "1" + "0" * 5000
+        path = tmp_path / "model.json"
+        bias = f'"1/{digits}"' if where == "bias-string" else digits
+        path.write_text(f'{{"variables": [{{"name": "x", "bias": {bias}}}]}}')
+        if where == "payoffs":
+            args = ["act", "--strategy", "rational", "--payoffs", f"{digits},0,1,0",
+                    "--model", "builtin:messenger", "--player", "0", "--state", "1,1,0,1,0"]
+        else:
+            args = ["ladder", "--model", str(path)]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "4300 digits" in result.output
+        assert len(result.output) < 500
 
     def test_non_integer_human_count_names_its_line(self, runner, tmp_path):
         path = tmp_path / "human.csv"

@@ -1,8 +1,11 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicoord import (
     ObservationRule,
@@ -13,8 +16,11 @@ from epicoord import (
     build_information_partition,
     builtin_loudspeaker,
     builtin_messenger,
+    common_p_belief,
     enumerate_states,
     event_where,
+    fixedpoint_common_p_belief,
+    from_world_model,
     load_spec,
     parse_event_predicate,
     run_observations,
@@ -25,7 +31,7 @@ from epicoord import (
 )
 from epicoord.rational import format_rational, parse_rational
 
-from .conftest import DELTA
+from .conftest import DELTA, email_chain
 
 
 def brute_force_states(spec):
@@ -50,7 +56,39 @@ def brute_force_states(spec):
     return result
 
 
+@st.composite
+def gated_specs(draw):
+    """Models of 1-10 variables, biases including 0 and 1, 0-3 gates on earlier variables."""
+    names = ["x"] + [f"v{i}" for i in range(1, draw(st.integers(1, 10)))]
+    biases = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=6))
+    variables = []
+    for i, name in enumerate(names):
+        gate = draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True)) if i else []
+        variables.append(VariableSpec(name, draw(biases), gate=tuple(gate)))
+    return WorldModelSpec(tuple(variables))
+
+
 class TestEnumerateStates:
+    @given(gated_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_reference_in_order(self, spec):
+        space = enumerate_states(spec)
+        assert list(zip(space.states, space.measures)) == list(brute_force_states(spec).items())
+
+    def test_forty_variable_email_chain(self):
+        # 2^40 assignments, 41 reachable states: out of reach of the exhaustive oracle.
+        spec = email_chain(40, Fraction(1, 3), Fraction(1, 10))
+        space = enumerate_states(spec)
+        assert space.states == tuple((1,) * k + (0,) * (40 - k) for k in range(41))
+        assert sum(space.measures, Fraction(0)) == 1
+        structure = from_world_model(spec)
+        target = x_event(spec, structure.space)
+        for player in (0, 1):
+            for state in range(len(structure)):
+                assert common_p_belief(structure, target, player, state) == (
+                    fixedpoint_common_p_belief(structure, target, player, state)
+                )
+
     def test_loudspeaker_example(self, loudspeaker_spec):
         space = enumerate_states(loudspeaker_spec)
         expected = {
@@ -97,9 +135,18 @@ class TestEnumerateStates:
         assert sum(space.measures, Fraction(0)) == 1
         assert dict(zip(space.states, space.measures)) == brute_force_states(spec)
 
+    def test_index_of_maps_every_state_back(self, messenger_spec, loudspeaker_spec):
+        for spec in (messenger_spec, loudspeaker_spec):
+            space = enumerate_states(spec)
+            assert "_index" not in vars(space)
+            for index, state in enumerate(space.states):
+                assert space.index_of(state) == index
+                assert space.index_of(list(state)) == index
+
     def test_index_of_rejects_zero_measure_state(self, messenger_spec):
         space = enumerate_states(messenger_spec)
-        with pytest.raises(ValueError):
+        message = "state (1, 0, 0, 1, 0) has zero measure or is not in the space"
+        with pytest.raises(ValueError, match=re.escape(message)):
             space.index_of((1, 0, 0, 1, 0))  # tell_plan_0 without visit_0
 
 
@@ -312,3 +359,11 @@ class TestRationalHelpers:
         assert format_rational(Fraction(1)) == "1/1"
         assert format_rational(Fraction(1, 4)) == "1/4"
         assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+
+    def test_format_prints_more_digits_than_str_converts(self):
+        value = Fraction(1, 7**6000)  # 5,071 digits
+        numerator, denominator = format_rational(value).split("/")
+        assert numerator == "1"
+        assert len(denominator) == 5071
+        assert int(denominator[:50]) == 7**6000 // 10**5021
+        assert int(denominator[-50:]) == 7**6000 % 10**50
