@@ -116,6 +116,7 @@ def cli(ctx, fmt):
 @_domain_errors
 def partition(ctx, model, delta, player):
     """Print one information set per line as sorted state tuples."""
+    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     blocks = [
@@ -126,7 +127,6 @@ def partition(ctx, model, delta, player):
     if ctx.obj["format"] == "json":
         click.echo(json.dumps({"blocks": [[list(s) for s in block] for block in blocks]}, indent=2))
         return
-    _check_format(ctx.obj["format"], ("table", "json"))
     for block in blocks:
         click.echo(" ".join(_state_text(state) for state in block))
 
@@ -141,6 +141,7 @@ def partition(ctx, model, delta, player):
 @_domain_errors
 def pbelief(ctx, model, delta, predicate, player, state):
     """Perceived maximal common belief in the event at a state."""
+    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     target = _event_from(spec, structure.space, predicate)
@@ -149,7 +150,6 @@ def pbelief(ctx, model, delta, predicate, player, state):
     if ctx.obj["format"] == "json":
         click.echo(json.dumps({"value": format_rational(value)}))
         return
-    _check_format(ctx.obj["format"], ("table", "json"))
     click.echo(_rational_with_decimal(value))
 
 
@@ -161,6 +161,7 @@ def pbelief(ctx, model, delta, predicate, player, state):
 @_domain_errors
 def ladder(ctx, model, delta, predicate):
     """The nested maximally evident events with their evidence levels."""
+    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     target = _event_from(spec, structure.space, predicate)
@@ -175,7 +176,6 @@ def ladder(ctx, model, delta, predicate):
         ]
         click.echo(json.dumps({"rungs": payload}, indent=2))
         return
-    _check_format(ctx.obj["format"], ("table", "json"))
     for rung in rungs:
         members = sorted(structure.space.states[i] for i in rung.event)
         rendered = ",".join(_state_text(state) for state in members)
@@ -195,6 +195,7 @@ def ladder(ctx, model, delta, predicate):
 @_domain_errors
 def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
     """Evaluate one strategy at a state: an action, or an exact probability of A."""
+    _check_format(ctx.obj["format"], ("table", "json"))
     if strategy in _PAYOFF_STRATEGIES and payoffs is None:
         raise click.UsageError(f"--payoffs is required for strategy {strategy}")
     spec = _load_model(model, delta)
@@ -222,11 +223,7 @@ def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
         payload, text = {"action": result.value}, result.value
     else:
         payload, text = {"prob_a": format_rational(result)}, _rational_with_decimal(result)
-    if ctx.obj["format"] == "json":
-        click.echo(json.dumps(payload))
-    else:
-        _check_format(ctx.obj["format"], ("table", "json"))
-        click.echo(text)
+    click.echo(json.dumps(payload) if ctx.obj["format"] == "json" else text)
 
 
 @cli.command()
@@ -237,6 +234,7 @@ def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
 @_domain_errors
 def verify(ctx, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
+    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     instance = game.GameInstance.from_world_model(spec, strategies.PayoffParams.parse(payoffs))
     report = game.verify_equilibrium(instance)
@@ -265,17 +263,15 @@ def verify(ctx, model, delta, payoffs):
                 indent=2,
             )
         )
+    elif status == "N-A":
+        click.echo(f"N-A: {report.reason}")
     else:
-        _check_format(ctx.obj["format"], ("table", "json"))
-        if status == "N-A":
-            click.echo(f"N-A: {report.reason}")
-        else:
-            click.echo(status)
-            for v in report.violations:
-                click.echo(
-                    f"player={v.player} state={_state_text(v.state)} "
-                    f"chosen={v.chosen.value} gap={format_rational(v.gap)}"
-                )
+        click.echo(status)
+        for v in report.violations:
+            click.echo(
+                f"player={v.player} state={_state_text(v.state)} "
+                f"chosen={v.chosen.value} gap={format_rational(v.gap)}"
+            )
     if status == "FAIL":
         ctx.exit(1)
 
@@ -347,6 +343,8 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     while value <= end:
         grid.append(value)
         value += step
+    if not grid:
+        raise click.UsageError(f"--grid {text} holds no risk level: its start exceeds its end")
     return tuple(grid)
 
 
@@ -359,9 +357,10 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
 @_domain_errors
 def sweep(ctx, human_path, delta, grid_text, out):
     """Agent marginal value per strategy across risk levels, as CSV."""
+    grid = _parse_grid(grid_text)
     human = experiments.HumanData.from_csv(human_path)
     conditions = experiments.knowledge_conditions(parse_rational(delta))
-    result = experiments.human_agent_sweep(_parse_grid(grid_text), conditions, human)
+    result = experiments.human_agent_sweep(grid, conditions, human)
     if ctx.obj["format"] == "json":
         payload = {
             "grid": [format_rational(p) for p in result.grid],

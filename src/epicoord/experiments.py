@@ -11,7 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
-from .game import stage_payoff
 from .rational import parse_rational
 from .strategies import (
     Action,
@@ -121,6 +120,8 @@ class HumanData:
                     counts[name] = int(row["n"])
                 except ValueError:
                     raise ValueError(f"{where}: n must be an integer, got {row['n']!r}") from None
+                if counts[name] < 1:
+                    raise ValueError(f"{where}: n must be at least 1, got {counts[name]}")
                 try:
                     prob_a[name] = parse_rational(row["prob_a"])
                 except ValueError as exc:
@@ -285,7 +286,7 @@ def marginal_value(
             continue
         human_prob = human.prob_a[condition.name]
         x_is_one = condition.state_index() in condition.target()
-        total += stage_payoff(payoffs, x_is_one, Fraction(1), human_prob) - payoffs.c
+        total += payoffs.value_of_a(x_is_one, human_prob) - payoffs.c
     return total
 
 

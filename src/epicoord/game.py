@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .epistemic import Event, InformationStructure, from_world_model
+from .rational import parse_rational
 from .strategies import Action, PayoffParams, rational_p_belief_action, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
 
@@ -24,6 +25,7 @@ class GameInstance:
     target: Event
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "target", frozenset(self.target))
         if not self.target <= self.structure.universe():
             raise ValueError("target event references state indices outside the space")
 
@@ -44,7 +46,7 @@ class Policy:
     prob_a: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prob_a", tuple(tuple(row) for row in self.prob_a))
+        object.__setattr__(self, "prob_a", tuple(tuple(map(parse_rational, row)) for row in self.prob_a))
         for row in self.prob_a:
             if any(not 0 <= p <= 1 for p in row):
                 raise ValueError("action probabilities must lie in [0, 1]")
@@ -54,7 +56,7 @@ class Policy:
 
     @classmethod
     def constant(cls, num_states: int, value: Fraction) -> "Policy":
-        row = tuple(Fraction(value) for _ in range(num_states))
+        row = (value,) * num_states
         return cls((row, row))
 
 
@@ -71,9 +73,7 @@ def stage_payoff(
 ) -> Fraction:
     """Row player's bimatrix expectation at a single state: B is worth c
     outright; A pays a or d (by the state bit) on a match and b on a mismatch."""
-    match_payoff = payoffs.a if x_is_one else payoffs.d
-    risky = other_prob_a * match_payoff + (1 - other_prob_a) * payoffs.b
-    return my_prob_a * risky + (1 - my_prob_a) * payoffs.c
+    return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
 def expected_utility(
@@ -104,17 +104,14 @@ def noiseless_check(game: GameInstance) -> bool:
 
 
 def rational_policy(game: GameInstance) -> Policy:
-    """Both players following the common-belief threshold rule everywhere."""
+    """Both players following the common-belief threshold rule everywhere, decided per block."""
     rows = []
-    for player in (0, 1):
-        row = tuple(
-            ONE
-            if rational_p_belief_action(game.structure, game.target, game.payoffs, player, state)
-            is Action.A
-            else ZERO
-            for state in range(len(game.structure))
-        )
-        rows.append(row)
+    for player, partition in enumerate(game.structure.partitions):
+        plays = [
+            rational_p_belief_action(game.structure, game.target, game.payoffs, player, min(block))
+            for block in partition.blocks
+        ]
+        rows.append(tuple(ONE if plays[b] is Action.A else ZERO for b in partition.block_of))
     return Policy((rows[0], rows[1]))
 
 
@@ -158,21 +155,25 @@ def verify_equilibrium(game: GameInstance) -> EquilibriumReport:
             f"risk threshold {threshold} does not exceed the target prior {prior}",
             (),
         )
-    policy = rational_policy(game)
+    return EquilibriumReport(True, None, _violations(game, rational_policy(game)))
+
+
+def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
+    """Every (player, state) where switching the own play against `policy` pays.
+
+    B is worth c and utility is linear in the own mix, so switching from own
+    play p gains (1 - 2p) times the block's one gain of A over B."""
+    states = game.structure.space.states
     violations = []
-    for player in (0, 1):
-        for state in range(len(game.structure)):
-            chosen_prob = policy.prob(player, state)
-            chosen_utility = expected_utility(game, player, state, chosen_prob, policy)
-            other_utility = expected_utility(game, player, state, 1 - chosen_prob, policy)
-            if other_utility > chosen_utility:
-                violations.append(
-                    Violation(
-                        player,
-                        state,
-                        game.structure.space.states[state],
-                        Action.A if chosen_prob == ONE else Action.B,
-                        other_utility - chosen_utility,
-                    )
-                )
-    return EquilibriumReport(True, None, tuple(violations))
+    for player, partition in enumerate(game.structure.partitions):
+        gains = [
+            expected_utility(game, player, min(block), ONE, policy) - game.payoffs.c
+            for block in partition.blocks
+        ]
+        for state, block_id in enumerate(partition.block_of):
+            own = policy.prob(player, state)
+            gap = (1 - 2 * own) * gains[block_id]
+            if gap > 0:
+                chosen = Action.A if own == ONE else Action.B
+                violations.append(Violation(player, state, states[state], chosen, gap))
+    return tuple(violations)

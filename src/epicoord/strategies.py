@@ -71,6 +71,11 @@ class PayoffParams:
             raise ValueError(f"expected four comma-separated payoffs, got {text!r}")
         return cls(*parts)
 
+    def value_of_a(self, on_target, partner) -> Fraction:
+        """The payoff of A against a partner playing A with probability `partner`:
+        a or d on a match, by `on_target` (a bit, or a belief: it is linear), b on a mismatch."""
+        return partner * (on_target * self.a + (1 - on_target) * self.d) + (1 - partner) * self.b
+
 
 def risk_threshold(payoffs: PayoffParams) -> Fraction:
     """The belief level (c - b) / (a - b) at which risking A breaks even
@@ -105,8 +110,7 @@ def _maximization_primary(payoffs: PayoffParams, belief: Fraction) -> Fraction:
 
 
 def _maximization_response(payoffs: PayoffParams, belief: Fraction, partner: Fraction) -> Fraction:
-    utility = partner * (belief * payoffs.a + (1 - belief) * payoffs.d) + (1 - partner) * payoffs.b
-    return ONE if utility > payoffs.c else ZERO
+    return ONE if payoffs.value_of_a(belief, partner) > payoffs.c else ZERO
 
 
 def _matching_primary(payoffs: None, belief: Fraction) -> Fraction:
@@ -222,11 +226,11 @@ def pair_heuristic(
     if structure.conditional_belief(player, target, state) != 1:
         return Action.B
     companion = 1 - player
-    companion_certain = frozenset(
-        index
-        for index in range(len(structure))
-        if structure.conditional_belief(companion, target, index) == 1
-    )
+    companion_certain = frozenset().union(*(
+        block
+        for block in structure.partitions[companion].blocks
+        if structure.conditional_belief(companion, target, min(block)) == 1
+    ))
     if structure.conditional_belief(player, companion_certain, state) == 1:
         return Action.A
     return Action.B
@@ -242,12 +246,7 @@ def cognitive_strategy(
     """Maximize expected utility against a companion assumed to probability-match
     on perceived common belief; play A only on a strict improvement over the
     safe payoff."""
-    companion = 1 - player
-
-    def payoff_of_a(member: int) -> Fraction:
-        partner = matched_p_belief_prob(structure, target, companion, member)
-        match_payoff = payoffs.a if member in target else payoffs.d
-        return partner * match_payoff + (1 - partner) * payoffs.b
-
-    utility = structure.expectation(player, state, payoff_of_a)
+    utility = structure.expectation(player, state, lambda member: payoffs.value_of_a(
+        member in target, matched_p_belief_prob(structure, target, 1 - player, member)
+    ))
     return Action.A if utility > payoffs.c else Action.B

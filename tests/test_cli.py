@@ -344,6 +344,40 @@ class TestUsageAndErrors:
         assert isinstance(result.exception, SystemExit)
         assert "line 2: n must be an integer" in result.output
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_human_count_below_one_names_its_line(self, runner, tmp_path, count):
+        path = tmp_path / "human.csv"
+        path.write_text(SYNTHETIC_CSV.replace("tertiary,33,", f"tertiary,{count},"))
+        result = runner.invoke(cli, ["compare", "--human", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert f"{path}, line 4: n must be at least 1, got {int(count)}" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["partition", "--player", "0"],
+            ["pbelief", "--player", "0", "--state", "1,1"],
+            ["ladder"],
+            ["act", "--strategy", "itermatch", "--k", "2000", "--player", "0", "--state", "1,1"],
+            ["verify", "--payoffs", "1.1,0,1,0.4"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_format_checked_before_any_work(self, runner, tmp_path, args):
+        """A usage error (exit 2) comes before the model file is even read (exit 1)."""
+        missing = str(tmp_path / "missing.json")
+        result = runner.invoke(cli, ["--format", "csv", *args, "--model", missing])
+        assert result.exit_code == 2
+        assert "--format csv is not available here" in result.output
+
+    def test_empty_sweep_grid_is_a_usage_error(self, runner, tmp_path):
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "0.5:0.1:0.4"])
+        assert result.exit_code == 2
+        assert "holds no risk level" in result.output
+        assert "p_star" not in result.output
+
     def test_csv_format_rejected_where_meaningless(self, runner):
         result = runner.invoke(
             cli,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from epicoord import (
+    Action,
     GameInstance,
     InformationStructure,
     Partition,
@@ -22,8 +23,9 @@ from epicoord import (
     verify_equilibrium,
 )
 from epicoord.experiments import PAYOFF_CONDITION_1
+from epicoord.game import _violations
 
-from .conftest import DELTA
+from .conftest import DELTA, email_chain
 
 
 def loudspeaker_game():
@@ -32,6 +34,46 @@ def loudspeaker_game():
 
 def messenger_game():
     return GameInstance.from_world_model(builtin_messenger(DELTA), PAYOFF_CONDITION_1)
+
+
+def random_payoffs(rng: random.Random) -> PayoffParams:
+    b, d = (Fraction(rng.randint(0, 6), 4) for _ in range(2))
+    c = max(b, d) + Fraction(rng.randint(1, 6), 4)
+    return PayoffParams(c + Fraction(rng.randint(1, 6), 4), b, c, d)
+
+
+def random_policy(rng: random.Random, structure, kind: str) -> Policy:
+    """Pure or mixed play constant on each block, or mixed play state by state."""
+    values = (Fraction(0), Fraction(1)) if kind == "pure" else tuple(Fraction(k, 6) for k in range(7))
+    rows = []
+    for partition in structure.partitions:
+        if kind == "non-measurable":
+            rows.append(tuple(rng.choice(values) for _ in partition.block_of))
+        else:
+            per_block = [rng.choice(values) for _ in partition.blocks]
+            rows.append(tuple(per_block[b] for b in partition.block_of))
+    return Policy(tuple(rows))
+
+
+def reference_violations(game: GameInstance, policy: Policy) -> tuple:
+    """The definition, state by state: compare the chosen mix with its flip."""
+    violations = []
+    for player in (0, 1):
+        for state in range(len(game.structure)):
+            chosen_prob = policy.prob(player, state)
+            chosen_utility = expected_utility(game, player, state, chosen_prob, policy)
+            other_utility = expected_utility(game, player, state, 1 - chosen_prob, policy)
+            if other_utility > chosen_utility:
+                violations.append(
+                    (
+                        player,
+                        state,
+                        game.structure.space.states[state],
+                        Action.A if chosen_prob == 1 else Action.B,
+                        other_utility - chosen_utility,
+                    )
+                )
+    return tuple(violations)
 
 
 def noisy_structure():
@@ -97,6 +139,25 @@ class TestExpectedUtility:
         lam = Fraction(3, 7)
         assert utility(lam * 1 + (1 - lam) * 0) == lam * utility(Fraction(1)) + (1 - lam) * utility(Fraction(0))
 
+    def test_value_of_a_matrix_corners(self):
+        p = PAYOFF_CONDITION_1
+        assert p.value_of_a(1, 1) == p.a
+        assert p.value_of_a(True, Fraction(1)) == p.a
+        assert p.value_of_a(0, 1) == p.d
+        assert p.value_of_a(False, Fraction(1)) == p.d
+        assert p.value_of_a(1, 0) == p.b
+        assert p.value_of_a(0, 0) == p.b
+
+    def test_value_of_a_is_linear_in_a_belief(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            p = random_payoffs(rng)
+            belief, partner = Fraction(rng.randint(0, 12), 12), Fraction(rng.randint(0, 12), 12)
+            blended = belief * p.value_of_a(1, partner) + (1 - belief) * p.value_of_a(0, partner)
+            assert p.value_of_a(belief, partner) == blended
+            blended = partner * p.value_of_a(belief, 1) + (1 - partner) * p.value_of_a(belief, 0)
+            assert p.value_of_a(belief, partner) == blended
+
     def test_stage_payoff_matrix_corners(self):
         p = PAYOFF_CONDITION_1
         assert stage_payoff(p, True, Fraction(1), Fraction(1)) == p.a
@@ -140,6 +201,37 @@ class TestVerifyEquilibrium:
         assert not report.applicable
         assert "noisy" in report.reason
 
+    def test_rubinstein_paradox(self):
+        """Rubinstein's e-mail game at payoffs (1, 0, r, 0), with r at or above the
+        beliefs inside the chain but below the one at its truncated end: the threshold
+        rule attacks only at that end, and it is an equilibrium."""
+        spec = email_chain(12, Fraction(1, 3), Fraction(1, 10))
+        game = GameInstance.from_world_model(spec, PayoffParams(1, 0, Fraction(1, 2), 0))
+        assert len(game.structure) == 13
+        report = verify_equilibrium(game)
+        assert report.applicable
+        assert report.passed
+        policy = rational_policy(game)
+        attacks = [[s for s in range(13) if policy.prob(player, s) == 1] for player in (0, 1)]
+        assert attacks == [[11, 12], [12]]
+        assert all(p in (0, 1) for row in policy.prob_a for p in row)
+
+
+class TestDeviationGaps:
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "non-measurable"])
+    def test_block_gaps_equal_the_per_state_definition(self, kind):
+        rng = random.Random(kind)
+        with_violations = 0
+        for seed in range(150):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=1 + seed % 12))
+            game = GameInstance(structure, random_payoffs(rng), target)
+            policy = random_policy(rng, structure, kind)
+            expected = reference_violations(game, policy)
+            actual = tuple((v.player, v.state_index, v.state, v.chosen, v.gap) for v in _violations(game, policy))
+            assert actual == expected, (seed, kind)
+            with_violations += bool(expected)
+        assert with_violations >= 100
+
 
 class TestPolicy:
     def test_probability_bounds(self):
@@ -156,6 +248,24 @@ class TestPolicy:
         rows = [[Fraction(0)] * n, [Fraction(0)] * n]
         rows[0][game.structure.space.index_of((0, 0))] = Fraction(1)  # splits the silent block
         assert not is_partition_measurable(game.structure, Policy((tuple(rows[0]), tuple(rows[1]))))
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(ValueError, match="float"):
+            Policy(((0.5,), (0.5,)))
+        with pytest.raises(ValueError, match="float"):
+            Policy.constant(3, 0.5)
+
+    def test_entries_parsed_exactly(self):
+        policy = Policy((("1/2", "0.25"), (1, Fraction(1, 3))))
+        assert policy.prob_a == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(1, 3)))
+        assert all(type(p) is Fraction for row in policy.prob_a for p in row)
+
+    def test_set_target_is_stored_frozen(self):
+        game = messenger_game()
+        thawed = GameInstance(game.structure, game.payoffs, set(game.target))
+        assert isinstance(thawed.target, frozenset)
+        assert thawed == game
+        assert verify_equilibrium(thawed) == verify_equilibrium(game)
 
     def test_target_outside_space_rejected(self):
         structure, _ = random_structure(RandomStructureConfig(seed=1, num_states=4))

@@ -311,6 +311,54 @@ class TestHeuristics:
             assert pair_heuristic(structure, target, seat, state) is expected_pair
 
 
+def per_state_pair(structure, target, player, state):
+    """The pair heuristic as defined: the companion-certain event collected state by state."""
+    if conditional_belief(structure, player, target, state) != 1:
+        return Action.B
+    companion_certain = frozenset(
+        index for index in range(len(structure)) if conditional_belief(structure, 1 - player, target, index) == 1
+    )
+    return Action.A if conditional_belief(structure, player, companion_certain, state) == 1 else Action.B
+
+
+def per_state_cognitive(structure, target, payoffs, player, state):
+    """The cognitive agent as defined: a literal measure-weighted sum over the block."""
+    block = structure.block(player, state)
+    total = Fraction(0)
+    for member in block:
+        partner = matched_p_belief_prob(structure, target, 1 - player, member)
+        match_payoff = payoffs.a if member in target else payoffs.d
+        total += structure.space.measures[member] * (partner * match_payoff + (1 - partner) * payoffs.b)
+    utility = total / structure.measure_of(block)
+    return Action.A if utility > payoffs.c else Action.B
+
+
+class TestAgainstPerStateForms:
+    def test_pair_heuristic(self):
+        seen = set()
+        for seed in range(300):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=1 + seed % 12))
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    expected = per_state_pair(structure, target, player, state)
+                    assert pair_heuristic(structure, target, player, state) is expected, (seed, player, state)
+                    seen.add(expected)
+        assert seen == {Action.A, Action.B}
+
+    def test_cognitive_strategy(self):
+        seen = set()
+        for seed in range(300):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=1 + seed % 12))
+            c = Fraction(1 + seed % 7, 8)
+            payoffs = PayoffParams(1, Fraction(seed % 3, 24), c, Fraction(seed % 5, 48))
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    expected = per_state_cognitive(structure, target, payoffs, player, state)
+                    assert cognitive_strategy(structure, target, payoffs, player, state) is expected, (seed, player, state)
+                    seen.add(expected)
+        assert seen == {Action.A, Action.B}
+
+
 class TestCognitiveStrategy:
     def test_broadcast_state_attacks(self, loudspeaker, loudspeaker_target):
         index = loudspeaker.space.index_of((1, 1))
