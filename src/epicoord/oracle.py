@@ -71,70 +71,59 @@ def random_structure(config: RandomStructureConfig) -> tuple[InformationStructur
     return InformationStructure(space, partitions), target
 
 
-class _BeliefTables:
-    """Integer-weight belief arithmetic shared by both oracle routes."""
-
-    def __init__(self, structure: InformationStructure, target: Event):
-        self.structure = structure
-        self.target = target
-        n = len(structure)
-        denom = math.lcm(*(m.denominator for m in structure.space.measures))
-        self.weights = [int(m * denom) for m in structure.space.measures]
-        self.block_at = [
-            [structure.block(player, state) for state in range(n)] for player in (0, 1)
-        ]
-        self._block_weight: dict[frozenset[int], int] = {}
-        self._belief_cache: dict[tuple[Event, frozenset[int]], Fraction] = {}
-        self._level_cache: dict[Event, Fraction] = {}
-        self.target_belief = [
-            [self.belief_in_block(target, self.block_at[player][state]) for state in range(n)]
-            for player in (0, 1)
-        ]
-
-    def _weight(self, members) -> int:
-        return sum(self.weights[index] for index in members)
-
-    def belief_in_block(self, event: Event, block: frozenset[int]) -> Fraction:
-        key = (event, block)
-        cached = self._belief_cache.get(key)
-        if cached is None:
-            if block not in self._block_weight:
-                self._block_weight[block] = self._weight(block)
-            cached = Fraction(self._weight(event & block), self._block_weight[block])
-            self._belief_cache[key] = cached
-        return cached
-
-    def belief(self, player: int, event: Event, state: int) -> Fraction:
-        return self.belief_in_block(event, self.block_at[player][state])
-
-    def level(self, event: Event) -> Fraction:
-        """min over members and players of min(belief in event, belief in target)."""
-        cached = self._level_cache.get(event)
-        if cached is not None:
-            return cached
-        best = Fraction(1)
-        for player in (0, 1):
-            for state in event:
-                value = min(
-                    self.belief(player, event, state), self.target_belief[player][state]
-                )
-                if value < best:
-                    best = value
-        self._level_cache[event] = best
-        return best
+def _integer_weights(structure: InformationStructure) -> list[int]:
+    """Each state's measure times the least common denominator of all of them."""
+    measures = structure.space.measures
+    denominator = math.lcm(*(m.denominator for m in measures))
+    return [int(m * denominator) for m in measures]
 
 
-# One entry: callers query one structure at a time, and an entry holds a belief
-# and a level for every event scanned, up to 2^n of them.
+# One entry: callers query one structure at a time, and the table is built by
+# a pass over all 2^n - 1 events, so it is worth keeping for the 2n queries.
 @lru_cache(maxsize=1)
-def _tables(structure: InformationStructure, target: Event) -> _BeliefTables:
-    return _BeliefTables(structure, target)
+def _block_answers(
+    structure: InformationStructure, target: Event
+) -> dict[tuple[int, frozenset[int]], Fraction]:
+    """The exhaustive answer of every (player, block), from one scan of the events.
 
-
-def _all_nonempty_events(n: int) -> list[Event]:
-    return [
-        frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)
-    ]
+    Events are bitmasks and each event's weight is a subset sum.  level(E) is
+    the least min(w(E & B), w(T & B)) / w(B) over the blocks B of either player
+    that meet E; each block keeps the largest min(level(E), w(E & B) / w(B)).
+    Fractions are (numerator, denominator) pairs compared by cross-multiplying.
+    """
+    n = len(structure)
+    weights = _integer_weights(structure)
+    sums = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    target_mask = sum(1 << state for state in target)
+    keys, blocks = [], []
+    for player, partition in enumerate(structure.partitions):
+        for block in partition.blocks:
+            mask = sum(1 << state for state in block)
+            keys.append((player, block))
+            blocks.append((mask, sums[mask], sums[mask & target_mask]))
+    best = [(0, 1)] * len(blocks)
+    for event in range(1, 1 << n):
+        level, level_weight = 1, 1
+        met = []
+        for index, (mask, weight, on_target) in enumerate(blocks):
+            inside = sums[event & mask]
+            if inside:
+                part = min(inside, on_target)
+                if part * level_weight < level * weight:
+                    level, level_weight = part, weight
+                met.append((index, inside, weight))
+        for index, inside, weight in met:
+            if inside * level_weight < level * weight:
+                value, value_weight = inside, weight
+            else:
+                value, value_weight = level, level_weight
+            kept, kept_weight = best[index]
+            if value * kept_weight > kept * value_weight:
+                best[index] = value, value_weight
+    return {key: Fraction(*answer) for key, answer in zip(keys, best)}
 
 
 def brute_force_common_p_belief(
@@ -146,16 +135,11 @@ def brute_force_common_p_belief(
     belief in E is >= p, so the answer is max over E of min(level(E),
     belief(E)).  Exponential in the state count; capped at 12 states.
     """
+    block = structure.block(player, state)
     n = len(structure)
     if n > EXHAUSTIVE_STATE_LIMIT:
         raise ValueError(f"exhaustive oracle is capped at {EXHAUSTIVE_STATE_LIMIT} states, got {n}")
-    tables = _tables(structure, target)
-    best = Fraction(0)
-    for event in _all_nonempty_events(n):
-        candidate = min(tables.level(event), tables.belief(player, event, state))
-        if candidate > best:
-            best = candidate
-    return best
+    return _block_answers(structure, target)[player, block]
 
 
 def largest_p_evident_indicating_event(
@@ -166,39 +150,39 @@ def largest_p_evident_indicating_event(
     Computed by batch-removing violators from the full space until stable;
     may be empty.  Weak inequality, in contrast to super_p_evident's strict one.
     """
-    tables = _tables(structure, target)
+    weights = _integer_weights(structure)
+    blocks = [
+        (block, sum(weights[i] for i in block), sum(weights[i] for i in block & target))
+        for partition in structure.partitions
+        for block in partition.blocks
+    ]
     current: Event = structure.universe()
     while current:
-        survivors = frozenset(
-            state
-            for state in current
-            if all(
-                tables.belief(player, current, state) >= level
-                and tables.target_belief[player][state] >= level
-                for player in (0, 1)
-            )
-        )
+        survivors = current
+        for block, weight, on_target in blocks:
+            inside = sum(weights[i] for i in block & current)
+            if min(inside, on_target) * level.denominator < level.numerator * weight:
+                survivors -= block
         if survivors == current:
             break
         current = survivors
     return current
 
 
-def _candidate_levels(structure: InformationStructure, target: Event) -> tuple[Fraction, ...]:
+def _candidate_levels(structure: InformationStructure, weights: list[int]) -> tuple[Fraction, ...]:
     """Every realizable conditional-belief value, descending, plus 0 and 1.
 
     Any achievable answer is a ratio of a subset-sum of block weights to the
     block weight, so per-block subset sums enumerate the complete candidate
     set exactly (the sums dedupe to at most block-weight + 1 values).
     """
-    tables = _tables(structure, target)
     candidates = {Fraction(0), Fraction(1)}
-    for player in (0, 1):
-        for block in structure.partitions[player].blocks:
-            block_weight = sum(tables.weights[i] for i in block)
+    for partition in structure.partitions:
+        for block in partition.blocks:
+            block_weight = sum(weights[i] for i in block)
             sums = {0}
             for index in block:
-                sums |= {s + tables.weights[index] for s in sums}
+                sums |= {s + weights[index] for s in sums}
             candidates.update(Fraction(s, block_weight) for s in sums)
     return tuple(sorted(candidates, reverse=True))
 
@@ -212,10 +196,13 @@ def fixedpoint_common_p_belief(
     Polynomial per candidate, so usable well past the exhaustive route's
     12-state cap; the two routes must agree wherever both run.
     """
-    tables = _tables(structure, target)
-    for level in _candidate_levels(structure, target):
+    block = structure.block(player, state)
+    weights = _integer_weights(structure)
+    block_weight = sum(weights[i] for i in block)
+    for level in _candidate_levels(structure, weights):
         event = largest_p_evident_indicating_event(structure, target, level)
-        if event and tables.belief(player, event, state) >= level:
+        inside = sum(weights[i] for i in event & block)
+        if event and inside * level.denominator >= level.numerator * block_weight:
             return level
     return Fraction(0)
 

@@ -159,9 +159,6 @@ class Partition:
             if index not in self.blocks[block_id]:
                 raise ValueError(f"state {index} is not in its assigned block")
 
-    def block(self, index: int) -> frozenset[int]:
-        return self.blocks[self.block_of[index]]
-
 
 def _positions(spec: WorldModelSpec) -> dict[str, int]:
     return {name: index for index, name in enumerate(spec.variable_names)}

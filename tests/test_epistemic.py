@@ -331,8 +331,8 @@ class TestBeliefKernel:
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
             (strategies._levels, CACHE_SIZE),
-            # The oracle keeps only the structure in use.
-            (oracle._tables, 1),
+            # The oracle keeps only the answers of the structure in use.
+            (oracle._block_answers, 1),
         ):
             info = cache.cache_info()
             assert info.maxsize == bound and info.currsize <= bound

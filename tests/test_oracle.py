@@ -44,10 +44,18 @@ class TestBruteForce:
             brute_force_common_p_belief(messenger, messenger_target, 0, 0)
 
 
+@pytest.mark.parametrize("route", [brute_force_common_p_belief, fixedpoint_common_p_belief])
+@pytest.mark.parametrize("player,state", [(0, -1), (1, -1), (0, 6), (2, 0)])
+def test_out_of_range_query_raises(route, player, state):
+    structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
+    with pytest.raises(IndexError):
+        route(structure, target, player, state)
+
+
 class TestFixedpointVariant:
     def test_agrees_with_exhaustive(self):
-        for seed in range(60):
-            size = 2 + seed % 7
+        for seed in range(72):
+            size = 1 + seed % 12
             config = RandomStructureConfig(
                 seed=seed, num_states=size, uniform_measure=(seed % 5 == 0)
             )

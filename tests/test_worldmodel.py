@@ -13,6 +13,7 @@ from epicoord import (
     SpecError,
     VariableSpec,
     WorldModelSpec,
+    brute_force_common_p_belief,
     build_information_partition,
     builtin_loudspeaker,
     builtin_messenger,
@@ -29,6 +30,7 @@ from epicoord import (
     trace_values,
     x_event,
 )
+from epicoord.oracle import EXHAUSTIVE_STATE_LIMIT
 from epicoord.rational import format_rational, parse_rational
 
 from .conftest import DELTA, email_chain
@@ -66,6 +68,15 @@ def gated_specs(draw):
         gate = draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True)) if i else []
         variables.append(VariableSpec(name, draw(biases), gate=tuple(gate)))
     return WorldModelSpec(tuple(variables))
+
+
+@st.composite
+def observed_specs(draw):
+    """`gated_specs` plus 0-4 observation rules, each with a random player, guard and observed set."""
+    spec = draw(gated_specs())
+    names = st.lists(st.sampled_from(spec.variable_names), max_size=3, unique=True)
+    rule = st.builds(ObservationRule, names, st.integers(0, 1), names)
+    return WorldModelSpec(spec.variables, tuple(draw(st.lists(rule, max_size=4))))
 
 
 class TestEnumerateStates:
@@ -277,6 +288,27 @@ class TestValidation:
                 (VariableSpec("x", DELTA),),
                 (ObservationRule(("x",), 2, ("x",)),),
             )
+
+
+class TestObservedModels:
+    @given(observed_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_partitions_and_oracle(self, spec):
+        assert spec_from_json(spec_to_json(spec)) == spec
+        structure = from_world_model(spec)
+        states = structure.space.states
+        for player, partition in enumerate(structure.partitions):
+            traces = [run_observations(spec, player, state) for state in states]
+            # Same block iff same trace: (trace, block) pairs are as many as traces and as blocks.
+            pairs = set(zip(traces, partition.block_of))
+            assert len(pairs) == len(set(traces)) == len(partition.blocks)
+        if len(structure) <= EXHAUSTIVE_STATE_LIMIT:
+            target = x_event(spec, structure.space)
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    assert common_p_belief(structure, target, player, state) == (
+                        brute_force_common_p_belief(structure, target, player, state)
+                    )
 
 
 class TestJsonInterchange:
