@@ -389,6 +389,7 @@ def fuzz(ctx, seeds, states):
 
     Prints the first counterexample and exits 1 on any disagreement.
     """
+    _check_format(ctx.obj["format"], ("table",))
     for seed in range(seeds):
         structure, target = oracle.random_structure(
             oracle.RandomStructureConfig(seed=seed, num_states=states)

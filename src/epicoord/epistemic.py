@@ -145,6 +145,10 @@ class _Peel:
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
+        universe = structure.universe()
+        for states, what in ((event, "event"), (target, "target event")):
+            if not universe.issuperset(states):
+                raise ValueError(f"{what} references state indices outside the space")
         weights = self.weights = structure._weights
         self.alive = bytearray(len(structure))
         for state in event:

@@ -201,15 +201,13 @@ def fit_level(
     conditions: tuple[KnowledgeCondition, ...],
     payoffs: PayoffParams,
     human: HumanData,
-    levels: tuple[int, ...] = LEVEL_GRID,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> int:
-    """Grid-search the recursion depth minimizing mse; ties go to smaller k."""
+    """Grid-search LEVEL_GRID for the recursion depth minimizing mse; ties go to smaller k."""
     if kind not in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
         raise ValueError(f"{kind.value} has no recursion level to fit")
     return min(
-        levels,
-        key=lambda k: (mse(predict(kind, conditions, payoffs, k, level0), human), k),
+        LEVEL_GRID,
+        key=lambda k: (mse(predict(kind, conditions, payoffs, k), human), k),
     )
 
 
@@ -225,8 +223,6 @@ def compare_models(
     conditions: tuple[KnowledgeCondition, ...],
     payoffs: PayoffParams,
     human: HumanData,
-    levels: tuple[int, ...] = LEVEL_GRID,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> list[ModelFit]:
     """All four models against the human data, recursion depths fitted."""
     rows: list[ModelFit] = []
@@ -234,8 +230,8 @@ def compare_models(
         table = predict(kind, conditions, payoffs)
         rows.append(ModelFit(kind, None, table, mse(table, human)))
     for kind in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
-        best = fit_level(kind, conditions, payoffs, human, levels, level0)
-        table = predict(kind, conditions, payoffs, best, level0)
+        best = fit_level(kind, conditions, payoffs, human)
+        table = predict(kind, conditions, payoffs, best)
         rows.append(ModelFit(kind, best, table, mse(table, human)))
     return rows
 

@@ -78,6 +78,11 @@ def _integer_weights(structure: InformationStructure) -> list[int]:
     return [int(m * denominator) for m in measures]
 
 
+def _check_target(structure: InformationStructure, target: Event) -> None:
+    if not structure.universe().issuperset(target):
+        raise ValueError("target event references state indices outside the space")
+
+
 # One entry: callers query one structure at a time, and the table is built by
 # a pass over all 2^n - 1 events, so it is worth keeping for the 2n queries.
 @lru_cache(maxsize=1)
@@ -91,6 +96,7 @@ def _block_answers(
     that meet E; each block keeps the largest min(level(E), w(E & B) / w(B)).
     Fractions are (numerator, denominator) pairs compared by cross-multiplying.
     """
+    _check_target(structure, target)
     n = len(structure)
     weights = _integer_weights(structure)
     sums = [0] * (1 << n)
@@ -197,6 +203,7 @@ def fixedpoint_common_p_belief(
     12-state cap; the two routes must agree wherever both run.
     """
     block = structure.block(player, state)
+    _check_target(structure, target)
     weights = _integer_weights(structure)
     block_weight = sum(weights[i] for i in block)
     for level in _candidate_levels(structure, weights):

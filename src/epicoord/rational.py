@@ -15,9 +15,12 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
     Decimal strings convert exactly ("0.25" -> 1/4, "1.1" -> 11/10).  Binary
     floats are rejected: they do not round-trip decimal notation, so callers
     must hand over the original text (json loading uses parse_float for this).
+    Booleans are rejected too, though Python counts them as integers.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"refusing boolean {value!r}; pass a number like 1 or '1/4'")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):

@@ -32,6 +32,13 @@ class SpecError(ValueError):
     """A world-model definition that violates its structural rules."""
 
 
+def _names(names, field: str) -> tuple[str, ...]:
+    """A list or tuple of variable names, as a tuple."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
+        raise SpecError(f"{field!r} must be a list of variable names, got {names!r}")
+    return tuple(names)
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One Bernoulli variable; while any gate variable is 0 its value is forced to 0."""
@@ -41,9 +48,11 @@ class VariableSpec:
     gate: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gate", tuple(self.gate))
         try:
+            if isinstance(self.bias, bool):
+                raise SpecError(f"'bias' must be a rational, got {self.bias!r}")
             object.__setattr__(self, "bias", parse_rational(self.bias))
+            object.__setattr__(self, "gate", _names(self.gate, "gate"))
         except ValueError as exc:
             raise SpecError(f"variable {self.name!r}: {exc}") from exc
 
@@ -57,8 +66,10 @@ class ObservationRule:
     observed: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "guard", tuple(self.guard))
-        object.__setattr__(self, "observed", tuple(self.observed))
+        if type(self.player) is not int or self.player not in (0, 1):
+            raise SpecError(f"'player' must be the integer 0 or 1, got {self.player!r}")
+        object.__setattr__(self, "guard", _names(self.guard, "guard"))
+        object.__setattr__(self, "observed", _names(self.observed, "observed"))
 
 
 @dataclass(frozen=True)
@@ -77,7 +88,9 @@ class WorldModelSpec:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "observations", tuple(self.observations))
         declared: set[str] = set()
-        for var in self.variables:
+        for index, var in enumerate(self.variables):
+            if not isinstance(var.name, str):
+                raise SpecError(f"variable entry {index}: 'name' must be a string, got {var.name!r}")
             if var.name in declared:
                 raise SpecError(f"duplicate variable name {var.name!r}")
             if not 0 <= var.bias <= 1:
@@ -91,8 +104,6 @@ class WorldModelSpec:
         if "x" not in declared:
             raise SpecError("a world model must declare a variable named 'x'")
         for index, rule in enumerate(self.observations):
-            if rule.player not in (0, 1):
-                raise SpecError(f"observation rule {index}: player must be 0 or 1")
             for name in itertools.chain(rule.guard, rule.observed):
                 if name not in declared:
                     raise SpecError(f"observation rule {index}: unknown variable {name!r}")
@@ -330,16 +341,12 @@ def _json_objects(document: Mapping, key: str, what: str) -> list[Mapping]:
     return entries
 
 
-def _json_names(entry: Mapping, key: str, where: str) -> tuple[str, ...]:
-    """The list of variable names under `key` of one entry (absent means empty)."""
-    names = entry.get(key, [])
-    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
-        raise SpecError(f"{where}: {key!r} must be a list of variable names, got {names!r}")
-    return tuple(names)
-
-
 def spec_from_json(document: Mapping) -> WorldModelSpec:
-    """Build a model from the JSON document shape produced by spec_to_json."""
+    """Build a model from the JSON document shape produced by spec_to_json.
+
+    Only the document's shape is checked here; each field is checked by the
+    type that holds it, so models built in Python get the same messages.
+    """
     if not isinstance(document, Mapping):
         raise SpecError(f"a world model must be a JSON object, got {document!r}")
     unknown = set(document) - {"variables", "observations"}
@@ -348,19 +355,13 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
     if "variables" not in document:
         raise SpecError("missing 'variables'")
     variables = []
-    for index, entry in enumerate(_json_objects(document, "variables", "variable entry")):
+    for entry in _json_objects(document, "variables", "variable entry"):
         extra = set(entry) - _VARIABLE_KEYS
         if extra:
             raise SpecError(f"variable entry {entry.get('name', '?')!r}: unknown keys {sorted(extra)}")
         if "name" not in entry or "bias" not in entry:
             raise SpecError(f"variable entry {entry!r}: 'name' and 'bias' are required")
-        name = entry["name"]
-        if not isinstance(name, str):
-            raise SpecError(f"variable entry {index}: 'name' must be a string, got {name!r}")
-        if isinstance(entry["bias"], bool):
-            raise SpecError(f"variable {name!r}: 'bias' must be a rational, got {entry['bias']!r}")
-        gate = _json_names(entry, "gate", f"variable {name!r}")
-        variables.append(VariableSpec(name, entry["bias"], gate))
+        variables.append(VariableSpec(entry["name"], entry["bias"], entry.get("gate", ())))
     observations = []
     for index, entry in enumerate(_json_objects(document, "observations", "observation rule")):
         extra = set(entry) - _RULE_KEYS
@@ -369,17 +370,10 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
         missing = _RULE_KEYS - set(entry)
         if missing:
             raise SpecError(f"observation rule {index}: missing keys {sorted(missing)}")
-        where = f"observation rule {index}"
-        player = entry["player"]
-        if type(player) is not int or player not in (0, 1):
-            raise SpecError(f"{where}: 'player' must be the integer 0 or 1, got {player!r}")
-        observations.append(
-            ObservationRule(
-                _json_names(entry, "guard", where),
-                player,
-                _json_names(entry, "observed", where),
-            )
-        )
+        try:
+            observations.append(ObservationRule(entry["guard"], entry["player"], entry["observed"]))
+        except SpecError as exc:
+            raise SpecError(f"observation rule {index}: {exc}") from exc
     return WorldModelSpec(tuple(variables), tuple(observations))
 
 

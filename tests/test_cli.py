@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from epicoord import builtin_messenger, from_world_model, iterated_matching, spec_to_json, x_event
+from epicoord import builtin_messenger, from_world_model, iterated_matching, oracle, spec_to_json, x_event
 from epicoord.cli import cli
 from epicoord.rational import parse_rational
 
@@ -474,6 +474,16 @@ class TestFuzzCommand:
     def test_state_cap_enforced(self, runner):
         result = runner.invoke(cli, ["fuzz", "--seeds", "1", "--states", "13"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_machine_formats_rejected_before_any_seed(self, runner, monkeypatch, fmt):
+        def no_seed(config):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(oracle, "random_structure", no_seed)
+        result = runner.invoke(cli, ["--format", fmt, "fuzz", "--seeds", "2", "--states", "4"])
+        assert result.exit_code == 2
+        assert f"--format {fmt} is not available here" in result.output
 
 
 GOLDEN_PAYOFFS = ("1.1,0,1,0.4", "1,0,1/5,0", "1,0,3/5,1/2")

@@ -255,6 +255,10 @@ class TestPolicy:
         with pytest.raises(ValueError, match="float"):
             Policy.constant(3, 0.5)
 
+    def test_boolean_entries_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            Policy(((True,), (False,)))
+
     def test_entries_parsed_exactly(self):
         policy = Policy((("1/2", "0.25"), (1, Fraction(1, 3))))
         assert policy.prob_a == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(1, 3)))

@@ -10,11 +10,32 @@ from epicoord import (
     StateSpace,
     brute_force_common_p_belief,
     common_p_belief,
+    evidence_level,
     fixedpoint_common_p_belief,
     largest_p_evident_indicating_event,
     random_structure,
+    super_p_evident,
 )
 from epicoord.oracle import structure_to_json
+
+
+# Each query gets a set holding one index outside the space, as its target or event.
+OUTSIDE_QUERIES = {
+    "common_p_belief": lambda structure, outside, target: common_p_belief(structure, outside, 0, 0),
+    "brute_force": lambda structure, outside, target: brute_force_common_p_belief(structure, outside, 0, 0),
+    "fixedpoint": lambda structure, outside, target: fixedpoint_common_p_belief(structure, outside, 0, 0),
+    "super_p_evident": lambda structure, outside, target: super_p_evident(structure, outside, target, Fraction(1, 2)),
+    "evidence_level": lambda structure, outside, target: evidence_level(structure, outside, target),
+}
+
+
+@pytest.mark.parametrize("query", OUTSIDE_QUERIES.values(), ids=OUTSIDE_QUERIES.keys())
+@pytest.mark.parametrize("where", ["negative", "past-end"])
+def test_indices_outside_the_space_rejected(query, where):
+    structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
+    outside = frozenset({-1 if where == "negative" else len(structure)})
+    with pytest.raises(ValueError, match="references state indices outside the space"):
+        query(structure, outside, target)
 
 
 def single_state_structure():

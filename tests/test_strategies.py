@@ -102,6 +102,10 @@ class TestPayoffs:
         with pytest.raises(ValueError):
             PayoffParams(Fraction(2), Fraction(0), Fraction(1), Fraction(1))  # d == c
 
+    def test_boolean_payoff_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            PayoffParams(2, 0, True, 0)
+
     def test_parse(self):
         payoffs = PayoffParams.parse("1.1,0,1,0.4")
         assert (payoffs.a, payoffs.b, payoffs.c, payoffs.d) == (

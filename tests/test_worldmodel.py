@@ -59,24 +59,40 @@ def brute_force_states(spec):
 
 
 @st.composite
-def gated_specs(draw):
+def gated_specs(
+    draw,
+    size=st.integers(1, 10),
+    biases=st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=6)),
+    max_gates=3,
+):
     """Models of 1-10 variables, biases including 0 and 1, 0-3 gates on earlier variables."""
-    names = ["x"] + [f"v{i}" for i in range(1, draw(st.integers(1, 10)))]
-    biases = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.fractions(0, 1, max_denominator=6))
+    names = ["x"] + [f"v{i}" for i in range(1, draw(size))]
     variables = []
     for i, name in enumerate(names):
-        gate = draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True)) if i else []
+        gate = draw(st.lists(st.sampled_from(names[:i]), max_size=max_gates, unique=True)) if i else []
         variables.append(VariableSpec(name, draw(biases), gate=tuple(gate)))
     return WorldModelSpec(tuple(variables))
 
 
+# Mostly inside (0, 1); the last two, drawn rarely, pin a variable.
+OBSERVED_BIASES = st.sampled_from(
+    tuple(Fraction(p, q) for p, q in ((1, 2), (1, 3), (2, 3), (1, 6), (5, 6), (1, 4), (3, 4), (0, 1), (1, 1)))
+)
+
+
 @st.composite
 def observed_specs(draw):
-    """`gated_specs` plus 0-4 observation rules, each with a random player, guard and observed set."""
-    spec = draw(gated_specs())
-    names = st.lists(st.sampled_from(spec.variable_names), max_size=3, unique=True)
-    rule = st.builds(ObservationRule, names, st.integers(0, 1), names)
-    return WorldModelSpec(spec.variables, tuple(draw(st.lists(rule, max_size=4))))
+    """Models of 3-4 variables, at most one gate each, mostly biases inside (0, 1), plus 1-4 rules.
+
+    Each rule has a guard of at most one variable and observes one or two, so
+    most draws reach 4-12 states with a split partition; a pinned bias, a gate
+    or a rule that never fires still leaves room for degenerate draws.
+    """
+    spec = draw(gated_specs(st.integers(3, 4), OBSERVED_BIASES, max_gates=1))
+    guard = st.lists(st.sampled_from(spec.variable_names), max_size=1)
+    observed = st.lists(st.sampled_from(spec.variable_names), min_size=1, max_size=2, unique=True)
+    rule = st.builds(ObservationRule, guard, st.integers(0, 1), observed)
+    return WorldModelSpec(spec.variables, tuple(draw(st.lists(rule, min_size=1, max_size=4))))
 
 
 class TestEnumerateStates:
@@ -255,6 +271,10 @@ class TestBuiltins:
         with pytest.raises(SpecError):
             builtin_messenger("-1/4")
 
+    def test_boolean_delta_rejected(self):
+        with pytest.raises(ValueError, match="boolean"):
+            builtin_messenger(True)
+
 
 class TestValidation:
     def test_duplicate_names(self):
@@ -288,6 +308,42 @@ class TestValidation:
                 (VariableSpec("x", DELTA),),
                 (ObservationRule(("x",), 2, ("x",)),),
             )
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: VariableSpec("x", True), "variable 'x': 'bias' must be a rational, got True"),
+            (
+                lambda: WorldModelSpec((VariableSpec(["x"], DELTA),)),
+                "variable entry 0: 'name' must be a string, got ['x']",
+            ),
+            (
+                lambda: WorldModelSpec((VariableSpec("x", DELTA), VariableSpec(5, DELTA))),
+                "variable entry 1: 'name' must be a string, got 5",
+            ),
+            (lambda: ObservationRule((), True, ("x",)), "'player' must be the integer 0 or 1, got True"),
+            (lambda: ObservationRule((), 1.0, ("x",)), "'player' must be the integer 0 or 1, got 1.0"),
+            (lambda: ObservationRule((), 2, ("x",)), "'player' must be the integer 0 or 1, got 2"),
+            (
+                lambda: VariableSpec("y", DELTA, gate="x"),
+                "variable 'y': 'gate' must be a list of variable names, got 'x'",
+            ),
+            (
+                lambda: ObservationRule("visit_0", 0, ("x",)),
+                "'guard' must be a list of variable names, got 'visit_0'",
+            ),
+            (lambda: ObservationRule((), 0, "x"), "'observed' must be a list of variable names, got 'x'"),
+            (lambda: VariableSpec("y", DELTA, gate=5), "variable 'y': 'gate' must be a list of variable names, got 5"),
+        ],
+        ids=[
+            "bias-bool", "name-list", "name-int", "player-bool", "player-float", "player-2",
+            "gate-string", "guard-string", "observed-string", "gate-int",
+        ],
+    )
+    def test_mistyped_field_built_in_python(self, build, message):
+        """Models built in Python get the checks and messages of the JSON loader."""
+        with pytest.raises(SpecError, match=re.escape(message)):
+            build()
 
 
 class TestObservedModels:
