@@ -82,6 +82,10 @@ class InformationStructure:
     def universe(self) -> Event:
         return frozenset(range(len(self.space.states)))
 
+    def _check_inside(self, states: Event, what: str) -> None:
+        if not self.universe().issuperset(states):
+            raise ValueError(f"{what} references state indices outside the space")
+
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
         if player not in (0, 1):
@@ -92,6 +96,7 @@ class InformationStructure:
         return partition.blocks[partition.block_of[state]]
 
     def measure_of(self, event: Event) -> Fraction:
+        self._check_inside(event, "event")
         # The measures sum to 1, so the weights sum to their common denominator.
         return Fraction(self._weight(event), sum(self._weights))
 
@@ -145,10 +150,8 @@ class _Peel:
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
-        universe = structure.universe()
-        for states, what in ((event, "event"), (target, "target event")):
-            if not universe.issuperset(states):
-                raise ValueError(f"{what} references state indices outside the space")
+        structure._check_inside(event, "event")
+        structure._check_inside(target, "target event")
         weights = self.weights = structure._weights
         self.alive = bytearray(len(structure))
         for state in event:
@@ -303,6 +306,8 @@ def is_p_evident(structure: InformationStructure, event: Event, level: Fraction)
 
 def is_c_indicating(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> bool:
     """Does every member state give both players belief >= level in the target?"""
+    structure._check_inside(event, "event")
+    structure._check_inside(target, "target event")
     return all(
         conditional_belief(structure, player, target, state) >= level
         for state in event

@@ -156,6 +156,7 @@ def largest_p_evident_indicating_event(
     Computed by batch-removing violators from the full space until stable;
     may be empty.  Weak inequality, in contrast to super_p_evident's strict one.
     """
+    _check_target(structure, target)
     weights = _integer_weights(structure)
     blocks = [
         (block, sum(weights[i] for i in block), sum(weights[i] for i in block & target))
@@ -193,6 +194,36 @@ def _candidate_levels(structure: InformationStructure, weights: list[int]) -> tu
     return tuple(sorted(candidates, reverse=True))
 
 
+# One entry, like `_block_answers`: the table answers the 2n queries of the structure in use.
+@lru_cache(maxsize=1)
+def _fixedpoint_answers(
+    structure: InformationStructure, target: Event
+) -> dict[tuple[int, frozenset[int]], Fraction]:
+    """The fixed-point answer of every (player, block), from one descending scan of the levels.
+
+    A block's answer is the first candidate level, from the top, at which it
+    believes the largest p-evident target-indicating event at >= that level.
+    Level 0 keeps the whole space, so every block is answered by then.
+    """
+    weights = _integer_weights(structure)
+    block_weights = {
+        (player, block): sum(weights[i] for i in block)
+        for player, partition in enumerate(structure.partitions)
+        for block in partition.blocks
+    }
+    answers: dict[tuple[int, frozenset[int]], Fraction] = {}
+    for level in _candidate_levels(structure, weights):
+        event = largest_p_evident_indicating_event(structure, target, level)
+        for key, weight in block_weights.items():
+            if key not in answers:
+                inside = sum(weights[i] for i in event & key[1])
+                if inside * level.denominator >= level.numerator * weight:
+                    answers[key] = level
+        if len(answers) == len(block_weights):
+            break
+    return answers
+
+
 def fixedpoint_common_p_belief(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Fraction:
@@ -200,18 +231,11 @@ def fixedpoint_common_p_belief(
     target-indicating event the player still considers possible at >= p.
 
     Polynomial per candidate, so usable well past the exhaustive route's
-    12-state cap; the two routes must agree wherever both run.
+    12-state cap; the two routes must agree wherever both run.  One scan
+    answers every block of the structure, and its table is kept.
     """
     block = structure.block(player, state)
-    _check_target(structure, target)
-    weights = _integer_weights(structure)
-    block_weight = sum(weights[i] for i in block)
-    for level in _candidate_levels(structure, weights):
-        event = largest_p_evident_indicating_event(structure, target, level)
-        inside = sum(weights[i] for i in event & block)
-        if event and inside * level.denominator >= level.numerator * block_weight:
-            return level
-    return Fraction(0)
+    return _fixedpoint_answers(structure, target)[player, block]
 
 
 def structure_to_json(structure: InformationStructure, target: Event) -> dict:

@@ -305,19 +305,18 @@ class TestBeliefKernel:
     def test_common_p_belief_matches_fixedpoint_beyond_exhaustive_cap(self, seed, n):
         structure, target = large_structure(seed, n)
         for player in (0, 1):
-            for block in structure.partitions[player].blocks:
-                state = min(block)
+            for state in range(n):
                 assert common_p_belief(structure, target, player, state) == (
                     fixedpoint_common_p_belief(structure, target, player, state)
                 )
 
     def test_common_p_belief_matches_fixedpoint_at_64_states(self):
         structure, target = large_structure(4, 64)
-        for block in structure.partitions[0].blocks:
-            state = min(block)
-            assert common_p_belief(structure, target, 0, state) == (
-                fixedpoint_common_p_belief(structure, target, 0, state)
-            )
+        for player in (0, 1):
+            for state in range(64):
+                assert common_p_belief(structure, target, player, state) == (
+                    fixedpoint_common_p_belief(structure, target, player, state)
+                )
 
     def test_caches_stay_within_their_bound(self):
         # More distinct keys than the bound: every size, every delta differs.
@@ -327,12 +326,14 @@ class TestBeliefKernel:
             iterated_matching(structure, target, 2, 0, 0)
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
             brute_force_common_p_belief(*large_structure(n, 4), 0, 0)
+            fixedpoint_common_p_belief(*large_structure(n, 4), 0, 0)
         for cache, bound in (
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
             (strategies._levels, CACHE_SIZE),
             # The oracle keeps only the answers of the structure in use.
             (oracle._block_answers, 1),
+            (oracle._fixedpoint_answers, 1),
         ):
             info = cache.cache_info()
             assert info.maxsize == bound and info.currsize <= bound

@@ -12,6 +12,7 @@ from epicoord import (
     common_p_belief,
     evidence_level,
     fixedpoint_common_p_belief,
+    is_c_indicating,
     largest_p_evident_indicating_event,
     random_structure,
     super_p_evident,
@@ -26,6 +27,13 @@ OUTSIDE_QUERIES = {
     "fixedpoint": lambda structure, outside, target: fixedpoint_common_p_belief(structure, outside, 0, 0),
     "super_p_evident": lambda structure, outside, target: super_p_evident(structure, outside, target, Fraction(1, 2)),
     "evidence_level": lambda structure, outside, target: evidence_level(structure, outside, target),
+    "measure_of": lambda structure, outside, target: structure.measure_of(outside),
+    "largest_p_evident": lambda structure, outside, target: largest_p_evident_indicating_event(
+        structure, outside, Fraction(0)
+    ),
+    "is_c_indicating": lambda structure, outside, target: is_c_indicating(
+        structure, structure.universe(), outside, Fraction(0)
+    ),
 }
 
 

@@ -81,18 +81,19 @@ OBSERVED_BIASES = st.sampled_from(
 
 
 @st.composite
-def observed_specs(draw):
-    """Models of 3-4 variables, at most one gate each, mostly biases inside (0, 1), plus 1-4 rules.
+def observed_specs(draw, size=st.integers(3, 4), max_rules=4):
+    """Models of `size` variables (3-4 by default), at most one gate each, mostly
+    biases inside (0, 1), plus 1 to `max_rules` rules.
 
     Each rule has a guard of at most one variable and observes one or two, so
-    most draws reach 4-12 states with a split partition; a pinned bias, a gate
+    most default draws reach 4-12 states with a split partition; a pinned bias, a gate
     or a rule that never fires still leaves room for degenerate draws.
     """
-    spec = draw(gated_specs(st.integers(3, 4), OBSERVED_BIASES, max_gates=1))
+    spec = draw(gated_specs(size, OBSERVED_BIASES, max_gates=1))
     guard = st.lists(st.sampled_from(spec.variable_names), max_size=1)
     observed = st.lists(st.sampled_from(spec.variable_names), min_size=1, max_size=2, unique=True)
     rule = st.builds(ObservationRule, guard, st.integers(0, 1), observed)
-    return WorldModelSpec(spec.variables, tuple(draw(st.lists(rule, min_size=1, max_size=4))))
+    return WorldModelSpec(spec.variables, tuple(draw(st.lists(rule, min_size=1, max_size=max_rules))))
 
 
 class TestEnumerateStates:
@@ -347,9 +348,8 @@ class TestValidation:
 
 
 class TestObservedModels:
-    @given(observed_specs())
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_partitions_and_oracle(self, spec):
+    @staticmethod
+    def check(spec):
         assert spec_from_json(spec_to_json(spec)) == spec
         structure = from_world_model(spec)
         states = structure.space.states
@@ -359,12 +359,26 @@ class TestObservedModels:
             pairs = set(zip(traces, partition.block_of))
             assert len(pairs) == len(set(traces)) == len(partition.blocks)
         if len(structure) <= EXHAUSTIVE_STATE_LIMIT:
-            target = x_event(spec, structure.space)
-            for player in (0, 1):
-                for state in range(len(structure)):
-                    assert common_p_belief(structure, target, player, state) == (
-                        brute_force_common_p_belief(structure, target, player, state)
-                    )
+            oracle = brute_force_common_p_belief
+        else:
+            oracle = fixedpoint_common_p_belief
+        target = x_event(spec, structure.space)
+        for player in (0, 1):
+            for state in range(len(structure)):
+                assert common_p_belief(structure, target, player, state) == (
+                    oracle(structure, target, player, state)
+                )
+
+    @given(observed_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_partitions_and_oracle(self, spec):
+        self.check(spec)
+
+    # 5-6 variables reach up to 64 states: 38 of 60 derandomised draws had 14-64.
+    @given(observed_specs(st.integers(5, 6), max_rules=6))
+    @settings(max_examples=60, deadline=None)
+    def test_past_the_exhaustive_cap(self, spec):
+        self.check(spec)
 
 
 class TestJsonInterchange:
