@@ -2,7 +2,9 @@
 
 `InformationStructure` owns all belief arithmetic: on first use it scales the
 measures to integer weights over their common denominator, so a belief or a
-block expectation is a ratio of integer sums over one information set.
+block expectation is a ratio of integer sums over one information set.  It
+also keeps, for each block, the integer weight of its overlap with each
+companion block it meets, which the level-k strategies step through.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -76,6 +78,23 @@ class InformationStructure:
     def _weight(self, members) -> int:
         return sum(map(self._weights.__getitem__, members))
 
+    def _weigh(self, members, key: Callable[[int], object]) -> dict:
+        """The integer weight of each value of `key(member)` over `members`."""
+        weights = self._weights
+        groups: dict = {}
+        for member in members:
+            group = key(member)
+            groups[group] = groups.get(group, 0) + weights[member]
+        return groups
+
+    @cached_property
+    def _overlaps(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """For each player's blocks, in order: each companion block it meets, with the overlap's integer weight."""
+        return tuple(
+            tuple(tuple(self._weigh(block, other.block_of.__getitem__).items()) for block in own.blocks)
+            for own, other in zip(self.partitions, self.partitions[::-1])
+        )
+
     def __len__(self) -> int:
         return len(self.space.states)
 
@@ -105,10 +124,15 @@ class InformationStructure:
         block = self.block(player, state)
         return Fraction(self._weight(event & block), self._weight(block))
 
-    def expectation(self, player: int, state: int, value: Callable[[int], Fraction]) -> Fraction:
-        """The exact mean of `value(member)` over `player`'s information set at `state`."""
+    def expectation(self, player: int, state: int, value: Callable, key: Callable | None = None) -> Fraction:
+        """The exact mean of `value(member)` over `player`'s information set at `state`.
+
+        With `key`, the members are first grouped by `key(member)` into integer
+        weights and `value` is called once per group, on its key.
+        """
         block = self.block(player, state)
-        total = sum((self._weights[member] * value(member) for member in block), Fraction(0))
+        groups = self._weigh(block, key or (lambda member: member))
+        total = sum((weight * value(group) for group, weight in groups.items()), Fraction(0))
         return total / self._weight(block)
 
 

@@ -8,6 +8,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
@@ -45,14 +46,27 @@ class KnowledgeCondition:
     def agent(self) -> int:
         return 1 - self.participant
 
+    # Each is resolved once per condition: a lookup keyed on the model hashes the whole spec.
     def structure(self) -> InformationStructure:
-        return from_world_model(self.model)
+        return self._structure
 
     def state_index(self) -> int:
-        return self.structure().space.index_of(self.state)
+        return self._state_index
 
     def target(self) -> Event:
-        return x_event(self.model, self.structure().space)
+        return self._target
+
+    @cached_property
+    def _structure(self) -> InformationStructure:
+        return from_world_model(self.model)
+
+    @cached_property
+    def _state_index(self) -> int:
+        return self._structure.space.index_of(self.state)
+
+    @cached_property
+    def _target(self) -> Event:
+        return x_event(self.model, self._structure.space)
 
 
 def knowledge_conditions(delta=DEFAULT_DELTA) -> tuple[KnowledgeCondition, ...]:

@@ -84,10 +84,14 @@ def expected_utility(
     companion: Policy,
 ) -> Fraction:
     """Expected payoff over the player's information set, against the
-    companion's policy at each state it contains."""
-    return game.structure.expectation(player, state, lambda member: stage_payoff(
-        game.payoffs, member in game.target, my_prob_a, companion.prob(1 - player, member)
-    ))
+    companion's policy at each state it contains.  Members are grouped by
+    (target bit, companion play), so `stage_payoff` runs once per group."""
+    return game.structure.expectation(
+        player,
+        state,
+        lambda group: stage_payoff(game.payoffs, group[0], my_prob_a, group[1]),
+        key=lambda member: (member in game.target, companion.prob(1 - player, member)),
+    )
 
 
 def noiseless_check(game: GameInstance) -> bool:

@@ -158,15 +158,26 @@ def largest_p_evident_indicating_event(
     """
     _check_target(structure, target)
     weights = _integer_weights(structure)
-    blocks = [
-        (block, sum(weights[i] for i in block), sum(weights[i] for i in block & target))
-        for partition in structure.partitions
+    return _largest_event(structure.universe(), weights, _weighed_blocks(structure, target, weights), level)
+
+
+def _weighed_blocks(
+    structure: InformationStructure, target: Event, weights: list[int]
+) -> list[tuple[int, frozenset[int], int, int]]:
+    """(player, block, weight, on-target weight) for every block of either player."""
+    return [
+        (player, block, sum(weights[i] for i in block), sum(weights[i] for i in block & target))
+        for player, partition in enumerate(structure.partitions)
         for block in partition.blocks
     ]
-    current: Event = structure.universe()
+
+
+def _largest_event(universe: Event, weights: list[int], blocks, level: Fraction) -> Event:
+    """`largest_p_evident_indicating_event` from weights and block sums computed by the caller."""
+    current = universe
     while current:
         survivors = current
-        for block, weight, on_target in blocks:
+        for _, block, weight, on_target in blocks:
             inside = sum(weights[i] for i in block & current)
             if min(inside, on_target) * level.denominator < level.numerator * weight:
                 survivors -= block
@@ -176,7 +187,7 @@ def largest_p_evident_indicating_event(
     return current
 
 
-def _candidate_levels(structure: InformationStructure, weights: list[int]) -> tuple[Fraction, ...]:
+def _candidate_levels(blocks, weights: list[int]) -> tuple[Fraction, ...]:
     """Every realizable conditional-belief value, descending, plus 0 and 1.
 
     Any achievable answer is a ratio of a subset-sum of block weights to the
@@ -184,13 +195,11 @@ def _candidate_levels(structure: InformationStructure, weights: list[int]) -> tu
     set exactly (the sums dedupe to at most block-weight + 1 values).
     """
     candidates = {Fraction(0), Fraction(1)}
-    for partition in structure.partitions:
-        for block in partition.blocks:
-            block_weight = sum(weights[i] for i in block)
-            sums = {0}
-            for index in block:
-                sums |= {s + weights[index] for s in sums}
-            candidates.update(Fraction(s, block_weight) for s in sums)
+    for _, block, block_weight, _ in blocks:
+        sums = {0}
+        for index in block:
+            sums |= {s + weights[index] for s in sums}
+        candidates.update(Fraction(s, block_weight) for s in sums)
     return tuple(sorted(candidates, reverse=True))
 
 
@@ -203,23 +212,22 @@ def _fixedpoint_answers(
 
     A block's answer is the first candidate level, from the top, at which it
     believes the largest p-evident target-indicating event at >= that level.
-    Level 0 keeps the whole space, so every block is answered by then.
+    Level 0 keeps the whole space, so every block is answered by then.  The
+    weights and block sums are computed once for the whole scan.
     """
+    _check_target(structure, target)
     weights = _integer_weights(structure)
-    block_weights = {
-        (player, block): sum(weights[i] for i in block)
-        for player, partition in enumerate(structure.partitions)
-        for block in partition.blocks
-    }
+    blocks = _weighed_blocks(structure, target, weights)
+    universe = structure.universe()
     answers: dict[tuple[int, frozenset[int]], Fraction] = {}
-    for level in _candidate_levels(structure, weights):
-        event = largest_p_evident_indicating_event(structure, target, level)
-        for key, weight in block_weights.items():
-            if key not in answers:
-                inside = sum(weights[i] for i in event & key[1])
+    for level in _candidate_levels(blocks, weights):
+        event = _largest_event(universe, weights, blocks, level)
+        for player, block, weight, _ in blocks:
+            if (player, block) not in answers:
+                inside = sum(weights[i] for i in event & block)
                 if inside * level.denominator >= level.numerator * weight:
-                    answers[key] = level
-        if len(answers) == len(block_weights):
+                    answers[player, block] = level
+        if len(answers) == len(blocks):
             break
     return answers
 

@@ -7,14 +7,16 @@ and an expected-utility "cognitive" agent round out the simulated-agent side.
 All outputs are exact rationals; action-valued strategies break ties toward
 the safe action B.
 
-Both level-k families run on one routine: from a family's primary level-0
-value and response it computes every block of both players level by level,
-into a cached list that grows in place on demand, so no depth recurses.
+Both level-k families run on one routine, `_Levels`: it steps every block of
+both players level by level, as integer numerators over one denominator per
+level, through the structure's integer block overlaps, so no depth recurses
+and no level is reduced until a value is read.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,51 +107,84 @@ def matched_p_belief_prob(
     return common_p_belief(structure, target, player, state)
 
 
-def _maximization_primary(payoffs: PayoffParams, belief: Fraction) -> Fraction:
-    return ONE if belief > risk_threshold(payoffs) else ZERO
+class _Levels:
+    """The level-k values of one (structure, target, payoffs, level-0 rule), block by block.
+
+    Level k is each player's integer numerator per block over one denominator
+    D_k.  For a block B with total weight W_B and on-target weight t_B, the
+    next level comes from the overlap sum S_B = sum of w(B & B') * N_k[B']
+    over the companion blocks B' that B meets, so the companion's expected
+    play over B is S_B / (W_B * D_k):
+
+    - matching (no payoffs): N_{k+1}[B] = t_B * (L / W_B^2) * S_B and
+      D_{k+1} = D_k * L, where L is the lcm of every W_B^2, so no level is
+      ever reduced;
+    - maximization: the payoff of A is partner * g_B + b, with
+      g_B = value_of_a(t_B / W_B, 1) - b, so A beats c exactly when
+      S_B * g_B / (c - b) > W_B * D_k, one integer comparison, and
+      N_{k+1}[B] is 0 or 1 over D_{k+1} = 1.
+
+    A Fraction is built only when a value is read.  Only level 0 and the
+    levels already read are kept; a read starts from the deepest kept level
+    below it, so memory grows with the reads and not with k.
+    """
+
+    def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
+        self.overlaps = structure._overlaps
+        self.matching = payoffs is None
+        # (t_B, W_B) for each block of each player.
+        blocks = [
+            [(structure._weight(block & target), sum(w for _, w in meets)) for block, meets in zip(p.blocks, own)]
+            for p, own in zip(structure.partitions, self.overlaps)
+        ]
+        if self.matching:
+            self.lcm = math.lcm(*(w * w for own in blocks for _, w in own))
+            self.scale = [[t * (self.lcm // (w * w)) for t, w in own] for own in blocks]
+            primary = [[t * (self.lcm // w) for t, w in own] for own in blocks], self.lcm
+        else:
+            margin = payoffs.c - payoffs.b
+            ratios = [
+                [(payoffs.value_of_a(Fraction(t, w), 1) - payoffs.b) / margin for t, w in own] for own in blocks
+            ]
+            self.scale = [[r.numerator for r in own] for own in ratios]
+            self.bar = [[r.denominator * w for r, (_, w) in zip(*row)] for row in zip(ratios, blocks)]
+            threshold = risk_threshold(payoffs)
+            primary = [[int(Fraction(t, w) > threshold) for t, w in own] for own in blocks], 1
+        ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
+        self.kept = {0: primary if ground is None else ([[1] * len(own) for own in blocks], ground)}
+
+    def _step(self, numerators, denominator):
+        sums = [
+            [sum(w * partner[b] for b, w in meets) for meets in own]
+            for own, partner in zip(self.overlaps, numerators[::-1])
+        ]
+        if self.matching:
+            return [[c * s for c, s in zip(*row)] for row in zip(self.scale, sums)], denominator * self.lcm
+        return [
+            [int(s * c > bar * denominator) for c, bar, s in zip(*row)] for row in zip(self.scale, self.bar, sums)
+        ], 1
+
+    def value(self, level: int, player: int, block: int) -> Fraction:
+        if level not in self.kept:
+            start = max(k for k in self.kept if k < level)
+            numerators, denominator = self.kept[start]
+            for _ in range(start, level):
+                numerators, denominator = self._step(numerators, denominator)
+            self.kept[level] = numerators, denominator
+        numerators, denominator = self.kept[level]
+        return Fraction(numerators[player][block], denominator)
 
 
-def _maximization_response(payoffs: PayoffParams, belief: Fraction, partner: Fraction) -> Fraction:
-    return ONE if payoffs.value_of_a(belief, partner) > payoffs.c else ZERO
+# One per (structure, target, payoffs, level-0 rule); payoffs None is the matching family.
+_levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
 
 
-def _matching_primary(payoffs: None, belief: Fraction) -> Fraction:
-    return belief
-
-
-def _matching_response(payoffs: None, belief: Fraction, partner: Fraction) -> Fraction:
-    return belief * partner
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _levels(structure: InformationStructure, target: Event, payoffs, level0: Level0Rule, family):
-    primary, _ = family
-    beliefs = tuple(
-        tuple(structure.conditional_belief(player, target, min(block)) for block in partition.blocks)
-        for player, partition in enumerate(structure.partitions)
-    )
-    ground = {Level0Rule.ALWAYS_A: ONE, Level0Rule.UNIFORM: Fraction(1, 2)}.get(level0)
-    level_0 = tuple(tuple(primary(payoffs, b) if ground is None else ground for b in own) for own in beliefs)
-    return beliefs, [level_0]
-
-
-def _level_value(structure, target, payoffs, level0, level, player, state, family) -> Fraction:
+def _level_value(structure, target, payoffs, level0, level, player, state) -> Fraction:
     if level < 0:
         raise ValueError("level must be >= 0")
     structure.block(player, state)  # IndexError for a bad player or state
-    beliefs, levels = _levels(structure, target, payoffs, level0, family)
-    _, respond = family
-    while len(levels) <= level:
-        # Each player's play at the last level, state by state.
-        play = [tuple(v[b] for b in p.block_of) for v, p in zip(levels[-1], structure.partitions)]
-        levels.append(tuple(
-            tuple(
-                respond(payoffs, belief, structure.expectation(own, min(block), play[1 - own].__getitem__))
-                for block, belief in zip(partition.blocks, beliefs[own])
-            )
-            for own, partition in enumerate(structure.partitions)
-        ))
-    return levels[level][player][structure.partitions[player].block_of[state]]
+    block = structure.partitions[player].block_of[state]
+    return _levels(structure, target, payoffs, level0).value(level, player, block)
 
 
 def iterated_maximization_prob(
@@ -173,8 +208,7 @@ def iterated_maximization_prob(
     state by state, so the two forms can disagree on a block where the
     companion's play and the target are correlated.
     """
-    family = (_maximization_primary, _maximization_response)
-    return _level_value(structure, target, payoffs, level0, level, player, state, family)
+    return _level_value(structure, target, payoffs, level0, level, player, state)
 
 
 def iterated_maximization(
@@ -205,8 +239,7 @@ def iterated_matching(
 ) -> Fraction:
     """Probability of A under level-`level` iterated matching: own target
     belief times the expected level-(k-1) companion probability."""
-    family = (_matching_primary, _matching_response)
-    return _level_value(structure, target, None, level0, level, player, state, family)
+    return _level_value(structure, target, None, level0, level, player, state)
 
 
 def private_heuristic(
@@ -246,7 +279,16 @@ def cognitive_strategy(
     """Maximize expected utility against a companion assumed to probability-match
     on perceived common belief; play A only on a strict improvement over the
     safe payoff."""
-    utility = structure.expectation(player, state, lambda member: payoffs.value_of_a(
-        member in target, matched_p_belief_prob(structure, target, 1 - player, member)
-    ))
+    # The companion's matched play is one value per companion block.
+    block_of = structure.partitions[1 - player].block_of
+    partner: dict[int, Fraction] = {}
+    for member in structure.block(player, state):
+        if block_of[member] not in partner:
+            partner[block_of[member]] = matched_p_belief_prob(structure, target, 1 - player, member)
+    utility = structure.expectation(
+        player,
+        state,
+        lambda group: payoffs.value_of_a(*group),
+        key=lambda member: (member in target, partner[block_of[member]]),
+    )
     return Action.A if utility > payoffs.c else Action.B

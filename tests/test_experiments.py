@@ -54,6 +54,20 @@ class TestKnowledgeConditions:
         for condition in knowledge_conditions(Fraction(1, 3)):
             assert condition.state_index() >= 0
 
+    def test_each_condition_is_resolved_once(self):
+        conditions = knowledge_conditions(DELTA)
+        for condition in conditions:
+            assert condition.structure() is condition.structure()
+            assert condition.target() is condition.target()
+            assert condition.state_index() == condition.state_index()
+        # Resolving a condition leaves its equality and hash to its fields.
+        fresh = knowledge_conditions(DELTA)
+        assert conditions == fresh and hash(conditions) == hash(fresh)
+        assert {fresh[0]: "private"}[conditions[0]] == "private"
+        for condition, twin in zip(conditions, fresh):
+            assert twin.structure() == condition.structure() and twin.target() == condition.target()
+            assert twin.state_index() == condition.state_index()
+
     @pytest.mark.parametrize("delta", ["0", "1", "5/4"])
     def test_delta_must_be_interior(self, delta):
         with pytest.raises(ValueError):

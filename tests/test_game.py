@@ -139,6 +139,25 @@ class TestExpectedUtility:
         lam = Fraction(3, 7)
         assert utility(lam * 1 + (1 - lam) * 0) == lam * utility(Fraction(1)) + (1 - lam) * utility(Fraction(0))
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "non-measurable"])
+    def test_equals_the_literal_sum_over_members(self, kind):
+        rng = random.Random(17)
+        for seed in range(40):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=1 + seed % 12))
+            game = GameInstance(structure, random_payoffs(rng), target)
+            companion = random_policy(rng, structure, kind)
+            measures = structure.space.measures
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    block = structure.block(player, state)
+                    mine = Fraction(rng.randint(0, 4), 4)
+                    total = sum(
+                        measures[m] * stage_payoff(game.payoffs, m in target, mine, companion.prob(1 - player, m))
+                        for m in block
+                    )
+                    expected = total / sum(measures[m] for m in block)
+                    assert expected_utility(game, player, state, mine, companion) == expected
+
     def test_value_of_a_matrix_corners(self):
         p = PAYOFF_CONDITION_1
         assert p.value_of_a(1, 1) == p.a

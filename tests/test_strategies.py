@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from epicoord import strategies
 from epicoord import (
     Action,
     Level0Rule,
@@ -287,6 +288,39 @@ class TestIteratedMatching:
                         assert 0 <= value <= 1
                         if level >= 1:
                             assert value <= conditional_belief(structure, player, target, state)
+
+
+class TestLevelsReadOutOfOrder:
+    """A deep read first, then shallow re-reads below it: only level 0 and the
+    levels read are kept, so each re-read is stepped again from a kept level."""
+
+    ORDER = (2000, 0, 1, 2, 3, 4, 5, 1999)
+
+    @pytest.mark.parametrize("family", ["maximization", "matching"])
+    def test_reads_match_fresh_caches_and_naive_recursion(self, messenger, messenger_target, family):
+        payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 5), Fraction(0))
+
+        def read(level, player, state, level0):
+            if family == "maximization":
+                return iterated_maximization_prob(messenger, messenger_target, payoffs, level, player, state, level0)
+            return iterated_matching(messenger, messenger_target, level, player, state, level0)
+
+        def naive(level, player, state, level0):
+            if family == "maximization":
+                return naive_maximization(messenger, messenger_target, payoffs, level, player, state, level0)
+            return naive_matching(messenger, messenger_target, level, player, state, level0)
+
+        cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
+        for level0 in Level0Rule:
+            strategies._levels.cache_clear()
+            values = {level: [read(level, *case, level0) for case in cases] for level in self.ORDER}
+            key_payoffs = payoffs if family == "maximization" else None
+            assert sorted(strategies._levels(messenger, messenger_target, key_payoffs, level0).kept) == sorted(self.ORDER)
+            for level in self.ORDER:
+                strategies._levels.cache_clear()
+                assert [read(level, *case, level0) for case in cases] == values[level]
+            for level in range(6):
+                assert values[level] == [naive(level, *case, level0) for case in cases]
 
 
 class TestHeuristics:
