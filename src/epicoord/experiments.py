@@ -17,6 +17,7 @@ from .strategies import (
     Action,
     Level0Rule,
     PayoffParams,
+    _cognitive_utility,
     cognitive_strategy,
     iterated_matching,
     iterated_maximization_prob,
@@ -323,9 +324,34 @@ def human_agent_sweep(
         raise ValueError("risk grid values must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("risk grid must be strictly increasing")
-    values: dict[AgentStrategy, list[Fraction]] = {s: [] for s in strategies}
-    for p_star in grid:
-        payoffs = PayoffParams(Fraction(1), Fraction(0), p_star, Fraction(0))
-        for strategy in strategies:
-            values[strategy].append(marginal_value(strategy, conditions, human, payoffs))
-    return SweepResult(grid, {s: tuple(v) for s, v in values.items()})
+    # At payoffs (1, 0, p*, 0) only c moves, and no agent decision and no
+    # payoff of A reads c, so each (strategy, condition) is decided once, as a
+    # bound below which the agent plays A; the grid is then scanned against it.
+    # The c of these payoffs is a placeholder that nothing reads.
+    payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
+    gains = [
+        payoffs.value_of_a(condition.state_index() in condition.target(), human.prob_a[condition.name])
+        for condition in conditions
+    ]
+    values: dict[AgentStrategy, tuple[Fraction, ...]] = {}
+    for strategy in strategies:
+        bounds = [_attack_bound(strategy, condition, payoffs) for condition in conditions]
+        values[strategy] = tuple(
+            sum((gain - p_star for gain, bound in zip(gains, bounds) if p_star < bound), Fraction(0))
+            for p_star in grid
+        )
+    return SweepResult(grid, values)
+
+
+def _attack_bound(strategy: AgentStrategy, condition: KnowledgeCondition, payoffs: PayoffParams) -> Fraction:
+    """The agent plays A at payoffs (1, 0, p*, 0) exactly when p* lies below this bound.
+
+    For the cognitive agent it is the expected payoff of A (A iff it beats c
+    strictly, so a tie stays safe); the other agents do not read the payoffs,
+    so it is 1 (A at every p* in (0, 1)) or 0 (never).
+    """
+    if strategy is AgentStrategy.COGNITIVE:
+        return _cognitive_utility(
+            condition.structure(), condition.target(), payoffs, condition.agent, condition.state_index()
+        )
+    return Fraction(int(agent_action(strategy, condition, payoffs) is Action.A))

@@ -245,28 +245,53 @@ def iterated_matching(
 def private_heuristic(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Action:
-    """Play A exactly when the player is certain the target holds."""
-    if structure.conditional_belief(player, target, state) == 1:
-        return Action.A
-    return Action.B
+    """Play A exactly when the player is certain the target holds.
+
+    Every state has positive measure, so belief 1 in the target means the
+    player's information set lies inside it.
+    """
+    return Action.A if structure.block(player, state) <= target else Action.B
 
 
 def pair_heuristic(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Action:
     """Play A exactly when the player is certain the target holds and certain
-    the companion is certain too."""
-    if structure.conditional_belief(player, target, state) != 1:
-        return Action.B
-    companion = 1 - player
-    companion_certain = frozenset().union(*(
-        block
-        for block in structure.partitions[companion].blocks
-        if structure.conditional_belief(companion, target, min(block)) == 1
-    ))
-    if structure.conditional_belief(player, companion_certain, state) == 1:
-        return Action.A
-    return Action.B
+    the companion is certain too.
+
+    Every state has positive measure, so certainty is inclusion: the
+    companion-certain event is the union of the companion's information sets
+    that lie inside the target, and the player plays A when its own
+    information set lies inside that union (which lies inside the target).
+    """
+    block = structure.block(player, state)
+    companion_certain = frozenset().union(
+        *(other for other in structure.partitions[1 - player].blocks if other <= target)
+    )
+    return Action.A if block <= companion_certain else Action.B
+
+
+def _cognitive_utility(
+    structure: InformationStructure,
+    target: Event,
+    payoffs: PayoffParams,
+    player: int,
+    state: int,
+) -> Fraction:
+    """The cognitive agent's expected payoff of A against a companion who
+    probability-matches on perceived common belief.  It reads a, b and d, never c."""
+    # The companion's matched play is one value per companion block.
+    block_of = structure.partitions[1 - player].block_of
+    partner: dict[int, Fraction] = {}
+    for member in structure.block(player, state):
+        if block_of[member] not in partner:
+            partner[block_of[member]] = matched_p_belief_prob(structure, target, 1 - player, member)
+    return structure.expectation(
+        player,
+        state,
+        lambda group: payoffs.value_of_a(*group),
+        key=lambda member: (member in target, partner[block_of[member]]),
+    )
 
 
 def cognitive_strategy(
@@ -279,16 +304,6 @@ def cognitive_strategy(
     """Maximize expected utility against a companion assumed to probability-match
     on perceived common belief; play A only on a strict improvement over the
     safe payoff."""
-    # The companion's matched play is one value per companion block.
-    block_of = structure.partitions[1 - player].block_of
-    partner: dict[int, Fraction] = {}
-    for member in structure.block(player, state):
-        if block_of[member] not in partner:
-            partner[block_of[member]] = matched_p_belief_prob(structure, target, 1 - player, member)
-    utility = structure.expectation(
-        player,
-        state,
-        lambda group: payoffs.value_of_a(*group),
-        key=lambda member: (member in target, partner[block_of[member]]),
-    )
-    return Action.A if utility > payoffs.c else Action.B
+    if _cognitive_utility(structure, target, payoffs, player, state) > payoffs.c:
+        return Action.A
+    return Action.B

@@ -26,9 +26,12 @@ from epicoord import (
     min_belief,
     random_structure,
     super_p_evident,
+    x_event,
 )
 from epicoord import oracle, strategies
 from epicoord.epistemic import CACHE_SIZE
+
+from .conftest import email_chain
 
 
 def states_of(structure, event):
@@ -242,6 +245,31 @@ class TestEvidentLadder:
             (1, 1, 1, 1, 1),
         }
         assert states_of(messenger, ladder.rungs[3].event) == {(1, 1, 1, 1, 1)}
+
+    @pytest.mark.parametrize("variables", [3, 4, 5, 8])
+    def test_email_game_closed_form(self, variables):
+        """Rubinstein's e-mail game, a third reference independent of both oracles.
+
+        With prior delta and loss eps, a = delta*eps / (delta*eps + 1 - delta)
+        is the belief in x = 1 of the player who got no message, b = (1 - eps)
+        / (2 - eps) a mid-chain player's belief that the message it sent
+        arrived, and c = 1 - eps that belief for the chain's last message.  The
+        ladder's levels are 0 followed by the strict running records of (a, b, c).
+        """
+        grid = [Fraction(k, 20) for k in range(1, 20, 3)]
+        for delta in grid:
+            for loss in grid:
+                spec = email_chain(variables, delta, loss)
+                structure = from_world_model(spec)
+                a = delta * loss / (delta * loss + 1 - delta)
+                b = (1 - loss) / (2 - loss)
+                c = 1 - loss
+                expected = [Fraction(0)]
+                for value in (a, b, c):
+                    if value > expected[-1]:
+                        expected.append(value)
+                levels = evident_ladder(structure, x_event(spec, structure.space)).levels
+                assert levels == tuple(expected), (delta, loss)
 
 
 class TestBeliefKernel:

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from epicoord import experiments
 from epicoord import (
+    Action,
     AgentStrategy,
     HumanData,
     ModelKind,
@@ -16,7 +18,8 @@ from epicoord import (
     mse,
     predict,
 )
-from epicoord.experiments import CONDITION_NAMES, PAYOFF_CONDITION_1, agent_action
+from epicoord.experiments import CONDITION_NAMES, PAYOFF_CONDITION_1, SWEEP_STRATEGIES, agent_action
+from epicoord.strategies import _cognitive_utility
 
 from .conftest import DELTA, make_human
 
@@ -305,6 +308,69 @@ class TestSweep:
             human_agent_sweep((Fraction(0), Fraction(1, 2)), conditions, synthetic_human)
         with pytest.raises(ValueError):
             human_agent_sweep((Fraction(1, 2), Fraction(1, 4)), conditions, synthetic_human)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)])
+    @pytest.mark.parametrize(
+        "human",
+        [
+            make_human(Fraction(1, 5), Fraction(11, 20), Fraction(3, 5), Fraction(17, 20)),
+            make_human(0, 1, Fraction(1, 3), 1, n=7),
+        ],
+        ids=["synthetic", "extremes"],
+    )
+    def test_matches_marginal_value_on_and_around_each_utility(self, delta, human):
+        """Each cognitive utility and its neighbours at 10^-6 are on the grid; a
+        point exactly on one is a tie, where the agent plays B."""
+        conditions = knowledge_conditions(delta)
+        placeholder = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
+        utilities = {
+            c.name: _cognitive_utility(c.structure(), c.target(), placeholder, c.agent, c.state_index())
+            for c in conditions
+        }
+        if delta == DELTA:
+            assert utilities == COGNITIVE_THRESHOLDS
+        step = Fraction(1, 10**6)
+        grid = tuple(sorted({p for u in utilities.values() for p in (u - step, u, u + step) if 0 < p < 1}))
+        strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
+        result = human_agent_sweep(grid, conditions, human, strategies)
+        assert result.grid == grid
+        for strategy in strategies:
+            expected = tuple(
+                marginal_value(strategy, conditions, human, PayoffParams(Fraction(1), Fraction(0), p, Fraction(0)))
+                for p in grid
+            )
+            assert result.values[strategy] == expected, strategy
+        assert set(result.values[AgentStrategy.ALWAYS_B]) == {0}
+        for condition in conditions:
+            if utilities[condition.name] in grid:
+                tie = PayoffParams(Fraction(1), Fraction(0), utilities[condition.name], Fraction(0))
+                assert agent_action(AgentStrategy.COGNITIVE, condition, tie) is Action.B
+
+    @pytest.mark.parametrize("length", [1, 19, 99])
+    def test_each_agent_is_decided_once_per_condition(self, monkeypatch, synthetic_human, length):
+        decided = []
+
+        def counted_utility(structure, target, payoffs, player, state):
+            decided.append(("cognitive", player, state))
+            return _cognitive_utility(structure, target, payoffs, player, state)
+
+        def counted_action(strategy, condition, payoffs):
+            decided.append((strategy.value, condition.name))
+            return agent_action(strategy, condition, payoffs)
+
+        monkeypatch.setattr(experiments, "_cognitive_utility", counted_utility)
+        monkeypatch.setattr(experiments, "agent_action", counted_action)
+        conditions = knowledge_conditions(DELTA)
+        grid = tuple(Fraction(k, length + 1) for k in range(1, length + 1))
+        human_agent_sweep(grid, conditions, synthetic_human, (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B))
+        assert len(decided) == len(set(decided)) == 4 * len(conditions)
+        assert sum(entry[0] == "cognitive" for entry in decided) == len(conditions)
+
+    def test_empty_grid(self, synthetic_human):
+        strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
+        result = human_agent_sweep((), knowledge_conditions(DELTA), synthetic_human, strategies)
+        assert result.grid == ()
+        assert result.values == {strategy: () for strategy in strategies}
 
     def test_repeated_runs_are_identical(self, synthetic_human):
         conditions = knowledge_conditions(DELTA)
