@@ -26,8 +26,7 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", frozenset(self.target))
-        if not self.target <= self.structure.universe():
-            raise ValueError("target event references state indices outside the space")
+        self.structure._check_inside(self.target, "target event")
 
     @classmethod
     def from_world_model(cls, spec: WorldModelSpec, payoffs: PayoffParams) -> "GameInstance":

@@ -395,7 +395,7 @@ def load_spec(path) -> WorldModelSpec:
     text = Path(path).read_text()
     try:
         document = json.loads(text, parse_float=Fraction)
-    except ValueError as exc:  # a JSONDecodeError, or a number longer than Python reads
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too long a number, or too deep a nesting
         raise SpecError(f"{path}: invalid JSON ({exc})") from exc
     return spec_from_json(document)
 

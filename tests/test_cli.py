@@ -336,6 +336,15 @@ class TestUsageAndErrors:
         assert "4300 digits" in result.output
         assert len(result.output) < 500
 
+    def test_deeply_nested_model_is_a_domain_error(self, runner, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000)
+        result = runner.invoke(cli, ["partition", "--model", str(path), "--player", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.startswith(f"Error: {path}: invalid JSON (")
+
     def test_non_integer_human_count_names_its_line(self, runner, tmp_path):
         path = tmp_path / "human.csv"
         path.write_text("condition,n,prob_a\nprivate,abc,0.1\n")
@@ -471,9 +480,32 @@ class TestFuzzCommand:
         assert result.exit_code == 0
         assert "matches the oracle" in result.output
 
-    def test_state_cap_enforced(self, runner):
-        result = runner.invoke(cli, ["fuzz", "--seeds", "1", "--states", "13"])
+    def test_zero_states_rejected(self, runner):
+        result = runner.invoke(cli, ["fuzz", "--seeds", "1", "--states", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("seeds,states", [(1, 13), (3, 40), (1, 64)])
+    def test_fixedpoint_oracle_answers_above_twelve_states(self, runner, monkeypatch, seeds, states):
+        def refuse(*args):
+            raise AssertionError("the exhaustive oracle ran")
+
+        monkeypatch.setattr(oracle, "brute_force_common_p_belief", refuse)
+        result = runner.invoke(cli, ["fuzz", "--seeds", str(seeds), "--states", str(states)])
+        assert result.exit_code == 0, result.output
+        assert f"{seeds} seeds x {states} states: engine matches the oracle exactly" in result.output
+
+    def test_exhaustive_oracle_answers_at_twelve_states(self, runner, monkeypatch):
+        calls = []
+        exhaustive = oracle.brute_force_common_p_belief
+
+        def counted(*args):
+            calls.append(args)
+            return exhaustive(*args)
+
+        monkeypatch.setattr(oracle, "brute_force_common_p_belief", counted)
+        result = runner.invoke(cli, ["fuzz", "--seeds", "1", "--states", "12"])
+        assert result.exit_code == 0
+        assert len(calls) == 2 * 12
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_machine_formats_rejected_before_any_seed(self, runner, monkeypatch, fmt):

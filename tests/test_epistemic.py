@@ -50,24 +50,6 @@ def _partition_from_labels(labels):
     return Partition(blocks, tuple(block_ids[label] for label in labels))
 
 
-def _random_partition(rng, n):
-    return _partition_from_labels([rng.randrange(max(1, n // 4)) for _ in range(n)])
-
-
-def large_structure(seed, n):
-    """An n-state structure past the exhaustive oracle's cap: ~n/4 blocks per
-    player, weights 1..9, and a random nonempty target."""
-    rng = random.Random(seed)
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    space = StateSpace(
-        tuple((index,) for index in range(n)),
-        tuple(Fraction(w, sum(weights)) for w in weights),
-    )
-    structure = InformationStructure(space, (_random_partition(rng, n), _random_partition(rng, n)))
-    target = frozenset(i for i in range(n) if rng.random() < 0.5) or frozenset({0})
-    return structure, target
-
-
 def weakest_belief(structure, event, target, state):
     return min(
         conditional_belief(structure, player, members, state)
@@ -302,7 +284,7 @@ class TestBeliefKernel:
 
     def test_rungs_match_definitional_walk(self):
         cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]
-        cases += [large_structure(seed, 24) for seed in range(4)]
+        cases += [random_structure(RandomStructureConfig(seed=seed, num_states=24)) for seed in range(4)]
         for structure, target in cases:
             walk = definitional_rungs(structure, target)
             ladder = evident_ladder(structure, target)
@@ -331,7 +313,7 @@ class TestBeliefKernel:
 
     @pytest.mark.parametrize("seed,n", [(0, 16), (1, 24), (2, 32), (3, 40)])
     def test_common_p_belief_matches_fixedpoint_beyond_exhaustive_cap(self, seed, n):
-        structure, target = large_structure(seed, n)
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=n))
         for player in (0, 1):
             for state in range(n):
                 assert common_p_belief(structure, target, player, state) == (
@@ -339,7 +321,7 @@ class TestBeliefKernel:
                 )
 
     def test_common_p_belief_matches_fixedpoint_at_64_states(self):
-        structure, target = large_structure(4, 64)
+        structure, target = random_structure(RandomStructureConfig(seed=4, num_states=64))
         for player in (0, 1):
             for state in range(64):
                 assert common_p_belief(structure, target, player, state) == (
@@ -349,12 +331,13 @@ class TestBeliefKernel:
     def test_caches_stay_within_their_bound(self):
         # More distinct keys than the bound: every size, every delta differs.
         for n in range(1, CACHE_SIZE + 9):
-            structure, target = large_structure(0, n)
+            structure, target = random_structure(RandomStructureConfig(seed=0, num_states=n))
             evident_ladder(structure, target)
             iterated_matching(structure, target, 2, 0, 0)
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
-            brute_force_common_p_belief(*large_structure(n, 4), 0, 0)
-            fixedpoint_common_p_belief(*large_structure(n, 4), 0, 0)
+            small = random_structure(RandomStructureConfig(seed=n, num_states=4))
+            brute_force_common_p_belief(*small, 0, 0)
+            fixedpoint_common_p_belief(*small, 0, 0)
         for cache, bound in (
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -150,10 +151,23 @@ class TestRandomStructure:
         assert structure.partitions[0].blocks == (frozenset({0}),)
 
     def test_config_bounds(self):
-        with pytest.raises(ValueError):
-            RandomStructureConfig(seed=0, num_states=13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_states must be at least 1"):
             RandomStructureConfig(seed=0, num_states=0)
+        for n in (13, 64):
+            structure, target = random_structure(RandomStructureConfig(seed=0, num_states=n))
+            assert len(structure) == n
+            assert target and target <= structure.universe()
+
+    def test_draws_up_to_twelve_states_are_pinned(self):
+        # Fuzz runs up to 12 states and the benchmark's oracle inputs come from this draw.
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for seed in range(40):
+                for uniform in (False, True):
+                    config = RandomStructureConfig(seed=seed, num_states=n, uniform_measure=uniform)
+                    dump = structure_to_json(*random_structure(config))
+                    digest.update(json.dumps(dump, sort_keys=True).encode())
+        assert digest.hexdigest()[:16] == "1a77b61793442f32"
 
     def test_uniform_measure_style(self):
         structure, _ = random_structure(RandomStructureConfig(seed=3, uniform_measure=True))
