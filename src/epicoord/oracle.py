@@ -89,6 +89,7 @@ def _block_answers(
     Events are bitmasks and each event's weight is a subset sum.  level(E) is
     the least min(w(E & B), w(T & B)) / w(B) over the blocks B of either player
     that meet E; each block keeps the largest min(level(E), w(E & B) / w(B)).
+    That minimum is level(E), since a block B that meets E has w(E & B) / w(B) >= level(E).
     Fractions are (numerator, denominator) pairs compared by cross-multiplying.
     """
     structure._check_inside(target, "target event")
@@ -98,13 +99,8 @@ def _block_answers(
     for mask in range(1, 1 << n):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
-    target_mask = sum(1 << state for state in target)
-    keys, blocks = [], []
-    for player, partition in enumerate(structure.partitions):
-        for block in partition.blocks:
-            mask = sum(1 << state for state in block)
-            keys.append((player, block))
-            blocks.append((mask, sums[mask], sums[mask & target_mask]))
+    weighed = _weighed_blocks(structure, target, weights)
+    blocks = [(sum(1 << i for i in block), weight, on_target) for _, block, weight, on_target in weighed]
     best = [(0, 1)] * len(blocks)
     for event in range(1, 1 << n):
         level, level_weight = 1, 1
@@ -115,16 +111,12 @@ def _block_answers(
                 part = min(inside, on_target)
                 if part * level_weight < level * weight:
                     level, level_weight = part, weight
-                met.append((index, inside, weight))
-        for index, inside, weight in met:
-            if inside * level_weight < level * weight:
-                value, value_weight = inside, weight
-            else:
-                value, value_weight = level, level_weight
+                met.append(index)
+        for index in met:
             kept, kept_weight = best[index]
-            if value * kept_weight > kept * value_weight:
-                best[index] = value, value_weight
-    return {key: Fraction(*answer) for key, answer in zip(keys, best)}
+            if level * kept_weight > kept * level_weight:
+                best[index] = level, level_weight
+    return {(player, block): Fraction(*answer) for (player, block, _, _), answer in zip(weighed, best)}
 
 
 def brute_force_common_p_belief(

@@ -8,9 +8,23 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from epicoord import builtin_messenger, from_world_model, iterated_matching, oracle, spec_to_json, x_event
+from epicoord import (
+    Action,
+    EquilibriumReport,
+    Violation,
+    builtin_messenger,
+    epistemic,
+    from_world_model,
+    game,
+    iterated_matching,
+    oracle,
+    pair_heuristic,
+    private_heuristic,
+    spec_to_json,
+    x_event,
+)
 from epicoord.cli import cli
-from epicoord.rational import parse_rational
+from epicoord.rational import format_rational, parse_rational
 
 from .conftest import email_chain
 
@@ -188,6 +202,28 @@ class TestActCommand:
         index = structure.space.index_of((1, 1, 0, 1, 0))
         assert value == iterated_matching(structure, x_event(spec, structure.space), 5000, 0, index)
 
+    @pytest.mark.parametrize(
+        "strategy,heuristic,at_private_state",
+        [("private", private_heuristic, "A"), ("pair", pair_heuristic, "B")],
+    )
+    def test_heuristic_actions_at_every_messenger_state(self, runner, strategy, heuristic, at_private_state):
+        spec = builtin_messenger(Fraction(1, 4))
+        structure = from_world_model(spec)
+        target = x_event(spec, structure.space)
+        private_state = structure.space.index_of((1, 1, 0, 1, 0))
+        assert heuristic(structure, target, 0, private_state).value == at_private_state
+        for player in (0, 1):
+            for index, state in enumerate(structure.space.states):
+                expected = heuristic(structure, target, player, index).value
+                args = ["act", "--strategy", strategy, "--model", "builtin:messenger",
+                        "--player", str(player), "--state", ",".join(map(str, state))]
+                table = runner.invoke(cli, args)
+                assert table.exit_code == 0, table.output
+                assert table.output == expected + "\n"
+                machine = runner.invoke(cli, ["--format", "json", *args])
+                assert machine.exit_code == 0, machine.output
+                assert json.loads(machine.output) == {"action": expected}
+
     def test_payoffs_required_for_rational(self, runner):
         result = runner.invoke(
             cli,
@@ -231,6 +267,31 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 0
         assert result.output.startswith("N-A:")
+
+    @pytest.fixture
+    def failing_report(self, monkeypatch):
+        violation = Violation(1, 3, (1, 1, 0, 1, 0), Action.A, Fraction(1, 8))
+        report = EquilibriumReport(True, None, (violation,))
+        monkeypatch.setattr(game, "verify_equilibrium", lambda instance: report)
+
+    def test_fail_lists_each_violation(self, runner, failing_report):
+        result = runner.invoke(
+            cli, ["verify", "--model", "builtin:messenger", "--payoffs", "1.1,0,1,0.4"]
+        )
+        assert result.exit_code == 1
+        assert result.output == "FAIL\nplayer=1 state=(1,1,0,1,0) chosen=A gap=1/8\n"
+
+    def test_fail_json(self, runner, failing_report):
+        result = runner.invoke(
+            cli,
+            ["--format", "json", "verify", "--model", "builtin:messenger", "--payoffs", "1.1,0,1,0.4"],
+        )
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "status": "FAIL",
+            "reason": None,
+            "violations": [{"player": 1, "state": [1, 1, 0, 1, 0], "chosen": "A", "gap": "1/8"}],
+        }
 
 
 class TestUsageAndErrors:
@@ -306,8 +367,31 @@ class TestUsageAndErrors:
                 },
                 "observation rule 0: 'player' must be the integer 0 or 1",
             ),
+            ([], "a world model must be a JSON object, got []"),
+            ({"variables": [{"name": "x", "bias": "1/2"}], "extra": 1}, "unknown top-level keys: ['extra']"),
+            ({"observations": []}, "missing 'variables'"),
+            ({"variables": 5}, "'variables' must be a list, got 5"),
+            ({"variables": [{"name": "x"}]}, "variable entry {'name': 'x'}: 'name' and 'bias' are required"),
+            (
+                {
+                    "variables": [{"name": "x", "bias": "1/2"}],
+                    "observations": [{"guard": [], "player": 0, "observed": ["x"], "extra": 1}],
+                },
+                "observation rule 0: unknown keys ['extra']",
+            ),
+            (
+                {
+                    "variables": [{"name": "x", "bias": "1/2"}],
+                    "observations": [{"guard": [], "player": 0}],
+                },
+                "observation rule 0: missing keys ['observed']",
+            ),
         ],
-        ids=["gate", "guard", "name", "bias-bool", "player-bool", "player-float"],
+        ids=[
+            "gate", "guard", "name", "bias-bool", "player-bool", "player-float",
+            "not-an-object", "top-level-key", "no-variables", "variables-not-a-list",
+            "variable-without-bias", "rule-key", "rule-missing-key",
+        ],
     )
     def test_mistyped_model_field_names_entry_and_field(self, runner, tmp_path, document, message):
         path = tmp_path / "model.json"
@@ -385,6 +469,16 @@ class TestUsageAndErrors:
         result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "0.5:0.1:0.4"])
         assert result.exit_code == 2
         assert "holds no risk level" in result.output
+        assert "p_star" not in result.output
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [("1/2", "--grid must be start:step:end, got '1/2'"), ("1/2:0:1", "grid step must be positive")],
+    )
+    def test_malformed_sweep_grid_is_a_usage_error(self, runner, tmp_path, grid, message):
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", grid])
+        assert result.exit_code == 2
+        assert message in result.output
         assert "p_star" not in result.output
 
     def test_csv_format_rejected_where_meaningless(self, runner):
@@ -506,6 +600,27 @@ class TestFuzzCommand:
         result = runner.invoke(cli, ["fuzz", "--seeds", "1", "--states", "12"])
         assert result.exit_code == 0
         assert len(calls) == 2 * 12
+
+    @pytest.mark.parametrize(
+        "states,reference",
+        [(6, oracle.brute_force_common_p_belief), (20, oracle.fixedpoint_common_p_belief)],
+        ids=["exhaustive", "fixedpoint"],
+    )
+    def test_disagreement_dumps_the_first_counterexample(self, runner, monkeypatch, states, reference):
+        monkeypatch.setattr(epistemic, "common_p_belief", lambda *args: Fraction(2))
+        result = runner.invoke(cli, ["fuzz", "--seeds", "3", "--states", str(states)])
+        assert result.exit_code == 1
+        assert "engine matches" not in result.output
+        dump = json.loads(result.output)
+        structure, target = oracle.random_structure(oracle.RandomStructureConfig(seed=0, num_states=states))
+        assert dump == {
+            **oracle.structure_to_json(structure, target),
+            "seed": 0,
+            "player": 0,
+            "state": 0,
+            "expected": format_rational(reference(structure, target, 0, 0)),
+            "actual": "2/1",
+        }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_machine_formats_rejected_before_any_seed(self, runner, monkeypatch, fmt):

@@ -282,6 +282,22 @@ class TestBeliefKernel:
         assert conditional_belief(twin, 0, target, 0) == conditional_belief(structure, 0, target, 0)
         assert {"_hash", "_weights"} <= vars(twin).keys()
 
+    @pytest.mark.parametrize(
+        "partitions,message",
+        [
+            ((_partition_from_labels([0, 0]),), "exactly two player partitions are required"),
+            (
+                (_partition_from_labels([0, 1]), _partition_from_labels([0])),
+                "partition for player 1 does not cover the state space",
+            ),
+        ],
+        ids=["one-partition", "short-partition"],
+    )
+    def test_malformed_structure_rejected(self, partitions, message):
+        space = StateSpace(((0,), (1,)), (Fraction(1, 2),) * 2)
+        with pytest.raises(ValueError, match=message):
+            InformationStructure(space, partitions)
+
     def test_rungs_match_definitional_walk(self):
         cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]
         cases += [random_structure(RandomStructureConfig(seed=seed, num_states=24)) for seed in range(4)]

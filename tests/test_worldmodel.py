@@ -11,6 +11,7 @@ from epicoord import (
     ObservationRule,
     Partition,
     SpecError,
+    StateSpace,
     VariableSpec,
     WorldModelSpec,
     brute_force_common_p_belief,
@@ -244,6 +245,31 @@ class TestPartitions:
         with pytest.raises(ValueError):
             Partition((frozenset({0}),), (0, 0))
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: StateSpace(((0,), (1,)), (Fraction(1),)), "states and measures differ in length"),
+            (lambda: StateSpace(((0,), (0,)), (Fraction(1, 2),) * 2), "duplicate state assignments"),
+            (
+                lambda: StateSpace(((0,), (1,)), (Fraction(1), Fraction(0))),
+                "every enumerated state must have positive measure",
+            ),
+            (
+                lambda: StateSpace(((0,), (1,)), (Fraction(1, 2), Fraction(1, 4))),
+                "state measures must sum to exactly 1",
+            ),
+            (lambda: Partition((frozenset(),), ()), "partition blocks must be nonempty"),
+            (
+                lambda: Partition((frozenset({0}), frozenset({1})), (1, 0)),
+                "state 0 is not in its assigned block",
+            ),
+        ],
+        ids=["lengths", "duplicates", "zero-measure", "sum", "empty-block", "wrong-block"],
+    )
+    def test_malformed_space_or_partition_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
 
 class TestBuiltins:
     def test_loudspeaker_shape(self):
@@ -441,6 +467,11 @@ class TestEvents:
         space = enumerate_states(loudspeaker_spec)
         with pytest.raises(SpecError, match="unknown variable"):
             event_where(loudspeaker_spec, space, {"nope": 1})
+
+    def test_event_where_value_must_be_a_bit(self, loudspeaker_spec):
+        space = enumerate_states(loudspeaker_spec)
+        with pytest.raises(SpecError, match=re.escape("constraint x=2: value must be 0 or 1")):
+            event_where(loudspeaker_spec, space, {"x": 2})
 
 
 class TestRationalHelpers:
