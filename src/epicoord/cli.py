@@ -24,21 +24,6 @@ _STRATEGY_CHOICES = ("rational", "matched", "itermax", "itermatch", "private", "
 _PAYOFF_STRATEGIES = {"rational", "itermax", "cognitive"}
 
 
-def _domain_errors(func):
-    """Map domain failures to exit code 1, leaving usage errors (2) to click."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except (worldmodel.SpecError, ValueError, OSError) as exc:
-            raise click.ClickException(str(exc)) from exc
-
-    return wrapper
-
-
 def _load_model(model: str, delta: str) -> worldmodel.WorldModelSpec:
     if model == "builtin:messenger":
         return worldmodel.builtin_messenger(parse_rational(delta))
@@ -81,11 +66,6 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]) -> None:
-    if fmt not in allowed:
-        raise click.UsageError(f"--format {fmt} is not available here (choose from {', '.join(allowed)})")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text)
@@ -108,15 +88,47 @@ def cli(ctx, fmt):
     ctx.obj = {"format": fmt}
 
 
-@cli.command()
-@click.option("--model", required=True, help="Path to a model JSON file, builtin:messenger, or builtin:loudspeaker.")
-@click.option("--delta", default="1/4", show_default=True, help="Good-state prior for builtin models.")
-@click.option("--player", type=click.IntRange(0, 1), required=True)
-@click.pass_context
-@_domain_errors
-def partition(ctx, model, delta, player):
+def _command(*formats: str):
+    """Register the decorated function as a subcommand accepting these --format values.
+
+    The format is checked before the body runs, so a usage error (exit 2)
+    comes before any input is read; a ValueError or OSError from the body is
+    a domain failure (exit 1).  The body receives the format string first.
+    """
+
+    def register(body):
+        # wraps also copies the options the body's decorators attached (__click_params__).
+        @functools.wraps(body)
+        def run(**kwargs):
+            fmt = click.get_current_context().obj["format"]
+            if fmt not in formats:
+                raise click.UsageError(f"--format {fmt} is not available here (choose from {', '.join(formats)})")
+            try:
+                return body(fmt, **kwargs)
+            except (ValueError, OSError) as exc:
+                raise click.ClickException(str(exc)) from exc
+
+        return cli.command()(run)
+
+    return register
+
+
+# Options shared by several commands, declared once so each reads the same everywhere.
+_model = click.option("--model", required=True, help="Path to a model JSON file, builtin:messenger, or builtin:loudspeaker.")
+_delta = click.option("--delta", default="1/4", show_default=True, help="Good-state prior for builtin models.")
+_event = click.option("--event", "predicate", default="x=1", show_default=True, help="Conjunction like x=1,visit_0=1.")
+_player = click.option("--player", type=click.IntRange(0, 1), required=True)
+_state = click.option("--state", required=True, help="Comma-separated bits in variable declaration order.")
+_human = click.option("--human", "human_path", required=True, help="CSV with columns condition,n,prob_a.")
+_out = click.option("--out", default=None, help="Write the output to a file instead of stdout.")
+
+
+@_command("table", "json")
+@_model
+@_delta
+@_player
+def partition(fmt, model, delta, player):
     """Print one information set per line as sorted state tuples."""
-    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     blocks = [
@@ -124,49 +136,43 @@ def partition(ctx, model, delta, player):
         for block in structure.partitions[player].blocks
     ]
     blocks.sort(key=lambda states: states[0])
-    if ctx.obj["format"] == "json":
+    if fmt == "json":
         click.echo(json.dumps({"blocks": [[list(s) for s in block] for block in blocks]}, indent=2))
         return
     for block in blocks:
         click.echo(" ".join(_state_text(state) for state in block))
 
 
-@cli.command()
-@click.option("--model", required=True)
-@click.option("--delta", default="1/4", show_default=True)
-@click.option("--event", "predicate", default="x=1", show_default=True, help="Conjunction like x=1,visit_0=1.")
-@click.option("--player", type=click.IntRange(0, 1), required=True)
-@click.option("--state", required=True, help="Comma-separated bits in variable declaration order.")
-@click.pass_context
-@_domain_errors
-def pbelief(ctx, model, delta, predicate, player, state):
+@_command("table", "json")
+@_model
+@_delta
+@_event
+@_player
+@_state
+def pbelief(fmt, model, delta, predicate, player, state):
     """Perceived maximal common belief in the event at a state."""
-    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     target = _event_from(spec, structure.space, predicate)
     index = structure.space.index_of(_parse_state(state))
     value = epistemic.common_p_belief(structure, target, player, index)
-    if ctx.obj["format"] == "json":
+    if fmt == "json":
         click.echo(json.dumps({"value": format_rational(value)}))
         return
     click.echo(_rational_with_decimal(value))
 
 
-@cli.command()
-@click.option("--model", required=True)
-@click.option("--delta", default="1/4", show_default=True)
-@click.option("--event", "predicate", default="x=1", show_default=True)
-@click.pass_context
-@_domain_errors
-def ladder(ctx, model, delta, predicate):
+@_command("table", "json")
+@_model
+@_delta
+@_event
+def ladder(fmt, model, delta, predicate):
     """The nested maximally evident events with their evidence levels."""
-    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     structure = epistemic.from_world_model(spec)
     target = _event_from(spec, structure.space, predicate)
     rungs = epistemic.evident_ladder(structure, target).rungs
-    if ctx.obj["format"] == "json":
+    if fmt == "json":
         payload = [
             {
                 "level": format_rational(rung.level),
@@ -182,20 +188,17 @@ def ladder(ctx, model, delta, predicate):
         click.echo(f"level={format_rational(rung.level)}  members=[{rendered}]")
 
 
-@cli.command()
+@_command("table", "json")
 @click.option("--strategy", type=click.Choice(_STRATEGY_CHOICES), required=True)
 @click.option("--k", "level", type=click.IntRange(min=0), default=0, show_default=True, help="Recursion depth for itermax/itermatch.")
 @click.option("--payoffs", default=None, help="a,b,c,d as rationals or decimals; required for rational, itermax, cognitive.")
 @click.option("--level0", type=click.Choice([r.value for r in strategies.Level0Rule]), default="primary", show_default=True)
-@click.option("--model", required=True)
-@click.option("--delta", default="1/4", show_default=True)
-@click.option("--player", type=click.IntRange(0, 1), required=True)
-@click.option("--state", required=True)
-@click.pass_context
-@_domain_errors
-def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
+@_model
+@_delta
+@_player
+@_state
+def act(fmt, strategy, level, payoffs, level0, model, delta, player, state):
     """Evaluate one strategy at a state: an action, or an exact probability of A."""
-    _check_format(ctx.obj["format"], ("table", "json"))
     if strategy in _PAYOFF_STRATEGIES and payoffs is None:
         raise click.UsageError(f"--payoffs is required for strategy {strategy}")
     spec = _load_model(model, delta)
@@ -223,18 +226,15 @@ def act(ctx, strategy, level, payoffs, level0, model, delta, player, state):
         payload, text = {"action": result.value}, result.value
     else:
         payload, text = {"prob_a": format_rational(result)}, _rational_with_decimal(result)
-    click.echo(json.dumps(payload) if ctx.obj["format"] == "json" else text)
+    click.echo(json.dumps(payload) if fmt == "json" else text)
 
 
-@cli.command()
-@click.option("--model", required=True)
-@click.option("--delta", default="1/4", show_default=True)
+@_command("table", "json")
+@_model
+@_delta
 @click.option("--payoffs", required=True)
-@click.pass_context
-@_domain_errors
-def verify(ctx, model, delta, payoffs):
+def verify(fmt, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
-    _check_format(ctx.obj["format"], ("table", "json"))
     spec = _load_model(model, delta)
     instance = game.GameInstance.from_world_model(spec, strategies.PayoffParams.parse(payoffs))
     report = game.verify_equilibrium(instance)
@@ -244,7 +244,7 @@ def verify(ctx, model, delta, payoffs):
         status = "FAIL"
     else:
         status = "PASS"
-    if ctx.obj["format"] == "json":
+    if fmt == "json":
         click.echo(
             json.dumps(
                 {
@@ -273,23 +273,20 @@ def verify(ctx, model, delta, payoffs):
                 f"chosen={v.chosen.value} gap={format_rational(v.gap)}"
             )
     if status == "FAIL":
-        ctx.exit(1)
+        click.get_current_context().exit(1)
 
 
-@cli.command()
-@click.option("--human", "human_path", required=True, help="CSV with columns condition,n,prob_a.")
-@click.option("--delta", default="1/4", show_default=True)
+@_command("table", "json", "csv")
+@_human
+@_delta
 @click.option("--payoffs", default="1.1,0,1,0.4", show_default=True)
-@click.option("--out", default=None, help="Write the output to a file instead of stdout.")
-@click.pass_context
-@_domain_errors
-def compare(ctx, human_path, delta, payoffs, out):
+@_out
+def compare(fmt, human_path, delta, payoffs, out):
     """Per-model predictions, fitted recursion depths, and mean squared error."""
     human = experiments.HumanData.from_csv(human_path)
     conditions = experiments.knowledge_conditions(parse_rational(delta))
     params = strategies.PayoffParams.parse(payoffs)
     fits = experiments.compare_models(conditions, params, human)
-    fmt = ctx.obj["format"]
     if fmt == "json":
         payload = {
             "delta": format_rational(parse_rational(delta)),
@@ -348,20 +345,18 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     return tuple(grid)
 
 
-@cli.command()
-@click.option("--human", "human_path", required=True)
-@click.option("--delta", default="1/4", show_default=True)
+@_command("table", "json", "csv")
+@_human
+@_delta
 @click.option("--grid", "grid_text", default="1/20:1/20:19/20", show_default=True, help="Risk levels start:step:end.")
-@click.option("--out", default=None)
-@click.pass_context
-@_domain_errors
-def sweep(ctx, human_path, delta, grid_text, out):
+@_out
+def sweep(fmt, human_path, delta, grid_text, out):
     """Agent marginal value per strategy across risk levels, as CSV."""
     grid = _parse_grid(grid_text)
     human = experiments.HumanData.from_csv(human_path)
     conditions = experiments.knowledge_conditions(parse_rational(delta))
     result = experiments.human_agent_sweep(grid, conditions, human)
-    if ctx.obj["format"] == "json":
+    if fmt == "json":
         payload = {
             "grid": [format_rational(p) for p in result.grid],
             "values": {
@@ -379,17 +374,14 @@ def sweep(ctx, human_path, delta, grid_text, out):
     _emit("\n".join(lines), out)
 
 
-@cli.command()
+@_command("table")
 @click.option("--seeds", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--states", type=click.IntRange(min=1), default=8, show_default=True)
-@click.pass_context
-@_domain_errors
-def fuzz(ctx, seeds, states):
+def fuzz(fmt, seeds, states):
     """Check the engine against the exhaustive oracle up to 12 states, the fixed-point one above.
 
     Prints the first counterexample and exits 1 on any disagreement.
     """
-    _check_format(ctx.obj["format"], ("table",))
     exhaustive = states <= oracle.EXHAUSTIVE_STATE_LIMIT
     reference = oracle.brute_force_common_p_belief if exhaustive else oracle.fixedpoint_common_p_belief
     for seed in range(seeds):
@@ -412,7 +404,7 @@ def fuzz(ctx, seeds, states):
                         }
                     )
                     click.echo(json.dumps(dump, indent=2))
-                    ctx.exit(1)
+                    click.get_current_context().exit(1)
     click.echo(f"fuzz: {seeds} seeds x {states} states: engine matches the oracle exactly")
 
 

@@ -37,18 +37,7 @@ class RandomStructureConfig:
 
 def _random_partition(rng: random.Random, num_states: int) -> Partition:
     max_blocks = rng.randint(1, num_states)
-    labels = [rng.randrange(max_blocks) for _ in range(num_states)]
-    remap: dict[int, int] = {}
-    block_of = []
-    members: list[set[int]] = []
-    for index, label in enumerate(labels):
-        if label not in remap:
-            remap[label] = len(members)
-            members.append(set())
-        block_id = remap[label]
-        members[block_id].add(index)
-        block_of.append(block_id)
-    return Partition(tuple(frozenset(m) for m in members), tuple(block_of))
+    return Partition.from_labels([rng.randrange(max_blocks) for _ in range(num_states)])
 
 
 def random_structure(config: RandomStructureConfig) -> tuple[InformationStructure, Event]:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 # Characters of an unreadable value quoted back in its error message.
 _SHOWN = 40
+# The exponent of a decimal like 2.5e-3; `Fraction` checks the rest.
+_EXPONENT = re.compile(r"[-+]?[\d_]*\.?[\d_]*[eE]([-+]?[\d_]+)")
 
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
@@ -26,13 +30,19 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a string like '1/4' or '0.25'")
     text = str(value).strip()
+    exponent = _EXPONENT.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
     try:
+        # Python reads no integer of more than `limit` digits (sys.int_max_str_digits),
+        # so no exponent beyond it either: 1e-5000 is 0.000...1 written short.
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"its exponent exceeds the limit ({limit} digits) for integer string conversion")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        if len(text) > _SHOWN:
-            # Quote the start only; the cause says why, e.g. that Python reads no
-            # integer of more than 4300 digits (sys.int_max_str_digits).
-            raise ValueError(f"cannot read the {len(text)}-character value {text[:_SHOWN]!r}...: {exc}") from exc
+        if len(text) > _SHOWN or exponent:
+            # Quote the start of a long value only; the cause says why.
+            shown = repr(text) if len(text) <= _SHOWN else f"the {len(text)}-character value {text[:_SHOWN]!r}..."
+            raise ValueError(f"cannot read {shown}: {exc}") from exc
         raise ValueError(f"not a rational number: {value!r}") from exc
 
 

@@ -16,9 +16,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .rational import format_rational, parse_rational
 
@@ -170,6 +170,18 @@ class Partition:
             if index not in self.blocks[block_id]:
                 raise ValueError(f"state {index} is not in its assigned block")
 
+    @classmethod
+    def from_labels(cls, labels: Iterable[Hashable]) -> Partition:
+        """One block per distinct label of the states in index order, numbered by first appearance."""
+        groups: dict[Hashable, list[int]] = {}
+        for index, label in enumerate(labels):
+            groups.setdefault(label, []).append(index)
+        block_of = [0] * sum(map(len, groups.values()))
+        for block_id, members in enumerate(groups.values()):
+            for index in members:
+                block_of[index] = block_id
+        return cls(tuple(frozenset(members) for members in groups.values()), tuple(block_of))
+
 
 def _positions(spec: WorldModelSpec) -> dict[str, int]:
     return {name: index for index, name in enumerate(spec.variable_names)}
@@ -263,15 +275,7 @@ def trace_values(trace: ObservationTrace) -> tuple[tuple[int, ...], ...]:
 def build_information_partition(spec: WorldModelSpec, space: StateSpace, player: int) -> Partition:
     """Group the states a player cannot tell apart: equal traces, same block."""
     rules = _player_rules(spec, player)
-    groups: dict[ObservationTrace, list[int]] = {}
-    for index, state in enumerate(space.states):
-        groups.setdefault(_trace(spec, rules, state), []).append(index)
-    blocks = tuple(frozenset(members) for members in groups.values())
-    block_of = [0] * len(space.states)
-    for block_id, members in enumerate(groups.values()):
-        for index in members:
-            block_of[index] = block_id
-    return Partition(blocks, tuple(block_of))
+    return Partition.from_labels(map(partial(_trace, spec, rules), space.states))
 
 
 _HALF = Fraction(1, 2)
@@ -394,7 +398,7 @@ def load_spec(path) -> WorldModelSpec:
     """Read a world-model JSON file; decimal biases convert to exact rationals."""
     text = Path(path).read_text()
     try:
-        document = json.loads(text, parse_float=Fraction)
+        document = json.loads(text, parse_float=parse_rational)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too long a number, or too deep a nesting
         raise SpecError(f"{path}: invalid JSON ({exc})") from exc
     return spec_from_json(document)

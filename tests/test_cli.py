@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -224,10 +225,12 @@ class TestActCommand:
                 assert machine.exit_code == 0, machine.output
                 assert json.loads(machine.output) == {"action": expected}
 
-    def test_payoffs_required_for_rational(self, runner):
+    @pytest.mark.parametrize("strategy", ["rational", "itermax", "cognitive"])
+    def test_payoffs_required_before_the_model_is_read(self, runner, tmp_path, strategy):
+        """The missing --payoffs is a usage error (exit 2), not the missing file's domain error (1)."""
         result = runner.invoke(
             cli,
-            ["act", "--strategy", "rational", "--model", "builtin:loudspeaker",
+            ["act", "--strategy", strategy, "--model", str(tmp_path / "missing.json"),
              "--player", "0", "--state", "1,1"],
         )
         assert result.exit_code == 2
@@ -402,15 +405,33 @@ class TestUsageAndErrors:
         assert "Traceback" not in result.output
         assert message in result.output
 
-    @pytest.mark.parametrize("where", ["payoffs", "bias-string", "bias-number"])
-    def test_over_long_number_is_a_domain_error(self, runner, tmp_path, where):
-        digits = "1" + "0" * 5000
+    @pytest.mark.parametrize(
+        "where,number",
+        [
+            ("payoffs", "1" + "0" * 5000),
+            ("bias-string", "1/1" + "0" * 5000),
+            ("bias-number", "1" + "0" * 5000),
+            # An exponent past the limit: the same numbers written short.
+            ("delta", "1e-5000"),
+            ("payoffs", "1e5000"),
+            ("bias-number", "1e-5000"),
+            ("bias-string", "1e-5000"),
+        ],
+        ids=[
+            "payoffs", "bias-string", "bias-number",
+            "delta-exponent", "payoffs-exponent", "bias-number-exponent", "bias-string-exponent",
+        ],
+    )
+    def test_over_long_number_is_a_domain_error(self, runner, tmp_path, where, number):
         path = tmp_path / "model.json"
-        bias = f'"1/{digits}"' if where == "bias-string" else digits
+        bias = f'"{number}"' if where == "bias-string" else number
         path.write_text(f'{{"variables": [{{"name": "x", "bias": {bias}}}]}}')
         if where == "payoffs":
-            args = ["act", "--strategy", "rational", "--payoffs", f"{digits},0,1,0",
+            args = ["act", "--strategy", "rational", "--payoffs", f"{number},0,1,0",
                     "--model", "builtin:messenger", "--player", "0", "--state", "1,1,0,1,0"]
+        elif where == "delta":
+            args = ["pbelief", "--model", "builtin:messenger", "--delta", number,
+                    "--player", "0", "--state", "1,1,0,1,0"]
         else:
             args = ["ladder", "--model", str(path)]
         result = runner.invoke(cli, args)
@@ -481,6 +502,18 @@ class TestUsageAndErrors:
         assert message in result.output
         assert "p_star" not in result.output
 
+    SHARED_OPTIONS = ("--model", "--delta", "--event", "--player", "--state", "--human", "--out")
+
+    @pytest.mark.parametrize("option", SHARED_OPTIONS)
+    def test_shared_option_reads_the_same_in_every_help(self, option):
+        records = set()
+        for name, command in cli.commands.items():
+            ctx = click.Context(command, info_name=name, parent=click.Context(cli, info_name="epicoord"))
+            for param in command.params:
+                if option in param.opts:
+                    records.add(param.get_help_record(ctx))
+        assert len(records) == 1, records
+
     def test_csv_format_rejected_where_meaningless(self, runner):
         result = runner.invoke(
             cli,
@@ -524,10 +557,11 @@ class TestCompareAndSweep:
         from epicoord.experiments import SWEEP_STRATEGIES
 
         csv_path = write_csv(tmp_path)
-        result = runner.invoke(
-            cli, ["sweep", "--human", str(csv_path), "--grid", "1/10:2/10:9/10"]
-        )
+        args = ["sweep", "--human", str(csv_path), "--grid", "1/10:2/10:9/10"]
+        result = runner.invoke(cli, args)
         assert result.exit_code == 0
+        # The default table format prints the same CSV as --format csv.
+        assert runner.invoke(cli, ["--format", "csv", *args]).output == result.output
         lines = result.output.splitlines()
         assert lines[0] == "p_star,strategy,marginal_value"
         human = HumanData.from_csv(csv_path)

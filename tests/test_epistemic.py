@@ -42,14 +42,6 @@ def event_of(structure, states):
     return frozenset(structure.space.index_of(s) for s in states)
 
 
-def _partition_from_labels(labels):
-    block_ids = {label: block_id for block_id, label in enumerate(dict.fromkeys(labels))}
-    blocks = tuple(
-        frozenset(s for s, label in enumerate(labels) if label == wanted) for wanted in block_ids
-    )
-    return Partition(blocks, tuple(block_ids[label] for label in labels))
-
-
 def weakest_belief(structure, event, target, state):
     return min(
         conditional_belief(structure, player, members, state)
@@ -100,7 +92,7 @@ def peel_cases(draw):
         tuple(Fraction(w, sum(weights)) for w in weights),
     )
     structure = InformationStructure(
-        space, (_partition_from_labels(draw(labels)), _partition_from_labels(draw(labels)))
+        space, (Partition.from_labels(draw(labels)), Partition.from_labels(draw(labels)))
     )
     states = st.frozensets(st.integers(0, n - 1))
     target = draw(st.one_of(st.just(frozenset()), st.just(structure.universe()), states))
@@ -285,9 +277,9 @@ class TestBeliefKernel:
     @pytest.mark.parametrize(
         "partitions,message",
         [
-            ((_partition_from_labels([0, 0]),), "exactly two player partitions are required"),
+            ((Partition.from_labels([0, 0]),), "exactly two player partitions are required"),
             (
-                (_partition_from_labels([0, 1]), _partition_from_labels([0])),
+                (Partition.from_labels([0, 1]), Partition.from_labels([0])),
                 "partition for player 1 does not cover the state space",
             ),
         ],

@@ -208,16 +208,26 @@ class TestPartitions:
             blocks = {frozenset(space.states[i] for i in block) for block in partition.blocks}
             assert blocks == expected
 
-    def test_blocks_are_trace_equivalence_classes(self, messenger_spec):
-        space = enumerate_states(messenger_spec)
-        for player in (0, 1):
-            partition = build_information_partition(messenger_spec, space, player)
-            for i, j in itertools.combinations(range(len(space)), 2):
-                same_trace = run_observations(messenger_spec, player, space.states[i]) == (
-                    run_observations(messenger_spec, player, space.states[j])
-                )
-                same_block = partition.block_of[i] == partition.block_of[j]
-                assert same_trace == same_block
+    def test_blocks_are_trace_equivalence_classes(self, messenger_spec, loudspeaker_spec):
+        # A guarded rule listed first: its traces sort before the earlier states' traces.
+        guarded_first = WorldModelSpec(
+            (VariableSpec("x", Fraction(1, 2)), VariableSpec("y", Fraction(1, 2))),
+            (ObservationRule(("y",), 0, ("x",)), ObservationRule((), 0, ("y",))),
+        )
+        chain = email_chain(8, DELTA, Fraction(1, 10))
+        for spec in (messenger_spec, loudspeaker_spec, chain, guarded_first):
+            space = enumerate_states(spec)
+            for player in (0, 1):
+                partition = build_information_partition(spec, space, player)
+                for i, j in itertools.combinations(range(len(space)), 2):
+                    same_trace = run_observations(spec, player, space.states[i]) == (
+                        run_observations(spec, player, space.states[j])
+                    )
+                    same_block = partition.block_of[i] == partition.block_of[j]
+                    assert same_trace == same_block
+                # Blocks are numbered in the order their first states appear.
+                firsts = [min(block) for block in partition.blocks]
+                assert all(a < b for a, b in zip(firsts, firsts[1:]))
 
     def test_no_rules_collapse_to_single_block(self):
         spec = WorldModelSpec(
@@ -477,7 +487,13 @@ class TestEvents:
 class TestRationalHelpers:
     @pytest.mark.parametrize(
         "text,expected",
-        [("1/4", Fraction(1, 4)), ("0.25", Fraction(1, 4)), ("1.1", Fraction(11, 10)), ("3", Fraction(3))],
+        [
+            ("1/4", Fraction(1, 4)),
+            ("0.25", Fraction(1, 4)),
+            ("1.1", Fraction(11, 10)),
+            ("3", Fraction(3)),
+            ("1e-4300", Fraction(1, 10**4300)),
+        ],
     )
     def test_parse(self, text, expected):
         assert parse_rational(text) == expected
