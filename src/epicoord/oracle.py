@@ -1,10 +1,13 @@
 """Brute-force reference computations and seeded random-instance generation.
 
-Deliberately naive: answers are assembled straight from the definitions so the
-main engine can be checked against them exactly.  Two independent routes are
-provided — an exhaustive scan over all events (exponential, capped at 12
-states) and a candidate-level fixed-point search (polynomial, usable on larger
-spaces) — and they are required to agree with each other.
+Deliberately naive in what is computed: answers are assembled straight from
+the definitions so the main engine can be checked against them exactly.  Two
+independent routes are provided — an exhaustive scan over all events
+(exponential, capped at 12 states) and a candidate-level fixed-point search
+(polynomial, usable on larger spaces) — and they are required to agree with
+each other.  The exhaustive scan still computes every event's level from its
+definition; it only folds the minimum over each player's blocks one block at
+a time, so each event costs O(1) per player rather than O(blocks).
 """
 
 from __future__ import annotations
@@ -77,35 +80,57 @@ def _block_answers(
 
     Events are bitmasks and each event's weight is a subset sum.  level(E) is
     the least min(w(E & B), w(T & B)) / w(B) over the blocks B of either player
-    that meet E; each block keeps the largest min(level(E), w(E & B) / w(B)).
-    That minimum is level(E), since a block B that meets E has w(E & B) / w(B) >= level(E).
-    Fractions are (numerator, denominator) pairs compared by cross-multiplying.
+    that meet E, and a block's answer is the largest level(E) over the events E
+    that meet it (such a block believes E at least at level(E)).  All values
+    are integers over one scale K, the lcm of the block weights.  Per player:
+
+    - the blocks partition the space, so the block B holding E's lowest state
+      meets E and the player's other blocks meeting E are those meeting E & ~B;
+    - E & ~B < E, so L[E] = min(value_B(E & B), L[E & ~B]) reads a filled entry;
+    - E meets B exactly when E holds some state of B, so a block's answer is
+      the max over its states s of the largest level among the events holding s.
     """
     structure._check_inside(target, "target event")
     n = len(structure)
+    full = 1 << n
     weights = _integer_weights(structure)
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    sums = [0]
+    for weight in weights:
+        sums += [inside + weight for inside in sums]
     weighed = _weighed_blocks(structure, target, weights)
-    blocks = [(sum(1 << i for i in block), weight, on_target) for _, block, weight, on_target in weighed]
-    best = [(0, 1)] * len(blocks)
-    for event in range(1, 1 << n):
-        level, level_weight = 1, 1
-        met = []
-        for index, (mask, weight, on_target) in enumerate(blocks):
-            inside = sums[event & mask]
-            if inside:
-                part = min(inside, on_target)
-                if part * level_weight < level * weight:
-                    level, level_weight = part, weight
-                met.append(index)
-        for index in met:
-            kept, kept_weight = best[index]
-            if level * kept_weight > kept * level_weight:
-                best[index] = level, level_weight
-    return {(player, block): Fraction(*answer) for (player, block, _, _), answer in zip(weighed, best)}
+    scale = math.lcm(*(weight for _, _, weight, _ in weighed))
+    levels = []
+    for player in range(len(structure.partitions)):
+        block_at = [None] * n
+        for owner, block, weight, on_target in weighed:
+            if owner == player:
+                mask = sum(1 << i for i in block)
+                for state in block:
+                    block_at[state] = mask, on_target, scale // weight
+        level = [scale] * full
+        # The events whose lowest state is `state` sit at a stride of 2^(state+1);
+        # their E & ~B has a higher lowest state (or is empty), so it is filled first.
+        for state in reversed(range(n)):
+            mask, on_target, factor = block_at[state]
+            rest = ~mask
+            bit = 1 << state
+            level[bit::bit << 1] = [
+                value
+                if (value := min(sums[event & mask], on_target) * factor) < (kept := level[event & rest])
+                else kept
+                for event in range(bit, full, bit << 1)
+            ]
+        levels.append(level)
+    level = list(map(min, *levels))
+    # Fold the top state away one at a time: the top half of what is left is the
+    # events holding that state, and the max of the halves carries the rest down.
+    # level[0], the empty event, is K but lies in no top half.
+    best = [0] * n
+    for state in reversed(range(n)):
+        half = 1 << state
+        best[state] = max(level[half:])
+        level = list(map(max, level[:half], level[half:]))
+    return {(player, block): Fraction(max(best[s] for s in block), scale) for player, block, _, _ in weighed}
 
 
 def brute_force_common_p_belief(

@@ -399,8 +399,10 @@ def load_spec(path) -> WorldModelSpec:
     text = Path(path).read_text()
     try:
         document = json.loads(text, parse_float=parse_rational)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too long a number, or too deep a nesting
+    except (json.JSONDecodeError, RecursionError) as exc:  # malformed text, or too deep a nesting
         raise SpecError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # well-formed, but a number too long or with too large an exponent
+        raise SpecError(f"{path}: invalid number ({exc})") from exc
     return spec_from_json(document)
 
 

@@ -441,6 +441,16 @@ class TestUsageAndErrors:
         assert "4300 digits" in result.output
         assert len(result.output) < 500
 
+    @pytest.mark.parametrize("bias", ["1e-5000", "1" + "0" * 5000], ids=["exponent", "digits"])
+    def test_over_long_number_in_a_model_is_not_called_invalid_json(self, runner, tmp_path, bias):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"variables": [{{"name": "x", "bias": {bias}}}]}}')
+        result = runner.invoke(cli, ["ladder", "--model", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: {path}: invalid number (")
+        assert "4300 digits" in result.output
+
     def test_deeply_nested_model_is_a_domain_error(self, runner, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 2000 + "]" * 2000)

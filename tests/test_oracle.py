@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from epicoord import (
     InformationStructure,
@@ -13,12 +15,24 @@ from epicoord import (
     common_p_belief,
     evidence_level,
     fixedpoint_common_p_belief,
+    from_world_model,
     is_c_indicating,
     largest_p_evident_indicating_event,
     random_structure,
     super_p_evident,
+    x_event,
 )
-from epicoord.oracle import structure_to_json
+from epicoord.oracle import (
+    EXHAUSTIVE_STATE_LIMIT,
+    _block_answers,
+    _fixedpoint_answers,
+    _integer_weights,
+    _weighed_blocks,
+    structure_to_json,
+)
+
+from .conftest import email_chain
+from .test_worldmodel import observed_specs
 
 
 # Each query gets a set holding one index outside the space, as its target or event.
@@ -72,6 +86,94 @@ class TestBruteForce:
     def test_size_cap(self, messenger, messenger_target):
         with pytest.raises(ValueError, match="capped"):
             brute_force_common_p_belief(messenger, messenger_target, 0, 0)
+
+
+def reference_block_answers(structure, target):
+    """The exhaustive answer of every (player, block), visiting every block for every event.
+
+    The per-event, per-block loop that `_block_answers` replaced, kept as its
+    reference: O(2^n * blocks), with fractions as (numerator, denominator)
+    pairs compared by cross-multiplying.
+    """
+    structure._check_inside(target, "target event")
+    n = len(structure)
+    weights = _integer_weights(structure)
+    sums = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    weighed = _weighed_blocks(structure, target, weights)
+    blocks = [(sum(1 << i for i in block), weight, on_target) for _, block, weight, on_target in weighed]
+    best = [(0, 1)] * len(blocks)
+    for event in range(1, 1 << n):
+        level, level_weight = 1, 1
+        met = []
+        for index, (mask, weight, on_target) in enumerate(blocks):
+            inside = sums[event & mask]
+            if inside:
+                part = min(inside, on_target)
+                if part * level_weight < level * weight:
+                    level, level_weight = part, weight
+                met.append(index)
+        for index in met:
+            kept, kept_weight = best[index]
+            if level * kept_weight > kept * level_weight:
+                best[index] = level, level_weight
+    return {(player, block): Fraction(*answer) for (player, block, _, _), answer in zip(weighed, best)}
+
+
+def assert_table_matches_reference(structure, target):
+    """The drawn target, the empty one and the full space give the reference's table."""
+    for event in (target, frozenset(), structure.universe()):
+        assert _block_answers.__wrapped__(structure, event) == reference_block_answers(structure, event)
+
+
+class TestBlockAnswers:
+    @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
+    @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
+    def test_matches_the_per_block_loop(self, size, uniform):
+        for seed in range(40):
+            config = RandomStructureConfig(seed=seed, num_states=size, uniform_measure=uniform)
+            assert_table_matches_reference(*random_structure(config))
+
+    @given(observed_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_block_loop_on_world_models(self, spec):
+        structure = from_world_model(spec)
+        assume(len(structure) <= EXHAUSTIVE_STATE_LIMIT)
+        assert_table_matches_reference(structure, x_event(spec, structure.space))
+
+    @pytest.mark.parametrize("variables", range(1, 11))
+    def test_matches_the_per_block_loop_on_email_chains(self, variables):
+        for delta in (Fraction(1, 20), Fraction(1, 4), Fraction(2, 3)):
+            for loss in (Fraction(1, 10), Fraction(1, 2), Fraction(19, 20)):
+                spec = email_chain(variables, delta, loss)
+                structure = from_world_model(spec)
+                assert_table_matches_reference(structure, x_event(spec, structure.space))
+
+    def test_exact_where_the_common_scale_is_large(self):
+        # Distinct prime denominators make the block weights' lcm, the table's
+        # one integer scale, far wider than any single weight.
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        measures = [Fraction(1, 2 * p) for p in primes]
+        measures.append(1 - sum(measures))
+        space = StateSpace(tuple((i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(12)), measures)
+        structure = InformationStructure(
+            space,
+            (
+                Partition.from_labels((0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3)),
+                Partition.from_labels((0, 1, 2, 1, 3, 0, 2, 3, 3, 0, 2, 2)),
+            ),
+        )
+        weights = _integer_weights(structure)
+        target = frozenset({0, 2, 3, 5, 8, 9, 11})
+        scale = math.lcm(*(weight for _, _, weight, _ in _weighed_blocks(structure, target, weights)))
+        assert scale > 2**64 * max(weights)
+        for event in (target, frozenset(), structure.universe()):
+            table = _block_answers.__wrapped__(structure, event)
+            assert table == reference_block_answers(structure, event)
+            assert table == _fixedpoint_answers.__wrapped__(structure, event)
+        assert len(set(_block_answers.__wrapped__(structure, target).values())) > 2
 
 
 @pytest.mark.parametrize("route", [brute_force_common_p_belief, fixedpoint_common_p_belief])
