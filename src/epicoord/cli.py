@@ -221,7 +221,7 @@ def act(fmt, strategy, level, payoffs, level0, model, delta, player, state):
     elif strategy == "pair":
         result = strategies.pair_heuristic(structure, target, player, index)
     else:
-        result = strategies.cognitive_strategy(structure, target, params, player, index)
+        result = game.cognitive_strategy(structure, target, params, player, index)
     if isinstance(result, strategies.Action):
         payload, text = {"action": result.value}, result.value
     else:
@@ -335,13 +335,17 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     start, step, end = (parse_rational(part) for part in parts)
     if step <= 0:
         raise click.UsageError("grid step must be positive")
+    if start > end:
+        raise click.UsageError(f"--grid {text} holds no risk level: its start exceeds its end")
+    # Each value is checked as it is made, so a grid reaching outside (0, 1) is
+    # refused before the rest of it is built.
     grid = []
     value = start
     while value <= end:
+        if not 0 < value < 1:
+            raise ValueError("risk grid values must lie strictly in (0, 1)")
         grid.append(value)
         value += step
-    if not grid:
-        raise click.UsageError(f"--grid {text} holds no risk level: its start exceeds its end")
     return tuple(grid)
 
 

@@ -12,13 +12,12 @@ from functools import cached_property
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
+from .game import GameInstance, cognitive_strategy, matched_policy, payoff_of_a
 from .rational import parse_rational
 from .strategies import (
     Action,
     Level0Rule,
     PayoffParams,
-    _cognitive_utility,
-    cognitive_strategy,
     iterated_matching,
     iterated_maximization_prob,
     matched_p_belief_prob,
@@ -346,12 +345,12 @@ def human_agent_sweep(
 def _attack_bound(strategy: AgentStrategy, condition: KnowledgeCondition, payoffs: PayoffParams) -> Fraction:
     """The agent plays A at payoffs (1, 0, p*, 0) exactly when p* lies below this bound.
 
-    For the cognitive agent it is the expected payoff of A (A iff it beats c
-    strictly, so a tie stays safe); the other agents do not read the payoffs,
-    so it is 1 (A at every p* in (0, 1)) or 0 (never).
+    For the cognitive agent it is the expected payoff of A against the matched
+    companion (A iff it beats c strictly, so a tie stays safe); the other agents
+    do not read the payoffs, so it is 1 (A at every p* in (0, 1)) or 0 (never).
     """
     if strategy is AgentStrategy.COGNITIVE:
-        return _cognitive_utility(
-            condition.structure(), condition.target(), payoffs, condition.agent, condition.state_index()
-        )
+        structure, target = condition.structure(), condition.target()
+        game = GameInstance(structure, payoffs, target)
+        return payoff_of_a(game, condition.agent, condition.state_index(), matched_policy(structure, target))
     return Fraction(int(agent_action(strategy, condition, payoffs) is Action.A))

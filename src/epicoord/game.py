@@ -1,14 +1,16 @@
-"""Attack-game semantics: payoff evaluation, the noiseless-signal condition,
-and exhaustive verification that the threshold strategy is an equilibrium."""
+"""Attack-game semantics: one payoff-of-A sum per block, which expected utility,
+best response (the cognitive agent) and the equilibrium check all read, the
+noiseless-signal condition, and exhaustive verification of the threshold profile."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
-from .epistemic import Event, InformationStructure, from_world_model
+from .epistemic import CACHE_SIZE, Event, InformationStructure, from_world_model
 from .rational import parse_rational
-from .strategies import Action, PayoffParams, rational_p_belief_action, risk_threshold
+from .strategies import Action, PayoffParams, matched_p_belief_prob, rational_p_belief_action, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
 
 ZERO = Fraction(0)
@@ -75,22 +77,25 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
-def expected_utility(
-    game: GameInstance,
-    player: int,
-    state: int,
-    my_prob_a: Fraction,
-    companion: Policy,
-) -> Fraction:
-    """Expected payoff over the player's information set, against the
+def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> Fraction:
+    """Expected payoff of A over the player's information set, against the
     companion's policy at each state it contains.  Members are grouped by
-    (target bit, companion play), so `stage_payoff` runs once per group."""
+    (target bit, companion play), so `value_of_a` runs once per group."""
     return game.structure.expectation(
-        player,
-        state,
-        lambda group: stage_payoff(game.payoffs, group[0], my_prob_a, group[1]),
+        player, state, lambda group: game.payoffs.value_of_a(*group),
         key=lambda member: (member in game.target, companion.prob(1 - player, member)),
     )
+
+
+def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fraction, companion: Policy) -> Fraction:
+    """Expected payoff of playing A with probability `my_prob_a` against the
+    companion's policy: linear in the own mix, since B is worth c outright."""
+    return my_prob_a * payoff_of_a(game, player, state, companion) + (1 - my_prob_a) * game.payoffs.c
+
+
+def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
+    """Play A only on a strict gain over the safe payoff c; a tie plays B."""
+    return Action.A if payoff_of_a(game, player, state, companion) > game.payoffs.c else Action.B
 
 
 def noiseless_check(game: GameInstance) -> bool:
@@ -106,16 +111,34 @@ def noiseless_check(game: GameInstance) -> bool:
     return True
 
 
-def rational_policy(game: GameInstance) -> Policy:
-    """Both players following the common-belief threshold rule everywhere, decided per block."""
+def _per_block(structure: InformationStructure, decide) -> Policy:
+    """The policy playing `decide(player, state)`, decided once per block at its least state."""
     rows = []
-    for player, partition in enumerate(game.structure.partitions):
-        plays = [
-            rational_p_belief_action(game.structure, game.target, game.payoffs, player, min(block))
-            for block in partition.blocks
-        ]
-        rows.append(tuple(ONE if plays[b] is Action.A else ZERO for b in partition.block_of))
+    for player, partition in enumerate(structure.partitions):
+        plays = [decide(player, min(block)) for block in partition.blocks]
+        rows.append(tuple(plays[b] for b in partition.block_of))
     return Policy((rows[0], rows[1]))
+
+
+def rational_policy(game: GameInstance) -> Policy:
+    """Both players following the common-belief threshold rule everywhere."""
+    rule = partial(rational_p_belief_action, game.structure, game.target, game.payoffs)
+    return _per_block(game.structure, lambda player, state: ONE if rule(player, state) is Action.A else ZERO)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def matched_policy(structure: InformationStructure, target: Event) -> Policy:
+    """Both players probability-matching on perceived common belief in the target."""
+    return _per_block(structure, partial(matched_p_belief_prob, structure, target))
+
+
+def cognitive_strategy(
+    structure: InformationStructure, target: Event, payoffs: PayoffParams, player: int, state: int
+) -> Action:
+    """The "cognitive" agent: best respond to a companion assumed to
+    probability-match on perceived common belief, so a tie plays B."""
+    game = GameInstance(structure, payoffs, target)
+    return best_response(game, player, state, matched_policy(game.structure, game.target))
 
 
 @dataclass(frozen=True)
@@ -165,14 +188,11 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     """Every (player, state) where switching the own play against `policy` pays.
 
     B is worth c and utility is linear in the own mix, so switching from own
-    play p gains (1 - 2p) times the block's one gain of A over B."""
+    play p gains (1 - 2p) times the block's one gain of A over B: its payoff of A less c."""
     states = game.structure.space.states
     violations = []
     for player, partition in enumerate(game.structure.partitions):
-        gains = [
-            expected_utility(game, player, min(block), ONE, policy) - game.payoffs.c
-            for block in partition.blocks
-        ]
+        gains = [payoff_of_a(game, player, min(block), policy) - game.payoffs.c for block in partition.blocks]
         for state, block_id in enumerate(partition.block_of):
             own = policy.prob(player, state)
             gap = (1 - 2 * own) * gains[block_id]

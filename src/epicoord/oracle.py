@@ -139,8 +139,10 @@ def brute_force_common_p_belief(
     """Definitional answer by exhaustive scan over every nonempty event.
 
     An event E supports level p exactly when p <= level(E) and the player's
-    belief in E is >= p, so the answer is max over E of min(level(E),
-    belief(E)).  Exponential in the state count; capped at 12 states.
+    belief in E is >= p.  Every block meeting E believes E at least at
+    level(E), and a block missing E believes it at 0, so the answer is the
+    max of level(E) over the events E meeting the player's block (see
+    `_block_answers`).  Exponential in the state count; capped at 12 states.
     """
     block = structure.block(player, state)
     n = len(structure)

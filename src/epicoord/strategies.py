@@ -3,9 +3,10 @@
 Four models map a player's information at a state to play: an equilibrium
 threshold rule on graded common belief, a probability-matching relaxation of
 it, and two bounded-recursion (level-k) families.  Two certainty heuristics
-and an expected-utility "cognitive" agent round out the simulated-agent side.
-All outputs are exact rationals; action-valued strategies break ties toward
-the safe action B.
+are simulated agents; the third, the expected-utility "cognitive" agent, is a
+best response to a probability-matching companion and lives in `game`, with
+the payoff sum it reads.  All outputs are exact rationals; action-valued
+strategies break ties toward the safe action B.
 
 Both level-k families run on one routine, `_Levels`: it steps every block of
 both players level by level, as integer numerators over one denominator per
@@ -203,10 +204,10 @@ def iterated_maximization_prob(
 
     The utility of A multiplies the player's block-level belief in the target
     by the companion's expected play over the block, treating the two as
-    independent within the block.  `cognitive_strategy` and
-    `game.expected_utility` instead pair the companion's play with the target
-    state by state, so the two forms can disagree on a block where the
-    companion's play and the target are correlated.
+    independent within the block.  `game.payoff_of_a`, which the cognitive
+    agent and the equilibrium check read, instead pairs the companion's play
+    with the target state by state, so the two forms can disagree on a block
+    where the companion's play and the target are correlated.
     """
     return _level_value(structure, target, payoffs, level0, level, player, state)
 
@@ -269,41 +270,3 @@ def pair_heuristic(
         *(other for other in structure.partitions[1 - player].blocks if other <= target)
     )
     return Action.A if block <= companion_certain else Action.B
-
-
-def _cognitive_utility(
-    structure: InformationStructure,
-    target: Event,
-    payoffs: PayoffParams,
-    player: int,
-    state: int,
-) -> Fraction:
-    """The cognitive agent's expected payoff of A against a companion who
-    probability-matches on perceived common belief.  It reads a, b and d, never c."""
-    # The companion's matched play is one value per companion block.
-    block_of = structure.partitions[1 - player].block_of
-    partner: dict[int, Fraction] = {}
-    for member in structure.block(player, state):
-        if block_of[member] not in partner:
-            partner[block_of[member]] = matched_p_belief_prob(structure, target, 1 - player, member)
-    return structure.expectation(
-        player,
-        state,
-        lambda group: payoffs.value_of_a(*group),
-        key=lambda member: (member in target, partner[block_of[member]]),
-    )
-
-
-def cognitive_strategy(
-    structure: InformationStructure,
-    target: Event,
-    payoffs: PayoffParams,
-    player: int,
-    state: int,
-) -> Action:
-    """Maximize expected utility against a companion assumed to probability-match
-    on perceived common belief; play A only on a strict improvement over the
-    safe payoff."""
-    if _cognitive_utility(structure, target, payoffs, player, state) > payoffs.c:
-        return Action.A
-    return Action.B

@@ -24,7 +24,7 @@ from epicoord import (
     spec_to_json,
     x_event,
 )
-from epicoord.cli import cli
+from epicoord.cli import _parse_grid, cli
 from epicoord.rational import format_rational, parse_rational
 
 from .conftest import email_chain
@@ -511,6 +511,21 @@ class TestUsageAndErrors:
         assert result.exit_code == 2
         assert message in result.output
         assert "p_star" not in result.output
+
+    @pytest.mark.parametrize("grid", ["-1000000:1/10:1/2", "0:1e-9:1", "1/2:1/2:1", "9/10:1/20:1000000"])
+    def test_grid_outside_the_unit_interval_is_refused_as_it_is_built(self, grid):
+        """A start at or below 0 is refused before any point is made, and a
+        point at or above 1 as soon as it is made, so no grid is built whole."""
+        with pytest.raises(ValueError, match=r"^risk grid values must lie strictly in \(0, 1\)$"):
+            _parse_grid(grid)
+
+    def test_grid_end_past_one_is_kept_while_every_point_stays_below(self):
+        assert _parse_grid("1/20:1/3:1") == (Fraction(1, 20), Fraction(23, 60), Fraction(43, 60))
+
+    def test_grid_outside_the_unit_interval_exits_1(self, runner, tmp_path):
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "-1000000:1/10:1/2"])
+        assert result.exit_code == 1
+        assert result.output == "Error: risk grid values must lie strictly in (0, 1)\n"
 
     SHARED_OPTIONS = ("--model", "--delta", "--event", "--player", "--state", "--human", "--out")
 

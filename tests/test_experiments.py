@@ -19,20 +19,34 @@ from epicoord import (
     predict,
 )
 from epicoord.experiments import CONDITION_NAMES, PAYOFF_CONDITION_1, SWEEP_STRATEGIES, agent_action
-from epicoord.strategies import _cognitive_utility
+from epicoord.game import GameInstance, matched_policy, payoff_of_a
 
 from .conftest import DELTA, make_human
 
 # Agent-seat behavior at payoffs (1, 0, p*, 0), frozen from hand analysis and
 # cross-checked in test_strategies: the cognitive agent attacks iff p* is
-# strictly below its per-condition expected value of attacking, the private
-# heuristic attacks wherever it observed the good state, the pair heuristic
-# additionally requires certainty about the partner.
+# strictly below its per-condition expected value of attacking (here per δ),
+# the private heuristic attacks wherever it observed the good state, the pair
+# heuristic additionally requires certainty about the partner.
 COGNITIVE_THRESHOLDS = {
-    "private": Fraction(5, 64),
-    "secondary": Fraction(3, 8),
-    "tertiary": Fraction(1, 2),
-    "common": Fraction(1),
+    Fraction(1, 10): {
+        "private": Fraction(1, 50),
+        "secondary": Fraction(3, 10),
+        "tertiary": Fraction(1, 2),
+        "common": Fraction(1),
+    },
+    Fraction(1, 4): {
+        "private": Fraction(5, 64),
+        "secondary": Fraction(3, 8),
+        "tertiary": Fraction(1, 2),
+        "common": Fraction(1),
+    },
+    Fraction(3, 5): {
+        "private": Fraction(9, 25),
+        "secondary": Fraction(3, 5),
+        "tertiary": Fraction(3, 5),
+        "common": Fraction(1),
+    },
 }
 PRIVATE_PLAYS = ("secondary", "tertiary", "common")
 PAIR_PLAYS = ("tertiary", "common")
@@ -257,7 +271,7 @@ def expected_margin(strategy, human, p_star):
     elif strategy is AgentStrategy.PAIR:
         plays = PAIR_PLAYS
     else:
-        plays = tuple(n for n in CONDITION_NAMES if COGNITIVE_THRESHOLDS[n] > p_star)
+        plays = tuple(n for n in CONDITION_NAMES if COGNITIVE_THRESHOLDS[DELTA][n] > p_star)
     return sum((human.prob_a[name] - p_star for name in plays), Fraction(0))
 
 
@@ -324,11 +338,15 @@ class TestSweep:
         conditions = knowledge_conditions(delta)
         placeholder = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
         utilities = {
-            c.name: _cognitive_utility(c.structure(), c.target(), placeholder, c.agent, c.state_index())
+            c.name: payoff_of_a(
+                GameInstance(c.structure(), placeholder, c.target()),
+                c.agent,
+                c.state_index(),
+                matched_policy(c.structure(), c.target()),
+            )
             for c in conditions
         }
-        if delta == DELTA:
-            assert utilities == COGNITIVE_THRESHOLDS
+        assert utilities == COGNITIVE_THRESHOLDS[delta]
         step = Fraction(1, 10**6)
         grid = tuple(sorted({p for u in utilities.values() for p in (u - step, u, u + step) if 0 < p < 1}))
         strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
@@ -350,15 +368,15 @@ class TestSweep:
     def test_each_agent_is_decided_once_per_condition(self, monkeypatch, synthetic_human, length):
         decided = []
 
-        def counted_utility(structure, target, payoffs, player, state):
+        def counted_payoff(game, player, state, companion):
             decided.append(("cognitive", player, state))
-            return _cognitive_utility(structure, target, payoffs, player, state)
+            return payoff_of_a(game, player, state, companion)
 
         def counted_action(strategy, condition, payoffs):
             decided.append((strategy.value, condition.name))
             return agent_action(strategy, condition, payoffs)
 
-        monkeypatch.setattr(experiments, "_cognitive_utility", counted_utility)
+        monkeypatch.setattr(experiments, "payoff_of_a", counted_payoff)
         monkeypatch.setattr(experiments, "agent_action", counted_action)
         conditions = knowledge_conditions(DELTA)
         grid = tuple(Fraction(k, length + 1) for k in range(1, length + 1))

@@ -12,6 +12,7 @@ from epicoord import (
     Policy,
     RandomStructureConfig,
     StateSpace,
+    best_response,
     builtin_loudspeaker,
     builtin_messenger,
     expected_utility,
@@ -183,6 +184,31 @@ class TestExpectedUtility:
         assert stage_payoff(p, False, Fraction(1), Fraction(1)) == p.d
         assert stage_payoff(p, True, Fraction(1), Fraction(0)) == p.b
         assert stage_payoff(p, True, Fraction(0), Fraction(1)) == p.c
+
+
+class TestBestResponse:
+    def test_against_an_always_a_companion(self):
+        """Against all-A, A is worth belief·a + (1 − belief)·d over the block:
+        the player plays A iff that beats c, and B at an exact tie."""
+        game = messenger_game()
+        structure = game.structure
+        always_a = Policy.constant(len(structure), Fraction(1))
+        seen, ties = set(), 0
+        for player in (0, 1):
+            for state in range(len(structure)):
+                belief = structure.conditional_belief(player, game.target, state)
+                worth = belief * game.payoffs.a + (1 - belief) * game.payoffs.d
+                expected = Action.A if worth > game.payoffs.c else Action.B
+                assert best_response(game, player, state, always_a) is expected, (player, state)
+                seen.add(expected)
+                if 0 < belief < 1:
+                    # At payoffs (1, 0, c, 0) A is worth the belief itself.
+                    for c, action in ((belief, Action.B), (belief / 2, Action.A)):
+                        shifted = GameInstance(structure, PayoffParams(1, 0, c, 0), game.target)
+                        assert best_response(shifted, player, state, always_a) is action, (player, state, c)
+                    ties += 1
+        assert seen == {Action.A, Action.B}
+        assert ties > 0
 
 
 class TestNoiselessCheck:
