@@ -19,9 +19,13 @@ A belief depends on the state only through the information set, so the
 shrinking works on blocks: each block of either player keeps its total,
 target and surviving weights as integers, a block at or below the level
 loses all its survivors, and a removal re-checks only the other player's
-block holding that state.  One ladder removes each state once, so it costs
-O(n) integer updates plus one scan of the live blocks per rung, and makes no
-per-state belief evaluation.  `min_belief` stays the per-state definition.
+block holding that state.  Each rung makes one scan of the live blocks,
+which finds the level and the blocks attaining it, and the rung's peel
+starts from those blocks.  One ladder removes each state once, so it costs
+O(n) integer updates plus that one scan per rung, and makes no per-state
+belief evaluation.  The ladder also stores each block's deepest rung, so a
+`common_p_belief` query is a table lookup.  `min_belief` stays the per-state
+definition.
 """
 
 from __future__ import annotations
@@ -105,14 +109,17 @@ class InformationStructure:
         if not self.universe().issuperset(states):
             raise ValueError(f"{what} references state indices outside the space")
 
-    def block(self, player: int, state: int) -> frozenset[int]:
-        """The information set of `player` containing state index `state`."""
+    def _block_index(self, player: int, state: int) -> int:
+        """The position, in `player`'s partition, of the information set containing state index `state`."""
         if player not in (0, 1):
             raise IndexError(f"player must be 0 or 1, got {player}")
         if not 0 <= state < len(self.space.states):
             raise IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
-        partition = self.partitions[player]
-        return partition.blocks[partition.block_of[state]]
+        return self.partitions[player].block_of[state]
+
+    def block(self, player: int, state: int) -> frozenset[int]:
+        """The information set of `player` containing state index `state`."""
+        return self.partitions[player].blocks[self._block_index(player, state)]
 
     def measure_of(self, event: Event) -> Fraction:
         self._check_inside(event, "event")
@@ -176,7 +183,8 @@ class _Peel:
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
         structure._check_inside(event, "event")
         structure._check_inside(target, "target event")
-        weights = self.weights = structure._weights
+        self.weights = structure._weights
+        weight_of = structure._weight
         self.alive = bytearray(len(structure))
         for state in event:
             self.alive[state] = 1
@@ -188,28 +196,43 @@ class _Peel:
         first, second = structure.partitions
         for partition, other, offset in ((first, second, len(first.blocks)), (second, first, 0)):
             for block in partition.blocks:
-                self.total.append(sum(weights[s] for s in block))
-                self.on_target.append(sum(weights[s] for s in block if s in target))
-                self.surviving.append(sum(weights[s] for s in block if self.alive[s]))
+                self.total.append(weight_of(block))
+                self.on_target.append(weight_of(block.intersection(target)))
+                self.surviving.append(weight_of(block.intersection(event)))
                 self.members.append(tuple((s, offset + other.block_of[s]) for s in block))
         self.live = [b for b, weight in enumerate(self.surviving) if weight]
 
-    def level(self) -> Fraction:
-        """The survivors' evidence level: the least block belief over blocks that still hold one."""
-        self.live = [b for b in self.live if self.surviving[b]]
-        low, total = 1, 1
-        for b in self.live:
-            held = min(self.surviving[b], self.on_target[b])
-            if held * total < low * self.total[b]:
-                low, total = held, self.total[b]
-        return Fraction(low, total)
+    def level(self) -> tuple[Fraction, list[int]]:
+        """The survivors' evidence level, and the live blocks whose belief equals it.
 
-    def peel(self, level: Fraction) -> list[int]:
+        Drops the blocks left with no survivor, then makes one scan of the
+        rest: the level is their least block belief, and the blocks attaining
+        it, ties included, are exactly the ones a peel at that level starts from.
+        """
+        surviving, on_target, total = self.surviving, self.on_target, self.total
+        self.live = live = [b for b in self.live if surviving[b]]
+        low, low_total, lowest = 1, 1, []
+        for b in live:
+            held = surviving[b]
+            if on_target[b] < held:
+                held = on_target[b]
+            # held / total[b] against low / low_total, cross-multiplied.
+            this, least = held * low_total, low * total[b]
+            if this < least:
+                low, low_total, lowest = held, total[b], [b]
+            elif this == least:
+                lowest.append(b)
+        return Fraction(low, low_total), lowest
+
+    def peel(self, level: Fraction, failing: list[int] | None = None) -> list[int]:
         """Remove every survivor until each live block's belief is strictly above `level`.
 
         A block at or below the level loses all its survivors; each removal
         lowers the surviving weight of the other player's block that holds the
-        state, and only that block is checked again.  Returns the removed states.
+        state, and only that block is checked again.  The peel starts from
+        `failing`, the live blocks at or below the level, when the caller has
+        them from `level()`, and otherwise scans the live blocks once to find
+        them.  Returns the removed states.
         """
         numerator, denominator = level.numerator, level.denominator
         total, on_target, surviving = self.total, self.on_target, self.surviving
@@ -219,7 +242,7 @@ class _Peel:
             return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
 
         removed: list[int] = []
-        work = [b for b in self.live if surviving[b] and fails(b)]
+        work = [b for b in self.live if surviving[b] and fails(b)] if failing is None else failing
         while work:
             b = work.pop()
             for state, other in self.members[b]:
@@ -242,7 +265,7 @@ def evidence_level(structure: InformationStructure, event: Event, target: Event)
     """
     if not event:
         raise ValueError("the empty event has no evidence level")
-    return _Peel(structure, event, target).level()
+    return _Peel(structure, event, target).level()[0]
 
 
 def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
@@ -269,11 +292,14 @@ class EvidentLadder:
     Stored as `depth[s]`, the index of the deepest rung containing state `s`,
     and one level per rung: rung k is the states of depth >= k.  Rung 0 is the
     full space; each later rung is a strict subset of its predecessor with a
-    strictly larger evidence level.
+    strictly larger evidence level.  `block_depth[player][b]` is the deepest
+    rung meeting block b of `player`'s partition, in block order: the largest
+    depth among the block's members.
     """
 
     depth: tuple[int, ...]
     levels: tuple[Fraction, ...]
+    block_depth: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -293,22 +319,29 @@ class EvidentLadder:
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """Walk the full nested sequence of maximally evident target-indicating events.
 
-    One peel runs from the full space to empty: each rung's level is the
-    survivors' evidence level, and the states peeled at that level are the
-    ones whose deepest rung it is, so each state is removed once.
+    One peel runs from the full space to empty.  Each rung makes one scan of
+    the live blocks: it finds the survivors' evidence level together with the
+    blocks attaining it, which are exactly the blocks failing at that level,
+    and peels from them.  The states peeled at a rung are the ones whose
+    deepest rung it is, so each state is removed once.  Each block's deepest
+    rung is then stored with the ladder, so a query is a table lookup.
     """
     depth = [0] * len(structure)
     levels: list[Fraction] = []
     peel = _Peel(structure, structure.universe(), target)
     remaining = len(structure)
     while remaining:
-        level = peel.level()
-        removed = peel.peel(level)
+        level, lowest = peel.level()
+        removed = peel.peel(level, lowest)
         for state in removed:
             depth[state] = len(levels)
         levels.append(level)
         remaining -= len(removed)
-    return EvidentLadder(tuple(depth), tuple(levels))
+    block_depth = tuple(
+        tuple(max(map(depth.__getitem__, block)) for block in partition.blocks)
+        for partition in structure.partitions
+    )
+    return EvidentLadder(tuple(depth), tuple(levels), block_depth)
 
 
 def common_p_belief(structure: InformationStructure, target: Event, player: int, state: int) -> Fraction:
@@ -317,10 +350,13 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     Equals the evidence level of the deepest ladder rung that intersects the
     player's information set; since all states carry positive measure, a
     nonempty intersection is exactly positive belief.  Depends on `state`
-    only through the player's block.
+    only through the player's block, so it is read from the ladder's
+    per-block table: `levels[block_depth[player][block]]`.
     """
     ladder = evident_ladder(structure, target)
-    return ladder.levels[max(ladder.depth[member] for member in structure.block(player, state))]
+    # Checked before the table is read: a negative player would index the other player's row.
+    block = structure._block_index(player, state)
+    return ladder.levels[ladder.block_depth[player][block]]
 
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:

@@ -48,8 +48,9 @@ class Policy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prob_a", tuple(tuple(map(parse_rational, row)) for row in self.prob_a))
+        # A Fraction's denominator is positive, so p lies in [0, 1] exactly when 0 <= numerator <= denominator.
         for row in self.prob_a:
-            if any(not 0 <= p <= 1 for p in row):
+            if any(not 0 <= p.numerator <= p.denominator for p in row):
                 raise ValueError("action probabilities must lie in [0, 1]")
 
     def prob(self, player: int, state: int) -> Fraction:

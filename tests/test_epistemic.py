@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,17 @@ def definitional_rungs(structure, target):
         rungs.append(LadderRung(event, level))
         event = literal_super_p_evident(structure, event, target, level)
     return tuple(rungs)
+
+
+def assert_block_table_matches_states(structure, target):
+    """The ladder's per-block rung is the per-state definition: the block's deepest member depth."""
+    ladder = evident_ladder(structure, target)
+    for player, partition in enumerate(structure.partitions):
+        for b, block in enumerate(partition.blocks):
+            deepest = max(ladder.depth[member] for member in block)
+            assert ladder.block_depth[player][b] == deepest
+            for state in block:
+                assert common_p_belief(structure, target, player, state) == ladder.levels[deepest]
 
 
 @st.composite
@@ -191,6 +203,20 @@ class TestCommonPBelief:
     def test_index_out_of_range(self, loudspeaker, loudspeaker_target):
         with pytest.raises(IndexError):
             common_p_belief(loudspeaker, loudspeaker_target, 0, -1)
+
+    @pytest.mark.parametrize(
+        "player,state,message",
+        [
+            (2, 0, "player must be 0 or 1, got 2"),
+            (-1, 0, "player must be 0 or 1, got -1"),
+            (0, 4, "state index 4 out of range 0..3"),
+            (1, -1, "state index -1 out of range 0..3"),
+        ],
+    )
+    def test_bad_index_refused_before_the_table_is_read(self, loudspeaker, loudspeaker_target, player, state, message):
+        # A negative index would otherwise read another player's or block's entry of the per-block table.
+        with pytest.raises(IndexError, match=re.escape(message)):
+            common_p_belief(loudspeaker, loudspeaker_target, player, state)
 
 
 class TestEvidentLadder:
@@ -318,6 +344,12 @@ class TestBeliefKernel:
             assert evidence_level(structure, event, target) == min(
                 weakest_belief(structure, event, target, state) for state in event
             )
+        assert_block_table_matches_states(structure, target)
+
+    @pytest.mark.parametrize("n", [64, 128, 192])
+    def test_block_table_matches_states_at_large_sizes(self, n):
+        for seed in range(3):
+            assert_block_table_matches_states(*random_structure(RandomStructureConfig(seed=seed, num_states=n)))
 
     @pytest.mark.parametrize("seed,n", [(0, 16), (1, 24), (2, 32), (3, 40)])
     def test_common_p_belief_matches_fixedpoint_beyond_exhaustive_cap(self, seed, n):

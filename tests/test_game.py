@@ -283,6 +283,15 @@ class TestPolicy:
         with pytest.raises(ValueError):
             Policy(((Fraction(2),), (Fraction(0),)))
 
+    @pytest.mark.parametrize("entry", [Fraction(-1, 2), Fraction(3, 2), "1.5"])
+    def test_entry_outside_unit_interval_refused(self, entry):
+        with pytest.raises(ValueError, match=r"action probabilities must lie in \[0, 1\]"):
+            Policy(((entry,), (Fraction(0),)))
+
+    @pytest.mark.parametrize("entry,value", [(0, Fraction(0)), (1, Fraction(1)), ("1/3", Fraction(1, 3))])
+    def test_entry_inside_unit_interval_accepted(self, entry, value):
+        assert Policy(((entry,), (entry,))).prob_a == ((value,), (value,))
+
     def test_rational_policy_is_partition_measurable(self):
         game = messenger_game()
         assert is_partition_measurable(game.structure, rational_policy(game))
