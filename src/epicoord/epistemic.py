@@ -1,10 +1,10 @@
 """Exact conditional belief and graded common belief over finite information structures.
 
 `InformationStructure` owns all belief arithmetic: on first use it scales the
-measures to integer weights over their common denominator, so a belief or a
-block expectation is a ratio of integer sums over one information set.  It
-also keeps, for each block, the integer weight of its overlap with each
-companion block it meets, which the level-k strategies step through.
+measures to integer weights over their common denominator, so a belief is a
+ratio of integer sums over one information set.  It also keeps, for each
+block, the integer weight of its overlap with each companion block it meets,
+which the level-k strategies step through.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -130,17 +130,6 @@ class InformationStructure:
         """The probability `player` assigns to `event` at `state`: mu(E | block)."""
         block = self.block(player, state)
         return Fraction(self._weight(event & block), self._weight(block))
-
-    def expectation(self, player: int, state: int, value: Callable, key: Callable | None = None) -> Fraction:
-        """The exact mean of `value(member)` over `player`'s information set at `state`.
-
-        With `key`, the members are first grouped by `key(member)` into integer
-        weights and `value` is called once per group, on its key.
-        """
-        block = self.block(player, state)
-        groups = self._weigh(block, key or (lambda member: member))
-        total = sum((weight * value(group) for group, weight in groups.items()), Fraction(0))
-        return total / self._weight(block)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -1,9 +1,16 @@
 """Attack-game semantics: one payoff-of-A sum per block, which expected utility,
 best response (the cognitive agent) and the equilibrium check all read, the
-noiseless-signal condition, and exhaustive verification of the threshold profile."""
+noiseless-signal condition, and exhaustive verification of the threshold profile.
+
+The payoff of A over a block is two integer sums, the companion's A-weight on
+and off the target, over the structure's integer state weights and the
+payoffs' one integer scale (`PayoffParams._integers`): best response and the
+deviation check compare integers, and a `Fraction` is built only for a value
+that is returned."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -78,14 +85,40 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
+def _scaled_payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> tuple[int, int]:
+    """(N, T), T > 0, with the payoff of A over the player's information set
+    equal to N / (T * den), den the payoffs' common denominator: N and T are
+    `payoff_of_a`'s sums on one integer scale, T = W_B * L."""
+    structure, target = game.structure, game.target
+    weights, block = structure._weights, structure.block(player, state)
+    plays = companion.prob_a[1 - player]
+    scale = math.lcm(*(plays[member].denominator for member in block))
+    on = off = 0
+    for member in block:
+        play = plays[member]
+        share = weights[member] * play.numerator * (scale // play.denominator)
+        if member in target:
+            on += share
+        else:
+            off += share
+    a, b, _, d, _ = game.payoffs._integers
+    total = structure._weight(block) * scale
+    return b * total + (a - b) * on + (d - b) * off, total
+
+
 def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> Fraction:
-    """Expected payoff of A over the player's information set, against the
-    companion's policy at each state it contains.  Members are grouped by
-    (target bit, companion play), so `value_of_a` runs once per group."""
-    return game.structure.expectation(
-        player, state, lambda group: game.payoffs.value_of_a(*group),
-        key=lambda member: (member in game.target, companion.prob(1 - player, member)),
-    )
+    """Expected payoff of A over the player's information set B, against the
+    companion's policy at each state it contains.
+
+    It is b + [(a - b) * on + (d - b) * off] / W_B, where on and off are the
+    companion's A-weight on and off the target over B and W_B is the block's
+    weight.  Both sums are integers over the structure's state weights, on one
+    denominator L, the lcm of the companion's play denominators in B, and a,
+    b and d are on the payoffs' integer scale, so one `Fraction` is built at
+    the end.  Play may differ state by state: the policy need not be measurable.
+    """
+    numerator, total = _scaled_payoff_of_a(game, player, state, companion)
+    return Fraction(numerator, total * game.payoffs._integers[4])
 
 
 def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fraction, companion: Policy) -> Fraction:
@@ -96,7 +129,8 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
 
 def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
     """Play A only on a strict gain over the safe payoff c; a tie plays B."""
-    return Action.A if payoff_of_a(game, player, state, companion) > game.payoffs.c else Action.B
+    numerator, total = _scaled_payoff_of_a(game, player, state, companion)
+    return Action.A if numerator > game.payoffs._integers[2] * total else Action.B
 
 
 def noiseless_check(game: GameInstance) -> bool:
@@ -189,15 +223,22 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     """Every (player, state) where switching the own play against `policy` pays.
 
     B is worth c and utility is linear in the own mix, so switching from own
-    play p gains (1 - 2p) times the block's one gain of A over B: its payoff of A less c."""
+    play p gains (1 - 2p) times the block's one gain of A over B: its payoff of
+    A less c.  A state is decided by the two signs, the gain's and that of
+    1 - 2p; the gap is built as a `Fraction` only for an actual violation."""
     states = game.structure.space.states
+    _, _, c, _, denominator = game.payoffs._integers
     violations = []
     for player, partition in enumerate(game.structure.partitions):
-        gains = [payoff_of_a(game, player, min(block), policy) - game.payoffs.c for block in partition.blocks]
+        gains = []
+        for block in partition.blocks:
+            numerator, total = _scaled_payoff_of_a(game, player, min(block), policy)
+            gains.append((numerator - c * total, total * denominator))
         for state, block_id in enumerate(partition.block_of):
             own = policy.prob(player, state)
-            gap = (1 - 2 * own) * gains[block_id]
-            if gap > 0:
+            gain, scale = gains[block_id]
+            if gain * (own.denominator - 2 * own.numerator) > 0:
                 chosen = Action.A if own == ONE else Action.B
+                gap = (1 - 2 * own) * Fraction(gain, scale)
                 violations.append(Violation(player, state, states[state], chosen, gap))
     return tuple(violations)

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .epistemic import CACHE_SIZE, Event, InformationStructure, common_p_belief
 from .rational import parse_rational
@@ -66,6 +66,24 @@ class PayoffParams:
                 f"a={self.a}, b={self.b}, c={self.c}, d={self.d}"
             )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # every read of a level-k value hashes the payoffs in its cache key
+        return hash((self.a, self.b, self.c, self.d))
+
+    @cached_property
+    def _integers(self) -> tuple[int, int, int, int, int]:
+        """a, b, c and d times their least common denominator, followed by that denominator.
+
+        Every comparison of payoffs (and every payoff of A over its own
+        denominator) reads these, so the per-block arithmetic stays on integers.
+        """
+        payoffs = (self.a, self.b, self.c, self.d)
+        denominator = math.lcm(*(p.denominator for p in payoffs))
+        return (*(p.numerator * (denominator // p.denominator) for p in payoffs), denominator)
+
     @classmethod
     def parse(cls, text: str) -> "PayoffParams":
         """Parse a comma-separated ``a,b,c,d`` list of rationals or decimals."""
@@ -94,10 +112,10 @@ def rational_p_belief_action(
     state: int,
 ) -> Action:
     """Play A iff perceived maximal common belief in the target strictly
-    exceeds the risk threshold; ties go to the safe action."""
-    if common_p_belief(structure, target, player, state) > risk_threshold(payoffs):
-        return Action.A
-    return Action.B
+    exceeds the risk threshold (c - b) / (a - b); ties go to the safe action."""
+    a, b, c, _, _ = payoffs._integers
+    belief = common_p_belief(structure, target, player, state)
+    return Action.A if belief.numerator * (a - b) > (c - b) * belief.denominator else Action.B
 
 
 def matched_p_belief_prob(
@@ -120,10 +138,13 @@ class _Levels:
     - matching (no payoffs): N_{k+1}[B] = t_B * (L / W_B^2) * S_B and
       D_{k+1} = D_k * L, where L is the lcm of every W_B^2, so no level is
       ever reduced;
-    - maximization: the payoff of A is partner * g_B + b, with
-      g_B = value_of_a(t_B / W_B, 1) - b, so A beats c exactly when
-      S_B * g_B / (c - b) > W_B * D_k, one integer comparison, and
-      N_{k+1}[B] is 0 or 1 over D_{k+1} = 1.
+    - maximization: with a, b, c and d on the payoffs' one integer scale
+      (`PayoffParams._integers`), the payoff of A less b is the partner's
+      play times (t_B(a - d) + W_B(d - b)) / W_B, so A beats c exactly when
+      S_B * (t_B(a - d) + W_B(d - b)) > (c - b) * W_B^2 * D_k, one integer
+      comparison, and N_{k+1}[B] is 0 or 1 over D_{k+1} = 1.  The primary
+      level 0 plays A when the target belief beats the risk threshold,
+      t_B(a - b) > W_B(c - b).
 
     A Fraction is built only when a value is read.  Only level 0 and the
     levels already read are kept; a read starts from the deepest kept level
@@ -143,14 +164,10 @@ class _Levels:
             self.scale = [[t * (self.lcm // (w * w)) for t, w in own] for own in blocks]
             primary = [[t * (self.lcm // w) for t, w in own] for own in blocks], self.lcm
         else:
-            margin = payoffs.c - payoffs.b
-            ratios = [
-                [(payoffs.value_of_a(Fraction(t, w), 1) - payoffs.b) / margin for t, w in own] for own in blocks
-            ]
-            self.scale = [[r.numerator for r in own] for own in ratios]
-            self.bar = [[r.denominator * w for r, (_, w) in zip(*row)] for row in zip(ratios, blocks)]
-            threshold = risk_threshold(payoffs)
-            primary = [[int(Fraction(t, w) > threshold) for t, w in own] for own in blocks], 1
+            a, b, c, d, _ = payoffs._integers
+            self.scale = [[t * (a - d) + w * (d - b) for t, w in own] for own in blocks]
+            self.bar = [[(c - b) * w * w for _, w in own] for own in blocks]
+            primary = [[int(t * (a - b) > w * (c - b)) for t, w in own] for own in blocks], 1
         ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
         self.kept = {0: primary if ground is None else ([[1] * len(own) for own in blocks], ground)}
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,14 +18,16 @@ from epicoord import (
     builtin_messenger,
     expected_utility,
     is_partition_measurable,
+    matched_policy,
     noiseless_check,
+    payoff_of_a,
     random_structure,
     rational_policy,
     stage_payoff,
     verify_equilibrium,
 )
 from epicoord.experiments import PAYOFF_CONDITION_1
-from epicoord.game import _violations
+from epicoord.game import Violation, _violations
 
 from .conftest import DELTA, email_chain
 
@@ -159,6 +162,33 @@ class TestExpectedUtility:
                     expected = total / sum(measures[m] for m in block)
                     assert expected_utility(game, player, state, mine, companion) == expected
 
+    @pytest.mark.parametrize(
+        "payoffs",
+        [
+            PayoffParams(Fraction(5, 3), Fraction(1, 7), Fraction(4, 3), Fraction(2, 7)),
+            PayoffParams(Fraction(10, 7), Fraction(-1, 3), Fraction(1), Fraction(6, 7)),
+        ],
+    )
+    def test_equals_the_literal_sum_against_matched_companions(self, payoffs):
+        """Matched play is common p-belief, whose levels differ in denominator
+        across a block, so the block's common denominator grows large."""
+        scales = set()
+        for seed in range(40):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=1 + seed % 12))
+            game = GameInstance(structure, payoffs, target)
+            companion = matched_policy(structure, target)
+            measures = structure.space.measures
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    block = structure.block(player, state)
+                    total = sum(
+                        measures[m] * payoffs.value_of_a(m in target, companion.prob(1 - player, m)) for m in block
+                    )
+                    expected = total / sum(measures[m] for m in block)
+                    assert payoff_of_a(game, player, state, companion) == expected, (seed, player, state)
+                    scales.add(math.lcm(*(companion.prob(1 - player, m).denominator for m in block)))
+        assert max(scales) > 10_000
+
     def test_value_of_a_matrix_corners(self):
         p = PAYOFF_CONDITION_1
         assert p.value_of_a(1, 1) == p.a
@@ -276,6 +306,32 @@ class TestDeviationGaps:
             assert actual == expected, (seed, kind)
             with_violations += bool(expected)
         assert with_violations >= 100
+
+
+    def two_state_game(self, c):
+        """Two equally likely states, the first on the target; player 0 sees nothing
+        and player 1 sees the state.  At payoffs (1, 0, c, 0) against an all-A
+        player 1, player 0's payoff of A is its target belief, 1/2."""
+        space = StateSpace(((0,), (1,)), (Fraction(1, 2), Fraction(1, 2)))
+        structure = InformationStructure(space, (Partition.from_labels([0, 0]), Partition.from_labels([0, 1])))
+        return GameInstance(structure, PayoffParams(1, 0, c, 0), frozenset({0}))
+
+    @pytest.mark.parametrize("own", [Fraction(0), Fraction(1), Fraction(1, 2)])
+    def test_zero_gain_is_no_violation(self, own):
+        game = self.two_state_game(Fraction(1, 2))
+        policy = Policy(((own, own), (Fraction(1), Fraction(1))))
+        assert payoff_of_a(game, 0, 0, policy) == game.payoffs.c
+        assert [v for v in _violations(game, policy) if v.player == 0] == []
+        assert _violations(game, policy) == tuple(Violation(*v) for v in reference_violations(game, policy))
+
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(2, 3)])
+    def test_own_play_of_one_half_is_no_violation(self, c):
+        game = self.two_state_game(c)
+        half = Fraction(1, 2)
+        policy = Policy(((half, half), (Fraction(1), Fraction(1))))
+        assert payoff_of_a(game, 0, 0, policy) != c
+        assert [v for v in _violations(game, policy) if v.player == 0] == []
+        assert _violations(game, policy) == tuple(Violation(*v) for v in reference_violations(game, policy))
 
 
 class TestPolicy:

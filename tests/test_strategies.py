@@ -5,9 +5,12 @@ import pytest
 from epicoord import strategies
 from epicoord import (
     Action,
+    InformationStructure,
     Level0Rule,
+    Partition,
     PayoffParams,
     RandomStructureConfig,
+    StateSpace,
     cognitive_strategy,
     conditional_belief,
     iterated_matching,
@@ -245,6 +248,50 @@ class TestIteratedMaximization:
     def test_negative_level_rejected(self, loudspeaker, loudspeaker_target):
         with pytest.raises(ValueError):
             iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, -1, 0, 0)
+
+
+def one_block_structure(num_states: int, on_target: int):
+    """Uniform states; player 0 sees nothing, player 1 sees the state.  The
+    target is the first `on_target` states, so player 0's target belief (and
+    common p-belief) is on_target / num_states."""
+    space = StateSpace(tuple((i,) for i in range(num_states)), (Fraction(1, num_states),) * num_states)
+    partitions = Partition.from_labels([0] * num_states), Partition.from_labels(range(num_states))
+    return InformationStructure(space, partitions), frozenset(range(on_target))
+
+
+class TestIntegerTieRules:
+    """Payoffs with different denominators, at beliefs that tie exactly: a tie plays B."""
+
+    @pytest.mark.parametrize("payoffs,num_states,tie", [("1.1,0,1,0.4", 11, 10), ("2,1/3,1,0", 5, 2)])
+    def test_level0_belief_at_the_risk_threshold_plays_b(self, payoffs, num_states, tie):
+        payoffs = PayoffParams.parse(payoffs)
+        assert risk_threshold(payoffs) == Fraction(tie, num_states)
+        for on_target, expected in ((tie, Action.B), (tie + 1, Action.A)):
+            structure, target = one_block_structure(num_states, on_target)
+            assert iterated_maximization(structure, target, payoffs, 0, 0, 0) is expected, on_target
+            assert rational_p_belief_action(structure, target, payoffs, 0, 0) is expected, on_target
+
+    @pytest.mark.parametrize(
+        "payoffs,level0,level,num_states,tie",
+        [
+            # Against all-A, A is worth 0.4 + 0.7 * belief: exactly c = 1 at belief 6/7.
+            ("1.1,0,1,0.4", Level0Rule.ALWAYS_A, 1, 7, 6),
+            # Against the uniform mix, A is worth (8 * belief + 1) / 6: exactly c = 1 at belief 5/8.
+            ("3,0,1,1/3", Level0Rule.UNIFORM, 1, 8, 5),
+            # Player 1 attacks exactly on the target (at level 0 by its belief, at level 1
+            # against all-A), so player 0's A is worth 1.1 * belief one level up.
+            ("1.1,0,1,0.4", Level0Rule.PRIMARY, 1, 11, 10),
+            ("1.1,0,1,0.4", Level0Rule.ALWAYS_A, 2, 11, 10),
+        ],
+    )
+    def test_companion_play_making_a_worth_c_plays_b(self, payoffs, level0, level, num_states, tie):
+        payoffs = PayoffParams.parse(payoffs)
+        for on_target, expected in ((tie, Action.B), (tie + 1, Action.A)):
+            structure, target = one_block_structure(num_states, on_target)
+            action = iterated_maximization(structure, target, payoffs, level, 0, 0, level0)
+            assert action is expected, on_target
+            naive = naive_maximization(structure, target, payoffs, level, 0, 0, level0)
+            assert naive == (1 if expected is Action.A else 0)
 
 
 class TestIteratedMatching:
