@@ -411,10 +411,3 @@ def fuzz(fmt, seeds, states):
                     click.get_current_context().exit(1)
     click.echo(f"fuzz: {seeds} seeds x {states} states: engine matches the oracle exactly")
 
-
-def main() -> None:
-    cli()
-
-
-if __name__ == "__main__":
-    main()

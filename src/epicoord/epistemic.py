@@ -2,9 +2,10 @@
 
 `InformationStructure` owns all belief arithmetic: on first use it scales the
 measures to integer weights over their common denominator, so a belief is a
-ratio of integer sums over one information set.  It also keeps, for each
-block, the integer weight of its overlap with each companion block it meets,
-which the level-k strategies step through.
+ratio of integer sums over one information set.  It also numbers both
+players' blocks once, player 0's first, and keeps, for each numbered block,
+the integer weight of its overlap with each companion block it meets; the
+ladder's peel and the level-k strategies both work on that one numbering.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -31,7 +32,6 @@ definition.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -82,22 +82,29 @@ class InformationStructure:
     def _weight(self, members) -> int:
         return sum(map(self._weights.__getitem__, members))
 
-    def _weigh(self, members, key: Callable[[int], object]) -> dict:
-        """The integer weight of each value of `key(member)` over `members`."""
-        weights = self._weights
-        groups: dict = {}
-        for member in members:
-            group = key(member)
-            groups[group] = groups.get(group, 0) + weights[member]
-        return groups
+    @cached_property
+    def _blocks(self) -> tuple[frozenset[int], ...]:
+        """Both players' blocks under one numbering: player 0's in order, then player 1's."""
+        return self.partitions[0].blocks + self.partitions[1].blocks
 
     @cached_property
-    def _overlaps(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-        """For each player's blocks, in order: each companion block it meets, with the overlap's integer weight."""
-        return tuple(
-            tuple(tuple(self._weigh(block, other.block_of.__getitem__).items()) for block in own.blocks)
-            for own, other in zip(self.partitions, self.partitions[::-1])
-        )
+    def _block_ids(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """`_block_ids[player][state]`: the number, in `_blocks`, of `player`'s block holding `state`."""
+        first, second = self.partitions
+        return first.block_of, tuple(b + len(first.blocks) for b in second.block_of)
+
+    @cached_property
+    def _overlaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each block of `_blocks`: each companion block it meets, by number, with the overlap's integer weight."""
+        weights = self._weights
+        overlaps = []
+        for partition, companion in zip(self.partitions, self._block_ids[::-1]):
+            for block in partition.blocks:
+                groups: dict[int, int] = {}
+                for state in block:
+                    groups[companion[state]] = groups.get(companion[state], 0) + weights[state]
+                overlaps.append(tuple(groups.items()))
+        return tuple(overlaps)
 
     def __len__(self) -> int:
         return len(self.space.states)
@@ -119,7 +126,8 @@ class InformationStructure:
 
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
-        return self.partitions[player].blocks[self._block_index(player, state)]
+        index = self._block_index(player, state)  # checks `player` before it indexes the partitions
+        return self.partitions[player].blocks[index]
 
     def measure_of(self, event: Event) -> Fraction:
         self._check_inside(event, "event")
@@ -161,10 +169,10 @@ def min_belief(structure: InformationStructure, event: Event, target: Event, sta
 class _Peel:
     """Survivors of an event, peeled block by block against a target.
 
-    For each block of either player it keeps three integer weights: the
-    block's total, its part on the target (constant) and its part that still
-    survives.  Every member of a block gets the same beliefs, so the block's
-    weakest belief in the survivors and in the target is
+    For each block of the structure's `_blocks` it keeps three integer
+    weights: the block's total, its part on the target (constant) and its
+    part that still survives.  Every member of a block gets the same beliefs,
+    so the block's weakest belief in the survivors and in the target is
     min(surviving, on_target) / total, and a state survives only while both of
     its blocks stay strictly above the level.
     """
@@ -173,22 +181,16 @@ class _Peel:
         structure._check_inside(event, "event")
         structure._check_inside(target, "target event")
         self.weights = structure._weights
+        self.blocks = blocks = structure._blocks
+        self.block_ids = structure._block_ids
+        self.first_count = len(structure.partitions[0].blocks)
         weight_of = structure._weight
         self.alive = bytearray(len(structure))
         for state in event:
             self.alive[state] = 1
-        self.total: list[int] = []
-        self.on_target: list[int] = []
-        self.surviving: list[int] = []
-        # Each block's members, paired with the global id of the other player's block holding it.
-        self.members: list[tuple[tuple[int, int], ...]] = []
-        first, second = structure.partitions
-        for partition, other, offset in ((first, second, len(first.blocks)), (second, first, 0)):
-            for block in partition.blocks:
-                self.total.append(weight_of(block))
-                self.on_target.append(weight_of(block.intersection(target)))
-                self.surviving.append(weight_of(block.intersection(event)))
-                self.members.append(tuple((s, offset + other.block_of[s]) for s in block))
+        self.total = [weight_of(block) for block in blocks]
+        self.on_target = [weight_of(block.intersection(target)) for block in blocks]
+        self.surviving = [weight_of(block.intersection(event)) for block in blocks]
         self.live = [b for b, weight in enumerate(self.surviving) if weight]
 
     def level(self) -> tuple[Fraction, list[int]]:
@@ -218,14 +220,17 @@ class _Peel:
 
         A block at or below the level loses all its survivors; each removal
         lowers the surviving weight of the other player's block that holds the
-        state, and only that block is checked again.  The peel starts from
-        `failing`, the live blocks at or below the level, when the caller has
-        them from `level()`, and otherwise scans the live blocks once to find
-        them.  Returns the removed states.
+        state, read from that player's row of `_block_ids`, and only that block
+        is checked again.  The peel starts from `failing`, the live blocks at
+        or below the level, when the caller has them from `level()`, and
+        otherwise scans the live blocks once to find them.  Returns the removed
+        states.
         """
         numerator, denominator = level.numerator, level.denominator
         total, on_target, surviving = self.total, self.on_target, self.surviving
-        alive, weights = self.alive, self.weights
+        alive, weights, blocks = self.alive, self.weights, self.blocks
+        first_ids, second_ids = self.block_ids
+        first_count = self.first_count
 
         def fails(b: int) -> bool:
             return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
@@ -234,12 +239,15 @@ class _Peel:
         work = [b for b in self.live if surviving[b] and fails(b)] if failing is None else failing
         while work:
             b = work.pop()
-            for state, other in self.members[b]:
+            # Blocks below `first_count` are player 0's, so their companions are player 1's.
+            companion = second_ids if b < first_count else first_ids
+            for state in blocks[b]:
                 if alive[state]:
                     alive[state] = 0
                     removed.append(state)
                     weight = weights[state]
                     surviving[b] -= weight
+                    other = companion[state]
                     surviving[other] -= weight
                     if surviving[other] and fails(other):
                         work.append(other)

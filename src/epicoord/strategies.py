@@ -9,9 +9,10 @@ the payoff sum it reads.  All outputs are exact rationals; action-valued
 strategies break ties toward the safe action B.
 
 Both level-k families run on one routine, `_Levels`: it steps every block of
-both players level by level, as integer numerators over one denominator per
-level, through the structure's integer block overlaps, so no depth recurses
-and no level is reduced until a value is read.
+the structure's one numbering of both players' blocks level by level, as
+integer numerators over one denominator per level, through the structure's
+integer block overlaps, so no depth recurses and no level is reduced until a
+value is read.
 """
 
 from __future__ import annotations
@@ -129,11 +130,12 @@ def matched_p_belief_prob(
 class _Levels:
     """The level-k values of one (structure, target, payoffs, level-0 rule), block by block.
 
-    Level k is each player's integer numerator per block over one denominator
-    D_k.  For a block B with total weight W_B and on-target weight t_B, the
-    next level comes from the overlap sum S_B = sum of w(B & B') * N_k[B']
-    over the companion blocks B' that B meets, so the companion's expected
-    play over B is S_B / (W_B * D_k):
+    Level k is one integer numerator per block of the structure's `_blocks`
+    (both players' blocks, numbered once) over one denominator D_k.  For a
+    block B with total weight W_B and on-target weight t_B, the next level
+    comes from the overlap sum S_B = sum of w(B & B') * N_k[B'] over the
+    companion blocks B' that B meets, so the companion's expected play over B
+    is S_B / (W_B * D_k):
 
     - matching (no payoffs): N_{k+1}[B] = t_B * (L / W_B^2) * S_B and
       D_{k+1} = D_k * L, where L is the lcm of every W_B^2, so no level is
@@ -152,37 +154,33 @@ class _Levels:
     """
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
+        structure._check_inside(target, "target event")
         self.overlaps = structure._overlaps
         self.matching = payoffs is None
-        # (t_B, W_B) for each block of each player.
+        # (t_B, W_B) for each block of `_blocks`.
         blocks = [
-            [(structure._weight(block & target), sum(w for _, w in meets)) for block, meets in zip(p.blocks, own)]
-            for p, own in zip(structure.partitions, self.overlaps)
+            (structure._weight(block & target), sum(w for _, w in meets))
+            for block, meets in zip(structure._blocks, self.overlaps)
         ]
         if self.matching:
-            self.lcm = math.lcm(*(w * w for own in blocks for _, w in own))
-            self.scale = [[t * (self.lcm // (w * w)) for t, w in own] for own in blocks]
-            primary = [[t * (self.lcm // w) for t, w in own] for own in blocks], self.lcm
+            self.lcm = math.lcm(*(w * w for _, w in blocks))
+            self.scale = [t * (self.lcm // (w * w)) for t, w in blocks]
+            primary = [t * (self.lcm // w) for t, w in blocks], self.lcm
         else:
             a, b, c, d, _ = payoffs._integers
-            self.scale = [[t * (a - d) + w * (d - b) for t, w in own] for own in blocks]
-            self.bar = [[(c - b) * w * w for _, w in own] for own in blocks]
-            primary = [[int(t * (a - b) > w * (c - b)) for t, w in own] for own in blocks], 1
+            self.scale = [t * (a - d) + w * (d - b) for t, w in blocks]
+            self.bar = [(c - b) * w * w for _, w in blocks]
+            primary = [int(t * (a - b) > w * (c - b)) for t, w in blocks], 1
         ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
-        self.kept = {0: primary if ground is None else ([[1] * len(own) for own in blocks], ground)}
+        self.kept = {0: primary if ground is None else ([1] * len(blocks), ground)}
 
     def _step(self, numerators, denominator):
-        sums = [
-            [sum(w * partner[b] for b, w in meets) for meets in own]
-            for own, partner in zip(self.overlaps, numerators[::-1])
-        ]
+        sums = [sum(w * numerators[b] for b, w in meets) for meets in self.overlaps]
         if self.matching:
-            return [[c * s for c, s in zip(*row)] for row in zip(self.scale, sums)], denominator * self.lcm
-        return [
-            [int(s * c > bar * denominator) for c, bar, s in zip(*row)] for row in zip(self.scale, self.bar, sums)
-        ], 1
+            return [c * s for c, s in zip(self.scale, sums)], denominator * self.lcm
+        return [int(s * c > bar * denominator) for c, bar, s in zip(self.scale, self.bar, sums)], 1
 
-    def value(self, level: int, player: int, block: int) -> Fraction:
+    def value(self, level: int, block: int) -> Fraction:
         if level not in self.kept:
             start = max(k for k in self.kept if k < level)
             numerators, denominator = self.kept[start]
@@ -190,7 +188,7 @@ class _Levels:
                 numerators, denominator = self._step(numerators, denominator)
             self.kept[level] = numerators, denominator
         numerators, denominator = self.kept[level]
-        return Fraction(numerators[player][block], denominator)
+        return Fraction(numerators[block], denominator)
 
 
 # One per (structure, target, payoffs, level-0 rule); payoffs None is the matching family.
@@ -200,9 +198,8 @@ _levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
 def _level_value(structure, target, payoffs, level0, level, player, state) -> Fraction:
     if level < 0:
         raise ValueError("level must be >= 0")
-    structure.block(player, state)  # IndexError for a bad player or state
-    block = structure.partitions[player].block_of[state]
-    return _levels(structure, target, payoffs, level0).value(level, player, block)
+    structure._block_index(player, state)  # IndexError for a bad player or state
+    return _levels(structure, target, payoffs, level0).value(level, structure._block_ids[player][state])
 
 
 def iterated_maximization_prob(

@@ -132,7 +132,8 @@ class TestConditionalBelief:
     def test_index_out_of_range(self, loudspeaker, loudspeaker_target):
         with pytest.raises(IndexError):
             conditional_belief(loudspeaker, 0, loudspeaker_target, 99)
-        with pytest.raises(IndexError):
+        # The player is checked before the partitions are indexed, so the message names it.
+        with pytest.raises(IndexError, match=re.escape("player must be 0 or 1, got 2")):
             conditional_belief(loudspeaker, 2, loudspeaker_target, 0)
 
 
@@ -310,6 +311,37 @@ class TestBeliefKernel:
         space = StateSpace(((0,), (1,)), (Fraction(1, 2),) * 2)
         with pytest.raises(ValueError, match=message):
             InformationStructure(space, partitions)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("singletons", "one-block"), ("one-block", "random"), ("random", "singletons"), ("random", "random")],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_numbering_and_overlaps(self, kinds, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 24)
+        labels = {
+            "singletons": lambda: list(range(n)),
+            "one-block": lambda: [0] * n,
+            "random": lambda: [rng.randrange(rng.randint(1, n)) for _ in range(n)],
+        }
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        space = StateSpace(tuple((i,) for i in range(n)), tuple(Fraction(w, sum(weights)) for w in weights))
+        structure = InformationStructure(space, tuple(Partition.from_labels(labels[kind]()) for kind in kinds))
+        first, second = structure.partitions
+        assert structure._blocks == first.blocks + second.blocks
+        for player in (0, 1):
+            for state in range(n):
+                assert state in structure._blocks[structure._block_ids[player][state]]
+        for b, block in enumerate(structure._blocks):
+            companion = 1 if b < len(first.blocks) else 0
+            grouping = {}
+            for state in block:
+                grouping.setdefault(structure._block_ids[companion][state], []).append(state)
+            literal = {other: structure._weight(states) for other, states in grouping.items()}
+            assert dict(structure._overlaps[b]) == literal
+            assert len(structure._overlaps[b]) == len(literal)
+            assert sum(w for _, w in structure._overlaps[b]) == structure._weight(block)
 
     def test_rungs_match_definitional_walk(self):
         cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]

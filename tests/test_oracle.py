@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from epicoord import (
     InformationStructure,
     Partition,
+    PayoffParams,
     RandomStructureConfig,
     StateSpace,
     brute_force_common_p_belief,
@@ -17,6 +18,8 @@ from epicoord import (
     fixedpoint_common_p_belief,
     from_world_model,
     is_c_indicating,
+    iterated_matching,
+    iterated_maximization_prob,
     largest_p_evident_indicating_event,
     random_structure,
     super_p_evident,
@@ -48,6 +51,10 @@ OUTSIDE_QUERIES = {
     ),
     "is_c_indicating": lambda structure, outside, target: is_c_indicating(
         structure, structure.universe(), outside, Fraction(0)
+    ),
+    "iterated_matching": lambda structure, outside, target: iterated_matching(structure, outside, 1, 0, 0),
+    "iterated_maximization_prob": lambda structure, outside, target: iterated_maximization_prob(
+        structure, outside, PayoffParams(1, 0, Fraction(1, 2), 0), 1, 0, 0
     ),
 }
 
