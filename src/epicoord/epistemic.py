@@ -4,8 +4,13 @@
 measures to integer weights over their common denominator, so a belief is a
 ratio of integer sums over one information set.  It also numbers both
 players' blocks once, player 0's first, and keeps, for each numbered block,
-the integer weight of its overlap with each companion block it meets; the
-ladder's peel and the level-k strategies both work on that one numbering.
+its integer weight and the integer weight of its overlap with each companion
+block it meets; the ladder's peel and the level-k strategies both work on
+that one numbering.  How much of each block lies on a target is one cached
+table per (structure, target), `_target_weights`, which is also the one place
+a target is checked against the space: the peel, the level-k steps, the
+certainty heuristics and the attack game all read it, and a block is certain
+of the target exactly when its weight on the target equals its weight.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -17,10 +22,10 @@ the deepest depth in the player's information set.  Everything here is exact,
 with no epsilons, because weak-vs-strict inequality is load-bearing.
 
 A belief depends on the state only through the information set, so the
-shrinking works on blocks: each block of either player keeps its total,
-target and surviving weights as integers, a block at or below the level
-loses all its survivors, and a removal re-checks only the other player's
-block holding that state.  Each rung makes one scan of the live blocks,
+shrinking works on blocks: each block of either player reads its total and
+target weights from those tables and keeps its surviving weight, a block at
+or below the level loses all its survivors, and a removal re-checks only the
+other player's block holding that state.  Each rung makes one scan of the live blocks,
 which finds the level and the blocks attaining it, and the rung's peel
 starts from those blocks.  One ladder removes each state once, so it costs
 O(n) integer updates plus that one scan per rung, and makes no per-state
@@ -94,6 +99,11 @@ class InformationStructure:
         return first.block_of, tuple(b + len(first.blocks) for b in second.block_of)
 
     @cached_property
+    def _totals(self) -> tuple[int, ...]:
+        """The integer weight of each block of `_blocks`."""
+        return tuple(map(self._weight, self._blocks))
+
+    @cached_property
     def _overlaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """For each block of `_blocks`: each companion block it meets, by number, with the overlap's integer weight."""
         weights = self._weights
@@ -124,6 +134,11 @@ class InformationStructure:
             raise IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
         return self.partitions[player].block_of[state]
 
+    def _block_id(self, player: int, state: int) -> int:
+        """The number, in `_blocks`, of `player`'s block holding `state`, after `_block_index`'s checks."""
+        self._block_index(player, state)  # IndexError for a bad player or state
+        return self._block_ids[player][state]
+
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
         index = self._block_index(player, state)  # checks `player` before it indexes the partitions
@@ -153,6 +168,20 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
     )
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _target_weights(structure: InformationStructure, target: Event) -> tuple[int, ...]:
+    """The integer weight on `target` of each block of `structure._blocks`.
+
+    The target is checked against the space once, when the entry is built.
+    Every weight is positive, so a block lies inside the target exactly when
+    its entry equals its `_totals` entry.  Callers pass `frozenset(target)`,
+    which keeps a `set` target working and costs nothing for a frozenset.
+    """
+    structure._check_inside(target, "target event")
+    weight_of = structure._weight
+    return tuple(weight_of(block & target) for block in structure._blocks)
+
+
 # Module-level spelling: conditional_belief(structure, player, event, state).
 conditional_belief = InformationStructure.conditional_belief
 
@@ -169,17 +198,19 @@ def min_belief(structure: InformationStructure, event: Event, target: Event, sta
 class _Peel:
     """Survivors of an event, peeled block by block against a target.
 
-    For each block of the structure's `_blocks` it keeps three integer
-    weights: the block's total, its part on the target (constant) and its
-    part that still survives.  Every member of a block gets the same beliefs,
-    so the block's weakest belief in the survivors and in the target is
-    min(surviving, on_target) / total, and a state survives only while both of
-    its blocks stay strictly above the level.
+    For each block of the structure's `_blocks` it reads two integer
+    weights, the block's total (`_totals`) and its part on the target
+    (`_target_weights`), and keeps a third, its part that still survives.
+    Every member of a block gets the same beliefs, so the block's weakest
+    belief in the survivors and in the target is min(surviving, on_target) /
+    total, and a state survives only while both of its blocks stay strictly
+    above the level.
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
         structure._check_inside(event, "event")
-        structure._check_inside(target, "target event")
+        self.on_target = _target_weights(structure, frozenset(target))
+        self.total = structure._totals
         self.weights = structure._weights
         self.blocks = blocks = structure._blocks
         self.block_ids = structure._block_ids
@@ -188,8 +219,6 @@ class _Peel:
         self.alive = bytearray(len(structure))
         for state in event:
             self.alive[state] = 1
-        self.total = [weight_of(block) for block in blocks]
-        self.on_target = [weight_of(block.intersection(target)) for block in blocks]
         self.surviving = [weight_of(block.intersection(event)) for block in blocks]
         self.live = [b for b, weight in enumerate(self.surviving) if weight]
 
@@ -320,8 +349,10 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     the live blocks: it finds the survivors' evidence level together with the
     blocks attaining it, which are exactly the blocks failing at that level,
     and peels from them.  The states peeled at a rung are the ones whose
-    deepest rung it is, so each state is removed once.  Each block's deepest
-    rung is then stored with the ladder, so a query is a table lookup.
+    deepest rung it is, so each state is removed once; a rung that removes no
+    state would loop forever, so it raises `RuntimeError` instead.  Each
+    block's deepest rung is then stored with the ladder, so a query is a
+    table lookup.
     """
     depth = [0] * len(structure)
     levels: list[Fraction] = []
@@ -330,6 +361,8 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     while remaining:
         level, lowest = peel.level()
         removed = peel.peel(level, lowest)
+        if not removed:
+            raise RuntimeError(f"ladder rung {len(levels)} at level {level} removed no state")
         for state in removed:
             depth[state] = len(levels)
         levels.append(level)

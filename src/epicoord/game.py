@@ -6,7 +6,9 @@ The payoff of A over a block is two integer sums, the companion's A-weight on
 and off the target, over the structure's integer state weights and the
 payoffs' one integer scale (`PayoffParams._integers`): best response and the
 deviation check compare integers, and a `Fraction` is built only for a value
-that is returned."""
+that is returned.  A game's target is checked by building the structure's
+per-(structure, target) table of block weights on it (`epistemic`), which the
+noiseless check then reads as one integer pass over the blocks."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .epistemic import CACHE_SIZE, Event, InformationStructure, from_world_model
+from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, from_world_model
 from .rational import parse_rational
 from .strategies import Action, PayoffParams, matched_p_belief_prob, rational_p_belief_action, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
@@ -35,7 +37,7 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", frozenset(self.target))
-        self.structure._check_inside(self.target, "target event")
+        _target_weights(self.structure, self.target)  # refuses a target outside the space
 
     @classmethod
     def from_world_model(cls, spec: WorldModelSpec, payoffs: PayoffParams) -> "GameInstance":
@@ -90,7 +92,8 @@ def _scaled_payoff_of_a(game: GameInstance, player: int, state: int, companion: 
     equal to N / (T * den), den the payoffs' common denominator: N and T are
     `payoff_of_a`'s sums on one integer scale, T = W_B * L."""
     structure, target = game.structure, game.target
-    weights, block = structure._weights, structure.block(player, state)
+    block_id = structure._block_id(player, state)
+    weights, block = structure._weights, structure._blocks[block_id]
     plays = companion.prob_a[1 - player]
     scale = math.lcm(*(plays[member].denominator for member in block))
     on = off = 0
@@ -102,7 +105,7 @@ def _scaled_payoff_of_a(game: GameInstance, player: int, state: int, companion: 
         else:
             off += share
     a, b, _, d, _ = game.payoffs._integers
-    total = structure._weight(block) * scale
+    total = structure._totals[block_id] * scale
     return b * total + (a - b) * on + (d - b) * off, total
 
 
@@ -135,15 +138,17 @@ def best_response(game: GameInstance, player: int, state: int, companion: Policy
 
 def noiseless_check(game: GameInstance) -> bool:
     """True when any evidence for the target is conclusive: no state lifts a
-    player's target belief above the prior without reaching certainty."""
+    player's target belief above the prior without reaching certainty.
+
+    A block's belief is on / total and the prior is P / W (P the target's
+    weight, W the whole space's), so each block is one integer comparison.
+    """
     structure = game.structure
-    prior = structure.measure_of(game.target)
-    for player in (0, 1):
-        for block in structure.partitions[player].blocks:
-            belief = structure.conditional_belief(player, game.target, min(block))
-            if belief > prior and belief != 1:
-                return False
-    return True
+    whole, inside = sum(structure._weights), structure._weight(game.target)
+    return not any(
+        on * whole > inside * total and on != total
+        for on, total in zip(_target_weights(structure, game.target), structure._totals)
+    )
 
 
 def _per_block(structure: InformationStructure, decide) -> Policy:

@@ -12,7 +12,9 @@ Both level-k families run on one routine, `_Levels`: it steps every block of
 the structure's one numbering of both players' blocks level by level, as
 integer numerators over one denominator per level, through the structure's
 integer block overlaps, so no depth recurses and no level is reduced until a
-value is read.
+value is read.  The level-k steps and both heuristics weigh each block
+against the target by reading `epistemic`'s per-(structure, target) table,
+which also checks the target; certainty is its weight comparison.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .epistemic import CACHE_SIZE, Event, InformationStructure, common_p_belief
+from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, common_p_belief
 from .rational import parse_rational
 
 ONE = Fraction(1)
@@ -132,7 +134,8 @@ class _Levels:
 
     Level k is one integer numerator per block of the structure's `_blocks`
     (both players' blocks, numbered once) over one denominator D_k.  For a
-    block B with total weight W_B and on-target weight t_B, the next level
+    block B with total weight W_B (`_totals`) and on-target weight t_B (the
+    structure's table for the target, which checks it), the next level
     comes from the overlap sum S_B = sum of w(B & B') * N_k[B'] over the
     companion blocks B' that B meets, so the companion's expected play over B
     is S_B / (W_B * D_k):
@@ -154,14 +157,10 @@ class _Levels:
     """
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
-        structure._check_inside(target, "target event")
+        # (t_B, W_B) for each block of `_blocks`.
+        blocks = list(zip(_target_weights(structure, frozenset(target)), structure._totals))
         self.overlaps = structure._overlaps
         self.matching = payoffs is None
-        # (t_B, W_B) for each block of `_blocks`.
-        blocks = [
-            (structure._weight(block & target), sum(w for _, w in meets))
-            for block, meets in zip(structure._blocks, self.overlaps)
-        ]
         if self.matching:
             self.lcm = math.lcm(*(w * w for _, w in blocks))
             self.scale = [t * (self.lcm // (w * w)) for t, w in blocks]
@@ -198,8 +197,8 @@ _levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
 def _level_value(structure, target, payoffs, level0, level, player, state) -> Fraction:
     if level < 0:
         raise ValueError("level must be >= 0")
-    structure._block_index(player, state)  # IndexError for a bad player or state
-    return _levels(structure, target, payoffs, level0).value(level, structure._block_ids[player][state])
+    block = structure._block_id(player, state)
+    return _levels(structure, target, payoffs, level0).value(level, block)
 
 
 def iterated_maximization_prob(
@@ -263,9 +262,12 @@ def private_heuristic(
     """Play A exactly when the player is certain the target holds.
 
     Every state has positive measure, so belief 1 in the target means the
-    player's information set lies inside it.
+    player's information set lies inside it: its weight on the target equals
+    its whole weight.
     """
-    return Action.A if structure.block(player, state) <= target else Action.B
+    block = structure._block_id(player, state)
+    on_target = _target_weights(structure, frozenset(target))
+    return Action.A if on_target[block] == structure._totals[block] else Action.B
 
 
 def pair_heuristic(
@@ -274,13 +276,13 @@ def pair_heuristic(
     """Play A exactly when the player is certain the target holds and certain
     the companion is certain too.
 
-    Every state has positive measure, so certainty is inclusion: the
-    companion-certain event is the union of the companion's information sets
-    that lie inside the target, and the player plays A when its own
-    information set lies inside that union (which lies inside the target).
+    Every state has positive measure, so certainty is inclusion: a block is
+    certain of the target when its weight on the target equals its whole
+    weight.  The player plays A when every companion block its information
+    set meets is certain, so its own set lies inside those blocks and hence
+    inside the target.
     """
-    block = structure.block(player, state)
-    companion_certain = frozenset().union(
-        *(other for other in structure.partitions[1 - player].blocks if other <= target)
-    )
-    return Action.A if block <= companion_certain else Action.B
+    block = structure._block_id(player, state)
+    on_target, totals = _target_weights(structure, frozenset(target)), structure._totals
+    certain = all(on_target[other] == totals[other] for other, _ in structure._overlaps[block])
+    return Action.A if certain else Action.B

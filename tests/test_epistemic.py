@@ -29,8 +29,8 @@ from epicoord import (
     super_p_evident,
     x_event,
 )
-from epicoord import oracle, strategies
-from epicoord.epistemic import CACHE_SIZE
+from epicoord import epistemic, oracle, strategies
+from epicoord.epistemic import CACHE_SIZE, _target_weights
 
 from .conftest import email_chain
 
@@ -272,6 +272,13 @@ class TestEvidentLadder:
                 levels = evident_ladder(structure, x_event(spec, structure.space)).levels
                 assert levels == tuple(expected), (delta, loss)
 
+    def test_rung_that_removes_nothing_raises(self, monkeypatch):
+        # A peel that removes no state would leave the ladder looping on one rung forever.
+        monkeypatch.setattr(epistemic._Peel, "peel", lambda self, level, failing=None: [])
+        structure, target = random_structure(RandomStructureConfig(seed=0, num_states=5))
+        with pytest.raises(RuntimeError, match=r"ladder rung 0 at level .* removed no state"):
+            evident_ladder.__wrapped__(structure, target)
+
 
 class TestBeliefKernel:
     SEEDS = range(40)
@@ -291,10 +298,24 @@ class TestBeliefKernel:
     def test_weights_and_hash_are_computed_on_first_use(self):
         structure, target = random_structure(RandomStructureConfig(seed=0))
         twin = InformationStructure(structure.space, structure.partitions)
-        assert not {"_hash", "_weights"} & vars(twin).keys()
+        assert not {"_hash", "_weights", "_totals"} & vars(twin).keys()
         assert twin == structure and hash(twin) == hash(structure)
         assert conditional_belief(twin, 0, target, 0) == conditional_belief(structure, 0, target, 0)
         assert {"_hash", "_weights"} <= vars(twin).keys()
+        evidence_level(twin, twin.universe(), target)
+        assert "_totals" in vars(twin)
+
+    @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
+    def test_totals_and_target_table_match_literal_sums(self, uniform):
+        for seed in self.SEEDS:
+            config = RandomStructureConfig(seed=seed, num_states=1 + seed % 16, uniform_measure=uniform)
+            structure, target = random_structure(config)
+            weights = structure._weights
+            blocks = structure._blocks
+            assert structure._totals == tuple(sum(weights[s] for s in block) for block in blocks)
+            for event in (target, structure.universe(), frozenset()):
+                table = _target_weights(structure, event)
+                assert table == tuple(sum(weights[s] for s in block if s in event) for block in blocks)
 
     @pytest.mark.parametrize(
         "partitions,message",
@@ -401,6 +422,7 @@ class TestBeliefKernel:
             structure, target = random_structure(RandomStructureConfig(seed=0, num_states=n))
             evident_ladder(structure, target)
             iterated_matching(structure, target, 2, 0, 0)
+            _target_weights(structure, structure.universe())
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
             small = random_structure(RandomStructureConfig(seed=n, num_states=4))
             brute_force_common_p_belief(*small, 0, 0)
@@ -409,6 +431,7 @@ class TestBeliefKernel:
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
             (strategies._levels, CACHE_SIZE),
+            (_target_weights, CACHE_SIZE),
             # The oracle keeps only the answers of the structure in use.
             (oracle._block_answers, 1),
             (oracle._fixedpoint_answers, 1),

@@ -80,6 +80,18 @@ def reference_violations(game: GameInstance, policy: Policy) -> tuple:
     return tuple(violations)
 
 
+def per_block_noiseless(game: GameInstance) -> bool:
+    """The noiseless condition as defined: each block's `Fraction` belief against the prior."""
+    structure = game.structure
+    prior = structure.measure_of(game.target)
+    for player in (0, 1):
+        for block in structure.partitions[player].blocks:
+            belief = structure.conditional_belief(player, game.target, min(block))
+            if belief > prior and belief != 1:
+                return False
+    return True
+
+
 def noisy_structure():
     """Player 0's hint lifts target belief to 1/2 without certainty."""
     space = StateSpace(
@@ -250,6 +262,19 @@ class TestNoiselessCheck:
         structure = noisy_structure()
         game = GameInstance(structure, PAYOFF_CONDITION_1, frozenset({1}))
         assert not noiseless_check(game)
+
+    @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
+    def test_matches_the_per_block_beliefs(self, uniform):
+        # Uniform measures give exact belief == prior ties, which are not noise.
+        seen = set()
+        for seed in range(400):
+            config = RandomStructureConfig(seed=seed, num_states=1 + seed % 16, uniform_measure=uniform)
+            structure, target = random_structure(config)
+            game = GameInstance(structure, PAYOFF_CONDITION_1, target)
+            expected = per_block_noiseless(game)
+            assert noiseless_check(game) is expected, seed
+            seen.add(expected)
+        assert seen == {False, True}
 
 
 class TestVerifyEquilibrium:

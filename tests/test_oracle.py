@@ -13,6 +13,7 @@ from epicoord import (
     RandomStructureConfig,
     StateSpace,
     brute_force_common_p_belief,
+    cognitive_strategy,
     common_p_belief,
     evidence_level,
     fixedpoint_common_p_belief,
@@ -21,6 +22,8 @@ from epicoord import (
     iterated_matching,
     iterated_maximization_prob,
     largest_p_evident_indicating_event,
+    pair_heuristic,
+    private_heuristic,
     random_structure,
     super_p_evident,
     x_event,
@@ -56,6 +59,8 @@ OUTSIDE_QUERIES = {
     "iterated_maximization_prob": lambda structure, outside, target: iterated_maximization_prob(
         structure, outside, PayoffParams(1, 0, Fraction(1, 2), 0), 1, 0, 0
     ),
+    "private_heuristic": lambda structure, outside, target: private_heuristic(structure, outside, 0, 0),
+    "pair_heuristic": lambda structure, outside, target: pair_heuristic(structure, outside, 0, 0),
 }
 
 
@@ -66,6 +71,34 @@ def test_indices_outside_the_space_rejected(query, where):
     outside = frozenset({-1 if where == "negative" else len(structure)})
     with pytest.raises(ValueError, match="references state indices outside the space"):
         query(structure, outside, target)
+
+
+# Each query takes its target as a `set` or as a `frozenset`; both must answer alike.
+SET_TARGET_QUERIES = {
+    "super_p_evident": lambda structure, target: super_p_evident(structure, structure.universe(), target, Fraction(1, 3)),
+    "evidence_level": lambda structure, target: evidence_level(structure, structure.universe(), target),
+    "private_heuristic": lambda structure, target: [
+        private_heuristic(structure, target, player, state) for player in (0, 1) for state in range(len(structure))
+    ],
+    "pair_heuristic": lambda structure, target: [
+        pair_heuristic(structure, target, player, state) for player in (0, 1) for state in range(len(structure))
+    ],
+    "cognitive_strategy": lambda structure, target: [
+        cognitive_strategy(structure, target, PayoffParams(1, 0, Fraction(1, 3), 0), player, state)
+        for player in (0, 1)
+        for state in range(len(structure))
+    ],
+    "is_c_indicating": lambda structure, target: is_c_indicating(
+        structure, structure.universe(), target, Fraction(1, 3)
+    ),
+}
+
+
+@pytest.mark.parametrize("query", SET_TARGET_QUERIES.values(), ids=SET_TARGET_QUERIES.keys())
+def test_set_targets_answer_as_frozensets(query):
+    for seed in range(8):
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=6 + seed))
+        assert query(structure, set(target)) == query(structure, frozenset(target)), seed
 
 
 def single_state_structure():

@@ -428,6 +428,10 @@ class TestAgainstPerStateForms:
                     expected = per_state_pair(structure, target, player, state)
                     assert pair_heuristic(structure, target, player, state) is expected, (seed, player, state)
                     seen.add(expected)
+                    certain = conditional_belief(structure, player, target, state) == 1
+                    private = Action.A if certain else Action.B
+                    assert private_heuristic(structure, target, player, state) is private, (seed, player, state)
+                    seen.add(private)
         assert seen == {Action.A, Action.B}
 
     def test_cognitive_strategy(self):
