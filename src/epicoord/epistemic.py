@@ -215,11 +215,16 @@ class _Peel:
         self.blocks = blocks = structure._blocks
         self.block_ids = structure._block_ids
         self.first_count = len(structure.partitions[0].blocks)
-        weight_of = structure._weight
-        self.alive = bytearray(len(structure))
-        for state in event:
-            self.alive[state] = 1
-        self.surviving = [weight_of(block.intersection(event)) for block in blocks]
+        if event == structure.universe():
+            # The full space, as `evident_ladder` passes it: every block survives whole.
+            self.alive = bytearray(b"\x01") * len(structure)
+            self.surviving = list(self.total)
+        else:
+            weight_of = structure._weight
+            self.alive = bytearray(len(structure))
+            for state in event:
+                self.alive[state] = 1
+            self.surviving = [weight_of(block.intersection(event)) for block in blocks]
         self.live = [b for b, weight in enumerate(self.surviving) if weight]
 
     def level(self) -> tuple[Fraction, list[int]]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -201,13 +202,21 @@ def predict(
 
 
 def mse(table: PredictionTable, human: HumanData) -> Fraction:
-    """Mean squared prediction error over the four conditions, exact."""
-    total = Fraction(0)
+    """Mean squared prediction error over the four conditions, exact.
+
+    The eight probabilities go on one integer scale, the lcm of their
+    denominators, so the squared differences are one integer sum and one
+    `Fraction` is built at the end.
+    """
     for name in CONDITION_NAMES:
         if name not in table.probs:
             raise ValueError(f"prediction table is missing condition {name!r}")
-        total += (table.probs[name] - human.prob_a[name]) ** 2
-    return total / len(CONDITION_NAMES)
+    pairs = [(table.probs[name], human.prob_a[name]) for name in CONDITION_NAMES]
+    scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    total = sum(
+        (p.numerator * (scale // p.denominator) - h.numerator * (scale // h.denominator)) ** 2 for p, h in pairs
+    )
+    return Fraction(total, scale * scale * len(CONDITION_NAMES))
 
 
 def fit_level(
@@ -216,13 +225,30 @@ def fit_level(
     payoffs: PayoffParams,
     human: HumanData,
 ) -> int:
-    """Grid-search LEVEL_GRID for the recursion depth minimizing mse; ties go to smaller k."""
+    """Grid-search LEVEL_GRID for the recursion depth minimizing mse; ties go to smaller k.
+
+    Each level's table is predicted once.
+    """
+    return _fit(kind, conditions, payoffs, human)[0]
+
+
+def _fit(
+    kind: ModelKind,
+    conditions: tuple[KnowledgeCondition, ...],
+    payoffs: PayoffParams,
+    human: HumanData,
+) -> tuple[int, PredictionTable, Fraction]:
+    """The best level of LEVEL_GRID with its table and error, predicting each level once."""
     if kind not in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
         raise ValueError(f"{kind.value} has no recursion level to fit")
-    return min(
-        LEVEL_GRID,
-        key=lambda k: (mse(predict(kind, conditions, payoffs, k), human), k),
-    )
+    best = None
+    for k in LEVEL_GRID:
+        table = predict(kind, conditions, payoffs, k)
+        error = mse(table, human)
+        # Strictly smaller only, so a tie keeps the smaller level.
+        if best is None or error < best[2]:
+            best = (k, table, error)
+    return best
 
 
 @dataclass
@@ -244,9 +270,7 @@ def compare_models(
         table = predict(kind, conditions, payoffs)
         rows.append(ModelFit(kind, None, table, mse(table, human)))
     for kind in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
-        best = fit_level(kind, conditions, payoffs, human)
-        table = predict(kind, conditions, payoffs, best)
-        rows.append(ModelFit(kind, best, table, mse(table, human)))
+        rows.append(ModelFit(kind, *_fit(kind, conditions, payoffs, human)))
     return rows
 
 
@@ -317,7 +341,12 @@ def human_agent_sweep(
     strategies: tuple[AgentStrategy, ...] = SWEEP_STRATEGIES,
 ) -> SweepResult:
     """Marginal value of each agent strategy at payoffs (1, 0, p*, 0) for each
-    risk level p* on the grid."""
+    risk level p* on the grid.
+
+    The scan is integer-only: the gains and the grid share one scale L, the
+    lcm of their denominators, the test p* < bound is one cross-multiplied
+    integer comparison, and each cell is one `Fraction` over L.
+    """
     grid = tuple(grid)
     if any(not 0 < p < 1 for p in grid):
         raise ValueError("risk grid values must lie strictly in (0, 1)")
@@ -332,13 +361,23 @@ def human_agent_sweep(
         payoffs.value_of_a(condition.state_index() in condition.target(), human.prob_a[condition.name])
         for condition in conditions
     ]
+    # The gains and the grid on one integer scale: a cell is (sum of gains - count * p*) / scale.
+    scale = math.lcm(*(g.denominator for g in gains), *(p.denominator for p in grid))
+    scaled_gains = [g.numerator * (scale // g.denominator) for g in gains]
+    scaled_grid = [p.numerator * (scale // p.denominator) for p in grid]
     values: dict[AgentStrategy, tuple[Fraction, ...]] = {}
     for strategy in strategies:
-        bounds = [_attack_bound(strategy, condition, payoffs) for condition in conditions]
-        values[strategy] = tuple(
-            sum((gain - p_star for gain, bound in zip(gains, bounds) if p_star < bound), Fraction(0))
-            for p_star in grid
-        )
+        # Each bound n / d is kept as (gain, d, n * scale), since p / scale < n / d
+        # exactly when p * d < n * scale; a tie stays B.
+        bounds = [
+            (g, bound.denominator, bound.numerator * scale)
+            for g, bound in zip(scaled_gains, (_attack_bound(strategy, c, payoffs) for c in conditions))
+        ]
+        row = []
+        for p in scaled_grid:
+            playing = [g for g, d, n in bounds if p * d < n]
+            row.append(Fraction(sum(playing) - len(playing) * p, scale))
+        values[strategy] = tuple(row)
     return SweepResult(grid, values)
 
 

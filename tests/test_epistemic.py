@@ -364,6 +364,23 @@ class TestBeliefKernel:
             assert len(structure._overlaps[b]) == len(literal)
             assert sum(w for _, w in structure._overlaps[b]) == structure._weight(block)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_space_peel_starts_from_block_totals(self, seed):
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=9 + seed))
+        n = len(structure)
+        literal = [structure._weight(block) for block in structure._blocks]
+        for full in (structure.universe(), set(range(n)), list(range(n)), list(range(n))[::-1]):
+            peel = epistemic._Peel(structure, full, target)
+            assert peel.surviving == literal and peel.alive == bytearray([1] * n)
+        # As many entries as states, with a duplicate: not the full space.
+        partial = [0, *range(n - 1)]
+        peel = epistemic._Peel(structure, partial, target)
+        assert peel.surviving == [structure._weight(block - {n - 1}) for block in structure._blocks]
+        assert peel.alive[n - 1] == 0
+        assert super_p_evident(structure, partial, target, Fraction(0)) == (
+            super_p_evident(structure, frozenset(partial), target, Fraction(0))
+        )
+
     def test_rungs_match_definitional_walk(self):
         cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]
         cases += [random_structure(RandomStructureConfig(seed=seed, num_states=24)) for seed in range(4)]

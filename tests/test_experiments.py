@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicoord import experiments
 from epicoord import (
@@ -18,7 +21,14 @@ from epicoord import (
     mse,
     predict,
 )
-from epicoord.experiments import CONDITION_NAMES, PAYOFF_CONDITION_1, SWEEP_STRATEGIES, agent_action
+from epicoord.experiments import (
+    CONDITION_NAMES,
+    LEVEL_GRID,
+    PAYOFF_CONDITION_1,
+    SWEEP_STRATEGIES,
+    PredictionTable,
+    agent_action,
+)
 from epicoord.game import GameInstance, matched_policy, payoff_of_a
 
 from .conftest import DELTA, make_human
@@ -50,6 +60,36 @@ COGNITIVE_THRESHOLDS = {
 }
 PRIVATE_PLAYS = ("secondary", "tertiary", "common")
 PAIR_PLAYS = ("tertiary", "common")
+
+
+def per_grid_fraction_sweep(grid, conditions, human, strategies):
+    """The sweep's grid scan as defined: each cell a `Fraction` sum of gain - p* over the conditions playing A."""
+    payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
+    gains = [
+        payoffs.value_of_a(c.state_index() in c.target(), human.prob_a[c.name]) for c in conditions
+    ]
+    values = {}
+    for strategy in strategies:
+        bounds = [experiments._attack_bound(strategy, c, payoffs) for c in conditions]
+        values[strategy] = tuple(
+            sum((gain - p for gain, bound in zip(gains, bounds) if p < bound), Fraction(0)) for p in grid
+        )
+    return values
+
+
+def literal_mse(table, human):
+    """Mean squared error as defined: sum of (p - h)^2 over the conditions, over four, in `Fraction`s."""
+    return sum((table.probs[name] - human.prob_a[name]) ** 2 for name in CONDITION_NAMES) / 4
+
+
+def random_human(rng, max_n=1000):
+    counts = {name: rng.randint(1, max_n) for name in CONDITION_NAMES}
+    return HumanData(counts, {name: Fraction(rng.randint(0, n), n) for name, n in counts.items()})
+
+
+probabilities = st.builds(
+    lambda n, k: Fraction(min(k, n), n), st.integers(1, 1 << 20), st.integers(0, 1 << 20)
+)
 
 
 class TestKnowledgeConditions:
@@ -178,6 +218,25 @@ class TestMse:
             + (Fraction(1) - Fraction(17, 20)) ** 2
         ) / 4
         assert mse(table, synthetic_human) == expected
+
+    @pytest.mark.parametrize("delta", [DELTA, Fraction(37, 100)])
+    @pytest.mark.parametrize("level", LEVEL_GRID)
+    def test_matches_literal_sum_on_itermatch_tables(self, level, delta, synthetic_human):
+        table = predict(ModelKind.ITERMATCH, knowledge_conditions(delta), level=level)
+        rng = random.Random(level)
+        for human in (synthetic_human, random_human(rng), random_human(rng)):
+            assert mse(table, human) == literal_mse(table, human)
+
+    def test_itermatch_denominators_reach_past_two_to_the_sixteenth(self):
+        table = predict(ModelKind.ITERMATCH, knowledge_conditions(DELTA), level=5)
+        assert max(p.denominator for p in table.probs.values()) >= 1 << 16
+
+    @given(st.lists(probabilities, min_size=8, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_literal_sum_on_drawn_tables(self, values):
+        table = PredictionTable("drawn", None, dict(zip(CONDITION_NAMES, values[:4])))
+        human = make_human(*values[4:])
+        assert mse(table, human) == literal_mse(table, human)
 
     def test_missing_condition_rejected(self, synthetic_human):
         table = predict(ModelKind.MATCHED, knowledge_conditions(DELTA)[:3])
@@ -364,6 +423,22 @@ class TestSweep:
                 tie = PayoffParams(Fraction(1), Fraction(0), utilities[condition.name], Fraction(0))
                 assert agent_action(AgentStrategy.COGNITIVE, condition, tie) is Action.B
 
+    @pytest.mark.parametrize("delta", sorted(COGNITIVE_THRESHOLDS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_grid_fraction_sum_on_awkward_grids(self, delta, seed):
+        """Sevenths, ninths and each cognitive utility with its 10^-6 neighbours,
+        against human proportions over samples of up to 1000."""
+        conditions = knowledge_conditions(delta)
+        step = Fraction(1, 10**6)
+        awkward = {Fraction(k, 7) for k in range(1, 7)} | {Fraction(k, 9) for k in range(1, 9)}
+        awkward |= {u + s for u in COGNITIVE_THRESHOLDS[delta].values() for s in (-step, 0, step)}
+        grid = tuple(sorted(p for p in awkward if 0 < p < 1))
+        strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
+        rng = random.Random(seed)
+        for human in (random_human(rng), random_human(rng), random_human(rng, max_n=7)):
+            result = human_agent_sweep(grid, conditions, human, strategies)
+            assert result.values == per_grid_fraction_sweep(grid, conditions, human, strategies)
+
     @pytest.mark.parametrize("length", [1, 19, 99])
     def test_each_agent_is_decided_once_per_condition(self, monkeypatch, synthetic_human, length):
         decided = []
@@ -411,3 +486,29 @@ class TestCompareModels:
         assert fits[2].level in range(6) and fits[3].level in range(6)
         for fit in fits:
             assert fit.error == mse(fit.table, synthetic_human)
+
+    def test_each_table_is_predicted_once(self, monkeypatch, synthetic_human):
+        predicted = []
+
+        def counted_predict(kind, conditions, payoffs=None, level=None, *rest):
+            predicted.append((kind, level))
+            return predict(kind, conditions, payoffs, level, *rest)
+
+        monkeypatch.setattr(experiments, "predict", counted_predict)
+        compare_models(knowledge_conditions(DELTA), PAYOFF_CONDITION_1, synthetic_human)
+        assert len(predicted) == len(set(predicted)) == 1 + 1 + 6 + 6
+
+    @pytest.mark.parametrize("delta", sorted(COGNITIVE_THRESHOLDS))
+    def test_fitted_rows_match_a_literal_grid_search(self, delta):
+        conditions = knowledge_conditions(delta)
+        rng = random.Random(str(delta))
+        for human in (random_human(rng), random_human(rng, max_n=3)):
+            fits = compare_models(conditions, PAYOFF_CONDITION_1, human)
+            for fit in fits[2:]:
+                errors = {
+                    k: literal_mse(predict(fit.kind, conditions, PAYOFF_CONDITION_1, k), human) for k in LEVEL_GRID
+                }
+                best = min(LEVEL_GRID, key=lambda k: (errors[k], k))
+                assert (fit.level, fit.error) == (best, errors[best])
+                assert fit.table == predict(fit.kind, conditions, PAYOFF_CONDITION_1, best)
+                assert fit_level(fit.kind, conditions, PAYOFF_CONDITION_1, human) == best
