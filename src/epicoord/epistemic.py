@@ -25,13 +25,13 @@ A belief depends on the state only through the information set, so the
 shrinking works on blocks: each block of either player reads its total and
 target weights from those tables and keeps its surviving weight, a block at
 or below the level loses all its survivors, and a removal re-checks only the
-other player's block holding that state.  Each rung makes one scan of the live blocks,
-which finds the level and the blocks attaining it, and the rung's peel
-starts from those blocks.  One ladder removes each state once, so it costs
-O(n) integer updates plus that one scan per rung, and makes no per-state
-belief evaluation.  The ladder also stores each block's deepest rung, so a
-`common_p_belief` query is a table lookup.  `min_belief` stays the per-state
-definition.
+other player's block holding that state.  Each rung makes one scan of the
+live blocks, which finds the level and the blocks attaining it, and the
+rung's peel starts from those blocks.  One ladder removes each state once, so
+it costs O(n) integer updates plus that one scan per rung, and makes no
+per-state belief evaluation.  The ladder also stores each numbered block's
+deepest rung in one flat table, so a `common_p_belief` query is a table
+lookup at the block's number.  `min_belief` stays the per-state definition.
 """
 
 from __future__ import annotations
@@ -126,23 +126,20 @@ class InformationStructure:
         if not self.universe().issuperset(states):
             raise ValueError(f"{what} references state indices outside the space")
 
-    def _block_index(self, player: int, state: int) -> int:
-        """The position, in `player`'s partition, of the information set containing state index `state`."""
+    def _block_id(self, player: int, state: int) -> int:
+        """The number, in `_blocks`, of `player`'s block holding state index `state`.
+
+        A bad player or state raises `IndexError` before `_block_ids` is read.
+        """
         if player not in (0, 1):
             raise IndexError(f"player must be 0 or 1, got {player}")
         if not 0 <= state < len(self.space.states):
             raise IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
-        return self.partitions[player].block_of[state]
-
-    def _block_id(self, player: int, state: int) -> int:
-        """The number, in `_blocks`, of `player`'s block holding `state`, after `_block_index`'s checks."""
-        self._block_index(player, state)  # IndexError for a bad player or state
         return self._block_ids[player][state]
 
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
-        index = self._block_index(player, state)  # checks `player` before it indexes the partitions
-        return self.partitions[player].blocks[index]
+        return self._blocks[self._block_id(player, state)]
 
     def measure_of(self, event: Event) -> Fraction:
         self._check_inside(event, "event")
@@ -204,7 +201,9 @@ class _Peel:
     Every member of a block gets the same beliefs, so the block's weakest
     belief in the survivors and in the target is min(surviving, on_target) /
     total, and a state survives only while both of its blocks stay strictly
-    above the level.
+    above the level.  Blocks are named by their number in `_blocks` only:
+    block b's companion row of `_block_ids` is `block_ids[b < first_count]`,
+    player 1's for player 0's blocks and player 0's for player 1's.
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
@@ -254,7 +253,7 @@ class _Peel:
 
         A block at or below the level loses all its survivors; each removal
         lowers the surviving weight of the other player's block that holds the
-        state, read from that player's row of `_block_ids`, and only that block
+        state, read from the companion row of `_block_ids`, and only that block
         is checked again.  The peel starts from `failing`, the live blocks at
         or below the level, when the caller has them from `level()`, and
         otherwise scans the live blocks once to find them.  Returns the removed
@@ -263,8 +262,7 @@ class _Peel:
         numerator, denominator = level.numerator, level.denominator
         total, on_target, surviving = self.total, self.on_target, self.surviving
         alive, weights, blocks = self.alive, self.weights, self.blocks
-        first_ids, second_ids = self.block_ids
-        first_count = self.first_count
+        block_ids, first_count = self.block_ids, self.first_count
 
         def fails(b: int) -> bool:
             return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
@@ -273,8 +271,7 @@ class _Peel:
         work = [b for b in self.live if surviving[b] and fails(b)] if failing is None else failing
         while work:
             b = work.pop()
-            # Blocks below `first_count` are player 0's, so their companions are player 1's.
-            companion = second_ids if b < first_count else first_ids
+            companion = block_ids[b < first_count]
             for state in blocks[b]:
                 if alive[state]:
                     alive[state] = 0
@@ -323,14 +320,14 @@ class EvidentLadder:
     Stored as `depth[s]`, the index of the deepest rung containing state `s`,
     and one level per rung: rung k is the states of depth >= k.  Rung 0 is the
     full space; each later rung is a strict subset of its predecessor with a
-    strictly larger evidence level.  `block_depth[player][b]` is the deepest
-    rung meeting block b of `player`'s partition, in block order: the largest
-    depth among the block's members.
+    strictly larger evidence level.  `block_depth[b]` is the deepest rung
+    meeting block b of the structure's `_blocks` (player 0's blocks, then
+    player 1's): the largest depth among the block's members.
     """
 
     depth: tuple[int, ...]
     levels: tuple[Fraction, ...]
-    block_depth: tuple[tuple[int, ...], tuple[int, ...]]
+    block_depth: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -372,10 +369,7 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
             depth[state] = len(levels)
         levels.append(level)
         remaining -= len(removed)
-    block_depth = tuple(
-        tuple(max(map(depth.__getitem__, block)) for block in partition.blocks)
-        for partition in structure.partitions
-    )
+    block_depth = tuple(max(map(depth.__getitem__, block)) for block in structure._blocks)
     return EvidentLadder(tuple(depth), tuple(levels), block_depth)
 
 
@@ -386,12 +380,10 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     player's information set; since all states carry positive measure, a
     nonempty intersection is exactly positive belief.  Depends on `state`
     only through the player's block, so it is read from the ladder's
-    per-block table: `levels[block_depth[player][block]]`.
+    per-block table at the block's number: `levels[block_depth[_block_id(player, state)]]`.
     """
     ladder = evident_ladder(structure, target)
-    # Checked before the table is read: a negative player would index the other player's row.
-    block = structure._block_index(player, state)
-    return ladder.levels[ladder.block_depth[player][block]]
+    return ladder.levels[ladder.block_depth[structure._block_id(player, state)]]
 
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:

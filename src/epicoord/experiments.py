@@ -106,6 +106,7 @@ class HumanData:
         unknown = set(self.prob_a) - set(CONDITION_NAMES)
         if unknown:
             raise ValueError(f"unknown conditions: {sorted(unknown)}")
+        self.prob_a = {name: parse_rational(value) for name, value in self.prob_a.items()}
         for name, value in self.prob_a.items():
             if not 0 <= value <= 1:
                 raise ValueError(f"condition {name!r}: prob_a {value} outside [0, 1]")
@@ -347,7 +348,7 @@ def human_agent_sweep(
     lcm of their denominators, the test p* < bound is one cross-multiplied
     integer comparison, and each cell is one `Fraction` over L.
     """
-    grid = tuple(grid)
+    grid = tuple(map(parse_rational, grid))
     if any(not 0 < p < 1 for p in grid):
         raise ValueError("risk grid values must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):

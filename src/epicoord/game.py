@@ -2,13 +2,16 @@
 best response (the cognitive agent) and the equilibrium check all read, the
 noiseless-signal condition, and exhaustive verification of the threshold profile.
 
-The payoff of A over a block is two integer sums, the companion's A-weight on
-and off the target, over the structure's integer state weights and the
-payoffs' one integer scale (`PayoffParams._integers`): best response and the
-deviation check compare integers, and a `Fraction` is built only for a value
-that is returned.  A game's target is checked by building the structure's
-per-(structure, target) table of block weights on it (`epistemic`), which the
-noiseless check then reads as one integer pass over the blocks."""
+Blocks are named by their number in the structure's `_blocks`: a (player,
+state) query finds it once through `_block_id`, and the per-block passes run
+over the numbers and reach states through `_block_ids`.  The payoff of A over
+a block is two integer sums, the companion's A-weight on and off the target,
+over the structure's integer state weights and the payoffs' one integer scale
+(`PayoffParams._integers`): best response and the deviation check compare
+integers, and a `Fraction` is built only for a value that is returned.  A
+game's target is checked by building the structure's per-(structure, target)
+table of block weights on it (`epistemic`), which the noiseless check then
+reads as one integer pass over the blocks."""
 
 from __future__ import annotations
 
@@ -87,17 +90,17 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
-def _scaled_payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> tuple[int, int]:
-    """(N, T), T > 0, with the payoff of A over the player's information set
+def _scaled_payoff_of_a(game: GameInstance, block: int, companion: Policy) -> tuple[int, int]:
+    """(N, T), T > 0, with the payoff of A over block number `block` of `_blocks`
     equal to N / (T * den), den the payoffs' common denominator: N and T are
-    `payoff_of_a`'s sums on one integer scale, T = W_B * L."""
+    `payoff_of_a`'s sums on one integer scale, T = W_B * L.  The companion's
+    row is `prob_a[block < first_count]`: player 0's blocks come first."""
     structure, target = game.structure, game.target
-    block_id = structure._block_id(player, state)
-    weights, block = structure._weights, structure._blocks[block_id]
-    plays = companion.prob_a[1 - player]
-    scale = math.lcm(*(plays[member].denominator for member in block))
+    weights, members = structure._weights, structure._blocks[block]
+    plays = companion.prob_a[block < len(structure.partitions[0].blocks)]
+    scale = math.lcm(*(plays[member].denominator for member in members))
     on = off = 0
-    for member in block:
+    for member in members:
         play = plays[member]
         share = weights[member] * play.numerator * (scale // play.denominator)
         if member in target:
@@ -105,7 +108,7 @@ def _scaled_payoff_of_a(game: GameInstance, player: int, state: int, companion: 
         else:
             off += share
     a, b, _, d, _ = game.payoffs._integers
-    total = structure._totals[block_id] * scale
+    total = structure._totals[block] * scale
     return b * total + (a - b) * on + (d - b) * off, total
 
 
@@ -120,7 +123,7 @@ def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) 
     b and d are on the payoffs' integer scale, so one `Fraction` is built at
     the end.  Play may differ state by state: the policy need not be measurable.
     """
-    numerator, total = _scaled_payoff_of_a(game, player, state, companion)
+    numerator, total = _scaled_payoff_of_a(game, game.structure._block_id(player, state), companion)
     return Fraction(numerator, total * game.payoffs._integers[4])
 
 
@@ -132,7 +135,7 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
 
 def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
     """Play A only on a strict gain over the safe payoff c; a tie plays B."""
-    numerator, total = _scaled_payoff_of_a(game, player, state, companion)
+    numerator, total = _scaled_payoff_of_a(game, game.structure._block_id(player, state), companion)
     return Action.A if numerator > game.payoffs._integers[2] * total else Action.B
 
 
@@ -152,12 +155,11 @@ def noiseless_check(game: GameInstance) -> bool:
 
 
 def _per_block(structure: InformationStructure, decide) -> Policy:
-    """The policy playing `decide(player, state)`, decided once per block at its least state."""
-    rows = []
-    for player, partition in enumerate(structure.partitions):
-        plays = [decide(player, min(block)) for block in partition.blocks]
-        rows.append(tuple(plays[b] for b in partition.block_of))
-    return Policy((rows[0], rows[1]))
+    """The policy playing `decide(player, state)`, decided once per numbered
+    block of `_blocks` at its least state and read back through `_block_ids`."""
+    first_count = len(structure.partitions[0].blocks)
+    plays = [decide(int(b >= first_count), min(block)) for b, block in enumerate(structure._blocks)]
+    return Policy(tuple(tuple(map(plays.__getitem__, row)) for row in structure._block_ids))
 
 
 def rational_policy(game: GameInstance) -> Policy:
@@ -231,19 +233,19 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     play p gains (1 - 2p) times the block's one gain of A over B: its payoff of
     A less c.  A state is decided by the two signs, the gain's and that of
     1 - 2p; the gap is built as a `Fraction` only for an actual violation."""
-    states = game.structure.space.states
+    structure = game.structure
     _, _, c, _, denominator = game.payoffs._integers
+    gains = []
+    for block in range(len(structure._blocks)):
+        numerator, total = _scaled_payoff_of_a(game, block, policy)
+        gains.append((numerator - c * total, total * denominator))
     violations = []
-    for player, partition in enumerate(game.structure.partitions):
-        gains = []
-        for block in partition.blocks:
-            numerator, total = _scaled_payoff_of_a(game, player, min(block), policy)
-            gains.append((numerator - c * total, total * denominator))
-        for state, block_id in enumerate(partition.block_of):
+    for player, row in enumerate(structure._block_ids):
+        for state, block in enumerate(row):
             own = policy.prob(player, state)
-            gain, scale = gains[block_id]
+            gain, scale = gains[block]
             if gain * (own.denominator - 2 * own.numerator) > 0:
                 chosen = Action.A if own == ONE else Action.B
                 gap = (1 - 2 * own) * Fraction(gain, scale)
-                violations.append(Violation(player, state, states[state], chosen, gap))
+                violations.append(Violation(player, state, structure.space.states[state], chosen, gap))
     return tuple(violations)

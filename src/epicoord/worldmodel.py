@@ -128,7 +128,7 @@ class StateSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", tuple(tuple(s) for s in self.states))
-        object.__setattr__(self, "measures", tuple(self.measures))
+        object.__setattr__(self, "measures", tuple(map(parse_rational, self.measures)))
         if len(self.states) != len(self.measures):
             raise ValueError("states and measures differ in length")
         if len(set(self.states)) != len(self.states):
@@ -167,6 +167,8 @@ class Partition:
         if sum(len(block) for block in self.blocks) != len(self.block_of):
             raise ValueError("partition blocks must be disjoint and exhaustive")
         for index, block_id in enumerate(self.block_of):
+            if not 0 <= block_id < len(self.blocks):
+                raise ValueError(f"state {index} has block id {block_id} outside 0..{len(self.blocks) - 1}")
             if index not in self.blocks[block_id]:
                 raise ValueError(f"state {index} is not in its assigned block")
 

@@ -24,6 +24,7 @@ from epicoord import (
     is_p_evident,
     iterated_matching,
     largest_p_evident_indicating_event,
+    matched_policy,
     min_belief,
     random_structure,
     super_p_evident,
@@ -75,14 +76,20 @@ def definitional_rungs(structure, target):
 
 
 def assert_block_table_matches_states(structure, target):
-    """The ladder's per-block rung is the per-state definition: the block's deepest member depth."""
+    """The ladder's per-block rung is the per-state definition: the block's deepest member depth.
+
+    The table is flat, player 0's blocks in partition order, then player 1's.
+    """
     ladder = evident_ladder(structure, target)
-    for player, partition in enumerate(structure.partitions):
-        for b, block in enumerate(partition.blocks):
-            deepest = max(ladder.depth[member] for member in block)
-            assert ladder.block_depth[player][b] == deepest
-            for state in block:
-                assert common_p_belief(structure, target, player, state) == ladder.levels[deepest]
+    deepest_of = [
+        (player, block, max(ladder.depth[member] for member in block))
+        for player, partition in enumerate(structure.partitions)
+        for block in partition.blocks
+    ]
+    assert ladder.block_depth == tuple(deepest for _, _, deepest in deepest_of)
+    for player, block, deepest in deepest_of:
+        for state in block:
+            assert common_p_belief(structure, target, player, state) == ladder.levels[deepest]
 
 
 @st.composite
@@ -439,6 +446,7 @@ class TestBeliefKernel:
             structure, target = random_structure(RandomStructureConfig(seed=0, num_states=n))
             evident_ladder(structure, target)
             iterated_matching(structure, target, 2, 0, 0)
+            matched_policy(structure, target)
             _target_weights(structure, structure.universe())
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
             small = random_structure(RandomStructureConfig(seed=n, num_states=4))
@@ -448,6 +456,7 @@ class TestBeliefKernel:
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
             (strategies._levels, CACHE_SIZE),
+            (matched_policy, CACHE_SIZE),
             (_target_weights, CACHE_SIZE),
             # The oracle keeps only the answers of the structure in use.
             (oracle._block_answers, 1),

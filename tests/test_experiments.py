@@ -323,6 +323,11 @@ class TestHumanDataCsv:
         with pytest.raises(ValueError):
             make_human(2, 0, 0, 0)
 
+    def test_float_probability_refused(self):
+        values = {name: Fraction(1, 2) for name in CONDITION_NAMES}
+        with pytest.raises(ValueError, match="refusing inexact float 0.25"):
+            HumanData({name: 10 for name in values}, {**values, "tertiary": 0.25})
+
 
 def expected_margin(strategy, human, p_star):
     if strategy is AgentStrategy.PRIVATE:
@@ -381,6 +386,8 @@ class TestSweep:
             human_agent_sweep((Fraction(0), Fraction(1, 2)), conditions, synthetic_human)
         with pytest.raises(ValueError):
             human_agent_sweep((Fraction(1, 2), Fraction(1, 4)), conditions, synthetic_human)
+        with pytest.raises(ValueError, match="refusing inexact float 0.5"):
+            human_agent_sweep((Fraction(1, 4), 0.5), conditions, synthetic_human)
 
     @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)])
     @pytest.mark.parametrize(

@@ -269,12 +269,22 @@ class TestPartitions:
                 "state measures must sum to exactly 1",
             ),
             (lambda: Partition((frozenset(),), ()), "partition blocks must be nonempty"),
+            (lambda: StateSpace(((0,), (1,)), (0.5, Fraction(1, 2))), "refusing inexact float 0.5"),
             (
                 lambda: Partition((frozenset({0}), frozenset({1})), (1, 0)),
                 "state 0 is not in its assigned block",
             ),
+            # blocks[-1] holds state 1, so only the range check refuses it.
+            (
+                lambda: Partition((frozenset({0}), frozenset({1})), (0, -1)),
+                "state 1 has block id -1 outside 0..1",
+            ),
+            (lambda: Partition((frozenset({0}),), (5,)), "state 0 has block id 5 outside 0..0"),
         ],
-        ids=["lengths", "duplicates", "zero-measure", "sum", "empty-block", "wrong-block"],
+        ids=[
+            "lengths", "duplicates", "zero-measure", "sum", "float-measure", "empty-block", "wrong-block",
+            "negative-block-id", "block-id-past-end",
+        ],
     )
     def test_malformed_space_or_partition_rejected(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
