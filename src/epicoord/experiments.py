@@ -94,22 +94,28 @@ def knowledge_conditions(delta=DEFAULT_DELTA) -> tuple[KnowledgeCondition, ...]:
 
 @dataclass
 class HumanData:
-    """Observed per-condition sample sizes and proportions choosing A."""
+    """Observed per-condition sample sizes (integers of at least 1) and
+    proportions choosing A (exact, in [0, 1]), each naming the four conditions."""
 
     counts: dict[str, int]
     prob_a: dict[str, Fraction]
 
     def __post_init__(self) -> None:
-        missing = set(CONDITION_NAMES) - set(self.prob_a)
-        if missing:
-            raise ValueError(f"missing conditions: {sorted(missing)}")
-        unknown = set(self.prob_a) - set(CONDITION_NAMES)
-        if unknown:
-            raise ValueError(f"unknown conditions: {sorted(unknown)}")
+        for prefix, values in (("", self.prob_a), ("counts: ", self.counts)):
+            missing = set(CONDITION_NAMES) - set(values)
+            if missing:
+                raise ValueError(f"{prefix}missing conditions: {sorted(missing)}")
+            unknown = set(values) - set(CONDITION_NAMES)
+            if unknown:
+                raise ValueError(f"{prefix}unknown conditions: {sorted(unknown)}")
         self.prob_a = {name: parse_rational(value) for name, value in self.prob_a.items()}
         for name, value in self.prob_a.items():
             if not 0 <= value <= 1:
                 raise ValueError(f"condition {name!r}: prob_a {value} outside [0, 1]")
+        for name, count in self.counts.items():
+            # A bool is an int to Python, but no sample size.
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"condition {name!r}: count {count!r} is not an integer of at least 1")
 
     @classmethod
     def from_csv(cls, path) -> "HumanData":

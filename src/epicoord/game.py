@@ -11,18 +11,21 @@ over the structure's integer state weights and the payoffs' one integer scale
 integers, and a `Fraction` is built only for a value that is returned.  A
 game's target is checked by building the structure's per-(structure, target)
 table of block weights on it (`epistemic`), which the noiseless check then
-reads as one integer pass over the blocks."""
+reads as one integer pass over the blocks.
+
+The matched and threshold policies are read off the ladder's per-block table,
+`levels[block_depth[b]]` for block b, and the threshold policy maps the
+matched rows through the one tie rule, `PayoffParams._beats_threshold`."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, from_world_model
-from .rational import parse_rational
-from .strategies import Action, PayoffParams, matched_p_belief_prob, rational_p_belief_action, risk_threshold
+from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, evident_ladder, from_world_model
+from .strategies import Action, PayoffParams, _probability, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
 
 ZERO = Fraction(0)
@@ -50,7 +53,8 @@ class GameInstance:
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-player, per-state probability of playing A.
+    """Per-player, per-state probability of playing A: two rows, one per
+    player, each with one exact entry in [0, 1] per state.
 
     A uniform carrier for pure and mixed strategies; meaningful policies are
     constant on each player's information sets (see is_partition_measurable).
@@ -59,11 +63,12 @@ class Policy:
     prob_a: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prob_a", tuple(tuple(map(parse_rational, row)) for row in self.prob_a))
-        # A Fraction's denominator is positive, so p lies in [0, 1] exactly when 0 <= numerator <= denominator.
-        for row in self.prob_a:
-            if any(not 0 <= p.numerator <= p.denominator for p in row):
-                raise ValueError("action probabilities must lie in [0, 1]")
+        rows = tuple(map(tuple, self.prob_a))
+        if len(rows) != 2 or len(rows[0]) != len(rows[1]):
+            lengths = [len(row) for row in rows]
+            raise ValueError(f"a policy needs two rows of equal length, one per player; got rows of lengths {lengths}")
+        prob_a = tuple(tuple(_probability(p, "action probabilities") for p in row) for row in rows)
+        object.__setattr__(self, "prob_a", prob_a)
 
     def prob(self, player: int, state: int) -> Fraction:
         return self.prob_a[player][state]
@@ -86,7 +91,9 @@ def stage_payoff(
     payoffs: PayoffParams, x_is_one: bool, my_prob_a: Fraction, other_prob_a: Fraction
 ) -> Fraction:
     """Row player's bimatrix expectation at a single state: B is worth c
-    outright; A pays a or d (by the state bit) on a match and b on a mismatch."""
+    outright; A pays a or d (by the state bit) on a match and b on a mismatch.
+    Both probabilities are read exactly and must lie in [0, 1] (`other_prob_a` by `value_of_a`)."""
+    my_prob_a = _probability(my_prob_a, "my_prob_a")
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
@@ -94,10 +101,13 @@ def _scaled_payoff_of_a(game: GameInstance, block: int, companion: Policy) -> tu
     """(N, T), T > 0, with the payoff of A over block number `block` of `_blocks`
     equal to N / (T * den), den the payoffs' common denominator: N and T are
     `payoff_of_a`'s sums on one integer scale, T = W_B * L.  The companion's
-    row is `prob_a[block < first_count]`: player 0's blocks come first."""
+    row is `prob_a[block < first_count]`: player 0's blocks come first.  A
+    companion whose rows do not cover the structure's states is refused."""
     structure, target = game.structure, game.target
     weights, members = structure._weights, structure._blocks[block]
     plays = companion.prob_a[block < len(structure.partitions[0].blocks)]
+    if len(plays) != len(structure):
+        raise ValueError(f"the companion policy covers {len(plays)} states, but the structure has {len(structure)}")
     scale = math.lcm(*(plays[member].denominator for member in members))
     on = off = 0
     for member in members:
@@ -129,7 +139,9 @@ def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) 
 
 def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fraction, companion: Policy) -> Fraction:
     """Expected payoff of playing A with probability `my_prob_a` against the
-    companion's policy: linear in the own mix, since B is worth c outright."""
+    companion's policy: linear in the own mix, since B is worth c outright.
+    The mix is read exactly and must lie in [0, 1]."""
+    my_prob_a = _probability(my_prob_a, "my_prob_a")
     return my_prob_a * payoff_of_a(game, player, state, companion) + (1 - my_prob_a) * game.payoffs.c
 
 
@@ -154,24 +166,21 @@ def noiseless_check(game: GameInstance) -> bool:
     )
 
 
-def _per_block(structure: InformationStructure, decide) -> Policy:
-    """The policy playing `decide(player, state)`, decided once per numbered
-    block of `_blocks` at its least state and read back through `_block_ids`."""
-    first_count = len(structure.partitions[0].blocks)
-    plays = [decide(int(b >= first_count), min(block)) for b, block in enumerate(structure._blocks)]
+@lru_cache(maxsize=CACHE_SIZE)
+def matched_policy(structure: InformationStructure, target: Event) -> Policy:
+    """Both players probability-matching on perceived common belief in the target, read
+    off the ladder's per-block table: block b of `_blocks` plays `levels[block_depth[b]]`."""
+    ladder = evident_ladder(structure, target)
+    plays = [ladder.levels[depth] for depth in ladder.block_depth]
     return Policy(tuple(tuple(map(plays.__getitem__, row)) for row in structure._block_ids))
 
 
 def rational_policy(game: GameInstance) -> Policy:
-    """Both players following the common-belief threshold rule everywhere."""
-    rule = partial(rational_p_belief_action, game.structure, game.target, game.payoffs)
-    return _per_block(game.structure, lambda player, state: ONE if rule(player, state) is Action.A else ZERO)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def matched_policy(structure: InformationStructure, target: Event) -> Policy:
-    """Both players probability-matching on perceived common belief in the target."""
-    return _per_block(structure, partial(matched_p_belief_prob, structure, target))
+    """Both players following the common-belief threshold rule everywhere: A where
+    `matched_policy` plays above the risk threshold (`PayoffParams._beats_threshold`)."""
+    beats = game.payoffs._beats_threshold
+    rows = matched_policy(game.structure, game.target).prob_a
+    return Policy(tuple(tuple(ONE if beats(p.numerator, p.denominator) else ZERO for p in row) for row in rows))
 
 
 def cognitive_strategy(

@@ -87,6 +87,11 @@ class PayoffParams:
         denominator = math.lcm(*(p.denominator for p in payoffs))
         return (*(p.numerator * (denominator // p.denominator) for p in payoffs), denominator)
 
+    def _beats_threshold(self, on: int, total: int) -> bool:
+        """The tie rule: does a belief of on / total (total > 0) strictly exceed (c - b) / (a - b)?"""
+        a, b, c, _, _ = self._integers
+        return on * (a - b) > total * (c - b)
+
     @classmethod
     def parse(cls, text: str) -> "PayoffParams":
         """Parse a comma-separated ``a,b,c,d`` list of rationals or decimals."""
@@ -97,8 +102,21 @@ class PayoffParams:
 
     def value_of_a(self, on_target, partner) -> Fraction:
         """The payoff of A against a partner playing A with probability `partner`:
-        a or d on a match, by `on_target` (a bit, or a belief: it is linear), b on a mismatch."""
+        a or d on a match, by `on_target` (a bit, or a belief: it is linear), b on a mismatch.
+        A belief and `partner` are read exactly and must lie in [0, 1]."""
+        if not isinstance(on_target, bool):
+            on_target = _probability(on_target, "on_target")
+        partner = _probability(partner, "partner")
         return partner * (on_target * self.a + (1 - on_target) * self.d) + (1 - partner) * self.b
+
+
+def _probability(value, name: str) -> Fraction:
+    """`value` read exactly (`parse_rational`: no floats), refused outside [0, 1]."""
+    p = parse_rational(value)
+    # A Fraction's denominator is positive, so p lies in [0, 1] exactly when 0 <= numerator <= denominator.
+    if not 0 <= p.numerator <= p.denominator:
+        raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return p
 
 
 def risk_threshold(payoffs: PayoffParams) -> Fraction:
@@ -115,10 +133,9 @@ def rational_p_belief_action(
     state: int,
 ) -> Action:
     """Play A iff perceived maximal common belief in the target strictly
-    exceeds the risk threshold (c - b) / (a - b); ties go to the safe action."""
-    a, b, c, _, _ = payoffs._integers
+    exceeds the risk threshold (c - b) / (a - b); a tie plays B (`_beats_threshold`)."""
     belief = common_p_belief(structure, target, player, state)
-    return Action.A if belief.numerator * (a - b) > (c - b) * belief.denominator else Action.B
+    return Action.A if payoffs._beats_threshold(belief.numerator, belief.denominator) else Action.B
 
 
 def matched_p_belief_prob(
@@ -148,8 +165,7 @@ class _Levels:
       play times (t_B(a - d) + W_B(d - b)) / W_B, so A beats c exactly when
       S_B * (t_B(a - d) + W_B(d - b)) > (c - b) * W_B^2 * D_k, one integer
       comparison, and N_{k+1}[B] is 0 or 1 over D_{k+1} = 1.  The primary
-      level 0 plays A when the target belief beats the risk threshold,
-      t_B(a - b) > W_B(c - b).
+      level 0 plays A when t_B / W_B beats the risk threshold (`_beats_threshold`).
 
     A Fraction is built only when a value is read.  Only level 0 and the
     levels already read are kept; a read starts from the deepest kept level
@@ -169,7 +185,7 @@ class _Levels:
             a, b, c, d, _ = payoffs._integers
             self.scale = [t * (a - d) + w * (d - b) for t, w in blocks]
             self.bar = [(c - b) * w * w for _, w in blocks]
-            primary = [int(t * (a - b) > w * (c - b)) for t, w in blocks], 1
+            primary = [int(payoffs._beats_threshold(t, w)) for t, w in blocks], 1
         ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
         self.kept = {0: primary if ground is None else ([1] * len(blocks), ground)}
 

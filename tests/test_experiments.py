@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -327,6 +328,25 @@ class TestHumanDataCsv:
         values = {name: Fraction(1, 2) for name in CONDITION_NAMES}
         with pytest.raises(ValueError, match="refusing inexact float 0.25"):
             HumanData({name: 10 for name in values}, {**values, "tertiary": 0.25})
+
+    @pytest.mark.parametrize(
+        "count,shown",
+        [(-3, "-3"), (0, "0"), (0.5, "0.5"), (True, "True"), ("10", "'10'"), (Fraction(10), "Fraction(10, 1)")],
+        ids=["negative", "zero", "float", "bool", "text", "fraction"],
+    )
+    def test_count_must_be_an_integer_of_at_least_1(self, count, shown):
+        values = {name: Fraction(1, 2) for name in CONDITION_NAMES}
+        counts = {name: 10 for name in CONDITION_NAMES}
+        message = f"condition 'secondary': count {shown} is not an integer of at least 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HumanData({**counts, "secondary": count}, values)
+
+    def test_counts_name_exactly_the_four_conditions(self):
+        values = {name: Fraction(1, 2) for name in CONDITION_NAMES}
+        with pytest.raises(ValueError, match=re.escape("counts: missing conditions: ['common']")):
+            HumanData({"private": -3, "secondary": 0.5, "tertiary": 1}, values)
+        with pytest.raises(ValueError, match=re.escape("counts: unknown conditions: ['extra']")):
+            HumanData({**{name: 10 for name in CONDITION_NAMES}, "extra": 10}, values)
 
 
 def expected_margin(strategy, human, p_star):

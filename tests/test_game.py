@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,14 +18,19 @@ from epicoord import (
     builtin_loudspeaker,
     builtin_messenger,
     expected_utility,
+    from_world_model,
     is_partition_measurable,
+    matched_p_belief_prob,
     matched_policy,
     noiseless_check,
     payoff_of_a,
     random_structure,
+    rational_p_belief_action,
     rational_policy,
+    risk_threshold,
     stage_payoff,
     verify_equilibrium,
+    x_event,
 )
 from epicoord.experiments import PAYOFF_CONDITION_1
 from epicoord.game import Violation, _violations
@@ -390,6 +396,73 @@ class TestPolicy:
         with pytest.raises(ValueError, match="float"):
             Policy.constant(3, 0.5)
 
+    def test_payoff_helpers_refuse_floats(self):
+        game = messenger_game()
+        matched = matched_policy(game.structure, game.target)
+        half = Fraction(1, 2)
+        calls = [
+            lambda: expected_utility(game, 0, 3, 0.5, matched),
+            lambda: stage_payoff(game.payoffs, True, 0.5, half),
+            lambda: stage_payoff(game.payoffs, True, half, 0.5),
+            lambda: stage_payoff(game.payoffs, 0.5, half, half),
+            lambda: game.payoffs.value_of_a(1, 0.5),
+            lambda: game.payoffs.value_of_a(0.5, half),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="refusing inexact float 0.5"):
+                call()
+
+    @pytest.mark.parametrize("mix", [2, Fraction(-1, 2), "3/2"])
+    def test_payoff_helpers_refuse_mixes_outside_unit_interval(self, mix):
+        game = messenger_game()
+        matched = matched_policy(game.structure, game.target)
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match=r"my_prob_a must lie in \[0, 1\]"):
+            expected_utility(game, 0, 3, mix, matched)
+        with pytest.raises(ValueError, match=r"my_prob_a must lie in \[0, 1\]"):
+            stage_payoff(game.payoffs, True, mix, half)
+        with pytest.raises(ValueError, match=r"partner must lie in \[0, 1\]"):
+            stage_payoff(game.payoffs, True, half, mix)
+        with pytest.raises(ValueError, match=r"partner must lie in \[0, 1\]"):
+            game.payoffs.value_of_a(1, mix)
+        with pytest.raises(ValueError, match=r"on_target must lie in \[0, 1\]"):
+            game.payoffs.value_of_a(mix, half)
+
+    def test_payoff_helpers_read_exact_text(self):
+        p = PAYOFF_CONDITION_1
+        assert p.value_of_a("1/2", "0.5") == p.value_of_a(Fraction(1, 2), Fraction(1, 2))
+        assert stage_payoff(p, True, "1/3", "1") == stage_payoff(p, True, Fraction(1, 3), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "rows,lengths",
+        [
+            (((1, 1, 1),) * 3, "[3, 3, 3]"),
+            (((1, 1, 1),), "[3]"),
+            (((1, 1, 1), (1, 1, 1, 1, 1)), "[3, 5]"),
+            ((), "[]"),
+        ],
+        ids=["three-rows", "one-row", "unequal-rows", "no-rows"],
+    )
+    def test_two_rows_of_equal_length_required(self, rows, lengths):
+        with pytest.raises(ValueError, match=rf"two rows of equal length.*lengths {re.escape(lengths)}"):
+            Policy(rows)
+
+    @pytest.mark.parametrize("direction", ["messenger-on-loudspeaker", "loudspeaker-on-messenger"])
+    def test_companion_of_another_size_refused(self, direction):
+        games = [messenger_game(), loudspeaker_game()]
+        if direction == "loudspeaker-on-messenger":
+            games.reverse()
+        other, game = games
+        companion = matched_policy(other.structure, other.target)
+        sizes = rf"covers {len(other.structure)} states, but the structure has {len(game.structure)}"
+        for call in (payoff_of_a, best_response):
+            with pytest.raises(ValueError, match=sizes):
+                call(game, 0, 0, companion)
+        with pytest.raises(ValueError, match=sizes):
+            expected_utility(game, 0, 0, Fraction(1), companion)
+        with pytest.raises(ValueError, match=sizes):
+            _violations(game, companion)
+
     def test_boolean_entries_rejected(self):
         with pytest.raises(ValueError, match="boolean"):
             Policy(((True,), (False,)))
@@ -410,3 +483,43 @@ class TestPolicy:
         structure, _ = random_structure(RandomStructureConfig(seed=1, num_states=4))
         with pytest.raises(ValueError):
             GameInstance(structure, PAYOFF_CONDITION_1, frozenset({99}))
+
+
+POLICY_PAYOFFS = ["1.1,0,1,0.4", "1,0,1/2,0", "1,0,3/10,0", "2,1/3,1,0"]
+
+
+def policy_structures():
+    """Random structures (seeds 0-29 at 1, 3, 7, 12 and 40 states, every third
+    seed uniform), both builtins at delta 1/4 and 1/2, and an e-mail chain."""
+    for num_states in (1, 3, 7, 12, 40):
+        for seed in range(30):
+            yield random_structure(RandomStructureConfig(seed, num_states, uniform_measure=seed % 3 == 0))
+    specs = [builtin(delta) for builtin in (builtin_loudspeaker, builtin_messenger) for delta in (DELTA, Fraction(1, 2))]
+    for spec in specs + [email_chain(12, Fraction(1, 3), Fraction(1, 10))]:
+        structure = from_world_model(spec)
+        yield structure, x_event(spec, structure.space)
+
+
+class TestPoliciesEqualThePerStateRules:
+    """The policies are read off the ladder's per-block table; the per-state
+    rules read common p-belief one (player, state) at a time."""
+
+    @pytest.mark.parametrize("payoffs", POLICY_PAYOFFS)
+    def test_at_every_player_and_state(self, payoffs):
+        params = PayoffParams.parse(payoffs)
+        threshold = risk_threshold(params)
+        ties = 0
+        for structure, target in policy_structures():
+            matched = matched_policy(structure, target)
+            rational = rational_policy(GameInstance(structure, params, target))
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    belief = matched_p_belief_prob(structure, target, player, state)
+                    assert matched.prob(player, state) == belief, (payoffs, player, state)
+                    plays_a = rational_p_belief_action(structure, target, params, player, state) is Action.A
+                    assert (rational.prob(player, state) == 1) is plays_a, (payoffs, player, state)
+                    assert rational.prob(player, state) in (0, 1)
+                    ties += belief == threshold
+        if payoffs == "1,0,1/2,0":
+            # The messenger's tertiary state ties the threshold: the rule plays B there.
+            assert ties
