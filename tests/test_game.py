@@ -365,19 +365,38 @@ class TestDeviationGaps:
         assert _violations(game, policy) == tuple(Violation(*v) for v in reference_violations(game, policy))
 
 
+def probability_calls(value):
+    """(argument name, call) for each probability that the per-state payoff helpers
+    take, the call passing `value` there; the name is the one their errors give."""
+    game = messenger_game()
+    payoffs, matched, half = game.payoffs, matched_policy(game.structure, game.target), Fraction(1, 2)
+    return [
+        ("my_prob_a", lambda: expected_utility(game, 0, 3, value, matched)),
+        ("my_prob_a", lambda: stage_payoff(payoffs, True, value, half)),
+        ("partner", lambda: stage_payoff(payoffs, True, half, value)),
+        ("partner", lambda: payoffs.value_of_a(1, value)),
+        ("on_target", lambda: payoffs.value_of_a(value, half)),
+    ]
+
+
 class TestPolicy:
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
             Policy(((Fraction(2),), (Fraction(0),)))
 
-    @pytest.mark.parametrize("entry", [Fraction(-1, 2), Fraction(3, 2), "1.5"])
+    @pytest.mark.parametrize("entry", [Fraction(-1, 2), Fraction(3, 2), "1.5", 2])
     def test_entry_outside_unit_interval_refused(self, entry):
         with pytest.raises(ValueError, match=r"action probabilities must lie in \[0, 1\]"):
             Policy(((entry,), (Fraction(0),)))
+        for name, call in probability_calls(entry):
+            with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+                call()
 
     @pytest.mark.parametrize("entry,value", [(0, Fraction(0)), (1, Fraction(1)), ("1/3", Fraction(1, 3))])
     def test_entry_inside_unit_interval_accepted(self, entry, value):
         assert Policy(((entry,), (entry,))).prob_a == ((value,), (value,))
+        exact = [call() for _, call in probability_calls(value)]
+        assert [call() for _, call in probability_calls(entry)] == exact
 
     def test_rational_policy_is_partition_measurable(self):
         game = messenger_game()
@@ -395,43 +414,9 @@ class TestPolicy:
             Policy(((0.5,), (0.5,)))
         with pytest.raises(ValueError, match="float"):
             Policy.constant(3, 0.5)
-
-    def test_payoff_helpers_refuse_floats(self):
-        game = messenger_game()
-        matched = matched_policy(game.structure, game.target)
-        half = Fraction(1, 2)
-        calls = [
-            lambda: expected_utility(game, 0, 3, 0.5, matched),
-            lambda: stage_payoff(game.payoffs, True, 0.5, half),
-            lambda: stage_payoff(game.payoffs, True, half, 0.5),
-            lambda: stage_payoff(game.payoffs, 0.5, half, half),
-            lambda: game.payoffs.value_of_a(1, 0.5),
-            lambda: game.payoffs.value_of_a(0.5, half),
-        ]
-        for call in calls:
+        for _, call in probability_calls(0.5):
             with pytest.raises(ValueError, match="refusing inexact float 0.5"):
                 call()
-
-    @pytest.mark.parametrize("mix", [2, Fraction(-1, 2), "3/2"])
-    def test_payoff_helpers_refuse_mixes_outside_unit_interval(self, mix):
-        game = messenger_game()
-        matched = matched_policy(game.structure, game.target)
-        half = Fraction(1, 2)
-        with pytest.raises(ValueError, match=r"my_prob_a must lie in \[0, 1\]"):
-            expected_utility(game, 0, 3, mix, matched)
-        with pytest.raises(ValueError, match=r"my_prob_a must lie in \[0, 1\]"):
-            stage_payoff(game.payoffs, True, mix, half)
-        with pytest.raises(ValueError, match=r"partner must lie in \[0, 1\]"):
-            stage_payoff(game.payoffs, True, half, mix)
-        with pytest.raises(ValueError, match=r"partner must lie in \[0, 1\]"):
-            game.payoffs.value_of_a(1, mix)
-        with pytest.raises(ValueError, match=r"on_target must lie in \[0, 1\]"):
-            game.payoffs.value_of_a(mix, half)
-
-    def test_payoff_helpers_read_exact_text(self):
-        p = PAYOFF_CONDITION_1
-        assert p.value_of_a("1/2", "0.5") == p.value_of_a(Fraction(1, 2), Fraction(1, 2))
-        assert stage_payoff(p, True, "1/3", "1") == stage_payoff(p, True, Fraction(1, 3), Fraction(1))
 
     @pytest.mark.parametrize(
         "rows,lengths",

@@ -4,8 +4,8 @@ A mutant is a small deliberate bug: a file, an exact old text that occurs in
 it exactly once, and the new text that replaces it.  For each mutant the
 script copies `src/`, `tests/` and `pyproject.toml` to a temporary directory,
 applies the mutant there and runs tier-1 with `-x` under a timeout; a failure
-or a timeout kills it.  A mutant that passes tier-1 then meets the CI fuzz
-lines.  A mutant that passes both survives.
+or a timeout kills it.  A mutant that passes tier-1 then meets the fuzz lines
+of `tools/fuzz-lines`, which CI runs too.  A mutant that passes both survives.
 
 Every command runs with `PYTHONPATH=<copy>/src` as `python -m pytest` or
 `python -m epicoord`, so the copy is what runs even where the package is
@@ -30,12 +30,17 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1_TIMEOUT = 120
-# The fuzz lines of the CI job, with their timeouts in seconds.
-FUZZ = (
-    (("--seeds", "200", "--states", "12"), 30),
-    (("--seeds", "100", "--states", "64"), 60),
-    (("--seeds", "10", "--states", "192"), 60),
-)
+
+
+def _fuzz_lines() -> list[tuple[tuple[str, ...], int]]:
+    """(arguments of `epicoord fuzz`, timeout in seconds) for each line of
+    `tools/fuzz-lines`, the one list that the CI job runs too."""
+    lines = []
+    for line in (ROOT / "tools" / "fuzz-lines").read_text().splitlines():
+        if line and not line.startswith("#"):
+            timeout, *args = line.split()
+            lines.append((tuple(args), int(timeout)))
+    return lines
 
 
 class Mutant(NamedTuple):
@@ -135,7 +140,7 @@ def _failing_check(mutant: Mutant | None, text: str) -> str | None:
             (copy / mutant.path).write_text(text)
         if not _passes(copy, ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"), TIER1_TIMEOUT):
             return "tier-1"
-        for args, timeout in FUZZ:
+        for args, timeout in _fuzz_lines():
             if not _passes(copy, ("-m", "epicoord", "fuzz", *args), timeout):
                 return "fuzz " + " ".join(args)
     return None
