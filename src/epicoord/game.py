@@ -4,18 +4,18 @@ noiseless-signal condition, and exhaustive verification of the threshold profile
 
 Blocks are named by their number in the structure's `_blocks`: a (player,
 state) query finds it once through `_block_id`, and the per-block passes run
-over the numbers and reach states through `_block_ids`.  The payoff of A over
-a block is two integer sums, the companion's A-weight on and off the target,
-over the structure's integer state weights and the payoffs' one integer scale
-(`PayoffParams._integers`): best response and the deviation check compare
-integers, and a `Fraction` is built only for a value that is returned.  A
-game's target is checked by building the structure's per-(structure, target)
-table of block weights on it (`epistemic`), which the noiseless check then
-reads as one integer pass over the blocks.
+over the numbers and reach states through `_block_ids`.  A block's A-weights
+are two integer sums over the structure's integer state weights, the
+companion's A-weight on and off the target, and its total: best response and
+the deviation check read them through the payoffs' one integer gain of A over
+B (`PayoffParams._gain`, and its tie rule `_plays_a`), and a `Fraction` is
+built only for a value that is returned.  A game's target is checked by
+building the structure's per-(structure, target) table of block weights on it
+(`epistemic`), which the noiseless check then reads as one integer pass.
 
 The matched and threshold policies are read off the ladder's per-block table,
 `levels[block_depth[b]]` for block b, and the threshold policy maps the
-matched rows through the one tie rule, `PayoffParams._beats_threshold`."""
+matched rows through `_plays_a`."""
 
 from __future__ import annotations
 
@@ -97,12 +97,12 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
-def _scaled_payoff_of_a(game: GameInstance, block: int, companion: Policy) -> tuple[int, int]:
-    """(N, T), T > 0, with the payoff of A over block number `block` of `_blocks`
-    equal to N / (T * den), den the payoffs' common denominator: N and T are
-    `payoff_of_a`'s sums on one integer scale, T = W_B * L.  The companion's
-    row is `prob_a[block < first_count]`: player 0's blocks come first.  A
-    companion whose rows do not cover the structure's states is refused."""
+def _a_weights(game: GameInstance, block: int, companion: Policy) -> tuple[int, int, int]:
+    """(on, off, T), T > 0: the companion's A-weight on and off the target over
+    block number `block` of `_blocks`, and the block's weight, on one integer
+    scale T = W_B * L (`payoff_of_a`'s sums).  The companion's row is
+    `prob_a[block < first_count]`: player 0's blocks come first.  A companion
+    whose rows do not cover the structure's states is refused."""
     structure, target = game.structure, game.target
     weights, members = structure._weights, structure._blocks[block]
     plays = companion.prob_a[block < len(structure.partitions[0].blocks)]
@@ -117,24 +117,22 @@ def _scaled_payoff_of_a(game: GameInstance, block: int, companion: Policy) -> tu
             on += share
         else:
             off += share
-    a, b, _, d, _ = game.payoffs._integers
-    total = structure._totals[block] * scale
-    return b * total + (a - b) * on + (d - b) * off, total
+    return on, off, structure._totals[block] * scale
 
 
 def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> Fraction:
     """Expected payoff of A over the player's information set B, against the
     companion's policy at each state it contains.
 
-    It is b + [(a - b) * on + (d - b) * off] / W_B, where on and off are the
-    companion's A-weight on and off the target over B and W_B is the block's
-    weight.  Both sums are integers over the structure's state weights, on one
-    denominator L, the lcm of the companion's play denominators in B, and a,
-    b and d are on the payoffs' integer scale, so one `Fraction` is built at
-    the end.  Play may differ state by state: the policy need not be measurable.
+    It is c + [(a - b) * on + (d - b) * off - (c - b) * W_B] / W_B, where on and off
+    are the companion's A-weight on and off the target over B and W_B is the
+    block's weight.  The sums are integers over the structure's state weights,
+    on one denominator L, the lcm of the companion's play denominators in B, and
+    the gain of A over B is `PayoffParams._gain` on the payoffs' integer scale,
+    so one `Fraction` is built at the end.  Play may differ state by state.
     """
-    numerator, total = _scaled_payoff_of_a(game, game.structure._block_id(player, state), companion)
-    return Fraction(numerator, total * game.payoffs._integers[4])
+    on, off, total = _a_weights(game, game.structure._block_id(player, state), companion)
+    return game.payoffs.c + Fraction(game.payoffs._gain(on, off, total), total * game.payoffs._integers[4])
 
 
 def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fraction, companion: Policy) -> Fraction:
@@ -146,9 +144,9 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
 
 
 def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
-    """Play A only on a strict gain over the safe payoff c; a tie plays B."""
-    numerator, total = _scaled_payoff_of_a(game, game.structure._block_id(player, state), companion)
-    return Action.A if numerator > game.payoffs._integers[2] * total else Action.B
+    """Play A only on a strict gain over the safe payoff c (`PayoffParams._plays_a`); a tie plays B."""
+    weights = _a_weights(game, game.structure._block_id(player, state), companion)
+    return Action.A if game.payoffs._plays_a(*weights) else Action.B
 
 
 def noiseless_check(game: GameInstance) -> bool:
@@ -177,10 +175,10 @@ def matched_policy(structure: InformationStructure, target: Event) -> Policy:
 
 def rational_policy(game: GameInstance) -> Policy:
     """Both players following the common-belief threshold rule everywhere: A where
-    `matched_policy` plays above the risk threshold (`PayoffParams._beats_threshold`)."""
-    beats = game.payoffs._beats_threshold
+    `matched_policy` plays above the risk threshold (`PayoffParams._plays_a`)."""
+    plays = game.payoffs._plays_a
     rows = matched_policy(game.structure, game.target).prob_a
-    return Policy(tuple(tuple(ONE if beats(p.numerator, p.denominator) else ZERO for p in row) for row in rows))
+    return Policy(tuple(tuple(ONE if plays(p.numerator, 0, p.denominator) else ZERO for p in row) for row in rows))
 
 
 def cognitive_strategy(
@@ -239,15 +237,14 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     """Every (player, state) where switching the own play against `policy` pays.
 
     B is worth c and utility is linear in the own mix, so switching from own
-    play p gains (1 - 2p) times the block's one gain of A over B: its payoff of
-    A less c.  A state is decided by the two signs, the gain's and that of
-    1 - 2p; the gap is built as a `Fraction` only for an actual violation."""
-    structure = game.structure
-    _, _, c, _, denominator = game.payoffs._integers
+    play p gains (1 - 2p) times the block's one gain of A over B
+    (`PayoffParams._gain`).  A state is decided by the two signs, the gain's and
+    that of 1 - 2p; the gap is built as a `Fraction` only for an actual violation."""
+    structure, payoffs = game.structure, game.payoffs
     gains = []
     for block in range(len(structure._blocks)):
-        numerator, total = _scaled_payoff_of_a(game, block, policy)
-        gains.append((numerator - c * total, total * denominator))
+        on, off, total = _a_weights(game, block, policy)
+        gains.append((payoffs._gain(on, off, total), total * payoffs._integers[4]))
     violations = []
     for player, row in enumerate(structure._block_ids):
         for state, block in enumerate(row):

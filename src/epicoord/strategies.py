@@ -6,7 +6,7 @@ it, and two bounded-recursion (level-k) families.  Two certainty heuristics
 are simulated agents; the third, the expected-utility "cognitive" agent, is a
 best response to a probability-matching companion and lives in `game`, with
 the payoff sum it reads.  All outputs are exact rationals; action-valued
-strategies break ties toward the safe action B.
+strategies break ties toward the safe action B (`PayoffParams._plays_a`).
 
 Both level-k families run on one routine, `_Levels`: it steps every block of
 the structure's one numbering of both players' blocks level by level, as
@@ -80,17 +80,22 @@ class PayoffParams:
     def _integers(self) -> tuple[int, int, int, int, int]:
         """a, b, c and d times their least common denominator, followed by that denominator.
 
-        Every comparison of payoffs (and every payoff of A over its own
-        denominator) reads these, so the per-block arithmetic stays on integers.
+        Only `_gain` reads the payoffs here, so every choice between A and B
+        stays on integers; elsewhere only the denominator is read.
         """
         payoffs = (self.a, self.b, self.c, self.d)
         denominator = math.lcm(*(p.denominator for p in payoffs))
         return (*(p.numerator * (denominator // p.denominator) for p in payoffs), denominator)
 
-    def _beats_threshold(self, on: int, total: int) -> bool:
-        """The tie rule: does a belief of on / total (total > 0) strictly exceed (c - b) / (a - b)?"""
-        a, b, c, _, _ = self._integers
-        return on * (a - b) > total * (c - b)
+    def _gain(self, on: int, off: int, total: int) -> int:
+        """The gain of A over B, times `total` and the denominator, against a companion whose A-weight
+        over a block of weight `total` is `on` on the target and `off` off it."""
+        a, b, c, d, _ = self._integers
+        return (a - b) * on + (d - b) * off - (c - b) * total
+
+    def _plays_a(self, on: int, off: int, total: int) -> bool:
+        """The one tie rule (total > 0): A only on a strictly positive `_gain`; a tie plays B."""
+        return self._gain(on, off, total) > 0
 
     @classmethod
     def parse(cls, text: str) -> "PayoffParams":
@@ -132,10 +137,10 @@ def rational_p_belief_action(
     player: int,
     state: int,
 ) -> Action:
-    """Play A iff perceived maximal common belief in the target strictly
-    exceeds the risk threshold (c - b) / (a - b); a tie plays B (`_beats_threshold`)."""
+    """Play A iff perceived maximal common belief in the target strictly exceeds the risk threshold
+    (c - b) / (a - b): `_plays_a` against a companion who coordinates on the target, so a tie plays B."""
     belief = common_p_belief(structure, target, player, state)
-    return Action.A if payoffs._beats_threshold(belief.numerator, belief.denominator) else Action.B
+    return Action.A if payoffs._plays_a(belief.numerator, 0, belief.denominator) else Action.B
 
 
 def matched_p_belief_prob(
@@ -160,12 +165,11 @@ class _Levels:
     - matching (no payoffs): N_{k+1}[B] = t_B * (L / W_B^2) * S_B and
       D_{k+1} = D_k * L, where L is the lcm of every W_B^2, so no level is
       ever reduced;
-    - maximization: with a, b, c and d on the payoffs' one integer scale
-      (`PayoffParams._integers`), the payoff of A less b is the partner's
-      play times (t_B(a - d) + W_B(d - b)) / W_B, so A beats c exactly when
-      S_B * (t_B(a - d) + W_B(d - b)) > (c - b) * W_B^2 * D_k, one integer
-      comparison, and N_{k+1}[B] is 0 or 1 over D_{k+1} = 1.  The primary
-      level 0 plays A when t_B / W_B beats the risk threshold (`_beats_threshold`).
+    - maximization: the companion's A-weight over B is t_B * S_B on the
+      target and (W_B - t_B) * S_B off it, over a total of W_B^2 * D_k, so
+      N_{k+1}[B] is `PayoffParams._plays_a` of those three integers, 0 or 1
+      over D_{k+1} = 1.  The primary level 0 is `_plays_a(t_B, 0, W_B)`, the
+      threshold rule on the block's own target belief.
 
     A Fraction is built only when a value is read.  Only level 0 and the
     levels already read are kept; a read starts from the deepest kept level
@@ -174,26 +178,24 @@ class _Levels:
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
         # (t_B, W_B) for each block of `_blocks`.
-        blocks = list(zip(_target_weights(structure, frozenset(target)), structure._totals))
+        self.blocks = blocks = list(zip(_target_weights(structure, frozenset(target)), structure._totals))
         self.overlaps = structure._overlaps
-        self.matching = payoffs is None
-        if self.matching:
+        self.payoffs = payoffs
+        if payoffs is None:
             self.lcm = math.lcm(*(w * w for _, w in blocks))
             self.scale = [t * (self.lcm // (w * w)) for t, w in blocks]
             primary = [t * (self.lcm // w) for t, w in blocks], self.lcm
         else:
-            a, b, c, d, _ = payoffs._integers
-            self.scale = [t * (a - d) + w * (d - b) for t, w in blocks]
-            self.bar = [(c - b) * w * w for _, w in blocks]
-            primary = [int(payoffs._beats_threshold(t, w)) for t, w in blocks], 1
+            primary = [int(payoffs._plays_a(t, 0, w)) for t, w in blocks], 1
         ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
         self.kept = {0: primary if ground is None else ([1] * len(blocks), ground)}
 
     def _step(self, numerators, denominator):
         sums = [sum(w * numerators[b] for b, w in meets) for meets in self.overlaps]
-        if self.matching:
+        if self.payoffs is None:
             return [c * s for c, s in zip(self.scale, sums)], denominator * self.lcm
-        return [int(s * c > bar * denominator) for c, bar, s in zip(self.scale, self.bar, sums)], 1
+        plays = self.payoffs._plays_a
+        return [int(plays(t * s, (w - t) * s, w * w * denominator)) for (t, w), s in zip(self.blocks, sums)], 1
 
     def value(self, level: int, block: int) -> Fraction:
         if level not in self.kept:

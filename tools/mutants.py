@@ -52,16 +52,40 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "best_response plays A on a tie",
-        "src/epicoord/game.py",
-        "return Action.A if numerator > game.payoffs._integers[2] * total else Action.B",
-        "return Action.A if numerator >= game.payoffs._integers[2] * total else Action.B",
+        "_plays_a plays A on a tie",
+        "src/epicoord/strategies.py",
+        "return self._gain(on, off, total) > 0",
+        "return self._gain(on, off, total) >= 0",
     ),
     Mutant(
-        "on- and off-target sums swapped in _scaled_payoff_of_a",
+        "on- and off-target weights swapped in _gain",
+        "src/epicoord/strategies.py",
+        "return (a - b) * on + (d - b) * off - (c - b) * total",
+        "return (a - b) * off + (d - b) * on - (c - b) * total",
+    ),
+    Mutant(
+        "on- and off-target sums swapped in _a_weights",
         "src/epicoord/game.py",
-        "return b * total + (a - b) * on + (d - b) * off, total",
-        "return b * total + (a - b) * off + (d - b) * on, total",
+        "return on, off, structure._totals[block] * scale",
+        "return off, on, structure._totals[block] * scale",
+    ),
+    Mutant(
+        "on- and off-target weights swapped in the _Levels step",
+        "src/epicoord/strategies.py",
+        "plays(t * s, (w - t) * s, w * w * denominator)",
+        "plays((w - t) * s, t * s, w * w * denominator)",
+    ),
+    Mutant(
+        "the _Levels step drops D_k from the block's total",
+        "src/epicoord/strategies.py",
+        "plays(t * s, (w - t) * s, w * w * denominator)",
+        "plays(t * s, (w - t) * s, w * w)",
+    ),
+    Mutant(
+        "_violations counts a zero gain as a violation",
+        "src/epicoord/game.py",
+        "if gain * (own.denominator - 2 * own.numerator) > 0:",
+        "if gain * (own.denominator - 2 * own.numerator) >= 0:",
     ),
     Mutant(
         "_overlaps groups by the own row of _block_ids",
@@ -86,12 +110,6 @@ MUTANTS = (
         "src/epicoord/epistemic.py",
         "            elif this == least:\n                lowest.append(b)\n",
         "",
-    ),
-    Mutant(
-        "_beats_threshold plays A on a tie",
-        "src/epicoord/strategies.py",
-        "return on * (a - b) > total * (c - b)",
-        "return on * (a - b) >= total * (c - b)",
     ),
     Mutant(
         "matched_policy reads the rung below each block's deepest",
