@@ -24,11 +24,14 @@ _STRATEGY_CHOICES = ("rational", "matched", "itermax", "itermatch", "private", "
 _PAYOFF_STRATEGIES = {"rational", "itermax", "cognitive"}
 
 
+_BUILTINS = {"builtin:messenger": worldmodel.builtin_messenger, "builtin:loudspeaker": worldmodel.builtin_loudspeaker}
+
+
 def _load_model(model: str, delta: str) -> worldmodel.WorldModelSpec:
-    if model == "builtin:messenger":
-        return worldmodel.builtin_messenger(parse_rational(delta))
-    if model == "builtin:loudspeaker":
-        return worldmodel.builtin_loudspeaker(parse_rational(delta))
+    if model in _BUILTINS:
+        return _BUILTINS[model](parse_rational(delta))
+    if model.startswith("builtin:"):
+        raise ValueError(f"unknown builtin model {model!r}: choose {' or '.join(_BUILTINS)}")
     return worldmodel.load_spec(Path(model))
 
 

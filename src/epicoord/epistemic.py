@@ -354,7 +354,7 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     deepest rung it is, so each state is removed once; a rung that removes no
     state would loop forever, so it raises `RuntimeError` instead.  Each
     block's deepest rung is then stored with the ladder, so a query is a
-    table lookup.
+    table lookup.  Cached, so the target must be hashable (a `frozenset`).
     """
     depth = [0] * len(structure)
     levels: list[Fraction] = []
@@ -382,7 +382,7 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     only through the player's block, so it is read from the ladder's
     per-block table at the block's number: `levels[block_depth[_block_id(player, state)]]`.
     """
-    ladder = evident_ladder(structure, target)
+    ladder = evident_ladder(structure, frozenset(target))
     return ladder.levels[ladder.block_depth[structure._block_id(player, state)]]
 
 

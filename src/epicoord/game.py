@@ -5,8 +5,8 @@ noiseless-signal condition, and exhaustive verification of the threshold profile
 Blocks are named by their number in the structure's `_blocks`: a (player,
 state) query finds it once through `_block_id`, and the per-block passes run
 over the numbers and reach states through `_block_ids`.  A block's A-weights
-are two integer sums over the structure's integer state weights, the
-companion's A-weight on and off the target, and its total: best response and
+are the companion's A-weight on and off the target, two integer sums over the
+structure's integer state weights, and the block's total: best response and
 the deviation check read them through the payoffs' one integer gain of A over
 B (`PayoffParams._gain`, and its tie rule `_plays_a`), and a `Fraction` is
 built only for a value that is returned.  A game's target is checked by
@@ -167,7 +167,8 @@ def noiseless_check(game: GameInstance) -> bool:
 @lru_cache(maxsize=CACHE_SIZE)
 def matched_policy(structure: InformationStructure, target: Event) -> Policy:
     """Both players probability-matching on perceived common belief in the target, read
-    off the ladder's per-block table: block b of `_blocks` plays `levels[block_depth[b]]`."""
+    off the ladder's per-block table: block b of `_blocks` plays `levels[block_depth[b]]`.
+    Cached, so the target must be hashable (a `frozenset`)."""
     ladder = evident_ladder(structure, target)
     plays = [ladder.levels[depth] for depth in ladder.block_depth]
     return Policy(tuple(tuple(map(plays.__getitem__, row)) for row in structure._block_ids))

@@ -148,7 +148,7 @@ def brute_force_common_p_belief(
     n = len(structure)
     if n > EXHAUSTIVE_STATE_LIMIT:
         raise ValueError(f"exhaustive oracle is capped at {EXHAUSTIVE_STATE_LIMIT} states, got {n}")
-    return _block_answers(structure, target)[player, block]
+    return _block_answers(structure, frozenset(target))[player, block]
 
 
 def largest_p_evident_indicating_event(
@@ -246,7 +246,7 @@ def fixedpoint_common_p_belief(
     answers every block of the structure, and its table is kept.
     """
     block = structure.block(player, state)
-    return _fixedpoint_answers(structure, target)[player, block]
+    return _fixedpoint_answers(structure, frozenset(target))[player, block]
 
 
 def structure_to_json(structure: InformationStructure, target: Event) -> dict:

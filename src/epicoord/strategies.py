@@ -178,7 +178,7 @@ class _Levels:
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
         # (t_B, W_B) for each block of `_blocks`.
-        self.blocks = blocks = list(zip(_target_weights(structure, frozenset(target)), structure._totals))
+        self.blocks = blocks = list(zip(_target_weights(structure, target), structure._totals))
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
@@ -216,7 +216,7 @@ def _level_value(structure, target, payoffs, level0, level, player, state) -> Fr
     if level < 0:
         raise ValueError("level must be >= 0")
     block = structure._block_id(player, state)
-    return _levels(structure, target, payoffs, level0).value(level, block)
+    return _levels(structure, frozenset(target), payoffs, level0).value(level, block)
 
 
 def iterated_maximization_prob(

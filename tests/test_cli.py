@@ -307,6 +307,14 @@ class TestUsageAndErrors:
         assert result.exit_code == 1
         assert "missing.csv" in result.output
 
+    def test_unknown_builtin_names_the_builtins(self, runner):
+        result = runner.invoke(cli, ["pbelief", "--model", "builtin:nope", "--player", "0", "--state", "1,1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "builtin:nope" in result.output
+        assert "builtin:messenger" in result.output and "builtin:loudspeaker" in result.output
+        assert "No such file" not in result.output
+
     def test_unknown_event_variable(self, runner):
         result = runner.invoke(
             cli,

@@ -279,6 +279,30 @@ class TestEvidentLadder:
                 levels = evident_ladder(structure, x_event(spec, structure.space)).levels
                 assert levels == tuple(expected), (delta, loss)
 
+    @pytest.mark.parametrize(
+        "delta,loss",
+        [(Fraction(1, 3), Fraction(1, 10)), (Fraction(1, 4), Fraction(1, 10)), (Fraction(3, 5), Fraction(3, 10))],
+    )
+    def test_email_game_truncation_limit(self, delta, loss):
+        """The truncated chain answers as the infinite one: with V variables, the state
+        with j delivered messages has the same answers for every V >= j + 3, and the
+        x = 0 state the same for every V, so those answers are the countable game's."""
+        limits = {}
+        for variables in range(4, 41):
+            spec = email_chain(variables, delta, loss)
+            structure = from_world_model(spec)
+            target = x_event(spec, structure.space)
+            states = {"x=0": (0,) * variables}
+            states.update({j: (1,) * (j + 1) + (0,) * (variables - 1 - j) for j in range(variables - 2)})
+            for name, state in states.items():
+                index = structure.space.index_of(state)
+                answers = tuple(common_p_belief(structure, target, player, index) for player in (0, 1))
+                assert limits.setdefault(name, answers) == answers, (name, variables)
+        if (delta, loss) == (Fraction(1, 3), Fraction(1, 10)):
+            assert limits["x=0"] == (0, Fraction(1, 21))
+            assert limits[0] == (Fraction(9, 19), Fraction(1, 21))
+            assert all(limits[j] == (Fraction(9, 19), Fraction(9, 19)) for j in range(1, 38))
+
     def test_rung_that_removes_nothing_raises(self, monkeypatch):
         # A peel that removes no state would leave the ladder looping on one rung forever.
         monkeypatch.setattr(epistemic._Peel, "peel", lambda self, level, failing=None: [])

@@ -22,9 +22,11 @@ from epicoord import (
     iterated_matching,
     iterated_maximization_prob,
     largest_p_evident_indicating_event,
+    matched_p_belief_prob,
     pair_heuristic,
     private_heuristic,
     random_structure,
+    rational_p_belief_action,
     super_p_evident,
     x_event,
 )
@@ -73,24 +75,34 @@ def test_indices_outside_the_space_rejected(query, where):
         query(structure, outside, target)
 
 
+def at_every_state(answer, *args):
+    """A query asking `answer(structure, target, *args, player, state)` at every (player, state)."""
+    return lambda structure, target: [
+        answer(structure, target, *args, player, state) for player in (0, 1) for state in range(len(structure))
+    ]
+
+
+PAYOFFS = PayoffParams(1, 0, Fraction(1, 3), 0)  # risk threshold 1/3
+
 # Each query takes its target as a `set` or as a `frozenset`; both must answer alike.
 SET_TARGET_QUERIES = {
     "super_p_evident": lambda structure, target: super_p_evident(structure, structure.universe(), target, Fraction(1, 3)),
     "evidence_level": lambda structure, target: evidence_level(structure, structure.universe(), target),
-    "private_heuristic": lambda structure, target: [
-        private_heuristic(structure, target, player, state) for player in (0, 1) for state in range(len(structure))
-    ],
-    "pair_heuristic": lambda structure, target: [
-        pair_heuristic(structure, target, player, state) for player in (0, 1) for state in range(len(structure))
-    ],
-    "cognitive_strategy": lambda structure, target: [
-        cognitive_strategy(structure, target, PayoffParams(1, 0, Fraction(1, 3), 0), player, state)
-        for player in (0, 1)
-        for state in range(len(structure))
-    ],
+    "private_heuristic": at_every_state(private_heuristic),
+    "pair_heuristic": at_every_state(pair_heuristic),
+    "cognitive_strategy": at_every_state(cognitive_strategy, PAYOFFS),
     "is_c_indicating": lambda structure, target: is_c_indicating(
         structure, structure.universe(), target, Fraction(1, 3)
     ),
+    "common_p_belief": at_every_state(common_p_belief),
+    "rational_p_belief_action": at_every_state(rational_p_belief_action, PAYOFFS),
+    "matched_p_belief_prob": at_every_state(matched_p_belief_prob),
+    "iterated_maximization_prob": at_every_state(iterated_maximization_prob, PAYOFFS, 2),
+    "iterated_matching": at_every_state(iterated_matching, 2),
+    # The exhaustive oracle answers only within its state cap.
+    "brute_force_common_p_belief": lambda structure, target: len(structure) <= EXHAUSTIVE_STATE_LIMIT
+    and at_every_state(brute_force_common_p_belief)(structure, target),
+    "fixedpoint_common_p_belief": at_every_state(fixedpoint_common_p_belief),
 }
 
 
