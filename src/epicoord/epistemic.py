@@ -36,11 +36,11 @@ lookup at the block's number.  `min_belief` stays the per-state definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .rational import on_one_scale
 from .worldmodel import (
     Partition,
     StateSpace,
@@ -80,9 +80,7 @@ class InformationStructure:
     @cached_property
     def _weights(self) -> tuple[int, ...]:
         """Each state's measure times the least common denominator of all of them."""
-        measures = self.space.measures
-        denominator = math.lcm(*(m.denominator for m in measures))
-        return tuple(m.numerator * (denominator // m.denominator) for m in measures)
+        return tuple(on_one_scale(self.space.measures)[0])
 
     def _weight(self, members) -> int:
         return sum(map(self._weights.__getitem__, members))

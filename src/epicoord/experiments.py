@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -14,7 +13,7 @@ from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
 from .game import GameInstance, cognitive_strategy, matched_policy, payoff_of_a
-from .rational import parse_rational
+from .rational import on_one_scale, parse_probability, parse_rational
 from .strategies import (
     Action,
     Level0Rule,
@@ -108,10 +107,7 @@ class HumanData:
             unknown = set(values) - set(CONDITION_NAMES)
             if unknown:
                 raise ValueError(f"{prefix}unknown conditions: {sorted(unknown)}")
-        self.prob_a = {name: parse_rational(value) for name, value in self.prob_a.items()}
-        for name, value in self.prob_a.items():
-            if not 0 <= value <= 1:
-                raise ValueError(f"condition {name!r}: prob_a {value} outside [0, 1]")
+        self.prob_a = {name: parse_probability(p, f"condition {name!r}: prob_a") for name, p in self.prob_a.items()}
         for name, count in self.counts.items():
             # A bool is an int to Python, but no sample size.
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
@@ -123,7 +119,7 @@ class HumanData:
         path = Path(path)
         counts: dict[str, int] = {}
         prob_a: dict[str, Fraction] = {}
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             fields = set(reader.fieldnames or ())
             required = {"condition", "n", "prob_a"}
@@ -144,10 +140,7 @@ class HumanData:
                     raise ValueError(f"{where}: n must be an integer, got {row['n']!r}") from None
                 if counts[name] < 1:
                     raise ValueError(f"{where}: n must be at least 1, got {counts[name]}")
-                try:
-                    prob_a[name] = parse_rational(row["prob_a"])
-                except ValueError as exc:
-                    raise ValueError(f"{where}: prob_a: {exc}") from None
+                prob_a[name] = parse_probability(row["prob_a"], f"{where}: prob_a")
         return cls(counts, prob_a)
 
 
@@ -219,10 +212,8 @@ def mse(table: PredictionTable, human: HumanData) -> Fraction:
         if name not in table.probs:
             raise ValueError(f"prediction table is missing condition {name!r}")
     pairs = [(table.probs[name], human.prob_a[name]) for name in CONDITION_NAMES]
-    scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
-    total = sum(
-        (p.numerator * (scale // p.denominator) - h.numerator * (scale // h.denominator)) ** 2 for p, h in pairs
-    )
+    scaled, scale = on_one_scale(x for pair in pairs for x in pair)
+    total = sum((p - h) ** 2 for p, h in zip(scaled[::2], scaled[1::2]))
     return Fraction(total, scale * scale * len(CONDITION_NAMES))
 
 
@@ -369,9 +360,8 @@ def human_agent_sweep(
         for condition in conditions
     ]
     # The gains and the grid on one integer scale: a cell is (sum of gains - count * p*) / scale.
-    scale = math.lcm(*(g.denominator for g in gains), *(p.denominator for p in grid))
-    scaled_gains = [g.numerator * (scale // g.denominator) for g in gains]
-    scaled_grid = [p.numerator * (scale // p.denominator) for p in grid]
+    scaled, scale = on_one_scale((*gains, *grid))
+    scaled_gains, scaled_grid = scaled[: len(gains)], scaled[len(gains) :]
     values: dict[AgentStrategy, tuple[Fraction, ...]] = {}
     for strategy in strategies:
         # Each bound n / d is kept as (gain, d, n * scale), since p / scale < n / d

@@ -19,13 +19,13 @@ matched rows through `_plays_a`."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, evident_ladder, from_world_model
-from .strategies import Action, PayoffParams, _probability, risk_threshold
+from .rational import on_one_scale, parse_probability
+from .strategies import Action, PayoffParams, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
 
 ZERO = Fraction(0)
@@ -67,7 +67,7 @@ class Policy:
         if len(rows) != 2 or len(rows[0]) != len(rows[1]):
             lengths = [len(row) for row in rows]
             raise ValueError(f"a policy needs two rows of equal length, one per player; got rows of lengths {lengths}")
-        prob_a = tuple(tuple(_probability(p, "action probabilities") for p in row) for row in rows)
+        prob_a = tuple(tuple(parse_probability(p, "action probabilities") for p in row) for row in rows)
         object.__setattr__(self, "prob_a", prob_a)
 
     def prob(self, player: int, state: int) -> Fraction:
@@ -93,7 +93,7 @@ def stage_payoff(
     """Row player's bimatrix expectation at a single state: B is worth c
     outright; A pays a or d (by the state bit) on a match and b on a mismatch.
     Both probabilities are read exactly and must lie in [0, 1] (`other_prob_a` by `value_of_a`)."""
-    my_prob_a = _probability(my_prob_a, "my_prob_a")
+    my_prob_a = parse_probability(my_prob_a, "my_prob_a")
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
@@ -108,11 +108,10 @@ def _a_weights(game: GameInstance, block: int, companion: Policy) -> tuple[int, 
     plays = companion.prob_a[block < len(structure.partitions[0].blocks)]
     if len(plays) != len(structure):
         raise ValueError(f"the companion policy covers {len(plays)} states, but the structure has {len(structure)}")
-    scale = math.lcm(*(plays[member].denominator for member in members))
+    numerators, scale = on_one_scale([plays[member] for member in members])
     on = off = 0
-    for member in members:
-        play = plays[member]
-        share = weights[member] * play.numerator * (scale // play.denominator)
+    for member, play in zip(members, numerators):
+        share = weights[member] * play
         if member in target:
             on += share
         else:
@@ -139,7 +138,7 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
     """Expected payoff of playing A with probability `my_prob_a` against the
     companion's policy: linear in the own mix, since B is worth c outright.
     The mix is read exactly and must lie in [0, 1]."""
-    my_prob_a = _probability(my_prob_a, "my_prob_a")
+    my_prob_a = parse_probability(my_prob_a, "my_prob_a")
     return my_prob_a * payoff_of_a(game, player, state, companion) + (1 - my_prob_a) * game.payoffs.c
 
 

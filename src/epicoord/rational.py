@@ -1,11 +1,15 @@
-"""Exact rational parsing and rendering shared by the JSON, CSV, and CLI layers."""
+"""Exact values in one place: rational parsing and rendering for the JSON, CSV,
+and CLI layers, the one [0, 1] check every probability goes through, and the
+one scaling of exact values to integers over their least common denominator."""
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from typing import Iterable
 
 # Characters of an unreadable value quoted back in its error message.
 _SHOWN = 40
@@ -44,6 +48,26 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
             shown = repr(text) if len(text) <= _SHOWN else f"the {len(text)}-character value {text[:_SHOWN]!r}..."
             raise ValueError(f"cannot read {shown}: {exc}") from exc
         raise ValueError(f"not a rational number: {value!r}") from exc
+
+
+def parse_probability(value: str | int | Fraction, name: str) -> Fraction:
+    """`value` read exactly by `parse_rational` and refused outside [0, 1]; each error names `name`."""
+    try:
+        p = parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    # A Fraction's denominator is positive, so p lies in [0, 1] exactly when 0 <= numerator <= denominator.
+    if not 0 <= p.numerator <= p.denominator:
+        raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    return p
+
+
+def on_one_scale(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Exact values as integer numerators over their least common denominator D,
+    so ``Fraction(n, D)`` equals the value each numerator n stands for."""
+    values = [*values]
+    denominator = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
 
 
 def format_rational(value: Fraction) -> str:

@@ -20,13 +20,12 @@ which also checks the target; certainty is its weight comparison.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, common_p_belief
-from .rational import parse_rational
+from .rational import on_one_scale, parse_probability, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -83,9 +82,8 @@ class PayoffParams:
         Only `_gain` reads the payoffs here, so every choice between A and B
         stays on integers; elsewhere only the denominator is read.
         """
-        payoffs = (self.a, self.b, self.c, self.d)
-        denominator = math.lcm(*(p.denominator for p in payoffs))
-        return (*(p.numerator * (denominator // p.denominator) for p in payoffs), denominator)
+        numerators, denominator = on_one_scale((self.a, self.b, self.c, self.d))
+        return (*numerators, denominator)
 
     def _gain(self, on: int, off: int, total: int) -> int:
         """The gain of A over B, times `total` and the denominator, against a companion whose A-weight
@@ -110,18 +108,9 @@ class PayoffParams:
         a or d on a match, by `on_target` (a bit, or a belief: it is linear), b on a mismatch.
         A belief and `partner` are read exactly and must lie in [0, 1]."""
         if not isinstance(on_target, bool):
-            on_target = _probability(on_target, "on_target")
-        partner = _probability(partner, "partner")
+            on_target = parse_probability(on_target, "on_target")
+        partner = parse_probability(partner, "partner")
         return partner * (on_target * self.a + (1 - on_target) * self.d) + (1 - partner) * self.b
-
-
-def _probability(value, name: str) -> Fraction:
-    """`value` read exactly (`parse_rational`: no floats), refused outside [0, 1]."""
-    p = parse_rational(value)
-    # A Fraction's denominator is positive, so p lies in [0, 1] exactly when 0 <= numerator <= denominator.
-    if not 0 <= p.numerator <= p.denominator:
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return p
 
 
 def risk_threshold(payoffs: PayoffParams) -> Fraction:
@@ -162,9 +151,11 @@ class _Levels:
     companion blocks B' that B meets, so the companion's expected play over B
     is S_B / (W_B * D_k):
 
-    - matching (no payoffs): N_{k+1}[B] = t_B * (L / W_B^2) * S_B and
-      D_{k+1} = D_k * L, where L is the lcm of every W_B^2, so no level is
-      ever reduced;
+    - matching (no payoffs): N_{k+1}[B] = m_B * S_B and D_{k+1} = D_k * L,
+      where m_B / L is the reduced t_B / W_B^2 on the least common
+      denominator L of them all (`on_one_scale`; L divides the lcm of every
+      W_B^2), so no level is ever reduced; the primary level 0, t_B / W_B,
+      is m_B * W_B over L;
     - maximization: the companion's A-weight over B is t_B * S_B on the
       target and (W_B - t_B) * S_B off it, over a total of W_B^2 * D_k, so
       N_{k+1}[B] is `PayoffParams._plays_a` of those three integers, 0 or 1
@@ -182,9 +173,8 @@ class _Levels:
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
-            self.lcm = math.lcm(*(w * w for _, w in blocks))
-            self.scale = [t * (self.lcm // (w * w)) for t, w in blocks]
-            primary = [t * (self.lcm // w) for t, w in blocks], self.lcm
+            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in blocks)
+            primary = [m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm
         else:
             primary = [int(payoffs._plays_a(t, 0, w)) for t, w in blocks], 1
         ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
@@ -213,8 +203,9 @@ _levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
 
 
 def _level_value(structure, target, payoffs, level0, level, player, state) -> Fraction:
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    # A bool is an int to Python, but no level.
+    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
     block = structure._block_id(player, state)
     return _levels(structure, frozenset(target), payoffs, level0).value(level, block)
 

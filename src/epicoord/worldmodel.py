@@ -20,7 +20,7 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_probability, parse_rational
 
 State = tuple[int, ...]
 # Each fired rule contributes (rule index, observed values); the tag keeps
@@ -49,9 +49,7 @@ class VariableSpec:
 
     def __post_init__(self) -> None:
         try:
-            if isinstance(self.bias, bool):
-                raise SpecError(f"'bias' must be a rational, got {self.bias!r}")
-            object.__setattr__(self, "bias", parse_rational(self.bias))
+            object.__setattr__(self, "bias", parse_probability(self.bias, "'bias'"))
             object.__setattr__(self, "gate", _names(self.gate, "gate"))
         except ValueError as exc:
             raise SpecError(f"variable {self.name!r}: {exc}") from exc
@@ -93,8 +91,6 @@ class WorldModelSpec:
                 raise SpecError(f"variable entry {index}: 'name' must be a string, got {var.name!r}")
             if var.name in declared:
                 raise SpecError(f"duplicate variable name {var.name!r}")
-            if not 0 <= var.bias <= 1:
-                raise SpecError(f"variable {var.name!r}: bias {var.bias} outside [0, 1]")
             for gate_name in var.gate:
                 if gate_name not in declared:
                     raise SpecError(
@@ -284,10 +280,10 @@ _HALF = Fraction(1, 2)
 
 
 def _checked_delta(value) -> Fraction:
-    delta = parse_rational(value)
-    if not 0 <= delta <= 1:
-        raise SpecError(f"delta must lie in [0, 1], got {delta}")
-    return delta
+    try:
+        return parse_probability(value, "delta")
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
 
 
 def builtin_loudspeaker(delta) -> WorldModelSpec:
@@ -398,7 +394,7 @@ def spec_to_json(spec: WorldModelSpec) -> dict:
 
 def load_spec(path) -> WorldModelSpec:
     """Read a world-model JSON file; decimal biases convert to exact rationals."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8-sig")
     try:
         document = json.loads(text, parse_float=parse_rational)
     except (json.JSONDecodeError, RecursionError) as exc:  # malformed text, or too deep a nesting

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +72,22 @@ class TestBeliefCommands:
         )
         assert result.exit_code == 0
         assert result.output.strip() == "1/4 (0.25)"
+
+    def test_pbelief_reads_a_non_ascii_model_under_the_c_locale(self, tmp_path):
+        """A model file is read as UTF-8 whatever the locale; under LC_ALL=C, with UTF-8 mode
+        and locale coercion off, Python's default text encoding is ASCII."""
+        path = tmp_path / "model.json"
+        path.write_bytes(
+            '{"variables": [{"name": "x", "bias": "1/4"}, {"name": "se\u00f1al", "bias": 0.5, "gate": ["x"]}],'
+            ' "observations": [{"guard": ["se\u00f1al"], "player": 0, "observed": ["x"]}]}'.encode()
+        )
+        source = str(Path(epistemic.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": source}
+        args = ["--format", "json", "pbelief", "--model", str(path), "--player", "1", "--state", "1,1"]
+        result = subprocess.run(
+            [sys.executable, "-m", "epicoord", *args], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, '{"value": "1/7"}\n', "")
 
     def test_ladder_output(self, runner):
         result = runner.invoke(cli, ["ladder", "--model", "builtin:loudspeaker", "--delta", "1/4"])
@@ -362,7 +379,7 @@ class TestUsageAndErrors:
             ),
             (
                 {"variables": [{"name": "x", "bias": True}]},
-                "variable 'x': 'bias' must be a rational, got True",
+                "variable 'x': 'bias': refusing boolean True; pass a number like 1 or '1/4'",
             ),
             (
                 {

@@ -279,6 +279,14 @@ class TestHumanDataCsv:
         assert human.prob_a["secondary"] == Fraction(11, 20)
         assert human.counts["common"] == 35
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        """A spreadsheet export starts with a UTF-8 byte-order mark; it reads like the plain file."""
+        text = "condition,n,prob_a\nprivate,34,0.15\nsecondary,36,11/20\ntertiary,33,0.6\ncommon,35,0.85\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert HumanData.from_csv(marked) == HumanData.from_csv(plain)
+
     def test_missing_condition(self, tmp_path):
         path = tmp_path / "human.csv"
         path.write_text("condition,n,prob_a\nprivate,10,0.5\n")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,14 @@ class TestIteratedMaximization:
     def test_negative_level_rejected(self, loudspeaker, loudspeaker_target):
         with pytest.raises(ValueError):
             iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, -1, 0, 0)
+
+    @pytest.mark.parametrize("level", [1.5, True, "1"])
+    def test_level_that_is_no_integer_rejected(self, loudspeaker, loudspeaker_target, level):
+        message = f"level must be an integer >= 0, got {level!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, level, 0, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterated_matching(loudspeaker, loudspeaker_target, level, 0, 0)
 
 
 def one_block_structure(num_states: int, on_target: int):

@@ -359,7 +359,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build,message",
         [
-            (lambda: VariableSpec("x", True), "variable 'x': 'bias' must be a rational, got True"),
+            (lambda: VariableSpec("x", True), "variable 'x': 'bias': refusing boolean True; pass a number like 1 or '1/4'"),
             (
                 lambda: WorldModelSpec((VariableSpec(["x"], DELTA),)),
                 "variable entry 0: 'name' must be a string, got ['x']",
@@ -449,6 +449,11 @@ class TestJsonInterchange:
         path = tmp_path / "model.json"
         path.write_text('{"variables": [{"name": "x", "bias": 0.1}]}')
         assert load_spec(path).variables[0].bias == Fraction(1, 10)
+
+    def test_load_spec_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(spec_to_json(builtin_messenger(DELTA))).encode())
+        assert load_spec(path) == builtin_messenger(DELTA)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecError, match="unknown"):

@@ -117,6 +117,18 @@ MUTANTS = (
         "plays = [ladder.levels[depth] for depth in ladder.block_depth]",
         "plays = [ladder.levels[max(depth - 1, 0)] for depth in ladder.block_depth]",
     ),
+    Mutant(
+        "parse_probability accepts values above 1",
+        "src/epicoord/rational.py",
+        "if not 0 <= p.numerator <= p.denominator:",
+        "if not 0 <= p.numerator:",
+    ),
+    Mutant(
+        "on_one_scale puts the values over the largest denominator, not the lcm",
+        "src/epicoord/rational.py",
+        "denominator = math.lcm(*[v.denominator for v in values])",
+        "denominator = max([v.denominator for v in values], default=1)",
+    ),
 )
 
 
