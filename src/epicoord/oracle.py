@@ -7,7 +7,9 @@ independent routes are provided — an exhaustive scan over all events
 (polynomial, usable on larger spaces) — and they are required to agree with
 each other.  The exhaustive scan still computes every event's level from its
 definition; it only folds the minimum over each player's blocks one block at
-a time, so each event costs O(1) per player rather than O(blocks).
+a time, reading each block's part of the event from a value table built once
+per block, so each event costs one table read, one list read and one
+comparison per player rather than O(blocks).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _integer_weights(structure: InformationStructure) -> list[int]:
     """Each state's measure times the least common denominator of all of them."""
     measures = structure.space.measures
     denominator = math.lcm(*(m.denominator for m in measures))
-    return [int(m * denominator) for m in measures]
+    return [m.numerator * (denominator // m.denominator) for m in measures]
 
 
 # One entry: callers query one structure at a time, and the table is built by
@@ -87,6 +89,8 @@ def _block_answers(
     - the blocks partition the space, so the block B holding E's lowest state
       meets E and the player's other blocks meeting E are those meeting E & ~B;
     - E & ~B < E, so L[E] = min(value_B(E & B), L[E & ~B]) reads a filled entry;
+    - value_B is one table per block, built before the scan: a dict from each
+      nonempty part of B (a bitmask) to min(w(part), w(T & B)) * K / w(B);
     - E meets B exactly when E holds some state of B, so a block's answer is
       the max over its states s of the largest level among the events holding s.
     """
@@ -104,24 +108,27 @@ def _block_answers(
         block_at = [None] * n
         for owner, block, weight, on_target in weighed:
             if owner == player:
-                mask = sum(1 << i for i in block)
+                parts = [0]
                 for state in block:
-                    block_at[state] = mask, on_target, scale // weight
+                    parts += [part | 1 << state for part in parts]
+                factor = scale // weight
+                values = {part: min(sums[part], on_target) * factor for part in parts[1:]}
+                for state in block:
+                    block_at[state] = parts[-1], values
         level = [scale] * full
         # The events whose lowest state is `state` sit at a stride of 2^(state+1);
         # their E & ~B has a higher lowest state (or is empty), so it is filled first.
         for state in reversed(range(n)):
-            mask, on_target, factor = block_at[state]
+            mask, values = block_at[state]
             rest = ~mask
             bit = 1 << state
             level[bit::bit << 1] = [
-                value
-                if (value := min(sums[event & mask], on_target) * factor) < (kept := level[event & rest])
-                else kept
+                value if (value := values[event & mask]) < (kept := level[event & rest]) else kept
                 for event in range(bit, full, bit << 1)
             ]
         levels.append(level)
-    level = list(map(min, *levels))
+    first, second = levels
+    level = [one if one < other else other for one, other in zip(first, second)]
     # Fold the top state away one at a time: the top half of what is left is the
     # events holding that state, and the max of the halves carries the rest down.
     # level[0], the empty event, is K but lies in no top half.
@@ -129,7 +136,7 @@ def _block_answers(
     for state in reversed(range(n)):
         half = 1 << state
         best[state] = max(level[half:])
-        level = list(map(max, level[:half], level[half:]))
+        level = [low if low > high else high for low, high in zip(level[:half], level[half:])]
     return {(player, block): Fraction(max(best[s] for s in block), scale) for player, block, _, _ in weighed}
 
 

@@ -48,6 +48,8 @@ class VariableSpec:
     gate: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise SpecError(f"'name' must be a string, got {self.name!r}")
         try:
             object.__setattr__(self, "bias", parse_probability(self.bias, "'bias'"))
             object.__setattr__(self, "gate", _names(self.gate, "gate"))
@@ -86,9 +88,7 @@ class WorldModelSpec:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "observations", tuple(self.observations))
         declared: set[str] = set()
-        for index, var in enumerate(self.variables):
-            if not isinstance(var.name, str):
-                raise SpecError(f"variable entry {index}: 'name' must be a string, got {var.name!r}")
+        for var in self.variables:
             if var.name in declared:
                 raise SpecError(f"duplicate variable name {var.name!r}")
             for gate_name in var.gate:
@@ -347,7 +347,9 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
     """Build a model from the JSON document shape produced by spec_to_json.
 
     Only the document's shape is checked here; each field is checked by the
-    type that holds it, so models built in Python get the same messages.
+    type that holds it, so models built in Python get the same messages.  A
+    name that is no string has no name to report, so here its error also
+    gets the entry's index.
     """
     if not isinstance(document, Mapping):
         raise SpecError(f"a world model must be a JSON object, got {document!r}")
@@ -357,13 +359,18 @@ def spec_from_json(document: Mapping) -> WorldModelSpec:
     if "variables" not in document:
         raise SpecError("missing 'variables'")
     variables = []
-    for entry in _json_objects(document, "variables", "variable entry"):
+    for index, entry in enumerate(_json_objects(document, "variables", "variable entry")):
         extra = set(entry) - _VARIABLE_KEYS
         if extra:
             raise SpecError(f"variable entry {entry.get('name', '?')!r}: unknown keys {sorted(extra)}")
         if "name" not in entry or "bias" not in entry:
             raise SpecError(f"variable entry {entry!r}: 'name' and 'bias' are required")
-        variables.append(VariableSpec(entry["name"], entry["bias"], entry.get("gate", ())))
+        try:
+            variables.append(VariableSpec(entry["name"], entry["bias"], entry.get("gate", ())))
+        except SpecError as exc:
+            if isinstance(entry["name"], str):
+                raise
+            raise SpecError(f"variable entry {index}: {exc}") from exc
     observations = []
     for index, entry in enumerate(_json_objects(document, "observations", "observation rule")):
         extra = set(entry) - _RULE_KEYS

@@ -203,6 +203,15 @@ class TestBlockAnswers:
                 structure = from_world_model(spec)
                 assert_table_matches_reference(structure, x_event(spec, structure.space))
 
+    @pytest.mark.parametrize("first,second", [("coarse", "coarse"), ("fine", "fine"), ("coarse", "fine")])
+    def test_table_sizes_at_the_extremes(self, first, second):
+        # A single block's value table has 2^12 - 1 entries; a singleton's has one.
+        labels = {"coarse": [0] * EXHAUSTIVE_STATE_LIMIT, "fine": range(EXHAUSTIVE_STATE_LIMIT)}
+        partitions = (Partition.from_labels(labels[first]), Partition.from_labels(labels[second]))
+        for seed in range(3):
+            drawn, target = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
+            assert_table_matches_reference(InformationStructure(drawn.space, partitions), target)
+
     def test_exact_where_the_common_scale_is_large(self):
         # Distinct prime denominators make the block weights' lcm, the table's
         # one integer scale, far wider than any single weight.

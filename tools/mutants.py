@@ -106,6 +106,18 @@ MUTANTS = (
         "if min(inside, on_target) * level.denominator <= level.numerator * weight:",
     ),
     Mutant(
+        "oracle._block_answers' value table drops the on-target cap",
+        "src/epicoord/oracle.py",
+        "values = {part: min(sums[part], on_target) * factor for part in parts[1:]}",
+        "values = {part: sums[part] * factor for part in parts[1:]}",
+    ),
+    Mutant(
+        "oracle._block_answers combines the two players' levels with max",
+        "src/epicoord/oracle.py",
+        "one if one < other else other",
+        "one if one > other else other",
+    ),
+    Mutant(
         "_Peel.level drops tied blocks",
         "src/epicoord/epistemic.py",
         "            elif this == least:\n                lowest.append(b)\n",
