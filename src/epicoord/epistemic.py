@@ -2,15 +2,18 @@
 
 `InformationStructure` owns all belief arithmetic: on first use it scales the
 measures to integer weights over their common denominator, so a belief is a
-ratio of integer sums over one information set.  It also numbers both
-players' blocks once, player 0's first, and keeps, for each numbered block,
-its integer weight and the integer weight of its overlap with each companion
-block it meets; the ladder's peel and the level-k strategies both work on
-that one numbering.  How much of each block lies on a target is one cached
-table per (structure, target), `_target_weights`, which is also the one place
-a target is checked against the space: the peel, the level-k steps, the
-certainty heuristics and the attack game all read it, and a block is certain
-of the target exactly when its weight on the target equals its weight.
+ratio of integer sums over one information set.  A structure is hashed on
+those integer weights and its block maps, not on its measures.  It also
+numbers both players' blocks once, player 0's first, and keeps, for each
+numbered block, its integer weight, summed in one pass over the states, and
+the integer weight of its overlap with each companion block it meets; the
+ladder's peel and the level-k strategies both work on that one numbering.
+How much of each block lies on a target is one cached table per (structure,
+target), `_target_weights`, summed in one pass over the target's states,
+which is also the one place a target is checked against the space: the
+peel, the level-k steps, the certainty heuristics and the attack game all
+read it, and a block is certain of the target exactly when its weight on the
+target equals its weight.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -74,8 +77,12 @@ class InformationStructure:
         return self._hash
 
     @cached_property
-    def _hash(self) -> int:  # lru_cache lookups keyed on a structure hash it every time
-        return hash((self.space, self.partitions))
+    def _hash(self) -> int:
+        # Computed once: every lru_cache lookup keyed on a structure hashes it.
+        # The measures sum to 1, so equal structures have equal integer weights
+        # and equal block maps; hashing those integers skips the modular
+        # inverse `Fraction.__hash__` takes per state.
+        return hash((self._weights, *(partition.block_of for partition in self.partitions)))
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -98,8 +105,12 @@ class InformationStructure:
 
     @cached_property
     def _totals(self) -> tuple[int, ...]:
-        """The integer weight of each block of `_blocks`."""
-        return tuple(map(self._weight, self._blocks))
+        """The integer weight of each block of `_blocks`, summed in one pass over the states."""
+        totals = [0] * len(self._blocks)
+        for row in self._block_ids:
+            for block, weight in zip(row, self._weights):
+                totals[block] += weight
+        return tuple(totals)
 
     @cached_property
     def _overlaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -167,14 +178,20 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
 def _target_weights(structure: InformationStructure, target: Event) -> tuple[int, ...]:
     """The integer weight on `target` of each block of `structure._blocks`.
 
-    The target is checked against the space once, when the entry is built.
-    Every weight is positive, so a block lies inside the target exactly when
-    its entry equals its `_totals` entry.  Callers pass `frozenset(target)`,
+    The target is checked against the space once, when the entry is built,
+    and the table is summed in one pass over the target's states, each
+    state's weight credited to the block holding it in every row of
+    `_block_ids`.  Every weight is positive, so a block lies inside the
+    target exactly when its entry equals its `_totals` entry.  Callers pass `frozenset(target)`,
     which keeps a `set` target working and costs nothing for a frozenset.
     """
     structure._check_inside(target, "target event")
-    weight_of = structure._weight
-    return tuple(weight_of(block & target) for block in structure._blocks)
+    weights = structure._weights
+    on_target = [0] * len(structure._blocks)
+    for row in structure._block_ids:
+        for state in target:
+            on_target[row[state]] += weights[state]
+    return tuple(on_target)
 
 
 # Module-level spelling: conditional_belief(structure, player, event, state).

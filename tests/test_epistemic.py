@@ -14,6 +14,7 @@ from epicoord import (
     StateSpace,
     brute_force_common_p_belief,
     builtin_loudspeaker,
+    builtin_messenger,
     common_p_belief,
     conditional_belief,
     evidence_level,
@@ -336,17 +337,69 @@ class TestBeliefKernel:
         evidence_level(twin, twin.universe(), target)
         assert "_totals" in vars(twin)
 
+    def test_hash_is_shared_by_equal_structures_built_apart(self):
+        # Equal measures spelled differently: the second structure's ladder is the first one's cache entry.
+        states = ((0,), (1,), (2,))
+        one = InformationStructure(
+            StateSpace(states, ("1/2", "1/4", "1/4")),
+            (Partition.from_labels("aab"), Partition.from_labels("abb")),
+        )
+        two = InformationStructure(
+            StateSpace(states, (Fraction(2, 4), Fraction(1, 4), "0.25")),
+            (Partition.from_labels([7, 7, 3]), Partition.from_labels([1, 2, 2])),
+        )
+        assert one is not two and one == two and hash(one) == hash(two)
+        target = frozenset({0, 1})
+        ladder = evident_ladder(one, target)
+        hits = evident_ladder.cache_info().hits
+        assert evident_ladder(two, target) is ladder
+        assert evident_ladder.cache_info().hits == hits + 1
+
+    def test_structures_differing_only_in_measure_keep_their_own_answers(self):
+        quarter_spec, third_spec = builtin_messenger(Fraction(1, 4)), builtin_messenger(Fraction(1, 3))
+        quarter, third = from_world_model(quarter_spec), from_world_model(third_spec)
+        assert quarter.space.states == third.space.states and quarter.partitions == third.partitions
+        assert quarter != third
+        cases = ((quarter, x_event(quarter_spec, quarter.space)), (third, x_event(third_spec, third.space)))
+        answers = {quarter: [], third: []}
+        # Alternate between the two structures at every (player, state).
+        for player in (0, 1):
+            for state in range(len(quarter)):
+                for structure, target in cases:
+                    answer = common_p_belief(structure, target, player, state)
+                    assert answer == fixedpoint_common_p_belief(structure, target, player, state)
+                    answers[structure].append(answer)
+        assert answers[quarter] != answers[third]
+
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
-    def test_totals_and_target_table_match_literal_sums(self, uniform):
-        for seed in self.SEEDS:
-            config = RandomStructureConfig(seed=seed, num_states=1 + seed % 16, uniform_measure=uniform)
-            structure, target = random_structure(config)
+    def test_totals_and_target_table_match_literal_sums(self, uniform, loudspeaker_spec, messenger_spec):
+        configs = [
+            RandomStructureConfig(seed=seed, num_states=1 + seed % 16, uniform_measure=uniform) for seed in self.SEEDS
+        ]
+        # The sizes of the benchmark's ladder-large workload.
+        configs += [
+            RandomStructureConfig(seed=seed, num_states=n, uniform_measure=uniform)
+            for seed, n in enumerate((64, 128, 192))
+        ]
+        cases = [random_structure(config) for config in configs]
+        # World models carry their own measures, whatever `uniform` says.
+        for spec in (email_chain(16, Fraction(1, 3), Fraction(1, 10)), loudspeaker_spec, messenger_spec):
+            structure = from_world_model(spec)
+            cases.append((structure, x_event(spec, structure.space)))
+        for structure, target in cases:
             weights = structure._weights
             blocks = structure._blocks
             assert structure._totals == tuple(sum(weights[s] for s in block) for block in blocks)
             for event in (target, structure.universe(), frozenset()):
                 table = _target_weights(structure, event)
                 assert table == tuple(sum(weights[s] for s in block if s in event) for block in blocks)
+            # A target outside the space is refused before any table is cached.
+            # Emptied first: a full cache would keep its size through an insertion.
+            _target_weights.cache_clear()
+            for outside in (target | {len(structure)}, frozenset({-1})):
+                with pytest.raises(ValueError, match="target event"):
+                    _target_weights(structure, outside)
+                assert _target_weights.cache_info().currsize == 0
 
     @pytest.mark.parametrize(
         "partitions,message",

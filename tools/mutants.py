@@ -94,6 +94,18 @@ MUTANTS = (
         "zip(self.partitions, self._block_ids)",
     ),
     Mutant(
+        "_target_weights credits an on-target state to the first row's block only",
+        "src/epicoord/epistemic.py",
+        "for row in structure._block_ids:",
+        "for row in structure._block_ids[:1]:",
+    ),
+    Mutant(
+        "_totals skips the last row of _block_ids",
+        "src/epicoord/epistemic.py",
+        "for row in self._block_ids:",
+        "for row in self._block_ids[:-1]:",
+    ),
+    Mutant(
         "_Peel.peel keeps a block at the level",
         "src/epicoord/epistemic.py",
         "return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]",
