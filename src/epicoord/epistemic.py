@@ -1,12 +1,13 @@
 """Exact conditional belief and graded common belief over finite information structures.
 
-`InformationStructure` owns all belief arithmetic: on first use it scales the
-measures to integer weights over their common denominator, so a belief is a
-ratio of integer sums over one information set.  A structure is hashed on
-those integer weights and its block maps, not on its measures.  It also
-numbers both players' blocks once, player 0's first, and keeps, for each
-numbered block, its integer weight, summed in one pass over the states, and
-the integer weight of its overlap with each companion block it meets; the
+`InformationStructure` owns all belief arithmetic: it reads its state
+weights from the space, which scales the measures once to integer weights
+over their common denominator when it is built, so a belief is a ratio of
+integer sums over one information set.  A structure is hashed on those
+integer weights and its block maps, not on its measures.  It also numbers
+both players' blocks once, player 0's first, and keeps, for each numbered
+block, its integer weight, summed in one pass over the states, and the
+integer weight of its overlap with each companion block it meets; the
 ladder's peel and the level-k strategies both work on that one numbering.
 How much of each block lies on a target is one cached table per (structure,
 target), `_target_weights`, summed in one pass over the target's states,
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .rational import on_one_scale
 from .worldmodel import (
     Partition,
     StateSpace,
@@ -86,8 +86,8 @@ class InformationStructure:
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
-        """Each state's measure times the least common denominator of all of them."""
-        return tuple(on_one_scale(self.space.measures)[0])
+        """Each state's measure times the least common denominator of all of them, as the space keeps them."""
+        return self.space._weights
 
     def _weight(self, members) -> int:
         return sum(map(self._weights.__getitem__, members))

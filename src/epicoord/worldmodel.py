@@ -16,11 +16,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
-from .rational import format_rational, parse_probability, parse_rational
+from .rational import format_rational, on_one_scale, parse_probability, parse_rational
 
 State = tuple[int, ...]
 # Each fired rule contributes (rule index, observed values); the tag keeps
@@ -37,6 +38,12 @@ def _names(names, field: str) -> tuple[str, ...]:
     if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
         raise SpecError(f"{field!r} must be a list of variable names, got {names!r}")
     return tuple(names)
+
+
+def _check_player(player) -> None:
+    """Refuse anything but the plain integer 0 or 1 as a player."""
+    if type(player) is not int or player not in (0, 1):
+        raise SpecError(f"'player' must be the integer 0 or 1, got {player!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,7 @@ class ObservationRule:
     observed: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if type(self.player) is not int or self.player not in (0, 1):
-            raise SpecError(f"'player' must be the integer 0 or 1, got {self.player!r}")
+        _check_player(self.player)
         object.__setattr__(self, "guard", _names(self.guard, "guard"))
         object.__setattr__(self, "observed", _names(self.observed, "observed"))
 
@@ -117,7 +123,13 @@ class WorldModelSpec:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Indexed positive-measure states with an exact probability measure."""
+    """Indexed positive-measure states with an exact probability measure.
+
+    The measures are checked on one integer scale: `_weights` holds each
+    state's measure times the least common denominator of all of them, and
+    they must sum to that denominator.  `_weights` is no field, so equality,
+    hashing and the repr see the states and measures only.
+    """
 
     states: tuple[State, ...]
     measures: tuple[Fraction, ...]
@@ -129,10 +141,12 @@ class StateSpace:
             raise ValueError("states and measures differ in length")
         if len(set(self.states)) != len(self.states):
             raise ValueError("duplicate state assignments")
-        if any(m <= 0 for m in self.measures):
+        weights, denominator = on_one_scale(self.measures)
+        if any(weight <= 0 for weight in weights):
             raise ValueError("every enumerated state must have positive measure")
-        if sum(self.measures, Fraction(0)) != 1:
+        if sum(weights) != denominator:
             raise ValueError("state measures must sum to exactly 1")
+        object.__setattr__(self, "_weights", tuple(weights))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -196,6 +210,13 @@ def enumerate_states(spec: WorldModelSpec) -> StateSpace:
     follows the number of reachable states times the number of variables
     rather than 2^V.
 
+    The factors are integers: with the bias n/d, value 1 contributes n/d and
+    value 0 (d - n)/d.  A partial assignment carries its weight as an integer
+    numerator and denominator, each multiplied only by the factors of the
+    variables it branched on (one common denominator over every variable
+    would make each weight on a long chain thousands of bits wide), and one
+    `Fraction` is built per emitted state.
+
     Assignments are extended one variable at a time in declaration order,
     depth first without recursion: the 0 branch is taken at once and the 1
     branch is deferred on a stack, so the most recently deferred choice is
@@ -205,36 +226,43 @@ def enumerate_states(spec: WorldModelSpec) -> StateSpace:
     impossible assignments left out.
     """
     position = _positions(spec)
-    plan = tuple((tuple(position[g] for g in var.gate), var.bias) for var in spec.variables)
+    plan = tuple(
+        (tuple(position[g] for g in var.gate), var.bias.numerator, var.bias.denominator)
+        for var in spec.variables
+    )
     values = [0] * len(plan)
+    value_at = values.__getitem__
     states: list[State] = []
     measures: list[Fraction] = []
-    # Deferred 1 branches, as (variable index, weight with its factor applied);
-    # the indices rise from bottom to top, so values below the top one are intact.
-    pending: list[tuple[int, Fraction]] = []
-    start, weight = 0, Fraction(1)
+    # Deferred 1 branches, as (variable index, weight numerator, weight
+    # denominator), the factor applied; the indices rise from bottom to top,
+    # so values below the top one are intact.
+    pending: list[tuple[int, int, int]] = []
+    start, weight, scale = 0, 1, 1
     while True:
         for index in range(start, len(plan)):
-            gates, bias = plan[index]
-            if not bias or not all(values[g] for g in gates):  # 0 is the only value, factor 1
+            gates, n, d = plan[index]
+            if not n or not all(map(value_at, gates)):  # 0 is the only value, factor 1
                 values[index] = 0
-            elif bias == 1:
+            elif n == d:
                 values[index] = 1
             else:
-                pending.append((index, weight * bias))
-                weight *= 1 - bias
+                pending.append((index, weight * n, scale * d))
+                weight *= d - n
+                scale *= d
                 values[index] = 0
         states.append(tuple(values))
-        measures.append(weight)
+        measures.append(Fraction(weight, scale))
         if not pending:
             return StateSpace(tuple(states), tuple(measures))
-        index, weight = pending.pop()
+        index, weight, scale = pending.pop()
         values[index] = 1
         start = index + 1
 
 
 def _player_rules(spec: WorldModelSpec, player: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """The player's rules as (rule index, guard positions, observed positions)."""
+    _check_player(player)
     position = _positions(spec)
     return [
         (rule_index, tuple(position[g] for g in rule.guard), tuple(position[v] for v in rule.observed))
@@ -243,12 +271,17 @@ def _player_rules(spec: WorldModelSpec, player: int) -> list[tuple[int, tuple[in
     ]
 
 
+def _check_widths(spec: WorldModelSpec, states: Iterable[State]) -> None:
+    """Refuse the first state whose width is not the model's variable count."""
+    width = len(spec.variables)
+    for state in states:
+        if len(state) != width:
+            raise SpecError(f"state has {len(state)} values but the model declares {width} variables")
+
+
 def _trace(spec: WorldModelSpec, rules, state: State) -> ObservationTrace:
     """Replay rules resolved by `_player_rules` at one state."""
-    if len(state) != len(spec.variables):
-        raise SpecError(
-            f"state has {len(state)} values but the model declares {len(spec.variables)} variables"
-        )
+    _check_widths(spec, (state,))
     return tuple(
         (rule_index, tuple(state[v] for v in observed))
         for rule_index, guard, observed in rules
@@ -270,10 +303,37 @@ def trace_values(trace: ObservationTrace) -> tuple[tuple[int, ...], ...]:
     return tuple(values for _, values in trace)
 
 
+# A rule's column entry at a state where its guard fails: equal to no observed value.
+_SILENT = object()
+
+
+def _shows_nothing(state: State) -> tuple[()]:
+    """What a rule observing no variable shows where its guard holds."""
+    return ()
+
+
 def build_information_partition(spec: WorldModelSpec, space: StateSpace, player: int) -> Partition:
-    """Group the states a player cannot tell apart: equal traces, same block."""
+    """Group the states a player cannot tell apart: equal traces, same block.
+
+    The states are labelled column by column: for each of the player's rules,
+    one pass over the states records what the rule shows, or `_SILENT` where
+    its guard fails.  A state's label is its row across the columns, so two
+    labels are equal exactly when the two traces are.
+    """
     rules = _player_rules(spec, player)
-    return Partition.from_labels(map(partial(_trace, spec, rules), space.states))
+    states = space.states
+    _check_widths(spec, states)
+    ones = (1,) * len(spec.variables)
+    columns = []
+    for _, guard, observed in rules:
+        shown = itemgetter(*observed) if observed else _shows_nothing
+        if guard:
+            fires = itemgetter(*guard)
+            on = fires(ones)  # what the guard reads where it holds
+            columns.append([shown(state) if fires(state) == on else _SILENT for state in states])
+        else:
+            columns.append(list(map(shown, states)))
+    return Partition.from_labels(zip(*columns) if columns else [()] * len(states))
 
 
 _HALF = Fraction(1, 2)

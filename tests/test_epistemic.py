@@ -33,8 +33,10 @@ from epicoord import (
 )
 from epicoord import epistemic, oracle, strategies
 from epicoord.epistemic import CACHE_SIZE, _target_weights
+from epicoord.rational import on_one_scale
 
-from .conftest import email_chain
+from .conftest import DELTA, email_chain
+from .test_worldmodel import observed_specs
 
 
 def states_of(structure, event):
@@ -353,6 +355,23 @@ class TestBeliefKernel:
         ladder = evident_ladder(one, target)
         hits = evident_ladder.cache_info().hits
         assert evident_ladder(two, target) is ladder
+        assert evident_ladder.cache_info().hits == hits + 1
+
+    @given(st.one_of(observed_specs(), st.sampled_from((builtin_loudspeaker(DELTA), builtin_messenger(DELTA)))))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_come_from_the_space_and_key_the_ladder_cache(self, spec):
+        structure = from_world_model(spec)
+        space = structure.space
+        assert structure._weights == tuple(on_one_scale(space.measures)[0])
+        by_hand = InformationStructure(
+            StateSpace(space.states, space.measures),
+            tuple(Partition(partition.blocks, partition.block_of) for partition in structure.partitions),
+        )
+        assert by_hand is not structure and by_hand == structure and hash(by_hand) == hash(structure)
+        target = x_event(spec, space)
+        ladder = evident_ladder(structure, target)
+        hits = evident_ladder.cache_info().hits
+        assert evident_ladder(by_hand, target) is ladder
         assert evident_ladder.cache_info().hits == hits + 1
 
     def test_structures_differing_only_in_measure_keep_their_own_answers(self):

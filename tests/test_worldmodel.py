@@ -32,7 +32,7 @@ from epicoord import (
     x_event,
 )
 from epicoord.oracle import EXHAUSTIVE_STATE_LIMIT
-from epicoord.rational import format_rational, parse_rational
+from epicoord.rational import format_rational, on_one_scale, parse_rational
 
 from .conftest import DELTA, email_chain
 
@@ -117,6 +117,23 @@ class TestEnumerateStates:
                 assert common_p_belief(structure, target, player, state) == (
                     fixedpoint_common_p_belief(structure, target, player, state)
                 )
+
+    def test_two_hundred_variable_email_chain(self):
+        # A long chain: V + 1 states in order, closed-form measures, trace partitions, integer weights.
+        variables, delta, loss = 200, Fraction(1, 3), Fraction(1, 10)
+        spec = email_chain(variables, delta, loss)
+        structure = from_world_model(spec)
+        space = structure.space
+        assert space.states == tuple((1,) * k + (0,) * (variables - k) for k in range(variables + 1))
+        # State k + 1 has k messages delivered and the next one lost; the top state has all V - 1 delivered.
+        assert space.measures == (
+            1 - delta,
+            *(delta * (1 - loss) ** k * loss for k in range(variables - 1)),
+            delta * (1 - loss) ** (variables - 1),
+        )
+        for player, partition in enumerate(structure.partitions):
+            assert partition == Partition.from_labels(run_observations(spec, player, s) for s in space.states)
+        assert structure._weights == tuple(on_one_scale(space.measures)[0])
 
     def test_loudspeaker_example(self, loudspeaker_spec):
         space = enumerate_states(loudspeaker_spec)
@@ -214,8 +231,13 @@ class TestPartitions:
             (VariableSpec("x", Fraction(1, 2)), VariableSpec("y", Fraction(1, 2))),
             (ObservationRule(("y",), 0, ("x",)), ObservationRule((), 0, ("y",))),
         )
+        # Rules that observe nothing still tell whether their guards held.
+        observes_nothing = WorldModelSpec(
+            (VariableSpec("x", Fraction(1, 2)), VariableSpec("y", Fraction(1, 3))),
+            (ObservationRule(("y",), 1, ()), ObservationRule((), 1, ()), ObservationRule(("x", "y"), 0, ())),
+        )
         chain = email_chain(8, DELTA, Fraction(1, 10))
-        for spec in (messenger_spec, loudspeaker_spec, chain, guarded_first):
+        for spec in (messenger_spec, loudspeaker_spec, chain, guarded_first, observes_nothing):
             space = enumerate_states(spec)
             for player in (0, 1):
                 partition = build_information_partition(spec, space, player)
@@ -248,6 +270,33 @@ class TestPartitions:
             frozenset(range(len(space))),
         )
         assert len(build_information_partition(one_sided, space, 0).blocks) > 1
+
+    @pytest.mark.parametrize("player", [2, -1, True, "0"], ids=["two", "minus-one", "true", "string"])
+    def test_player_must_be_zero_or_one(self, messenger_spec, player):
+        # The check and message of ObservationRule: True is no player 1, and 2 is no ruleless player.
+        space = enumerate_states(messenger_spec)
+        message = "^" + re.escape(f"'player' must be the integer 0 or 1, got {player!r}") + "$"
+        with pytest.raises(SpecError, match=message):
+            build_information_partition(messenger_spec, space, player)
+        with pytest.raises(SpecError, match=message):
+            run_observations(messenger_spec, player, space.states[0])
+
+    @pytest.mark.parametrize(
+        "spec_of,states,width",
+        [
+            (builtin_messenger, tuple(itertools.product((0, 1), repeat=2)), 2),
+            (builtin_loudspeaker, ((1, 1), (1, 0), (0,)), 1),
+            (builtin_loudspeaker, ((1, 1), (1, 0), (0, 1, 0)), 3),
+        ],
+        ids=["another-model", "narrower-later-state", "wider-later-state"],
+    )
+    def test_state_width_must_match_the_model(self, spec_of, states, width):
+        spec = spec_of(DELTA)
+        space = StateSpace(states, (Fraction(1, len(states)),) * len(states))
+        message = f"state has {width} values but the model declares {len(spec.variables)} variables"
+        for player in (0, 1):
+            with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+                build_information_partition(spec, space, player)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

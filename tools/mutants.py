@@ -142,6 +142,18 @@ MUTANTS = (
         "plays = [ladder.levels[max(depth - 1, 0)] for depth in ladder.block_depth]",
     ),
     Mutant(
+        "enumerate_states' deferred 1 branch takes the 0 branch's factor",
+        "src/epicoord/worldmodel.py",
+        "pending.append((index, weight * n, scale * d))",
+        "pending.append((index, weight * (d - n), scale * d))",
+    ),
+    Mutant(
+        "build_information_partition's columns ignore each rule's guard",
+        "src/epicoord/worldmodel.py",
+        "[shown(state) if fires(state) == on else _SILENT for state in states]",
+        "[shown(state) for state in states]",
+    ),
+    Mutant(
         "parse_probability accepts values above 1",
         "src/epicoord/rational.py",
         "if not 0 <= p.numerator <= p.denominator:",
