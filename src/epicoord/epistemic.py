@@ -29,10 +29,13 @@ A belief depends on the state only through the information set, so the
 shrinking works on blocks: each block of either player reads its total and
 target weights from those tables and keeps its surviving weight, a block at
 or below the level loses all its survivors, and a removal re-checks only the
-other player's block holding that state.  Each rung makes one scan of the
-live blocks, which finds the level and the blocks attaining it, and the
-rung's peel starts from those blocks.  One ladder removes each state once, so
-it costs O(n) integer updates plus that one scan per rung, and makes no
+other player's block holding that state.  Each block also keeps an integer
+floor key, its weakest belief scaled by 2**_KEY_BITS and rounded down, which
+the peel updates with the surviving weight.  A rung's level comes from one
+C-level `min` over the keys and an exact comparison among the few blocks
+sharing the least key, which finds the level and the blocks attaining it, and
+the rung's peel starts from those blocks.  One ladder removes each state once,
+so it costs O(n) integer updates plus that `min` per rung, and makes no
 per-state belief evaluation.  The ladder also stores each numbered block's
 deepest rung in one flat table, so a `common_p_belief` query is a table
 lookup at the block's number.  `min_belief` stays the per-state definition.
@@ -56,6 +59,12 @@ Event = frozenset[int]
 
 # Entries kept by each of this module's caches, which are keyed on whole models or structures.
 CACHE_SIZE = 64
+
+# Bits of the floor key `_Peel` keeps per block, read when a peel is built.  Any
+# width gives the same answers; at 62 bits two distinct beliefs share a key only
+# when block totals reach 2**31, so the exact comparison in `level()` almost
+# always sees exact ties alone.
+_KEY_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -128,8 +137,13 @@ class InformationStructure:
     def __len__(self) -> int:
         return len(self.space.states)
 
-    def universe(self) -> Event:
+    @cached_property
+    def _universe(self) -> Event:
         return frozenset(range(len(self.space.states)))
+
+    def universe(self) -> Event:
+        """Every state index, as one frozenset built once per structure."""
+        return self._universe
 
     def _check_inside(self, states: Event, what: str) -> None:
         if not self.universe().issuperset(states):
@@ -216,42 +230,54 @@ class _Peel:
     Every member of a block gets the same beliefs, so the block's weakest
     belief in the survivors and in the target is min(surviving, on_target) /
     total, and a state survives only while both of its blocks stay strictly
-    above the level.  Blocks are named by their number in `_blocks` only:
-    block b's companion row of `_block_ids` is `block_ids[b < first_count]`,
-    player 1's for player 0's blocks and player 0's for player 1's.
+    above the level.  Each block also keeps a floor key, that belief times
+    2**bits rounded down, or `dead`, above every belief's key, once no member
+    survives: a smaller key means a strictly smaller belief and equal beliefs
+    share a key.  Blocks are named by their number in `_blocks` only: block
+    b's companion row of `_block_ids` is `block_ids[b < first_count]`, player
+    1's for player 0's blocks and player 0's for player 1's.
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
         structure._check_inside(event, "event")
-        self.on_target = _target_weights(structure, frozenset(target))
-        self.total = structure._totals
+        self.on_target = on_target = _target_weights(structure, frozenset(target))
+        self.total = total = structure._totals
         self.weights = structure._weights
         self.blocks = blocks = structure._blocks
         self.block_ids = structure._block_ids
         self.first_count = len(structure.partitions[0].blocks)
+        self.bits = bits = _KEY_BITS
+        self.dead = dead = (1 << bits) + 1
         if event == structure.universe():
             # The full space, as `evident_ladder` passes it: every block survives whole.
             self.alive = bytearray(b"\x01") * len(structure)
-            self.surviving = list(self.total)
+            self.surviving = list(total)
         else:
             weight_of = structure._weight
             self.alive = bytearray(len(structure))
             for state in event:
                 self.alive[state] = 1
             self.surviving = [weight_of(block.intersection(event)) for block in blocks]
-        self.live = [b for b, weight in enumerate(self.surviving) if weight]
+        self.keys = [
+            ((left if left < on else on) << bits) // weight if left else dead
+            for left, on, weight in zip(self.surviving, on_target, total)
+        ]
 
     def level(self) -> tuple[Fraction, list[int]]:
-        """The survivors' evidence level, and the live blocks whose belief equals it.
+        """The survivors' evidence level, and the surviving blocks whose belief equals it.
 
-        Drops the blocks left with no survivor, then makes one scan of the
-        rest: the level is their least block belief, and the blocks attaining
-        it, ties included, are exactly the ones a peel at that level starts from.
+        The least key belongs to the blocks of least belief, ties included,
+        and perhaps to a few of slightly larger belief; an exact
+        cross-multiplied comparison among just those blocks gives the level
+        and the blocks attaining it, which are exactly the ones a peel at that
+        level starts from.  Needs a survivor.
         """
-        surviving, on_target, total = self.surviving, self.on_target, self.total
-        self.live = live = [b for b in self.live if surviving[b]]
+        surviving, on_target, total, keys = self.surviving, self.on_target, self.total, self.keys
+        least_key = min(keys)
         low, low_total, lowest = 1, 1, []
-        for b in live:
+        b = -1
+        for _ in range(keys.count(least_key)):
+            b = keys.index(least_key, b + 1)
             held = surviving[b]
             if on_target[b] < held:
                 held = on_target[b]
@@ -264,26 +290,28 @@ class _Peel:
         return Fraction(low, low_total), lowest
 
     def peel(self, level: Fraction, failing: list[int] | None = None) -> list[int]:
-        """Remove every survivor until each live block's belief is strictly above `level`.
+        """Remove every survivor until each surviving block's belief is strictly above `level`.
 
-        A block at or below the level loses all its survivors; each removal
-        lowers the surviving weight of the other player's block that holds the
-        state, read from the companion row of `_block_ids`, and only that block
-        is checked again.  The peel starts from `failing`, the live blocks at
-        or below the level, when the caller has them from `level()`, and
-        otherwise scans the live blocks once to find them.  Returns the removed
+        A block at or below the level loses all its survivors and its key
+        becomes `dead`; each removal lowers the surviving weight of the other
+        player's block that holds the state, read from the companion row of
+        `_block_ids`, and only that block, if its belief fell, is checked again
+        and, if it stays, re-keyed.  The peel starts from `failing`, the surviving blocks at or
+        below the level, when the caller has them from `level()`, and
+        otherwise scans the blocks once to find them.  Returns the removed
         states.
         """
         numerator, denominator = level.numerator, level.denominator
-        total, on_target, surviving = self.total, self.on_target, self.surviving
+        total, on_target, surviving, keys = self.total, self.on_target, self.surviving, self.keys
         alive, weights, blocks = self.alive, self.weights, self.blocks
         block_ids, first_count = self.block_ids, self.first_count
+        bits, dead = self.bits, self.dead
 
         def fails(b: int) -> bool:
             return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
 
         removed: list[int] = []
-        work = [b for b in self.live if surviving[b] and fails(b)] if failing is None else failing
+        work = [b for b in range(len(blocks)) if surviving[b] and fails(b)] if failing is None else failing
         while work:
             b = work.pop()
             companion = block_ids[b < first_count]
@@ -295,8 +323,16 @@ class _Peel:
                     surviving[b] -= weight
                     other = companion[state]
                     surviving[other] -= weight
-                    if surviving[other] and fails(other):
-                        work.append(other)
+                    # Only a block left lighter than its part on the target loses belief;
+                    # any other one stays above the level or is queued already.
+                    if surviving[other] < on_target[other]:
+                        if not surviving[other]:
+                            keys[other] = dead
+                        elif fails(other):
+                            work.append(other)
+                        else:
+                            keys[other] = (surviving[other] << bits) // total[other]
+            keys[b] = dead
         return removed
 
 
@@ -362,10 +398,11 @@ class EvidentLadder:
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """Walk the full nested sequence of maximally evident target-indicating events.
 
-    One peel runs from the full space to empty.  Each rung makes one scan of
-    the live blocks: it finds the survivors' evidence level together with the
-    blocks attaining it, which are exactly the blocks failing at that level,
-    and peels from them.  The states peeled at a rung are the ones whose
+    One peel runs from the full space to empty.  Each rung takes the least of
+    the blocks' floor keys and compares the few blocks holding it exactly: that
+    finds the survivors' evidence level together with the blocks attaining it,
+    which are exactly the blocks failing at that level, and the rung peels
+    from them.  The states peeled at a rung are the ones whose
     deepest rung it is, so each state is removed once; a rung that removes no
     state would loop forever, so it raises `RuntimeError` instead.  Each
     block's deepest rung is then stored with the ladder, so a query is a

@@ -257,7 +257,7 @@ class TestEvidentLadder:
         }
         assert states_of(messenger, ladder.rungs[3].event) == {(1, 1, 1, 1, 1)}
 
-    @pytest.mark.parametrize("variables", [3, 4, 5, 8])
+    @pytest.mark.parametrize("variables", [3, 4, 5, 8, 200])
     def test_email_game_closed_form(self, variables):
         """Rubinstein's e-mail game, a third reference independent of both oracles.
 
@@ -305,6 +305,45 @@ class TestEvidentLadder:
             assert limits["x=0"] == (0, Fraction(1, 21))
             assert limits[0] == (Fraction(9, 19), Fraction(1, 21))
             assert all(limits[j] == (Fraction(9, 19), Fraction(9, 19)) for j in range(1, 38))
+
+    @pytest.mark.parametrize("bits", [0, 1, 3])
+    def test_narrow_keys_give_the_same_answers(self, monkeypatch, bits):
+        """At 62 bits distinct beliefs almost never share a floor key, so the exact
+        comparison among a key's blocks runs on ties alone; narrow keys make
+        most blocks share one and send every rung through that comparison."""
+        monkeypatch.setattr(epistemic, "_KEY_BITS", bits)
+        cases = [
+            random_structure(RandomStructureConfig(seed=seed, num_states=n))
+            for seed, n in enumerate((9, 12, 16, 20, 24, 32, 40))
+        ]
+        spec = email_chain(24, Fraction(1, 3), Fraction(1, 10))
+        structure = from_world_model(spec)
+        cases.append((structure, x_event(spec, structure.space)))
+        for seed, (structure, target) in enumerate(cases):
+            # Uncached: a cached ladder was built with the shipped key width.
+            ladder = evident_ladder.__wrapped__(structure, target)
+            walk = definitional_rungs(structure, target)
+            assert ladder.levels == tuple(rung.level for rung in walk)
+            assert ladder.depth == tuple(
+                max(k for k, rung in enumerate(walk) if state in rung.event) for state in range(len(structure))
+            )
+            assert ladder.block_depth == tuple(max(ladder.depth[s] for s in block) for block in structure._blocks)
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    assert ladder.levels[ladder.block_depth[structure._block_id(player, state)]] == (
+                        fixedpoint_common_p_belief(structure, target, player, state)
+                    )
+            rng = random.Random(seed)
+            for _ in range(3):
+                event = frozenset(rng.sample(range(len(structure)), rng.randint(1, len(structure))))
+                assert evidence_level(structure, event, target) == min(
+                    weakest_belief(structure, event, target, state) for state in event
+                )
+                # The ladder's own levels put blocks exactly at the level.
+                for level in (rng.choice(ladder.levels), Fraction(rng.randint(0, 12), 12)):
+                    assert super_p_evident(structure, event, target, level) == (
+                        literal_super_p_evident(structure, event, target, level)
+                    )
 
     def test_rung_that_removes_nothing_raises(self, monkeypatch):
         # A peel that removes no state would leave the ladder looping on one rung forever.
@@ -453,6 +492,7 @@ class TestBeliefKernel:
         space = StateSpace(tuple((i,) for i in range(n)), tuple(Fraction(w, sum(weights)) for w in weights))
         structure = InformationStructure(space, tuple(Partition.from_labels(labels[kind]()) for kind in kinds))
         first, second = structure.partitions
+        assert structure.universe() is structure.universe() and structure.universe() == frozenset(range(n))
         assert structure._blocks == first.blocks + second.blocks
         for player in (0, 1):
             for state in range(n):

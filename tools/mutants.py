@@ -136,6 +136,12 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "_Peel.peel leaves a companion block's key stale after a removal",
+        "src/epicoord/epistemic.py",
+        "keys[other] = (surviving[other] << bits) // total[other]",
+        "pass",
+    ),
+    Mutant(
         "matched_policy reads the rung below each block's deepest",
         "src/epicoord/game.py",
         "plays = [ladder.levels[depth] for depth in ladder.block_depth]",
