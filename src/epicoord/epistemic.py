@@ -36,14 +36,22 @@ C-level `min` over the keys and an exact comparison among the few blocks
 sharing the least key, which finds the level and the blocks attaining it, and
 the rung's peel starts from those blocks.  One ladder removes each state once,
 so it costs O(n) integer updates plus that `min` per rung, and makes no
-per-state belief evaluation.  The ladder also stores each numbered block's
-deepest rung in one flat table, so a `common_p_belief` query is a table
-lookup at the block's number.  `min_belief` stays the per-state definition.
+per-state belief evaluation.
+
+The peel keeps its own record: the rung at which each block loses its last
+survivor, written where the block is popped or where its companions' removals
+empty it.  That dying rung is the block's deepest rung, stored flat over the
+numbered blocks, and a state's depth is the lesser dying rung of its two
+blocks, since a state leaves at the pop of the first of them and no block
+empties before its states have left.  The ladder reads both tables off that
+record and builds, once, each player's row of answers, the level of the
+deepest rung meeting the player's block at each state, so a `common_p_belief`
+query is one row lookup.  `min_belief` stays the per-state definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -110,7 +118,7 @@ class InformationStructure:
     def _block_ids(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """`_block_ids[player][state]`: the number, in `_blocks`, of `player`'s block holding `state`."""
         first, second = self.partitions
-        return first.block_of, tuple(b + len(first.blocks) for b in second.block_of)
+        return first.block_of, tuple(map(len(first.blocks).__add__, second.block_of))
 
     @cached_property
     def _totals(self) -> tuple[int, ...]:
@@ -154,11 +162,15 @@ class InformationStructure:
 
         A bad player or state raises `IndexError` before `_block_ids` is read.
         """
+        if player in (0, 1) and 0 <= state < len(self.space.states):
+            return self._block_ids[player][state]
+        raise self._index_error(player, state)
+
+    def _index_error(self, player: int, state: int) -> IndexError:
+        """The error for a (player, state) pair that is not one, the player checked first."""
         if player not in (0, 1):
-            raise IndexError(f"player must be 0 or 1, got {player}")
-        if not 0 <= state < len(self.space.states):
-            raise IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
-        return self._block_ids[player][state]
+            return IndexError(f"player must be 0 or 1, got {player}")
+        return IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
 
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
@@ -236,6 +248,11 @@ class _Peel:
     share a key.  Blocks are named by their number in `_blocks` only: block
     b's companion row of `_block_ids` is `block_ids[b < first_count]`, player
     1's for player 0's blocks and player 0's for player 1's.
+
+    The peel also keeps its own record for the ladder: `rung`, the number of
+    `peel` calls made so far, and `died[b]`, the rung (the `peel` call) at
+    which block b lost its last survivor, 0 for a block that has none yet or
+    had none from the start.
     """
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
@@ -248,6 +265,8 @@ class _Peel:
         self.first_count = len(structure.partitions[0].blocks)
         self.bits = bits = _KEY_BITS
         self.dead = dead = (1 << bits) + 1
+        self.rung = 0
+        self.died = [0] * len(blocks)
         if event == structure.universe():
             # The full space, as `evident_ladder` passes it: every block survives whole.
             self.alive = bytearray(b"\x01") * len(structure)
@@ -298,14 +317,16 @@ class _Peel:
         `_block_ids`, and only that block, if its belief fell, is checked again
         and, if it stays, re-keyed.  The peel starts from `failing`, the surviving blocks at or
         below the level, when the caller has them from `level()`, and
-        otherwise scans the blocks once to find them.  Returns the removed
-        states.
+        otherwise scans the blocks once to find them.  Every block emptied
+        here, whether popped from the work list or emptied through its
+        companions' removals, records this call's `rung` in `died`; the
+        counter advances when the call ends.  Returns the removed states.
         """
         numerator, denominator = level.numerator, level.denominator
         total, on_target, surviving, keys = self.total, self.on_target, self.surviving, self.keys
         alive, weights, blocks = self.alive, self.weights, self.blocks
         block_ids, first_count = self.block_ids, self.first_count
-        bits, dead = self.bits, self.dead
+        bits, dead, died, rung = self.bits, self.dead, self.died, self.rung
 
         def fails(b: int) -> bool:
             return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
@@ -328,11 +349,14 @@ class _Peel:
                     if surviving[other] < on_target[other]:
                         if not surviving[other]:
                             keys[other] = dead
+                            died[other] = rung
                         elif fails(other):
                             work.append(other)
                         else:
                             keys[other] = (surviving[other] << bits) // total[other]
             keys[b] = dead
+            died[b] = rung
+        self.rung += 1
         return removed
 
 
@@ -373,12 +397,19 @@ class EvidentLadder:
     full space; each later rung is a strict subset of its predecessor with a
     strictly larger evidence level.  `block_depth[b]` is the deepest rung
     meeting block b of the structure's `_blocks` (player 0's blocks, then
-    player 1's): the largest depth among the block's members.
+    player 1's): the largest depth among the block's members, which is the
+    rung at which the peel empties the block.
+
+    `answers[player][state]` is `levels[block_depth[b]]` for `player`'s block b
+    holding `state`, the `common_p_belief` answer, built once with the ladder.
+    It follows from the other fields, so it takes no part in equality,
+    hashing or the repr.
     """
 
     depth: tuple[int, ...]
     levels: tuple[Fraction, ...]
     block_depth: tuple[int, ...]
+    answers: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -404,11 +435,17 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     which are exactly the blocks failing at that level, and the rung peels
     from them.  The states peeled at a rung are the ones whose
     deepest rung it is, so each state is removed once; a rung that removes no
-    state would loop forever, so it raises `RuntimeError` instead.  Each
-    block's deepest rung is then stored with the ladder, so a query is a
-    table lookup.  Cached, so the target must be hashable (a `frozenset`).
+    state would loop forever, so it raises `RuntimeError` instead.
+
+    The peel records the rung at which each block loses its last survivor,
+    and that is the block's deepest rung, `block_depth`.  A state leaves the
+    survivors when the first of its two blocks is popped, which empties that
+    block at that rung, and no block empties before all its states have left,
+    so a state's depth is the lesser of its two blocks' dying rungs.  The
+    answer rows, `levels[block_depth[b]]` at each (player, state), are built
+    here too, so a query is one lookup.  Cached, so the target must be
+    hashable (a `frozenset`).
     """
-    depth = [0] * len(structure)
     levels: list[Fraction] = []
     peel = _Peel(structure, structure.universe(), target)
     remaining = len(structure)
@@ -417,12 +454,16 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
         removed = peel.peel(level, lowest)
         if not removed:
             raise RuntimeError(f"ladder rung {len(levels)} at level {level} removed no state")
-        for state in removed:
-            depth[state] = len(levels)
         levels.append(level)
         remaining -= len(removed)
-    block_depth = tuple(max(map(depth.__getitem__, block)) for block in structure._blocks)
-    return EvidentLadder(tuple(depth), tuple(levels), block_depth)
+    died = peel.died
+    first, second = structure._block_ids
+    # A conditional expression, not `map(min, ...)`: the builtin's call costs twice as much per state.
+    pairs = zip(map(died.__getitem__, first), map(died.__getitem__, second))
+    depth = tuple([one if one < other else other for one, other in pairs])
+    block_levels = tuple(map(levels.__getitem__, died))
+    answers = (tuple(map(block_levels.__getitem__, first)), tuple(map(block_levels.__getitem__, second)))
+    return EvidentLadder(depth, tuple(levels), tuple(died), answers)
 
 
 def common_p_belief(structure: InformationStructure, target: Event, player: int, state: int) -> Fraction:
@@ -431,11 +472,16 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     Equals the evidence level of the deepest ladder rung that intersects the
     player's information set; since all states carry positive measure, a
     nonempty intersection is exactly positive belief.  Depends on `state`
-    only through the player's block, so it is read from the ladder's
-    per-block table at the block's number: `levels[block_depth[_block_id(player, state)]]`.
+    only through the player's block, so the ladder builds every answer once,
+    `levels[block_depth[_block_id(player, state)]]`, and a query reads its
+    row: `answers[player][state]`.  A bad target raises `ValueError` first;
+    then a bad player or state raises `_block_id`'s `IndexError`, so no
+    negative index reads another entry.
     """
-    ladder = evident_ladder(structure, frozenset(target))
-    return ladder.levels[ladder.block_depth[structure._block_id(player, state)]]
+    answers = evident_ladder(structure, frozenset(target)).answers
+    if player in (0, 1) and 0 <= state < len(answers[0]):
+        return answers[player][state]
+    raise structure._index_error(player, state)
 
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:

@@ -13,9 +13,9 @@ built only for a value that is returned.  A game's target is checked by
 building the structure's per-(structure, target) table of block weights on it
 (`epistemic`), which the noiseless check then reads as one integer pass.
 
-The matched and threshold policies are read off the ladder's per-block table,
-`levels[block_depth[b]]` for block b, and the threshold policy maps the
-matched rows through `_plays_a`."""
+The matched policy is the ladder's answer rows, `levels[block_depth[b]]` at
+each state of block b, and the threshold policy maps the matched rows through
+`_plays_a`."""
 
 from __future__ import annotations
 
@@ -165,12 +165,10 @@ def noiseless_check(game: GameInstance) -> bool:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def matched_policy(structure: InformationStructure, target: Event) -> Policy:
-    """Both players probability-matching on perceived common belief in the target, read
-    off the ladder's per-block table: block b of `_blocks` plays `levels[block_depth[b]]`.
-    Cached, so the target must be hashable (a `frozenset`)."""
-    ladder = evident_ladder(structure, target)
-    plays = [ladder.levels[depth] for depth in ladder.block_depth]
-    return Policy(tuple(tuple(map(plays.__getitem__, row)) for row in structure._block_ids))
+    """Both players probability-matching on perceived common belief in the target: the
+    ladder's answer rows, where block b of `_blocks` plays `levels[block_depth[b]]` at
+    each of its states.  Cached, so the target must be hashable (a `frozenset`)."""
+    return Policy(evident_ladder(structure, target).answers)
 
 
 def rational_policy(game: GameInstance) -> Policy:

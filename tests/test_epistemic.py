@@ -95,6 +95,18 @@ def assert_block_table_matches_states(structure, target):
             assert common_p_belief(structure, target, player, state) == ladder.levels[deepest]
 
 
+def seeded_ladder_cases():
+    """Random structures of 9-40 states, one seed each, and a 24-variable e-mail chain."""
+    cases = [
+        random_structure(RandomStructureConfig(seed=seed, num_states=n))
+        for seed, n in enumerate((9, 12, 16, 20, 24, 32, 40))
+    ]
+    spec = email_chain(24, Fraction(1, 3), Fraction(1, 10))
+    structure = from_world_model(spec)
+    cases.append((structure, x_event(spec, structure.space)))
+    return cases
+
+
 @st.composite
 def peel_cases(draw):
     """A structure of 1-64 states with weights 1..9 and a target, plus an (event, level) pair.
@@ -225,9 +237,15 @@ class TestCommonPBelief:
         ],
     )
     def test_bad_index_refused_before_the_table_is_read(self, loudspeaker, loudspeaker_target, player, state, message):
-        # A negative index would otherwise read another player's or block's entry of the per-block table.
+        # A negative index would otherwise read another player's or another state's answer.
         with pytest.raises(IndexError, match=re.escape(message)):
             common_p_belief(loudspeaker, loudspeaker_target, player, state)
+        with pytest.raises(IndexError, match=re.escape(message)):
+            loudspeaker.block(player, state)
+
+    def test_bad_target_refused_before_a_bad_index(self, loudspeaker):
+        with pytest.raises(ValueError, match="target event"):
+            common_p_belief(loudspeaker, frozenset({len(loudspeaker)}), 2, -1)
 
 
 class TestEvidentLadder:
@@ -312,14 +330,7 @@ class TestEvidentLadder:
         comparison among a key's blocks runs on ties alone; narrow keys make
         most blocks share one and send every rung through that comparison."""
         monkeypatch.setattr(epistemic, "_KEY_BITS", bits)
-        cases = [
-            random_structure(RandomStructureConfig(seed=seed, num_states=n))
-            for seed, n in enumerate((9, 12, 16, 20, 24, 32, 40))
-        ]
-        spec = email_chain(24, Fraction(1, 3), Fraction(1, 10))
-        structure = from_world_model(spec)
-        cases.append((structure, x_event(spec, structure.space)))
-        for seed, (structure, target) in enumerate(cases):
+        for seed, (structure, target) in enumerate(seeded_ladder_cases()):
             # Uncached: a cached ladder was built with the shipped key width.
             ladder = evident_ladder.__wrapped__(structure, target)
             walk = definitional_rungs(structure, target)
@@ -330,9 +341,9 @@ class TestEvidentLadder:
             assert ladder.block_depth == tuple(max(ladder.depth[s] for s in block) for block in structure._blocks)
             for player in (0, 1):
                 for state in range(len(structure)):
-                    assert ladder.levels[ladder.block_depth[structure._block_id(player, state)]] == (
-                        fixedpoint_common_p_belief(structure, target, player, state)
-                    )
+                    assert ladder.answers[player][state] == (
+                        ladder.levels[ladder.block_depth[structure._block_id(player, state)]]
+                    ) == fixedpoint_common_p_belief(structure, target, player, state)
             rng = random.Random(seed)
             for _ in range(3):
                 event = frozenset(rng.sample(range(len(structure)), rng.randint(1, len(structure))))
@@ -344,6 +355,62 @@ class TestEvidentLadder:
                     assert super_p_evident(structure, event, target, level) == (
                         literal_super_p_evident(structure, event, target, level)
                     )
+
+    def test_answer_rows_are_the_block_table(self, loudspeaker, loudspeaker_target, messenger, messenger_target):
+        cases = [(loudspeaker, loudspeaker_target), (messenger, messenger_target), *seeded_ladder_cases()]
+        for structure, target in cases:
+            ladder = evident_ladder(structure, target)
+            assert len(ladder.answers) == 2
+            for player in (0, 1):
+                assert len(ladder.answers[player]) == len(structure)
+                for state in range(len(structure)):
+                    assert ladder.answers[player][state] == (
+                        ladder.levels[ladder.block_depth[structure._block_id(player, state)]]
+                    ) == fixedpoint_common_p_belief(structure, target, player, state)
+                    assert common_p_belief(structure, target, player, state) is ladder.answers[player][state]
+
+    def test_block_emptied_only_through_its_companions(self):
+        """Player 1's block {1, 3} is never popped: state 1 leaves at rung 0 with
+        player 0's block {1}, and state 3 at rung 2 with player 0's block {3, 4}.
+        The peel records the block's dying rung where its companion's removal
+        empties it, and that rung is its deepest."""
+        structure, target = random_structure(RandomStructureConfig(seed=0, num_states=6))
+        popped = set()
+
+        class Reads(tuple):
+            # The peel reads a block's members only where it pops the block.
+            def __getitem__(self, b):
+                popped.add(b)
+                return tuple.__getitem__(self, b)
+
+        peel = epistemic._Peel(structure, structure.universe(), target)
+        peel.blocks = Reads(peel.blocks)
+        while any(peel.alive):
+            peel.peel(*peel.level())
+        never = [b for b in range(len(structure._blocks)) if b not in popped]
+        assert [structure._blocks[b] for b in never] == [frozenset({1, 3})]
+        assert peel.died[never[0]] == 2 and peel.rung == 3
+
+        ladder = evident_ladder.__wrapped__(structure, target)
+        walk = definitional_rungs(structure, target)
+        assert ladder.levels == tuple(rung.level for rung in walk)
+        assert ladder.depth == tuple(
+            max(k for k, rung in enumerate(walk) if state in rung.event) for state in range(len(structure))
+        )
+        assert ladder.block_depth == tuple(peel.died)
+        assert ladder.block_depth == tuple(max(ladder.depth[s] for s in block) for block in structure._blocks)
+        assert ladder.block_depth == tuple(
+            max(k for k, rung in enumerate(walk) if rung.event & block) for block in structure._blocks
+        )
+
+    def test_equal_ladders_built_apart_compare_and_hash_equal(self):
+        for structure, target in seeded_ladder_cases():
+            cached = evident_ladder(structure, target)
+            apart = evident_ladder.__wrapped__(structure, target)
+            assert apart is not cached and apart.answers is not cached.answers
+            assert apart == cached and hash(apart) == hash(cached)
+            assert apart.answers == cached.answers and repr(apart) == repr(cached)
+            assert "answers" not in repr(apart)
 
     def test_rung_that_removes_nothing_raises(self, monkeypatch):
         # A peel that removes no state would leave the ladder looping on one rung forever.

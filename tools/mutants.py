@@ -142,10 +142,22 @@ MUTANTS = (
         "pass",
     ),
     Mutant(
-        "matched_policy reads the rung below each block's deepest",
-        "src/epicoord/game.py",
-        "plays = [ladder.levels[depth] for depth in ladder.block_depth]",
-        "plays = [ladder.levels[max(depth - 1, 0)] for depth in ladder.block_depth]",
+        "_Peel.peel records the dying rung only for popped blocks",
+        "src/epicoord/epistemic.py",
+        "died[other] = rung",
+        "pass",
+    ),
+    Mutant(
+        "_Peel.peel advances the rung counter before the peel, not after it",
+        "src/epicoord/epistemic.py",
+        "bits, dead, died, rung = self.bits, self.dead, self.died, self.rung",
+        "bits, dead, died, rung = self.bits, self.dead, self.died, self.rung + 1",
+    ),
+    Mutant(
+        "the ladder's answer rows read the rung below each block's deepest",
+        "src/epicoord/epistemic.py",
+        "block_levels = tuple(map(levels.__getitem__, died))",
+        "block_levels = tuple(levels[max(depth - 1, 0)] for depth in died)",
     ),
     Mutant(
         "enumerate_states' deferred 1 branch takes the 0 branch's factor",
