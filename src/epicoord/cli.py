@@ -195,12 +195,11 @@ def ladder(fmt, model, delta, predicate):
 @click.option("--strategy", type=click.Choice(_STRATEGY_CHOICES), required=True)
 @click.option("--k", "level", type=click.IntRange(min=0), default=0, show_default=True, help="Recursion depth for itermax/itermatch.")
 @click.option("--payoffs", default=None, help="a,b,c,d as rationals or decimals; required for rational, itermax, cognitive.")
-@click.option("--level0", type=click.Choice([r.value for r in strategies.Level0Rule]), default="primary", show_default=True)
 @_model
 @_delta
 @_player
 @_state
-def act(fmt, strategy, level, payoffs, level0, model, delta, player, state):
+def act(fmt, strategy, level, payoffs, model, delta, player, state):
     """Evaluate one strategy at a state: an action, or an exact probability of A."""
     if strategy in _PAYOFF_STRATEGIES and payoffs is None:
         raise click.UsageError(f"--payoffs is required for strategy {strategy}")
@@ -209,16 +208,15 @@ def act(fmt, strategy, level, payoffs, level0, model, delta, player, state):
     target = worldmodel.x_event(spec, structure.space)
     index = structure.space.index_of(_parse_state(state))
     params = strategies.PayoffParams.parse(payoffs) if payoffs is not None else None
-    rule = strategies.Level0Rule(level0)
     result: strategies.Action | Fraction
     if strategy == "rational":
         result = strategies.rational_p_belief_action(structure, target, params, player, index)
     elif strategy == "matched":
         result = strategies.matched_p_belief_prob(structure, target, player, index)
     elif strategy == "itermax":
-        result = strategies.iterated_maximization(structure, target, params, level, player, index, rule)
+        result = strategies.iterated_maximization(structure, target, params, level, player, index)
     elif strategy == "itermatch":
-        result = strategies.iterated_matching(structure, target, level, player, index, rule)
+        result = strategies.iterated_matching(structure, target, level, player, index)
     elif strategy == "private":
         result = strategies.private_heuristic(structure, target, player, index)
     elif strategy == "pair":

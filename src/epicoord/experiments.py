@@ -16,7 +16,6 @@ from .game import GameInstance, cognitive_strategy, matched_policy, payoff_of_a
 from .rational import on_one_scale, parse_probability, parse_rational
 from .strategies import (
     Action,
-    Level0Rule,
     PayoffParams,
     iterated_matching,
     iterated_maximization_prob,
@@ -168,7 +167,6 @@ def predict(
     conditions: tuple[KnowledgeCondition, ...],
     payoffs: PayoffParams | None = None,
     level: int | None = None,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> PredictionTable:
     """Evaluate one model for the participant seat at each condition state.
 
@@ -191,13 +189,9 @@ def predict(
         elif kind is ModelKind.MATCHED:
             probs[condition.name] = matched_p_belief_prob(structure, target, seat, state)
         elif kind is ModelKind.ITERMAX:
-            probs[condition.name] = iterated_maximization_prob(
-                structure, target, payoffs, level, seat, state, level0
-            )
+            probs[condition.name] = iterated_maximization_prob(structure, target, payoffs, level, seat, state)
         else:
-            probs[condition.name] = iterated_matching(
-                structure, target, level, seat, state, level0
-            )
+            probs[condition.name] = iterated_matching(structure, target, level, seat, state)
     return PredictionTable(kind.value, level, probs)
 
 

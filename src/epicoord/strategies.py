@@ -8,13 +8,15 @@ best response to a probability-matching companion and lives in `game`, with
 the payoff sum it reads.  All outputs are exact rationals; action-valued
 strategies break ties toward the safe action B (`PayoffParams._plays_a`).
 
-Both level-k families run on one routine, `_Levels`: it steps every block of
-the structure's one numbering of both players' blocks level by level, as
-integer numerators over one denominator per level, through the structure's
-integer block overlaps, so no depth recurses and no level is reduced until a
-value is read.  The level-k steps and both heuristics weigh each block
-against the target by reading `epistemic`'s per-(structure, target) table,
-which also checks the target; certainty is its weight comparison.
+Both level-k families run on one routine, `_Levels`, from each family's one
+base case at level 0: the threshold rule on the player's own target belief for
+iterated maximization, and that belief itself for iterated matching.  It
+steps every block of the structure's one numbering of both players' blocks
+level by level, as integer numerators over one denominator per level, through
+the structure's integer block overlaps, so no depth recurses and no level is
+reduced until a value is read.  The level-k steps and both heuristics weigh
+each block against the target by reading `epistemic`'s per-(structure, target)
+table, which also checks the target; certainty is its weight comparison.
 """
 
 from __future__ import annotations
@@ -27,26 +29,10 @@ from functools import cached_property, lru_cache
 from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, common_p_belief
 from .rational import on_one_scale, parse_probability, parse_rational
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
-
 
 class Action(enum.Enum):
     A = "A"
     B = "B"
-
-
-class Level0Rule(enum.Enum):
-    """Grounding for the level-k recursions.
-
-    PRIMARY is each family's own base case (threshold on the target belief
-    for maximization, matching the target belief for matching); ALWAYS_A and
-    UNIFORM replace it with constant play for robustness checks.
-    """
-
-    PRIMARY = "primary"
-    ALWAYS_A = "always_a"
-    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,7 @@ def matched_p_belief_prob(
 
 
 class _Levels:
-    """The level-k values of one (structure, target, payoffs, level-0 rule), block by block.
+    """The level-k values of one (structure, target, payoffs), block by block.
 
     Level k is one integer numerator per block of the structure's `_blocks`
     (both players' blocks, numbered once) over one denominator D_k.  For a
@@ -149,43 +135,58 @@ class _Levels:
     structure's table for the target, which checks it), the next level
     comes from the overlap sum S_B = sum of w(B & B') * N_k[B'] over the
     companion blocks B' that B meets, so the companion's expected play over B
-    is S_B / (W_B * D_k):
+    is S_B / (W_B * D_k).  Each family has one base case, its level 0:
 
-    - matching (no payoffs): N_{k+1}[B] = m_B * S_B and D_{k+1} = D_k * L,
-      where m_B / L is the reduced t_B / W_B^2 on the least common
-      denominator L of them all (`on_one_scale`; L divides the lcm of every
-      W_B^2), so no level is ever reduced; the primary level 0, t_B / W_B,
-      is m_B * W_B over L;
-    - maximization: the companion's A-weight over B is t_B * S_B on the
-      target and (W_B - t_B) * S_B off it, over a total of W_B^2 * D_k, so
-      N_{k+1}[B] is `PayoffParams._plays_a` of those three integers, 0 or 1
-      over D_{k+1} = 1.  The primary level 0 is `_plays_a(t_B, 0, W_B)`, the
-      threshold rule on the block's own target belief.
+    - matching (no payoffs): level 0 is the block's own target belief
+      t_B / W_B, that is m_B * W_B over L, and N_{k+1}[B] = m_B * S_B with
+      D_{k+1} = D_k * L, where m_B / L is the reduced t_B / W_B^2 on the
+      least common denominator L of them all (`on_one_scale`; L divides the
+      lcm of every W_B^2), so no level is ever reduced;
+    - maximization: every level is 0 or 1 over D_k = 1, and level 0 is
+      `_plays_a(t_B, 0, W_B)`, the threshold rule on the block's own target
+      belief.  The companion's A-weight over B is t_B * S_B on the target and
+      (W_B - t_B) * S_B off it, over a total of W_B^2, so N_{k+1}[B] is
+      `PayoffParams._plays_a` of those three integers.
+
+    The matching values fall with k and settle on common knowledge.  Write
+    v_k[B] for level k's value, so v_{k+1} = F(v_k) with F(v)[B] = (t_B / W_B)
+    * sum of (w(B & B') / W_B) * v[B'] over the blocks B' that B meets.  F has
+    non-negative coefficients, so u <= v pointwise gives F(u) <= F(v): the
+    step is a monotone map.  Every v_0[B'] is at most 1 and B's overlap weights
+    sum to W_B, so v_1[B] <= t_B / W_B = v_0[B] (N_1 <= N_0 as values).
+    Applying F to v_k <= v_{k-1} gives v_{k+1} <= v_k, so every
+    block's value is non-increasing in k.  Since F(v)[B] is t_B / W_B times a
+    positive average of values at most 1, v_{k+1}[B] = 1 exactly when t_B =
+    W_B and v_k[B'] = 1 for every B' that B meets; with v_0[B] = 1 exactly
+    when t_B = W_B, v_k[B] = 1 exactly when every block within k overlap steps
+    of B lies inside the target.  Any block of B's component of the meet is
+    fewer steps away than there are blocks, so from k = the block count on,
+    v_k[B] = 1 exactly when that component lies inside the target: the target
+    is common knowledge at B, which with every state of positive measure is
+    `common_p_belief` = 1.
 
     A Fraction is built only when a value is read.  Only level 0 and the
     levels already read are kept; a read starts from the deepest kept level
     below it, so memory grows with the reads and not with k.
     """
 
-    def __init__(self, structure: InformationStructure, target: Event, payoffs, level0: Level0Rule) -> None:
+    def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
         # (t_B, W_B) for each block of `_blocks`.
         self.blocks = blocks = list(zip(_target_weights(structure, target), structure._totals))
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
             self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in blocks)
-            primary = [m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm
+            self.kept = {0: ([m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm)}
         else:
-            primary = [int(payoffs._plays_a(t, 0, w)) for t, w in blocks], 1
-        ground = {Level0Rule.ALWAYS_A: 1, Level0Rule.UNIFORM: 2}.get(level0)
-        self.kept = {0: primary if ground is None else ([1] * len(blocks), ground)}
+            self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in blocks], 1)}
 
     def _step(self, numerators, denominator):
         sums = [sum(w * numerators[b] for b, w in meets) for meets in self.overlaps]
         if self.payoffs is None:
             return [c * s for c, s in zip(self.scale, sums)], denominator * self.lcm
         plays = self.payoffs._plays_a
-        return [int(plays(t * s, (w - t) * s, w * w * denominator)) for (t, w), s in zip(self.blocks, sums)], 1
+        return [int(plays(t * s, (w - t) * s, w * w)) for (t, w), s in zip(self.blocks, sums)], 1
 
     def value(self, level: int, block: int) -> Fraction:
         if level not in self.kept:
@@ -198,16 +199,16 @@ class _Levels:
         return Fraction(numerators[block], denominator)
 
 
-# One per (structure, target, payoffs, level-0 rule); payoffs None is the matching family.
+# One per (structure, target, payoffs); payoffs None is the matching family.
 _levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
 
 
-def _level_value(structure, target, payoffs, level0, level, player, state) -> Fraction:
+def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
     # A bool is an int to Python, but no level.
     if isinstance(level, bool) or not isinstance(level, int) or level < 0:
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
     block = structure._block_id(player, state)
-    return _levels(structure, frozenset(target), payoffs, level0).value(level, block)
+    return _levels(structure, frozenset(target), payoffs).value(level, block)
 
 
 def iterated_maximization_prob(
@@ -217,12 +218,9 @@ def iterated_maximization_prob(
     level: int,
     player: int,
     state: int,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> Fraction:
-    """Probability of A under level-`level` iterated maximization.
-
-    Deterministic (0 or 1) except for the uniform grounding at level 0, which
-    is the mixed value 1/2.  Computed level by level on whole information sets.
+    """Probability of A under level-`level` iterated maximization: always 0 or 1.
+    Computed level by level on whole information sets.
 
     The utility of A multiplies the player's block-level belief in the target
     by the companion's expected play over the block, treating the two as
@@ -230,8 +228,13 @@ def iterated_maximization_prob(
     agent and the equilibrium check read, instead pairs the companion's play
     with the target state by state, so the two forms can disagree on a block
     where the companion's play and the target are correlated.
+
+    Payoffs that are not a `PayoffParams` raise `ValueError`: no payoffs
+    would select the matching family's values.
     """
-    return _level_value(structure, target, payoffs, level0, level, player, state)
+    if not isinstance(payoffs, PayoffParams):
+        raise ValueError(f"payoffs must be a PayoffParams, got {payoffs!r}")
+    return _level_value(structure, target, payoffs, level, player, state)
 
 
 def iterated_maximization(
@@ -241,15 +244,10 @@ def iterated_maximization(
     level: int,
     player: int,
     state: int,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> Action:
-    """Best respond to a level-(k-1) companion, grounded at the level-0 rule."""
-    value = iterated_maximization_prob(structure, target, payoffs, level, player, state, level0)
-    if value == ONE:
-        return Action.A
-    if value == ZERO:
-        return Action.B
-    raise ValueError("the uniform level-0 rule yields a mixed act, not a pure action")
+    """Best respond to a level-(k-1) companion, grounded at the threshold rule on the own target belief."""
+    value = iterated_maximization_prob(structure, target, payoffs, level, player, state)
+    return Action.A if value else Action.B
 
 
 def iterated_matching(
@@ -258,11 +256,10 @@ def iterated_matching(
     level: int,
     player: int,
     state: int,
-    level0: Level0Rule = Level0Rule.PRIMARY,
 ) -> Fraction:
     """Probability of A under level-`level` iterated matching: own target
     belief times the expected level-(k-1) companion probability."""
-    return _level_value(structure, target, None, level0, level, player, state)
+    return _level_value(structure, target, None, level, player, state)
 
 
 def private_heuristic(

@@ -155,18 +155,6 @@ class TestPredict:
         table = predict(ModelKind.ITERMATCH, knowledge_conditions(DELTA), level=0)
         assert set(table.probs.values()) == {Fraction(1)}
 
-    def test_alternative_level0_grounding_flows_through(self):
-        from epicoord import Level0Rule
-
-        table = predict(
-            ModelKind.ITERMAX,
-            knowledge_conditions(DELTA),
-            PAYOFF_CONDITION_1,
-            level=0,
-            level0=Level0Rule.UNIFORM,
-        )
-        assert set(table.probs.values()) == {Fraction(1, 2)}
-
     @pytest.mark.parametrize(
         "delta", [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4)]
     )

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,12 +8,12 @@ from epicoord import strategies
 from epicoord import (
     Action,
     InformationStructure,
-    Level0Rule,
     Partition,
     PayoffParams,
     RandomStructureConfig,
     StateSpace,
     cognitive_strategy,
+    common_p_belief,
     conditional_belief,
     iterated_matching,
     iterated_maximization,
@@ -30,25 +31,17 @@ from epicoord.experiments import PAYOFF_CONDITION_1
 from .conftest import DELTA
 
 
-def naive_ground(level0, primary):
-    if level0 is Level0Rule.ALWAYS_A:
-        return Fraction(1)
-    if level0 is Level0Rule.UNIFORM:
-        return Fraction(1, 2)
-    return primary
-
-
-def naive_maximization(structure, target, payoffs, level, player, state, level0=Level0Rule.PRIMARY):
+def naive_maximization(structure, target, payoffs, level, player, state):
     """Literal unmemoized recursion; the level-by-level path must agree exactly."""
     if level == 0:
         belief = conditional_belief(structure, player, target, state)
-        return naive_ground(level0, Fraction(int(belief > risk_threshold(payoffs))))
+        return Fraction(int(belief > risk_threshold(payoffs)))
     block = structure.block(player, state)
     mass = structure.measure_of(block)
     total = Fraction(0)
     for member in block:
         weight = structure.space.measures[member] / mass
-        partner = naive_maximization(structure, target, payoffs, level - 1, 1 - player, member, level0)
+        partner = naive_maximization(structure, target, payoffs, level - 1, 1 - player, member)
         good = conditional_belief(structure, player, target, member)
         total += weight * (
             good * partner * payoffs.a + (1 - good) * partner * payoffs.d + (1 - partner) * payoffs.b
@@ -56,16 +49,16 @@ def naive_maximization(structure, target, payoffs, level, player, state, level0=
     return Fraction(int(total > payoffs.c))
 
 
-def naive_matching(structure, target, level, player, state, level0=Level0Rule.PRIMARY):
+def naive_matching(structure, target, level, player, state):
     belief = conditional_belief(structure, player, target, state)
     if level == 0:
-        return naive_ground(level0, belief)
+        return belief
     block = structure.block(player, state)
     mass = structure.measure_of(block)
     total = Fraction(0)
     for member in block:
         weight = structure.space.measures[member] / mass
-        total += weight * naive_matching(structure, target, level - 1, 1 - player, member, level0)
+        total += weight * naive_matching(structure, target, level - 1, 1 - player, member)
     return belief * total
 
 
@@ -210,11 +203,10 @@ class TestIteratedMaximization:
         ties = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
         cases = [(PAYOFF_CONDITION_1, *case) for case in messenger_cases(messenger, messenger_target)]
         cases += [(ties, *case) for case in random_cases()]
-        for level0 in Level0Rule:
-            for payoffs, structure, target, level, player, state in cases:
-                assert iterated_maximization_prob(
-                    structure, target, payoffs, level, player, state, level0
-                ) == naive_maximization(structure, target, payoffs, level, player, state, level0)
+        for payoffs, structure, target, level, player, state in cases:
+            assert iterated_maximization_prob(
+                structure, target, payoffs, level, player, state
+            ) == naive_maximization(structure, target, payoffs, level, player, state)
 
     def test_block_belief_is_independent_of_partner_play(self, messenger, messenger_target):
         """Level k multiplies the block's target belief by the partner's expected
@@ -233,18 +225,17 @@ class TestIteratedMaximization:
         assert Fraction(int(correlated > payoffs.c)) == 1
         assert iterated_maximization_prob(messenger, messenger_target, payoffs, 1, 0, state) == 0
 
-    def test_alternative_level0_groundings(self, loudspeaker, loudspeaker_target):
-        silent = loudspeaker.space.index_of((1, 0))
-        assert iterated_maximization(
-            loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, 0, 0, silent, Level0Rule.ALWAYS_A
-        ) is Action.A
-        assert iterated_maximization_prob(
-            loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, 0, 0, silent, Level0Rule.UNIFORM
-        ) == Fraction(1, 2)
-        with pytest.raises(ValueError, match="mixed"):
-            iterated_maximization(
-                loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, 0, 0, silent, Level0Rule.UNIFORM
-            )
+    @pytest.mark.parametrize("payoffs", [None, "1.1,0,1,0.4", (1.1, 0, 1, 0.4)])
+    def test_payoffs_that_are_no_payoff_params_refused(self, payoffs):
+        """Without the refusal, no payoffs read the matching family's value (1/16 here)."""
+        private = knowledge_conditions(DELTA)[0]
+        structure, target, state = private.structure(), private.target(), private.state_index()
+        assert iterated_matching(structure, target, 2, 0, state) == Fraction(1, 16)
+        message = f"payoffs must be a PayoffParams, got {payoffs!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterated_maximization_prob(structure, target, payoffs, 2, 0, state)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iterated_maximization(structure, target, payoffs, 2, 0, state)
 
     def test_negative_level_rejected(self, loudspeaker, loudspeaker_target):
         with pytest.raises(ValueError):
@@ -268,6 +259,16 @@ def one_block_structure(num_states: int, on_target: int):
     return InformationStructure(space, partitions), frozenset(range(on_target))
 
 
+def off_target_companion_structure(last: int):
+    """12 uniform states; player 0's blocks are {0..last} and the rest, player 1 sees
+    nothing.  The target is every state but 0, so player 1's belief 11/12 clears the
+    risk threshold 10/11 of payoffs 1.1,0,1,0.4: at level 0 it plays A everywhere."""
+    space = StateSpace(tuple((i,) for i in range(12)), (Fraction(1, 12),) * 12)
+    labels = [0] * (last + 1) + [1] * (11 - last)
+    partitions = Partition.from_labels(labels), Partition.from_labels([0] * 12)
+    return InformationStructure(space, partitions), frozenset(range(1, 12))
+
+
 class TestIntegerTieRules:
     """Payoffs with different denominators, at beliefs that tie exactly: a tie plays B."""
 
@@ -281,25 +282,24 @@ class TestIntegerTieRules:
             assert rational_p_belief_action(structure, target, payoffs, 0, 0) is expected, on_target
 
     @pytest.mark.parametrize(
-        "payoffs,level0,level,num_states,tie",
+        "payoffs,structure_at,tie",
         [
-            # Against all-A, A is worth 0.4 + 0.7 * belief: exactly c = 1 at belief 6/7.
-            ("1.1,0,1,0.4", Level0Rule.ALWAYS_A, 1, 7, 6),
-            # Against the uniform mix, A is worth (8 * belief + 1) / 6: exactly c = 1 at belief 5/8.
-            ("3,0,1,1/3", Level0Rule.UNIFORM, 1, 8, 5),
-            # Player 1 attacks exactly on the target (at level 0 by its belief, at level 1
-            # against all-A), so player 0's A is worth 1.1 * belief one level up.
-            ("1.1,0,1,0.4", Level0Rule.PRIMARY, 1, 11, 10),
-            ("1.1,0,1,0.4", Level0Rule.ALWAYS_A, 2, 11, 10),
+            # Player 1 attacks exactly on the target (it sees the state), so player 0's
+            # A is worth 1.1 * belief one level up.
+            ("1.1,0,1,0.4", partial(one_block_structure, 11), 10),
+            # Player 1 attacks everywhere, off the target too, so over player 0's block
+            # {0..last} A is worth (1.1 * last + 0.4) / (last + 1): exactly c = 1 at last = 6.
+            ("1.1,0,1,0.4", off_target_companion_structure, 6),
         ],
     )
-    def test_companion_play_making_a_worth_c_plays_b(self, payoffs, level0, level, num_states, tie):
+    def test_companion_play_making_a_worth_c_plays_b(self, payoffs, structure_at, tie):
+        """At level 1, against player 1's level-0 play."""
         payoffs = PayoffParams.parse(payoffs)
-        for on_target, expected in ((tie, Action.B), (tie + 1, Action.A)):
-            structure, target = one_block_structure(num_states, on_target)
-            action = iterated_maximization(structure, target, payoffs, level, 0, 0, level0)
-            assert action is expected, on_target
-            naive = naive_maximization(structure, target, payoffs, level, 0, 0, level0)
+        for at, expected in ((tie, Action.B), (tie + 1, Action.A)):
+            structure, target = structure_at(at)
+            action = iterated_maximization(structure, target, payoffs, 1, 0, 0)
+            assert action is expected, at
+            naive = naive_maximization(structure, target, payoffs, 1, 0, 0)
             assert naive == (1 if expected is Action.A else 0)
 
 
@@ -328,11 +328,26 @@ class TestIteratedMatching:
 
     def test_agrees_with_naive_recursion(self, messenger, messenger_target):
         cases = [*messenger_cases(messenger, messenger_target), *random_cases()]
-        for level0 in Level0Rule:
-            for structure, target, level, player, state in cases:
-                assert iterated_matching(structure, target, level, player, state, level0) == (
-                    naive_matching(structure, target, level, player, state, level0)
+        for structure, target, level, player, state in cases:
+            assert iterated_matching(structure, target, level, player, state) == (
+                naive_matching(structure, target, level, player, state)
+            )
+
+    def test_falls_with_k_and_settles_on_common_knowledge(self):
+        """Non-increasing in k at every (player, state); at k = the block count, exactly 1
+        where the target is common knowledge (common p-belief 1) and below 1 elsewhere."""
+        for num_states in range(1, 13):
+            for seed in range(40):
+                structure, target = random_structure(
+                    RandomStructureConfig(seed=seed, num_states=num_states, uniform_measure=seed % 3 == 0)
                 )
+                limit = len(structure._blocks)
+                for player in (0, 1):
+                    for state in range(num_states):
+                        values = [iterated_matching(structure, target, k, player, state) for k in range(limit + 1)]
+                        assert all(deeper <= shallower for shallower, deeper in zip(values, values[1:]))
+                        common = common_p_belief(structure, target, player, state) == 1
+                        assert (values[-1] == 1) is common
 
     def test_bounded_by_own_belief(self):
         for seed in range(20):
@@ -356,27 +371,26 @@ class TestLevelsReadOutOfOrder:
     def test_reads_match_fresh_caches_and_naive_recursion(self, messenger, messenger_target, family):
         payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 5), Fraction(0))
 
-        def read(level, player, state, level0):
+        def read(level, player, state):
             if family == "maximization":
-                return iterated_maximization_prob(messenger, messenger_target, payoffs, level, player, state, level0)
-            return iterated_matching(messenger, messenger_target, level, player, state, level0)
+                return iterated_maximization_prob(messenger, messenger_target, payoffs, level, player, state)
+            return iterated_matching(messenger, messenger_target, level, player, state)
 
-        def naive(level, player, state, level0):
+        def naive(level, player, state):
             if family == "maximization":
-                return naive_maximization(messenger, messenger_target, payoffs, level, player, state, level0)
-            return naive_matching(messenger, messenger_target, level, player, state, level0)
+                return naive_maximization(messenger, messenger_target, payoffs, level, player, state)
+            return naive_matching(messenger, messenger_target, level, player, state)
 
         cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
-        for level0 in Level0Rule:
+        strategies._levels.cache_clear()
+        values = {level: [read(level, *case) for case in cases] for level in self.ORDER}
+        key_payoffs = payoffs if family == "maximization" else None
+        assert sorted(strategies._levels(messenger, messenger_target, key_payoffs).kept) == sorted(self.ORDER)
+        for level in self.ORDER:
             strategies._levels.cache_clear()
-            values = {level: [read(level, *case, level0) for case in cases] for level in self.ORDER}
-            key_payoffs = payoffs if family == "maximization" else None
-            assert sorted(strategies._levels(messenger, messenger_target, key_payoffs, level0).kept) == sorted(self.ORDER)
-            for level in self.ORDER:
-                strategies._levels.cache_clear()
-                assert [read(level, *case, level0) for case in cases] == values[level]
-            for level in range(6):
-                assert values[level] == [naive(level, *case, level0) for case in cases]
+            assert [read(level, *case) for case in cases] == values[level]
+        for level in range(6):
+            assert values[level] == [naive(level, *case) for case in cases]
 
 
 class TestHeuristics:

@@ -72,14 +72,20 @@ MUTANTS = (
     Mutant(
         "on- and off-target weights swapped in the _Levels step",
         "src/epicoord/strategies.py",
-        "plays(t * s, (w - t) * s, w * w * denominator)",
-        "plays((w - t) * s, t * s, w * w * denominator)",
+        "plays(t * s, (w - t) * s, w * w)",
+        "plays((w - t) * s, t * s, w * w)",
     ),
     Mutant(
-        "the _Levels step drops D_k from the block's total",
+        "the _Levels step weighs the block's total by W_B, not W_B^2",
         "src/epicoord/strategies.py",
-        "plays(t * s, (w - t) * s, w * w * denominator)",
         "plays(t * s, (w - t) * s, w * w)",
+        "plays(t * s, (w - t) * s, w)",
+    ),
+    Mutant(
+        "_Levels grounds itermatch at 1 for every block",
+        "src/epicoord/strategies.py",
+        "self.kept = {0: ([m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm)}",
+        "self.kept = {0: ([self.lcm] * len(blocks), self.lcm)}",
     ),
     Mutant(
         "_violations counts a zero gain as a violation",
