@@ -208,21 +208,7 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
     target = worldmodel.x_event(spec, structure.space)
     index = structure.space.index_of(_parse_state(state))
     params = strategies.PayoffParams.parse(payoffs) if payoffs is not None else None
-    result: strategies.Action | Fraction
-    if strategy == "rational":
-        result = strategies.rational_p_belief_action(structure, target, params, player, index)
-    elif strategy == "matched":
-        result = strategies.matched_p_belief_prob(structure, target, player, index)
-    elif strategy == "itermax":
-        result = strategies.iterated_maximization(structure, target, params, level, player, index)
-    elif strategy == "itermatch":
-        result = strategies.iterated_matching(structure, target, level, player, index)
-    elif strategy == "private":
-        result = strategies.private_heuristic(structure, target, player, index)
-    elif strategy == "pair":
-        result = strategies.pair_heuristic(structure, target, player, index)
-    else:
-        result = game.cognitive_strategy(structure, target, params, player, index)
+    result = experiments.play(strategy, structure, target, params, level, player, index)
     if isinstance(result, strategies.Action):
         payload, text = {"action": result.value}, result.value
     else:

@@ -75,6 +75,13 @@ CACHE_SIZE = 64
 _KEY_BITS = 62
 
 
+def _index_error(player: int, state: int, count: int) -> IndexError:
+    """The error for a (player, state) pair that is not one over `count` states, the player checked first."""
+    if player not in (0, 1):
+        return IndexError(f"player must be 0 or 1, got {player}")
+    return IndexError(f"state index {state} out of range 0..{count - 1}")
+
+
 @dataclass(frozen=True)
 class InformationStructure:
     """A finite state space with an exact measure and one partition per player."""
@@ -164,13 +171,7 @@ class InformationStructure:
         """
         if player in (0, 1) and 0 <= state < len(self.space.states):
             return self._block_ids[player][state]
-        raise self._index_error(player, state)
-
-    def _index_error(self, player: int, state: int) -> IndexError:
-        """The error for a (player, state) pair that is not one, the player checked first."""
-        if player not in (0, 1):
-            return IndexError(f"player must be 0 or 1, got {player}")
-        return IndexError(f"state index {state} out of range 0..{len(self.space.states) - 1}")
+        raise _index_error(player, state, len(self.space.states))
 
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
@@ -481,7 +482,7 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     answers = evident_ladder(structure, frozenset(target)).answers
     if player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]
-    raise structure._index_error(player, state)
+    raise _index_error(player, state, len(answers[0]))
 
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:

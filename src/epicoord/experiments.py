@@ -12,13 +12,13 @@ from functools import cached_property
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
-from .game import GameInstance, cognitive_strategy, matched_policy, payoff_of_a
+from .game import ONE, ZERO, GameInstance, cognitive_strategy, matched_policy, payoff_of_a
 from .rational import on_one_scale, parse_probability, parse_rational
 from .strategies import (
     Action,
     PayoffParams,
     iterated_matching,
-    iterated_maximization_prob,
+    iterated_maximization,
     matched_p_belief_prob,
     pair_heuristic,
     private_heuristic,
@@ -168,30 +168,15 @@ def predict(
     payoffs: PayoffParams | None = None,
     level: int | None = None,
 ) -> PredictionTable:
-    """Evaluate one model for the participant seat at each condition state.
+    """Evaluate one model for the participant seat at each condition state through `play`.
 
-    Deterministic strategies map to probability 0 or 1; the matching models
-    report their exact mixing probability.
+    An action maps to probability 0 or 1; the matching models report their
+    exact mixing probability.  Bad payoffs or levels are refused by the rules.
     """
-    if kind in (ModelKind.RATIONAL, ModelKind.ITERMAX) and payoffs is None:
-        raise ValueError(f"{kind.value} predictions require payoffs")
-    if kind in (ModelKind.ITERMAX, ModelKind.ITERMATCH) and level is None:
-        raise ValueError(f"{kind.value} predictions require a recursion level")
     probs: dict[str, Fraction] = {}
-    for condition in conditions:
-        structure = condition.structure()
-        target = condition.target()
-        seat = condition.participant
-        state = condition.state_index()
-        if kind is ModelKind.RATIONAL:
-            action = rational_p_belief_action(structure, target, payoffs, seat, state)
-            probs[condition.name] = Fraction(1) if action is Action.A else Fraction(0)
-        elif kind is ModelKind.MATCHED:
-            probs[condition.name] = matched_p_belief_prob(structure, target, seat, state)
-        elif kind is ModelKind.ITERMAX:
-            probs[condition.name] = iterated_maximization_prob(structure, target, payoffs, level, seat, state)
-        else:
-            probs[condition.name] = iterated_matching(structure, target, level, seat, state)
+    for c in conditions:
+        value = play(kind.value, c.structure(), c.target(), payoffs, level, c.participant, c.state_index())
+        probs[c.name] = (ONE if value is Action.A else ZERO) if isinstance(value, Action) else value
     return PredictionTable(kind.value, level, probs)
 
 
@@ -276,21 +261,40 @@ class AgentStrategy(str, enum.Enum):
 SWEEP_STRATEGIES = (AgentStrategy.COGNITIVE, AgentStrategy.PRIVATE, AgentStrategy.PAIR)
 
 
+def play(
+    rule: str, structure: InformationStructure, target: Event, payoffs: PayoffParams | None,
+    level: int | None, player: int, state: int,
+) -> Action | Fraction:
+    """The package's one rule dispatch: the play of a `ModelKind` or `AgentStrategy` value at a
+    (player, state), an action or the matching rules' exact probability of A.  A rule ignores
+    payoffs or a level it does not read and refuses bad ones; another name raises `ValueError`.
+    The names are compared as plain strings: comparing a `str` with a str-enum member is slower."""
+    if rule == "rational":
+        return rational_p_belief_action(structure, target, payoffs, player, state)
+    if rule == "matched":
+        return matched_p_belief_prob(structure, target, player, state)
+    if rule == "itermax":
+        return iterated_maximization(structure, target, payoffs, level, player, state)
+    if rule == "itermatch":
+        return iterated_matching(structure, target, level, player, state)
+    if rule == "cognitive":
+        return cognitive_strategy(structure, target, payoffs, player, state)
+    if rule == "private":
+        return private_heuristic(structure, target, player, state)
+    if rule == "pair":
+        return pair_heuristic(structure, target, player, state)
+    if rule == "always_b":
+        return Action.B
+    raise ValueError(f"unknown play rule {rule!r}")
+
+
 def agent_action(
     strategy: AgentStrategy, condition: KnowledgeCondition, payoffs: PayoffParams
 ) -> Action:
-    """The simulated agent's action from the non-participant seat."""
-    structure = condition.structure()
-    target = condition.target()
-    seat = condition.agent
-    state = condition.state_index()
-    if strategy is AgentStrategy.COGNITIVE:
-        return cognitive_strategy(structure, target, payoffs, seat, state)
-    if strategy is AgentStrategy.PRIVATE:
-        return private_heuristic(structure, target, seat, state)
-    if strategy is AgentStrategy.PAIR:
-        return pair_heuristic(structure, target, seat, state)
-    return Action.B
+    """The simulated agent's action from the non-participant seat, through `play`."""
+    return play(
+        strategy.value, condition.structure(), condition.target(), payoffs, None, condition.agent, condition.state_index()
+    )
 
 
 def marginal_value(

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .epistemic import CACHE_SIZE, Event, InformationStructure, _target_weights, evident_ladder, from_world_model
+from .epistemic import CACHE_SIZE, Event, InformationStructure, _index_error, _target_weights, evident_ladder, from_world_model
 from .rational import on_one_scale, parse_probability
-from .strategies import Action, PayoffParams, risk_threshold
+from .strategies import Action, PayoffParams, _check_payoffs, risk_threshold
 from .worldmodel import State, WorldModelSpec, x_event
 
 ZERO = Fraction(0)
@@ -35,13 +35,14 @@ ONE = Fraction(1)
 @dataclass(frozen=True)
 class GameInstance:
     """An information structure, payoffs, and the good-state event the players
-    are trying to coordinate on."""
+    are trying to coordinate on; bad payoffs or a target outside the space raise `ValueError`."""
 
     structure: InformationStructure
     payoffs: PayoffParams
     target: Event
 
     def __post_init__(self) -> None:
+        _check_payoffs(self.payoffs)
         object.__setattr__(self, "target", frozenset(self.target))
         _target_weights(self.structure, self.target)  # refuses a target outside the space
 
@@ -71,7 +72,10 @@ class Policy:
         object.__setattr__(self, "prob_a", prob_a)
 
     def prob(self, player: int, state: int) -> Fraction:
-        return self.prob_a[player][state]
+        """A bad player, then a bad state (a negative one too), raises `IndexError` as `common_p_belief` does."""
+        if player in (0, 1) and 0 <= state < len(self.prob_a[0]):
+            return self.prob_a[player][state]
+        raise _index_error(player, state, len(self.prob_a[0]))
 
     @classmethod
     def constant(cls, num_states: int, value: Fraction) -> "Policy":
@@ -244,9 +248,8 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
         on, off, total = _a_weights(game, block, policy)
         gains.append((payoffs._gain(on, off, total), total * payoffs._integers[4]))
     violations = []
-    for player, row in enumerate(structure._block_ids):
-        for state, block in enumerate(row):
-            own = policy.prob(player, state)
+    for player, (plays, row) in enumerate(zip(policy.prob_a, structure._block_ids)):
+        for state, (own, block) in enumerate(zip(plays, row)):
             gain, scale = gains[block]
             if gain * (own.denominator - 2 * own.numerator) > 0:
                 chosen = Action.A if own == ONE else Action.B

@@ -99,6 +99,12 @@ class PayoffParams:
         return partner * (on_target * self.a + (1 - on_target) * self.d) + (1 - partner) * self.b
 
 
+def _check_payoffs(payoffs) -> None:
+    """Every payoff-reading rule's one refusal: anything but a `PayoffParams` raises `ValueError`."""
+    if not isinstance(payoffs, PayoffParams):
+        raise ValueError(f"payoffs must be a PayoffParams, got {payoffs!r}")
+
+
 def risk_threshold(payoffs: PayoffParams) -> Fraction:
     """The belief level (c - b) / (a - b) at which risking A breaks even
     against a partner who coordinates."""
@@ -112,8 +118,9 @@ def rational_p_belief_action(
     player: int,
     state: int,
 ) -> Action:
-    """Play A iff perceived maximal common belief in the target strictly exceeds the risk threshold
-    (c - b) / (a - b): `_plays_a` against a companion who coordinates on the target, so a tie plays B."""
+    """Play A iff perceived maximal common belief in the target strictly exceeds the risk threshold (c - b) / (a - b):
+    `_plays_a` against a coordinating companion, so a tie plays B.  Bad payoffs raise `ValueError` (`_check_payoffs`)."""
+    _check_payoffs(payoffs)
     belief = common_p_belief(structure, target, player, state)
     return Action.A if payoffs._plays_a(belief.numerator, 0, belief.denominator) else Action.B
 
@@ -229,11 +236,9 @@ def iterated_maximization_prob(
     with the target state by state, so the two forms can disagree on a block
     where the companion's play and the target are correlated.
 
-    Payoffs that are not a `PayoffParams` raise `ValueError`: no payoffs
-    would select the matching family's values.
+    Payoffs that are not a `PayoffParams` raise `ValueError` (`_check_payoffs`).
     """
-    if not isinstance(payoffs, PayoffParams):
-        raise ValueError(f"payoffs must be a PayoffParams, got {payoffs!r}")
+    _check_payoffs(payoffs)
     return _level_value(structure, target, payoffs, level, player, state)
 
 

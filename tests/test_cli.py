@@ -759,6 +759,14 @@ def _golden_invocations(group: str, csv_path: str) -> list[list[str]]:
             for payoffs in GOLDEN_PAYOFFS
             for where in at_every_state
         ]
+    if group == "rational":
+        return [
+            ["act", "--strategy", "rational", "--payoffs", payoffs, *where]
+            for payoffs in GOLDEN_PAYOFFS
+            for where in at_every_state
+        ]
+    if group in ("matched", "private", "pair"):
+        return [["act", "--strategy", group, *where] for where in at_every_state]
     if group == "verify":
         return [
             ["verify", "--model", "builtin:messenger", "--payoffs", payoffs]
@@ -768,13 +776,19 @@ def _golden_invocations(group: str, csv_path: str) -> list[list[str]]:
 
 
 # sha256 prefixes of the joined output, captured before belief arithmetic
-# moved onto InformationStructure; machine formats must not change.
+# moved onto InformationStructure (the rational, matched, private and pair
+# groups before `act` went through `experiments.play`); machine formats must
+# not change.
 GOLDEN_DIGESTS = {
     "ladder": "7b3798fb338a7a1f",
     "pbelief": "6e8bf81d1d3e45f4",
     "itermax": "68998ada6429abb0",
     "itermatch": "4d712525c658d8a7",
     "cognitive": "9d39baba57fbcc81",
+    "rational": "071b830aee0c00b5",
+    "matched": "b8b8240fcb8b83d0",
+    "private": "5e10a627cff99bbb",
+    "pair": "0a8b5d8bcfdcc993",
     "verify": "45ff54a765ee80b5",
     "compare": "8e7925a0e2770fe6",
     "sweep": "120769fdb74bc043",

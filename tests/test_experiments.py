@@ -13,14 +13,25 @@ from epicoord import (
     HumanData,
     ModelKind,
     PayoffParams,
+    builtin_loudspeaker,
+    builtin_messenger,
+    cognitive_strategy,
     compare_models,
     default_risk_grid,
     fit_level,
+    from_world_model,
     human_agent_sweep,
+    iterated_matching,
+    iterated_maximization,
     knowledge_conditions,
     marginal_value,
+    matched_p_belief_prob,
     mse,
+    pair_heuristic,
     predict,
+    private_heuristic,
+    rational_p_belief_action,
+    x_event,
 )
 from epicoord.experiments import (
     CONDITION_NAMES,
@@ -29,10 +40,12 @@ from epicoord.experiments import (
     SWEEP_STRATEGIES,
     PredictionTable,
     agent_action,
+    play,
 )
 from epicoord.game import GameInstance, matched_policy, payoff_of_a
 
 from .conftest import DELTA, make_human
+from .test_cli import GOLDEN_PAYOFFS
 
 # Agent-seat behavior at payoffs (1, 0, p*, 0), frozen from hand analysis and
 # cross-checked in test_strategies: the cognitive agent attacks iff p* is
@@ -179,12 +192,52 @@ class TestPredict:
 
     def test_missing_arguments_rejected(self):
         conditions = knowledge_conditions(DELTA)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="payoffs must be a PayoffParams, got None"):
             predict(ModelKind.RATIONAL, conditions)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("level must be an integer >= 0, got None")):
             predict(ModelKind.ITERMAX, conditions, PAYOFF_CONDITION_1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("level must be an integer >= 0, got None")):
             predict(ModelKind.ITERMATCH, conditions)
+
+
+# Each rule with its own function and the arguments it reads besides
+# (structure, target, ..., player, state), in the function's order.
+PLAY_RULES = [
+    ("rational", rational_p_belief_action, ("payoffs",)),
+    ("matched", matched_p_belief_prob, ()),
+    ("itermax", iterated_maximization, ("payoffs", "level")),
+    ("itermatch", iterated_matching, ("level",)),
+    ("cognitive", cognitive_strategy, ("payoffs",)),
+    ("private", private_heuristic, ()),
+    ("pair", pair_heuristic, ()),
+]
+
+
+class TestPlay:
+    def test_rules_are_every_model_and_agent(self):
+        names = {rule for rule, _, _ in PLAY_RULES} | {AgentStrategy.ALWAYS_B.value}
+        assert names == {kind.value for kind in ModelKind} | {strategy.value for strategy in AgentStrategy}
+
+    @pytest.mark.parametrize("rule,function,reads", PLAY_RULES, ids=[rule for rule, _, _ in PLAY_RULES])
+    def test_play_is_the_rules_own_function(self, rule, function, reads):
+        for spec in (builtin_messenger(DELTA), builtin_loudspeaker(DELTA)):
+            structure = from_world_model(spec)
+            target = x_event(spec, structure.space)
+            for payoffs in map(PayoffParams.parse, GOLDEN_PAYOFFS):
+                for level in (0, 3):
+                    arguments = {"payoffs": payoffs, "level": level}
+                    for player in (0, 1):
+                        for state in range(len(structure)):
+                            expected = function(structure, target, *map(arguments.get, reads), player, state)
+                            value = play(rule, structure, target, payoffs, level, player, state)
+                            assert (type(value), value) == (type(expected), expected), (rule, player, state)
+
+    def test_always_b_and_unknown_rules(self):
+        private = knowledge_conditions(DELTA)[0]
+        structure, target, state = private.structure(), private.target(), private.state_index()
+        assert play("always_b", structure, target, None, None, 0, state) is Action.B
+        with pytest.raises(ValueError, match="unknown play rule 'always_a'"):
+            play("always_a", structure, target, PAYOFF_CONDITION_1, 0, 0, state)
 
 
 class TestMse:

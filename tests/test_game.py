@@ -17,6 +17,7 @@ from epicoord import (
     best_response,
     builtin_loudspeaker,
     builtin_messenger,
+    common_p_belief,
     expected_utility,
     from_world_model,
     is_partition_measurable,
@@ -456,6 +457,22 @@ class TestPolicy:
         policy = Policy((("1/2", "0.25"), (1, Fraction(1, 3))))
         assert policy.prob_a == ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(1, 3)))
         assert all(type(p) is Fraction for row in policy.prob_a for p in row)
+
+    @pytest.mark.parametrize(
+        "player,state,message",
+        [
+            (2, 0, "player must be 0 or 1, got 2"),
+            (-1, 0, "player must be 0 or 1, got -1"),
+            (0, 18, "state index 18 out of range 0..17"),
+            (1, -1, "state index -1 out of range 0..17"),
+        ],
+    )
+    def test_bad_index_refused_as_common_p_belief_does(self, messenger, messenger_target, player, state, message):
+        # A negative index would otherwise read the other player's row or the last state.
+        with pytest.raises(IndexError, match=re.escape(message)):
+            matched_policy(messenger, messenger_target).prob(player, state)
+        with pytest.raises(IndexError, match=re.escape(message)):
+            common_p_belief(messenger, messenger_target, player, state)
 
     def test_set_target_is_stored_frozen(self):
         game = messenger_game()

@@ -7,6 +7,7 @@ import pytest
 from epicoord import strategies
 from epicoord import (
     Action,
+    GameInstance,
     InformationStructure,
     Partition,
     PayoffParams,
@@ -236,6 +237,18 @@ class TestIteratedMaximization:
             iterated_maximization_prob(structure, target, payoffs, 2, 0, state)
         with pytest.raises(ValueError, match=re.escape(message)):
             iterated_maximization(structure, target, payoffs, 2, 0, state)
+
+    @pytest.mark.parametrize("payoffs", [None, "1.1,0,1,0.4"])
+    def test_every_payoff_reading_rule_refuses_them(self, payoffs):
+        private = knowledge_conditions(DELTA)[0]
+        structure, target, state = private.structure(), private.target(), private.state_index()
+        message = re.escape(f"payoffs must be a PayoffParams, got {payoffs!r}")
+        with pytest.raises(ValueError, match=message):
+            rational_p_belief_action(structure, target, payoffs, 0, state)
+        with pytest.raises(ValueError, match=message):
+            cognitive_strategy(structure, target, payoffs, 1, state)
+        with pytest.raises(ValueError, match=message):
+            GameInstance(structure, payoffs, target)
 
     def test_negative_level_rejected(self, loudspeaker, loudspeaker_target):
         with pytest.raises(ValueError):

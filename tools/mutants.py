@@ -166,6 +166,18 @@ MUTANTS = (
         "block_levels = tuple(levels[max(depth - 1, 0)] for depth in died)",
     ),
     Mutant(
+        "play sends pair to private_heuristic",
+        "src/epicoord/experiments.py",
+        "return pair_heuristic(structure, target, player, state)",
+        "return private_heuristic(structure, target, player, state)",
+    ),
+    Mutant(
+        "_check_payoffs accepts None",
+        "src/epicoord/strategies.py",
+        "if not isinstance(payoffs, PayoffParams):",
+        "if payoffs is not None and not isinstance(payoffs, PayoffParams):",
+    ),
+    Mutant(
         "enumerate_states' deferred 1 branch takes the 0 branch's factor",
         "src/epicoord/worldmodel.py",
         "pending.append((index, weight * n, scale * d))",
