@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from . import epistemic, experiments, game, oracle, strategies, worldmodel
+from . import epistemic, experiments, game, oracle, worldmodel
 from .rational import format_rational, parse_rational
 
 _STRATEGY_CHOICES = ("rational", "matched", "itermax", "itermatch", "private", "pair", "cognitive")
@@ -207,9 +207,9 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
     structure = epistemic.from_world_model(spec)
     target = worldmodel.x_event(spec, structure.space)
     index = structure.space.index_of(_parse_state(state))
-    params = strategies.PayoffParams.parse(payoffs) if payoffs is not None else None
+    params = game.PayoffParams.parse(payoffs) if payoffs is not None else None
     result = experiments.play(strategy, structure, target, params, level, player, index)
-    if isinstance(result, strategies.Action):
+    if isinstance(result, game.Action):
         payload, text = {"action": result.value}, result.value
     else:
         payload, text = {"prob_a": format_rational(result)}, _rational_with_decimal(result)
@@ -223,7 +223,7 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
 def verify(fmt, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
     spec = _load_model(model, delta)
-    instance = game.GameInstance.from_world_model(spec, strategies.PayoffParams.parse(payoffs))
+    instance = game.GameInstance.from_world_model(spec, game.PayoffParams.parse(payoffs))
     report = game.verify_equilibrium(instance)
     if not report.applicable:
         status = "N-A"
@@ -272,7 +272,7 @@ def compare(fmt, human_path, delta, payoffs, out):
     """Per-model predictions, fitted recursion depths, and mean squared error."""
     human = experiments.HumanData.from_csv(human_path)
     conditions = experiments.knowledge_conditions(parse_rational(delta))
-    params = strategies.PayoffParams.parse(payoffs)
+    params = game.PayoffParams.parse(payoffs)
     fits = experiments.compare_models(conditions, params, human)
     if fmt == "json":
         payload = {

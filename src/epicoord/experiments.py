@@ -12,18 +12,23 @@ from functools import cached_property
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
-from .game import ONE, ZERO, GameInstance, cognitive_strategy, matched_policy, payoff_of_a
-from .rational import on_one_scale, parse_probability, parse_rational
-from .strategies import (
+from .game import (
+    ONE,
+    ZERO,
     Action,
+    GameInstance,
     PayoffParams,
+    cognitive_strategy,
     iterated_matching,
     iterated_maximization,
     matched_p_belief_prob,
+    matched_policy,
     pair_heuristic,
+    payoff_of_a,
     private_heuristic,
     rational_p_belief_action,
 )
+from .rational import on_one_scale, parse_probability, parse_rational
 from .worldmodel import State, WorldModelSpec, builtin_loudspeaker, builtin_messenger, x_event
 
 CONDITION_NAMES = ("private", "secondary", "tertiary", "common")

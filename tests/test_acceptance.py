@@ -34,7 +34,7 @@ from epicoord import (
 )
 from epicoord.cli import cli
 from epicoord.experiments import PAYOFF_CONDITION_1, SWEEP_STRATEGIES, AgentStrategy
-from epicoord.strategies import risk_threshold
+from epicoord.game import risk_threshold
 
 from .conftest import DELTA, human_data_path, requires_human_data
 

@@ -31,7 +31,7 @@ from epicoord import (
     super_p_evident,
     x_event,
 )
-from epicoord import epistemic, oracle, strategies
+from epicoord import epistemic, game, oracle
 from epicoord.epistemic import CACHE_SIZE, _target_weights
 from epicoord.rational import on_one_scale
 
@@ -658,7 +658,7 @@ class TestBeliefKernel:
         for cache, bound in (
             (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
-            (strategies._levels, CACHE_SIZE),
+            (game._levels, CACHE_SIZE),
             (matched_policy, CACHE_SIZE),
             (_target_weights, CACHE_SIZE),
             # The oracle keeps only the answers of the structure in use.

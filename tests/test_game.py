@@ -1,10 +1,12 @@
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
 
+import epicoord
 from epicoord import (
     Action,
     GameInstance,
@@ -525,3 +527,40 @@ class TestPoliciesEqualThePerStateRules:
         if payoffs == "1,0,1/2,0":
             # The messenger's tertiary state ties the threshold: the rule plays B there.
             assert ties
+
+
+# The package's public names other than its submodules.  The first set is the attack game's
+# payoff types, rules and policies, which `epicoord.game` defines.
+GAME_EXPORTS = frozenset(
+    """
+    Action EquilibriumReport GameInstance PayoffParams Policy Violation best_response
+    cognitive_strategy expected_utility is_partition_measurable iterated_matching
+    iterated_maximization iterated_maximization_prob matched_p_belief_prob matched_policy
+    noiseless_check pair_heuristic payoff_of_a private_heuristic rational_p_belief_action
+    rational_policy risk_threshold stage_payoff verify_equilibrium
+    """.split()
+)
+OTHER_EXPORTS = frozenset(
+    """
+    AgentStrategy CONDITION_NAMES Event EvidentLadder HumanData InformationStructure
+    KnowledgeCondition LadderRung ModelFit ModelKind ObservationRule ObservationTrace
+    PAYOFF_CONDITION_1 Partition PredictionTable RandomStructureConfig SpecError State StateSpace
+    SweepResult VariableSpec WorldModelSpec brute_force_common_p_belief build_information_partition
+    builtin_loudspeaker builtin_messenger common_p_belief compare_models conditional_belief
+    default_risk_grid enumerate_states event_where evidence_level evident_ladder fit_level
+    fixedpoint_common_p_belief format_rational from_world_model human_agent_sweep is_c_indicating
+    is_p_evident knowledge_conditions largest_p_evident_indicating_event load_spec marginal_value
+    min_belief mse parse_event_predicate parse_rational predict random_structure run_observations
+    spec_from_json spec_to_json super_p_evident trace_values x_event
+    """.split()
+)
+
+
+class TestPublicSurface:
+    def test_the_exported_names_are_pinned(self):
+        exported = {
+            name
+            for name in dir(epicoord)
+            if not name.startswith("_") and not isinstance(getattr(epicoord, name), types.ModuleType)
+        }
+        assert exported == GAME_EXPORTS | OTHER_EXPORTS

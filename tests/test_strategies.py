@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from epicoord import strategies
+from epicoord import game
 from epicoord import (
     Action,
     GameInstance,
@@ -395,12 +395,12 @@ class TestLevelsReadOutOfOrder:
             return naive_matching(messenger, messenger_target, level, player, state)
 
         cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
-        strategies._levels.cache_clear()
+        game._levels.cache_clear()
         values = {level: [read(level, *case) for case in cases] for level in self.ORDER}
         key_payoffs = payoffs if family == "maximization" else None
-        assert sorted(strategies._levels(messenger, messenger_target, key_payoffs).kept) == sorted(self.ORDER)
+        assert sorted(game._levels(messenger, messenger_target, key_payoffs).kept) == sorted(self.ORDER)
         for level in self.ORDER:
-            strategies._levels.cache_clear()
+            game._levels.cache_clear()
             assert [read(level, *case) for case in cases] == values[level]
         for level in range(6):
             assert values[level] == [naive(level, *case) for case in cases]

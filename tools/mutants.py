@@ -53,13 +53,13 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "_plays_a plays A on a tie",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "return self._gain(on, off, total) > 0",
         "return self._gain(on, off, total) >= 0",
     ),
     Mutant(
         "on- and off-target weights swapped in _gain",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "return (a - b) * on + (d - b) * off - (c - b) * total",
         "return (a - b) * off + (d - b) * on - (c - b) * total",
     ),
@@ -71,19 +71,19 @@ MUTANTS = (
     ),
     Mutant(
         "on- and off-target weights swapped in the _Levels step",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "plays(t * s, (w - t) * s, w * w)",
         "plays((w - t) * s, t * s, w * w)",
     ),
     Mutant(
         "the _Levels step weighs the block's total by W_B, not W_B^2",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "plays(t * s, (w - t) * s, w * w)",
         "plays(t * s, (w - t) * s, w)",
     ),
     Mutant(
         "_Levels grounds itermatch at 1 for every block",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "self.kept = {0: ([m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm)}",
         "self.kept = {0: ([self.lcm] * len(blocks), self.lcm)}",
     ),
@@ -173,7 +173,7 @@ MUTANTS = (
     ),
     Mutant(
         "_check_payoffs accepts None",
-        "src/epicoord/strategies.py",
+        "src/epicoord/game.py",
         "if not isinstance(payoffs, PayoffParams):",
         "if payoffs is not None and not isinstance(payoffs, PayoffParams):",
     ),
