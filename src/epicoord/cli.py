@@ -20,26 +20,28 @@ import click
 from . import epistemic, experiments, game, oracle, worldmodel
 from .rational import format_rational, parse_rational
 
-_STRATEGY_CHOICES = ("rational", "matched", "itermax", "itermatch", "private", "pair", "cognitive")
+_STRATEGY_CHOICES = tuple(rule.value for rule in (*experiments.ModelKind, *experiments.SWEEP_STRATEGIES))
 _PAYOFF_STRATEGIES = {"rational", "itermax", "cognitive"}
 
 
 _BUILTINS = {"builtin:messenger": worldmodel.builtin_messenger, "builtin:loudspeaker": worldmodel.builtin_loudspeaker}
 
 
-def _load_model(model: str, delta: str) -> worldmodel.WorldModelSpec:
+def _load_model(model: str, delta: str) -> tuple[worldmodel.WorldModelSpec, epistemic.InformationStructure]:
     if model in _BUILTINS:
-        return _BUILTINS[model](parse_rational(delta))
-    if model.startswith("builtin:"):
+        spec = _BUILTINS[model](parse_rational(delta))
+    elif model.startswith("builtin:"):
         raise ValueError(f"unknown builtin model {model!r}: choose {' or '.join(_BUILTINS)}")
-    return worldmodel.load_spec(Path(model))
+    else:
+        spec = worldmodel.load_spec(Path(model))
+    return spec, epistemic.from_world_model(spec)
 
 
-def _parse_state(text: str) -> worldmodel.State:
+def _state_index(structure: epistemic.InformationStructure, text: str) -> int:
     parts = [part.strip() for part in text.split(",")]
     if any(part not in ("0", "1") for part in parts):
         raise click.ClickException(f"state must be comma-separated bits, got {text!r}")
-    return tuple(int(part) for part in parts)
+    return structure.space.index_of(tuple(int(part) for part in parts))
 
 
 def _event_from(spec, space, predicate: str) -> frozenset[int]:
@@ -132,8 +134,7 @@ _out = click.option("--out", default=None, help="Write the output to a file inst
 @_player
 def partition(fmt, model, delta, player):
     """Print one information set per line as sorted state tuples."""
-    spec = _load_model(model, delta)
-    structure = epistemic.from_world_model(spec)
+    spec, structure = _load_model(model, delta)
     blocks = [
         sorted(structure.space.states[index] for index in block)
         for block in structure.partitions[player].blocks
@@ -154,10 +155,9 @@ def partition(fmt, model, delta, player):
 @_state
 def pbelief(fmt, model, delta, predicate, player, state):
     """Perceived maximal common belief in the event at a state."""
-    spec = _load_model(model, delta)
-    structure = epistemic.from_world_model(spec)
+    spec, structure = _load_model(model, delta)
     target = _event_from(spec, structure.space, predicate)
-    index = structure.space.index_of(_parse_state(state))
+    index = _state_index(structure, state)
     value = epistemic.common_p_belief(structure, target, player, index)
     if fmt == "json":
         click.echo(json.dumps({"value": format_rational(value)}))
@@ -171,8 +171,7 @@ def pbelief(fmt, model, delta, predicate, player, state):
 @_event
 def ladder(fmt, model, delta, predicate):
     """The nested maximally evident events with their evidence levels."""
-    spec = _load_model(model, delta)
-    structure = epistemic.from_world_model(spec)
+    spec, structure = _load_model(model, delta)
     target = _event_from(spec, structure.space, predicate)
     rungs = epistemic.evident_ladder(structure, target).rungs
     if fmt == "json":
@@ -203,10 +202,9 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
     """Evaluate one strategy at a state: an action, or an exact probability of A."""
     if strategy in _PAYOFF_STRATEGIES and payoffs is None:
         raise click.UsageError(f"--payoffs is required for strategy {strategy}")
-    spec = _load_model(model, delta)
-    structure = epistemic.from_world_model(spec)
+    spec, structure = _load_model(model, delta)
     target = worldmodel.x_event(spec, structure.space)
-    index = structure.space.index_of(_parse_state(state))
+    index = _state_index(structure, state)
     params = game.PayoffParams.parse(payoffs) if payoffs is not None else None
     result = experiments.play(strategy, structure, target, params, level, player, index)
     if isinstance(result, game.Action):
@@ -222,7 +220,7 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
 @click.option("--payoffs", required=True)
 def verify(fmt, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
-    spec = _load_model(model, delta)
+    spec, _ = _load_model(model, delta)
     instance = game.GameInstance.from_world_model(spec, game.PayoffParams.parse(payoffs))
     report = game.verify_equilibrium(instance)
     if not report.applicable:
@@ -294,14 +292,14 @@ def compare(fmt, human_path, delta, payoffs, out):
         _emit(json.dumps(payload, indent=2), out)
         return
     if fmt == "csv":
-        lines = ["model,level,private,secondary,tertiary,common,mse"]
+        lines = [",".join(["model", "level", *experiments.CONDITION_NAMES, "mse"])]
         for fit in fits:
             level = "" if fit.level is None else str(fit.level)
             cells = [format_rational(fit.table.probs[name]) for name in experiments.CONDITION_NAMES]
             lines.append(",".join([fit.kind.value, level, *cells, format_rational(fit.error)]))
         _emit("\n".join(lines), out)
         return
-    headers = ["model", "k", "private", "secondary", "tertiary", "common", "mse"]
+    headers = ["model", "k", *experiments.CONDITION_NAMES, "mse"]
     rows = []
     for fit in fits:
         rows.append(

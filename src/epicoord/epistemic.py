@@ -328,12 +328,13 @@ class _Peel:
         alive, weights, blocks = self.alive, self.weights, self.blocks
         block_ids, first_count = self.block_ids, self.first_count
         bits, dead, died, rung = self.bits, self.dead, self.died, self.rung
-
-        def fails(b: int) -> bool:
-            return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
-
         removed: list[int] = []
-        work = [b for b in range(len(blocks)) if surviving[b] and fails(b)] if failing is None else failing
+        work = failing
+        if work is None:
+            work = [
+                b for b in range(len(blocks))
+                if surviving[b] and min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
+            ]
         while work:
             b = work.pop()
             companion = block_ids[b < first_count]
@@ -345,13 +346,14 @@ class _Peel:
                     surviving[b] -= weight
                     other = companion[state]
                     surviving[other] -= weight
-                    # Only a block left lighter than its part on the target loses belief;
-                    # any other one stays above the level or is queued already.
+                    # Only a block left lighter than its part on the target loses belief,
+                    # and its least belief is then its surviving weight; any other one
+                    # stays above the level or is queued already.
                     if surviving[other] < on_target[other]:
                         if not surviving[other]:
                             keys[other] = dead
                             died[other] = rung
-                        elif fails(other):
+                        elif surviving[other] * denominator <= numerator * total[other]:
                             work.append(other)
                         else:
                             keys[other] = (surviving[other] << bits) // total[other]

@@ -8,7 +8,6 @@ import csv
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 from .epistemic import Event, InformationStructure, from_world_model
@@ -50,7 +49,14 @@ class KnowledgeCondition:
     def agent(self) -> int:
         return 1 - self.participant
 
-    # Each is resolved once per condition: a lookup keyed on the model hashes the whole spec.
+    def __post_init__(self) -> None:
+        # Resolved once, when the condition is made, since a lookup keyed on the model
+        # hashes the whole spec; not fields, so equality and hashing ignore them.
+        structure = from_world_model(self.model)
+        object.__setattr__(self, "_structure", structure)
+        object.__setattr__(self, "_target", x_event(self.model, structure.space))
+        object.__setattr__(self, "_state_index", structure.space.index_of(self.state))
+
     def structure(self) -> InformationStructure:
         return self._structure
 
@@ -59,18 +65,6 @@ class KnowledgeCondition:
 
     def target(self) -> Event:
         return self._target
-
-    @cached_property
-    def _structure(self) -> InformationStructure:
-        return from_world_model(self.model)
-
-    @cached_property
-    def _state_index(self) -> int:
-        return self._structure.space.index_of(self.state)
-
-    @cached_property
-    def _target(self) -> Event:
-        return x_event(self.model, self._structure.space)
 
 
 def knowledge_conditions(delta=DEFAULT_DELTA) -> tuple[KnowledgeCondition, ...]:

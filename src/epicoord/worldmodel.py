@@ -93,22 +93,25 @@ class WorldModelSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "observations", tuple(self.observations))
-        declared: set[str] = set()
+        # Each name's position, kept for every later lookup; no field, so
+        # equality, hashing and the repr see the variables and rules only.
+        position: dict[str, int] = {}
         for var in self.variables:
-            if var.name in declared:
+            if var.name in position:
                 raise SpecError(f"duplicate variable name {var.name!r}")
             for gate_name in var.gate:
-                if gate_name not in declared:
+                if gate_name not in position:
                     raise SpecError(
                         f"variable {var.name!r}: gate {gate_name!r} is not an earlier variable"
                     )
-            declared.add(var.name)
-        if "x" not in declared:
+            position[var.name] = len(position)
+        if "x" not in position:
             raise SpecError("a world model must declare a variable named 'x'")
         for index, rule in enumerate(self.observations):
             for name in itertools.chain(rule.guard, rule.observed):
-                if name not in declared:
+                if name not in position:
                     raise SpecError(f"observation rule {index}: unknown variable {name!r}")
+        object.__setattr__(self, "_position", position)
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -116,8 +119,8 @@ class WorldModelSpec:
 
     def variable_index(self, name: str) -> int:
         try:
-            return self.variable_names.index(name)
-        except ValueError:
+            return self._position[name]
+        except KeyError:
             raise SpecError(f"unknown variable {name!r}") from None
 
 
@@ -195,10 +198,6 @@ class Partition:
         return cls(tuple(frozenset(members) for members in groups.values()), tuple(block_of))
 
 
-def _positions(spec: WorldModelSpec) -> dict[str, int]:
-    return {name: index for index, name in enumerate(spec.variable_names)}
-
-
 def enumerate_states(spec: WorldModelSpec) -> StateSpace:
     """Enumerate every positive-measure assignment with its exact probability.
 
@@ -225,7 +224,7 @@ def enumerate_states(spec: WorldModelSpec) -> StateSpace:
     exactly the order of ``itertools.product((0, 1), repeat=V)`` with the
     impossible assignments left out.
     """
-    position = _positions(spec)
+    position = spec._position
     plan = tuple(
         (tuple(position[g] for g in var.gate), var.bias.numerator, var.bias.denominator)
         for var in spec.variables
@@ -263,7 +262,7 @@ def enumerate_states(spec: WorldModelSpec) -> StateSpace:
 def _player_rules(spec: WorldModelSpec, player: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """The player's rules as (rule index, guard positions, observed positions)."""
     _check_player(player)
-    position = _positions(spec)
+    position = spec._position
     return [
         (rule_index, tuple(position[g] for g in rule.guard), tuple(position[v] for v in rule.observed))
         for rule_index, rule in enumerate(spec.observations)
@@ -279,23 +278,19 @@ def _check_widths(spec: WorldModelSpec, states: Iterable[State]) -> None:
             raise SpecError(f"state has {len(state)} values but the model declares {width} variables")
 
 
-def _trace(spec: WorldModelSpec, rules, state: State) -> ObservationTrace:
-    """Replay rules resolved by `_player_rules` at one state."""
-    _check_widths(spec, (state,))
-    return tuple(
-        (rule_index, tuple(state[v] for v in observed))
-        for rule_index, guard, observed in rules
-        if all(state[g] == 1 for g in guard)
-    )
-
-
 def run_observations(spec: WorldModelSpec, player: int, state: State) -> ObservationTrace:
     """Replay the observation rules for one player at one state.
 
     Returns the ordered trace of (rule index, observed values) for every rule
     owned by the player whose guard variables are all 1 at the state.
     """
-    return _trace(spec, _player_rules(spec, player), state)
+    rules = _player_rules(spec, player)
+    _check_widths(spec, (state,))
+    return tuple(
+        (rule_index, tuple(state[v] for v in observed))
+        for rule_index, guard, observed in rules
+        if all(state[g] == 1 for g in guard)
+    )
 
 
 def trace_values(trace: ObservationTrace) -> tuple[tuple[int, ...], ...]:

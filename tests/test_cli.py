@@ -16,6 +16,7 @@ from epicoord import (
     Violation,
     builtin_messenger,
     epistemic,
+    experiments,
     from_world_model,
     game,
     iterated_matching,
@@ -252,6 +253,12 @@ class TestActCommand:
         )
         assert result.exit_code == 2
         assert "--payoffs" in result.output
+
+    def test_strategy_choices_are_the_play_rules(self):
+        """`act` offers every model kind and sweep agent, and nothing else (no always_b)."""
+        (option,) = [param for param in cli.commands["act"].params if param.name == "strategy"]
+        rules = [*experiments.ModelKind, *experiments.SWEEP_STRATEGIES]
+        assert sorted(option.type.choices) == sorted(rule.value for rule in rules)
 
     def test_bad_state_bits(self, runner):
         result = runner.invoke(
@@ -600,6 +607,7 @@ class TestCompareAndSweep:
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert lines[0] == "model,level,private,secondary,tertiary,common,mse"
+        assert lines[0].split(",") == ["model", "level", *experiments.CONDITION_NAMES, "mse"]
         assert len(lines) == 5
 
     def test_sweep_csv_round_trips(self, runner, tmp_path):

@@ -11,6 +11,7 @@ from epicoord import (
     Action,
     AgentStrategy,
     HumanData,
+    KnowledgeCondition,
     ModelKind,
     PayoffParams,
     builtin_loudspeaker,
@@ -138,6 +139,11 @@ class TestKnowledgeConditions:
         for condition, twin in zip(conditions, fresh):
             assert twin.structure() == condition.structure() and twin.target() == condition.target()
             assert twin.state_index() == condition.state_index()
+
+    def test_zero_measure_state_is_refused_when_made(self):
+        # tell_plan_1 = 1 while visit_1 = 0: the gate pins it to 0, so the state has no measure.
+        with pytest.raises(ValueError, match="zero measure"):
+            KnowledgeCondition("impossible", builtin_messenger(DELTA), (0, 0, 0, 0, 1), participant=0)
 
     @pytest.mark.parametrize("delta", ["0", "1", "5/4"])
     def test_delta_must_be_interior(self, delta):

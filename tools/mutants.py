@@ -112,10 +112,16 @@ MUTANTS = (
         "for row in self._block_ids[:-1]:",
     ),
     Mutant(
-        "_Peel.peel keeps a block at the level",
+        "_Peel.peel keeps a companion block at the level",
         "src/epicoord/epistemic.py",
-        "return min(surviving[b], on_target[b]) * denominator <= numerator * total[b]",
-        "return min(surviving[b], on_target[b]) * denominator < numerator * total[b]",
+        "elif surviving[other] * denominator <= numerator * total[other]:",
+        "elif surviving[other] * denominator < numerator * total[other]:",
+    ),
+    Mutant(
+        "_Peel.peel's opening scan keeps a block at the level",
+        "src/epicoord/epistemic.py",
+        "min(surviving[b], on_target[b]) * denominator <= numerator * total[b]",
+        "min(surviving[b], on_target[b]) * denominator < numerator * total[b]",
     ),
     Mutant(
         "oracle._largest_event drops a block at the level",
@@ -176,6 +182,12 @@ MUTANTS = (
         "src/epicoord/game.py",
         "if not isinstance(payoffs, PayoffParams):",
         "if payoffs is not None and not isinstance(payoffs, PayoffParams):",
+    ),
+    Mutant(
+        "WorldModelSpec's position map puts each variable one place early",
+        "src/epicoord/worldmodel.py",
+        "position[var.name] = len(position)",
+        "position[var.name] = len(position) - 1",
     ),
     Mutant(
         "enumerate_states' deferred 1 branch takes the 0 branch's factor",
