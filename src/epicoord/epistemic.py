@@ -9,12 +9,13 @@ both players' blocks once, player 0's first, and keeps, for each numbered
 block, its integer weight, summed in one pass over the states, and the
 integer weight of its overlap with each companion block it meets; the
 ladder's peel and the level-k strategies both work on that one numbering.
-How much of each block lies on a target is one cached table per (structure,
-target), `_target_weights`, summed in one pass over the target's states,
-which is also the one place a target is checked against the space: the
-peel, the level-k steps, the certainty heuristics and the attack game all
-read it, and a block is certain of the target exactly when its weight on the
-target equals its weight.
+Each structure keeps one memo, keyed by target.  An entry holds how much of
+each block lies on the target, summed in one pass over the target's states
+when the entry is built, and later the target's ladder and its matched
+policy; building an entry is the one place a target is checked against the
+space.  The peel, the level-k steps, the certainty heuristics and the attack
+game all read the table (`_target_weights`), and a block is certain of the
+target exactly when its weight on the target equals its weight.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -46,7 +47,7 @@ blocks, since a state leaves at the pop of the first of them and no block
 empties before its states have left.  The ladder reads both tables off that
 record and builds, once, each player's row of answers, the level of the
 deepest rung meeting the player's block at each state, so a `common_p_belief`
-query is one row lookup.  `min_belief` stays the per-state definition.
+query is one memo read and one row lookup.  `min_belief` stays the per-state definition.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from .worldmodel import (
 
 Event = frozenset[int]
 
-# Entries kept by each of this module's caches, which are keyed on whole models or structures.
+# Targets kept in each structure's memo, and entries kept by each cache still keyed on a
+# whole model or structure: `from_world_model` here and `game._levels`.
 CACHE_SIZE = 64
 
 # Bits of the floor key `_Peel` keeps per block, read when a peel is built.  Any
@@ -102,11 +104,16 @@ class InformationStructure:
 
     @cached_property
     def _hash(self) -> int:
-        # Computed once: every lru_cache lookup keyed on a structure hashes it.
+        # Computed once: `game._levels`' cache and callers' dicts hash a structure.
         # The measures sum to 1, so equal structures have equal integer weights
         # and equal block maps; hashing those integers skips the modular
         # inverse `Fraction.__hash__` takes per state.
         return hash((self._weights, *(partition.block_of for partition in self.partitions)))
+
+    @cached_property
+    def _memo(self) -> dict[Event, _Entry]:
+        """This structure's `_Entry` for each target met lately, oldest first (`_entry`)."""
+        return {}
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -201,24 +208,50 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _target_weights(structure: InformationStructure, target: Event) -> tuple[int, ...]:
-    """The integer weight on `target` of each block of `structure._blocks`.
+class _Entry:
+    """What a structure keeps for one target: the integer weight on the target of
+    each block of `_blocks`, then the target's `EvidentLadder` and its matched
+    policy (`game.matched_policy`), each stored when first asked for.  It refers
+    to no structure, so a structure's memo is freed with it by reference counting."""
 
-    The target is checked against the space once, when the entry is built,
-    and the table is summed in one pass over the target's states, each
-    state's weight credited to the block holding it in every row of
-    `_block_ids`.  Every weight is positive, so a block lies inside the
-    target exactly when its entry equals its `_totals` entry.  Callers pass `frozenset(target)`,
-    which keeps a `set` target working and costs nothing for a frozenset.
+    __slots__ = ("on_target", "ladder", "policy")
+
+    def __init__(self, on_target: tuple[int, ...]) -> None:
+        self.on_target = on_target
+        self.ladder = None
+        self.policy = None
+
+
+def _entry(structure: InformationStructure, target: Event) -> _Entry:
+    """`structure`'s memo entry for `target`, a frozenset, built on first use.
+
+    The target is checked against the space before anything is stored, and
+    the table is summed in one pass over the target's states, each state's
+    weight credited to the block holding it in every row of `_block_ids`.
+    Every weight is positive, so a block lies inside the target exactly when
+    its entry equals its `_totals` entry.  The memo keeps at most
+    `CACHE_SIZE` targets and drops the oldest first.
     """
-    structure._check_inside(target, "target event")
-    weights = structure._weights
-    on_target = [0] * len(structure._blocks)
-    for row in structure._block_ids:
-        for state in target:
-            on_target[row[state]] += weights[state]
-    return tuple(on_target)
+    memo = structure._memo
+    entry = memo.get(target)
+    if entry is None:
+        structure._check_inside(target, "target event")
+        weights = structure._weights
+        on_target = [0] * len(structure._blocks)
+        for row in structure._block_ids:
+            for state in target:
+                on_target[row[state]] += weights[state]
+        entry = _Entry(tuple(on_target))
+        if len(memo) >= CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[target] = entry
+    return entry
+
+
+def _target_weights(structure: InformationStructure, target: Event) -> tuple[int, ...]:
+    """The integer weight on `target`, any iterable of state indices, of each block of
+    `structure._blocks`, read from the memo."""
+    return _entry(structure, frozenset(target)).on_target
 
 
 # Module-level spelling: conditional_belief(structure, player, event, state).
@@ -258,7 +291,7 @@ class _Peel:
 
     def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
         structure._check_inside(event, "event")
-        self.on_target = on_target = _target_weights(structure, frozenset(target))
+        self.on_target = on_target = _target_weights(structure, target)
         self.total = total = structure._totals
         self.weights = structure._weights
         self.blocks = blocks = structure._blocks
@@ -428,9 +461,21 @@ class EvidentLadder:
         )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """Walk the full nested sequence of maximally evident target-indicating events.
+
+    Built once per (structure, target) by `_build_ladder` and kept in the
+    structure's memo entry for the target; any iterable of state indices is
+    a target.
+    """
+    entry = _entry(structure, frozenset(target))
+    if entry.ladder is None:
+        entry.ladder = _build_ladder(structure, target)
+    return entry.ladder
+
+
+def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
+    """The ladder itself, built afresh: `evident_ladder` stores it.
 
     One peel runs from the full space to empty.  Each rung takes the least of
     the blocks' floor keys and compares the few blocks holding it exactly: that
@@ -446,8 +491,7 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     block at that rung, and no block empties before all its states have left,
     so a state's depth is the lesser of its two blocks' dying rungs.  The
     answer rows, `levels[block_depth[b]]` at each (player, state), are built
-    here too, so a query is one lookup.  Cached, so the target must be
-    hashable (a `frozenset`).
+    here too, so a query is one lookup.
     """
     levels: list[Fraction] = []
     peel = _Peel(structure, structure.universe(), target)
@@ -477,11 +521,17 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     nonempty intersection is exactly positive belief.  Depends on `state`
     only through the player's block, so the ladder builds every answer once,
     `levels[block_depth[_block_id(player, state)]]`, and a query reads its
-    row: `answers[player][state]`.  A bad target raises `ValueError` first;
-    then a bad player or state raises `_block_id`'s `IndexError`, so no
-    negative index reads another entry.
+    row, `answers[player][state]`, from the structure's memo entry for the
+    target.  It goes through `evident_ladder` only when that read fails: no
+    entry yet (`KeyError`), an entry with no ladder yet (`AttributeError` on
+    `None`), or a target that is not hashable, such as a `set` (`TypeError`).
+    A bad target raises `ValueError` first; then a bad player or state raises
+    `_block_id`'s `IndexError`, so no negative index reads another entry.
     """
-    answers = evident_ladder(structure, frozenset(target)).answers
+    try:
+        answers = structure._memo[target].ladder.answers
+    except (KeyError, AttributeError, TypeError):
+        answers = evident_ladder(structure, target).answers
     if player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]
     raise _index_error(player, state, len(answers[0]))

@@ -12,9 +12,11 @@ probability-matching companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
-`Fraction` only for a returned value.  Targets are checked by `epistemic`'s
-per-(structure, target) table of block weights, which the level-k steps, the
-heuristics and the noiseless check also read.  `verify_equilibrium` checks the
+`Fraction` only for a returned value.  Targets are checked where a
+structure's memo first meets them (`epistemic._entry`); the level-k steps, the
+heuristics and the noiseless check read that entry's table of block weights
+on the target, and `matched_policy` keeps its policy there.  The level-k
+routines keep their own cache, `_levels`.  `verify_equilibrium` checks the
 threshold profile when signals are noiseless and the risk threshold exceeds
 the target's prior.
 """
@@ -30,6 +32,7 @@ from .epistemic import (
     CACHE_SIZE,
     Event,
     InformationStructure,
+    _entry,
     _index_error,
     _target_weights,
     common_p_belief,
@@ -290,7 +293,7 @@ def private_heuristic(
     its whole weight.
     """
     block = structure._block_id(player, state)
-    on_target = _target_weights(structure, frozenset(target))
+    on_target = _target_weights(structure, target)
     return Action.A if on_target[block] == structure._totals[block] else Action.B
 
 
@@ -307,7 +310,7 @@ def pair_heuristic(
     inside the target.
     """
     block = structure._block_id(player, state)
-    on_target, totals = _target_weights(structure, frozenset(target)), structure._totals
+    on_target, totals = _target_weights(structure, target), structure._totals
     certain = all(on_target[other] == totals[other] for other, _ in structure._overlaps[block])
     return Action.A if certain else Action.B
 
@@ -447,12 +450,14 @@ def noiseless_check(game: GameInstance) -> bool:
     )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def matched_policy(structure: InformationStructure, target: Event) -> Policy:
     """Both players probability-matching on perceived common belief in the target: the
     ladder's answer rows, where block b of `_blocks` plays `levels[block_depth[b]]` at
-    each of its states.  Cached, so the target must be hashable (a `frozenset`)."""
-    return Policy(evident_ladder(structure, target).answers)
+    each of its states.  Built once and kept in the structure's memo entry for the target."""
+    entry = _entry(structure, frozenset(target))
+    if entry.policy is None:
+        entry.policy = Policy(evident_ladder(structure, target).answers)
+    return entry.policy
 
 
 def rational_policy(game: GameInstance) -> Policy:

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from epicoord import (
     largest_p_evident_indicating_event,
     matched_policy,
     min_belief,
+    pair_heuristic,
     random_structure,
     super_p_evident,
     x_event,
@@ -53,6 +56,16 @@ def weakest_belief(structure, event, target, state):
         for player in (0, 1)
         for members in (event, target)
     )
+
+
+def assert_own_equal_ladder(structure, twin, target):
+    """`twin`, equal to `structure` but built apart, builds its own ladder, equal to `structure`'s."""
+    ladder = evident_ladder(structure, target)
+    own = evident_ladder(twin, target)
+    assert own is not ladder and own == ladder and own.answers == ladder.answers
+    for player in (0, 1):
+        for state in range(len(structure)):
+            assert common_p_belief(twin, target, player, state) == common_p_belief(structure, target, player, state)
 
 
 def literal_super_p_evident(structure, event, target, level):
@@ -331,8 +344,8 @@ class TestEvidentLadder:
         most blocks share one and send every rung through that comparison."""
         monkeypatch.setattr(epistemic, "_KEY_BITS", bits)
         for seed, (structure, target) in enumerate(seeded_ladder_cases()):
-            # Uncached: a cached ladder was built with the shipped key width.
-            ladder = evident_ladder.__wrapped__(structure, target)
+            # Uncached: a stored ladder was built with the shipped key width.
+            ladder = epistemic._build_ladder(structure, target)
             walk = definitional_rungs(structure, target)
             assert ladder.levels == tuple(rung.level for rung in walk)
             assert ladder.depth == tuple(
@@ -391,7 +404,7 @@ class TestEvidentLadder:
         assert [structure._blocks[b] for b in never] == [frozenset({1, 3})]
         assert peel.died[never[0]] == 2 and peel.rung == 3
 
-        ladder = evident_ladder.__wrapped__(structure, target)
+        ladder = epistemic._build_ladder(structure, target)
         walk = definitional_rungs(structure, target)
         assert ladder.levels == tuple(rung.level for rung in walk)
         assert ladder.depth == tuple(
@@ -406,7 +419,7 @@ class TestEvidentLadder:
     def test_equal_ladders_built_apart_compare_and_hash_equal(self):
         for structure, target in seeded_ladder_cases():
             cached = evident_ladder(structure, target)
-            apart = evident_ladder.__wrapped__(structure, target)
+            apart = epistemic._build_ladder(structure, target)
             assert apart is not cached and apart.answers is not cached.answers
             assert apart == cached and hash(apart) == hash(cached)
             assert apart.answers == cached.answers and repr(apart) == repr(cached)
@@ -417,7 +430,7 @@ class TestEvidentLadder:
         monkeypatch.setattr(epistemic._Peel, "peel", lambda self, level, failing=None: [])
         structure, target = random_structure(RandomStructureConfig(seed=0, num_states=5))
         with pytest.raises(RuntimeError, match=r"ladder rung 0 at level .* removed no state"):
-            evident_ladder.__wrapped__(structure, target)
+            epistemic._build_ladder(structure, target)
 
 
 class TestBeliefKernel:
@@ -446,7 +459,8 @@ class TestBeliefKernel:
         assert "_totals" in vars(twin)
 
     def test_hash_is_shared_by_equal_structures_built_apart(self):
-        # Equal measures spelled differently: the second structure's ladder is the first one's cache entry.
+        # Equal measures spelled differently.  Each structure keeps its own memo,
+        # so the second builds its own ladder, equal to the first one's.
         states = ((0,), (1,), (2,))
         one = InformationStructure(
             StateSpace(states, ("1/2", "1/4", "1/4")),
@@ -458,14 +472,11 @@ class TestBeliefKernel:
         )
         assert one is not two and one == two and hash(one) == hash(two)
         target = frozenset({0, 1})
-        ladder = evident_ladder(one, target)
-        hits = evident_ladder.cache_info().hits
-        assert evident_ladder(two, target) is ladder
-        assert evident_ladder.cache_info().hits == hits + 1
+        assert_own_equal_ladder(one, two, target)
 
     @given(st.one_of(observed_specs(), st.sampled_from((builtin_loudspeaker(DELTA), builtin_messenger(DELTA)))))
     @settings(max_examples=60, deadline=None)
-    def test_weights_come_from_the_space_and_key_the_ladder_cache(self, spec):
+    def test_weights_come_from_the_space_and_give_equal_ladders(self, spec):
         structure = from_world_model(spec)
         space = structure.space
         assert structure._weights == tuple(on_one_scale(space.measures)[0])
@@ -474,11 +485,7 @@ class TestBeliefKernel:
             tuple(Partition(partition.blocks, partition.block_of) for partition in structure.partitions),
         )
         assert by_hand is not structure and by_hand == structure and hash(by_hand) == hash(structure)
-        target = x_event(spec, space)
-        ladder = evident_ladder(structure, target)
-        hits = evident_ladder.cache_info().hits
-        assert evident_ladder(by_hand, target) is ladder
-        assert evident_ladder.cache_info().hits == hits + 1
+        assert_own_equal_ladder(structure, by_hand, x_event(spec, space))
 
     def test_structures_differing_only_in_measure_keep_their_own_answers(self):
         quarter_spec, third_spec = builtin_messenger(Fraction(1, 4)), builtin_messenger(Fraction(1, 3))
@@ -495,6 +502,30 @@ class TestBeliefKernel:
                     assert answer == fixedpoint_common_p_belief(structure, target, player, state)
                     answers[structure].append(answer)
         assert answers[quarter] != answers[third]
+
+    def test_set_and_list_targets_read_the_frozenset_entry(self):
+        structure, _ = random_structure(RandomStructureConfig(seed=0, num_states=6))
+        ladder, policy = evident_ladder(structure, frozenset({0, 1})), matched_policy(structure, frozenset({0, 1}))
+        for target in ({0, 1}, [0, 1], [1, 0, 1]):
+            assert evident_ladder(structure, target) is ladder
+            assert matched_policy(structure, target) is policy
+            assert common_p_belief(structure, target, 1, 5) is ladder.answers[1][5]
+        assert list(structure._memo) == [frozenset({0, 1})]
+
+    def test_memo_is_freed_with_its_structure(self):
+        """No memo entry refers back to its structure, so reference counting alone
+        frees a queried structure: long fuzz runs stay bounded without the cyclic collector."""
+        gc.disable()
+        try:
+            structure, target = random_structure(RandomStructureConfig(seed=3, num_states=9))
+            common_p_belief(structure, target, 0, 0)
+            matched_policy(structure, target)
+            pair_heuristic(structure, target, 1, 0)
+            alive = weakref.ref(structure)
+            del structure
+            assert alive() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
     def test_totals_and_target_table_match_literal_sums(self, uniform, loudspeaker_spec, messenger_spec):
@@ -518,13 +549,12 @@ class TestBeliefKernel:
             for event in (target, structure.universe(), frozenset()):
                 table = _target_weights(structure, event)
                 assert table == tuple(sum(weights[s] for s in block if s in event) for block in blocks)
-            # A target outside the space is refused before any table is cached.
-            # Emptied first: a full cache would keep its size through an insertion.
-            _target_weights.cache_clear()
+            # A target outside the space is refused before the memo stores or drops anything.
+            kept = list(structure._memo)
             for outside in (target | {len(structure)}, frozenset({-1})):
                 with pytest.raises(ValueError, match="target event"):
                     _target_weights(structure, outside)
-                assert _target_weights.cache_info().currsize == 0
+                assert list(structure._memo) == kept
 
     @pytest.mark.parametrize(
         "partitions,message",
@@ -644,23 +674,26 @@ class TestBeliefKernel:
                 )
 
     def test_caches_stay_within_their_bound(self):
+        # More distinct targets than the bound on one structure: its memo keeps the latest.
+        structure, _ = random_structure(RandomStructureConfig(seed=0, num_states=8))
+        targets = [frozenset(s for s in range(8) if mask >> s & 1) for mask in range(1, CACHE_SIZE + 10)]
+        for target in targets:
+            evident_ladder(structure, target)
+            matched_policy(structure, target)
+            assert common_p_belief(structure, target, 1, 7) == fixedpoint_common_p_belief(structure, target, 1, 7)
+            assert len(structure._memo) <= CACHE_SIZE
+        assert list(structure._memo) == targets[-CACHE_SIZE:]
         # More distinct keys than the bound: every size, every delta differs.
         for n in range(1, CACHE_SIZE + 9):
             structure, target = random_structure(RandomStructureConfig(seed=0, num_states=n))
-            evident_ladder(structure, target)
             iterated_matching(structure, target, 2, 0, 0)
-            matched_policy(structure, target)
-            _target_weights(structure, structure.universe())
             from_world_model(builtin_loudspeaker(Fraction(n, CACHE_SIZE + 9)))
             small = random_structure(RandomStructureConfig(seed=n, num_states=4))
             brute_force_common_p_belief(*small, 0, 0)
             fixedpoint_common_p_belief(*small, 0, 0)
         for cache, bound in (
-            (evident_ladder, CACHE_SIZE),
             (from_world_model, CACHE_SIZE),
             (game._levels, CACHE_SIZE),
-            (matched_policy, CACHE_SIZE),
-            (_target_weights, CACHE_SIZE),
             # The oracle keeps only the answers of the structure in use.
             (oracle._block_answers, 1),
             (oracle._fixedpoint_answers, 1),

@@ -100,10 +100,22 @@ MUTANTS = (
         "zip(self.partitions, self._block_ids)",
     ),
     Mutant(
-        "_target_weights credits an on-target state to the first row's block only",
+        "_entry's on-target table credits an on-target state to the first row's block only",
         "src/epicoord/epistemic.py",
         "for row in structure._block_ids:",
         "for row in structure._block_ids[:1]:",
+    ),
+    Mutant(
+        "one memo shared by every structure, keyed on the target alone",
+        "src/epicoord/epistemic.py",
+        "        return {}\n",
+        "        return _entry.__dict__.setdefault(\"shared\", {})\n",
+    ),
+    Mutant(
+        "the memo never drops a target at its bound",
+        "src/epicoord/epistemic.py",
+        "del memo[next(iter(memo))]",
+        "pass",
     ),
     Mutant(
         "_totals skips the last row of _block_ids",
