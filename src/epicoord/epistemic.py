@@ -468,7 +468,8 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     structure's memo entry for the target; any iterable of state indices is
     a target.
     """
-    entry = _entry(structure, frozenset(target))
+    target = frozenset(target)
+    entry = _entry(structure, target)
     if entry.ladder is None:
         entry.ladder = _build_ladder(structure, target)
     return entry.ladder

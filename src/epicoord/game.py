@@ -454,7 +454,8 @@ def matched_policy(structure: InformationStructure, target: Event) -> Policy:
     """Both players probability-matching on perceived common belief in the target: the
     ladder's answer rows, where block b of `_blocks` plays `levels[block_depth[b]]` at
     each of its states.  Built once and kept in the structure's memo entry for the target."""
-    entry = _entry(structure, frozenset(target))
+    target = frozenset(target)
+    entry = _entry(structure, target)
     if entry.policy is None:
         entry.policy = Policy(evident_ladder(structure, target).answers)
     return entry.policy

@@ -504,13 +504,26 @@ class TestBeliefKernel:
         assert answers[quarter] != answers[third]
 
     def test_set_and_list_targets_read_the_frozenset_entry(self):
-        structure, _ = random_structure(RandomStructureConfig(seed=0, num_states=6))
+        config = RandomStructureConfig(seed=0, num_states=6)
+        structure, _ = random_structure(config)
         ladder, policy = evident_ladder(structure, frozenset({0, 1})), matched_policy(structure, frozenset({0, 1}))
-        for target in ({0, 1}, [0, 1], [1, 0, 1]):
-            assert evident_ladder(structure, target) is ladder
-            assert matched_policy(structure, target) is policy
-            assert common_p_belief(structure, target, 1, 5) is ladder.answers[1][5]
+        targets = (lambda: {0, 1}, lambda: [0, 1], lambda: [1, 0, 1], lambda: (s for s in (0, 1)))
+        for target in targets:
+            assert evident_ladder(structure, target()) is ladder
+            assert matched_policy(structure, target()) is policy
+            assert common_p_belief(structure, target(), 1, 5) is ladder.answers[1][5]
         assert list(structure._memo) == [frozenset({0, 1})]
+        # A one-shot iterable asked first is read once: the entry stored under
+        # its states holds their ladder and policy, not the empty target's.
+        queries = (evident_ladder, matched_policy, lambda structure, target: common_p_belief(structure, target, 1, 5))
+        for query in queries:
+            fresh, _ = random_structure(config)
+            query(fresh, (s for s in (0, 1)))
+            assert list(fresh._memo) == [frozenset({0, 1})]
+            assert common_p_belief(fresh, frozenset({0, 1}), 1, 5) == ladder.answers[1][5]
+            assert evident_ladder(fresh, frozenset({0, 1})) == ladder
+            assert evident_ladder(fresh, frozenset({0, 1})).answers == ladder.answers
+            assert matched_policy(fresh, frozenset({0, 1})) == policy
 
     def test_memo_is_freed_with_its_structure(self):
         """No memo entry refers back to its structure, so reference counting alone
