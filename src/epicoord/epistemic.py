@@ -12,10 +12,10 @@ ladder's peel and the level-k strategies both work on that one numbering.
 Each structure keeps one memo, keyed by target.  An entry holds how much of
 each block lies on the target, summed in one pass over the target's states
 when the entry is built, and later the target's ladder and its matched
-policy; building an entry is the one place a target is checked against the
-space.  The peel, the level-k steps, the certainty heuristics and the attack
-game all read the table (`_target_weights`), and a block is certain of the
-target exactly when its weight on the target equals its weight.
+policy; an entry is built only for a target checked against the space.  The
+peel, the level-k steps, the certainty heuristics and the attack game all
+read the table (`_target_weights`), and a block is certain of the target
+exactly when its weight on the target equals its weight.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -27,27 +27,12 @@ the deepest depth in the player's information set.  Everything here is exact,
 with no epsilons, because weak-vs-strict inequality is load-bearing.
 
 A belief depends on the state only through the information set, so the
-shrinking works on blocks: each block of either player reads its total and
-target weights from those tables and keeps its surviving weight, a block at
-or below the level loses all its survivors, and a removal re-checks only the
-other player's block holding that state.  Each block also keeps an integer
-floor key, its weakest belief scaled by 2**_KEY_BITS and rounded down, which
-the peel updates with the surviving weight.  A rung's level comes from one
-C-level `min` over the keys and an exact comparison among the few blocks
-sharing the least key, which finds the level and the blocks attaining it, and
-the rung's peel starts from those blocks.  One ladder removes each state once,
-so it costs O(n) integer updates plus that `min` per rung, and makes no
-per-state belief evaluation.
-
-The peel keeps its own record: the rung at which each block loses its last
-survivor, written where the block is popped or where its companions' removals
-empty it.  That dying rung is the block's deepest rung, stored flat over the
-numbered blocks, and a state's depth is the lesser dying rung of its two
-blocks, since a state leaves at the pop of the first of them and no block
-empties before its states have left.  The ladder reads both tables off that
-record and builds, once, each player's row of answers, the level of the
-deepest rung meeting the player's block at each state, so a `common_p_belief`
-query is one memo read and one row lookup.  `min_belief` stays the per-state definition.
+ladder is one integer peel over blocks, from the full space to empty, that
+removes each state once (`_build_ladder`).  It keeps the rung at which each
+block loses its last survivor and builds each player's row of answers from
+that record, so a `common_p_belief` query is one memo read and one row
+lookup.  `min_belief`, `evidence_level` and `super_p_evident` stay the
+per-state definitions.
 """
 
 from __future__ import annotations
@@ -70,10 +55,10 @@ Event = frozenset[int]
 # whole model or structure: `from_world_model` here and `game._levels`.
 CACHE_SIZE = 64
 
-# Bits of the floor key `_Peel` keeps per block, read when a peel is built.  Any
-# width gives the same answers; at 62 bits two distinct beliefs share a key only
-# when block totals reach 2**31, so the exact comparison in `level()` almost
-# always sees exact ties alone.
+# Bits of the floor key the ladder's peel keeps per block, read when a ladder is
+# built.  Any width gives the same answers; at 62 bits two distinct beliefs share
+# a key only when block totals reach 2**31, so each rung's exact comparison
+# almost always sees exact ties alone.
 _KEY_BITS = 62
 
 
@@ -191,6 +176,7 @@ class InformationStructure:
 
     def conditional_belief(self, player: int, event: Event, state: int) -> Fraction:
         """The probability `player` assigns to `event` at `state`: mu(E | block)."""
+        self._check_inside(event, "event")
         block = self.block(player, state)
         return Fraction(self._weight(event & block), self._weight(block))
 
@@ -260,140 +246,13 @@ conditional_belief = InformationStructure.conditional_belief
 
 def min_belief(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
     """The weakest of both players' beliefs in the event and in the target at `state`."""
+    structure._check_inside(event, "event")
+    structure._check_inside(target, "target event")
     return min(
         conditional_belief(structure, player, members, state)
         for player in (0, 1)
         for members in (event, target)
     )
-
-
-class _Peel:
-    """Survivors of an event, peeled block by block against a target.
-
-    For each block of the structure's `_blocks` it reads two integer
-    weights, the block's total (`_totals`) and its part on the target
-    (`_target_weights`), and keeps a third, its part that still survives.
-    Every member of a block gets the same beliefs, so the block's weakest
-    belief in the survivors and in the target is min(surviving, on_target) /
-    total, and a state survives only while both of its blocks stay strictly
-    above the level.  Each block also keeps a floor key, that belief times
-    2**bits rounded down, or `dead`, above every belief's key, once no member
-    survives: a smaller key means a strictly smaller belief and equal beliefs
-    share a key.  Blocks are named by their number in `_blocks` only: block
-    b's companion row of `_block_ids` is `block_ids[b < first_count]`, player
-    1's for player 0's blocks and player 0's for player 1's.
-
-    The peel also keeps its own record for the ladder: `rung`, the number of
-    `peel` calls made so far, and `died[b]`, the rung (the `peel` call) at
-    which block b lost its last survivor, 0 for a block that has none yet or
-    had none from the start.
-    """
-
-    def __init__(self, structure: InformationStructure, event: Event, target: Event) -> None:
-        structure._check_inside(event, "event")
-        self.on_target = on_target = _target_weights(structure, target)
-        self.total = total = structure._totals
-        self.weights = structure._weights
-        self.blocks = blocks = structure._blocks
-        self.block_ids = structure._block_ids
-        self.first_count = len(structure.partitions[0].blocks)
-        self.bits = bits = _KEY_BITS
-        self.dead = dead = (1 << bits) + 1
-        self.rung = 0
-        self.died = [0] * len(blocks)
-        if event == structure.universe():
-            # The full space, as `evident_ladder` passes it: every block survives whole.
-            self.alive = bytearray(b"\x01") * len(structure)
-            self.surviving = list(total)
-        else:
-            weight_of = structure._weight
-            self.alive = bytearray(len(structure))
-            for state in event:
-                self.alive[state] = 1
-            self.surviving = [weight_of(block.intersection(event)) for block in blocks]
-        self.keys = [
-            ((left if left < on else on) << bits) // weight if left else dead
-            for left, on, weight in zip(self.surviving, on_target, total)
-        ]
-
-    def level(self) -> tuple[Fraction, list[int]]:
-        """The survivors' evidence level, and the surviving blocks whose belief equals it.
-
-        The least key belongs to the blocks of least belief, ties included,
-        and perhaps to a few of slightly larger belief; an exact
-        cross-multiplied comparison among just those blocks gives the level
-        and the blocks attaining it, which are exactly the ones a peel at that
-        level starts from.  Needs a survivor.
-        """
-        surviving, on_target, total, keys = self.surviving, self.on_target, self.total, self.keys
-        least_key = min(keys)
-        low, low_total, lowest = 1, 1, []
-        b = -1
-        for _ in range(keys.count(least_key)):
-            b = keys.index(least_key, b + 1)
-            held = surviving[b]
-            if on_target[b] < held:
-                held = on_target[b]
-            # held / total[b] against low / low_total, cross-multiplied.
-            this, least = held * low_total, low * total[b]
-            if this < least:
-                low, low_total, lowest = held, total[b], [b]
-            elif this == least:
-                lowest.append(b)
-        return Fraction(low, low_total), lowest
-
-    def peel(self, level: Fraction, failing: list[int] | None = None) -> list[int]:
-        """Remove every survivor until each surviving block's belief is strictly above `level`.
-
-        A block at or below the level loses all its survivors and its key
-        becomes `dead`; each removal lowers the surviving weight of the other
-        player's block that holds the state, read from the companion row of
-        `_block_ids`, and only that block, if its belief fell, is checked again
-        and, if it stays, re-keyed.  The peel starts from `failing`, the surviving blocks at or
-        below the level, when the caller has them from `level()`, and
-        otherwise scans the blocks once to find them.  Every block emptied
-        here, whether popped from the work list or emptied through its
-        companions' removals, records this call's `rung` in `died`; the
-        counter advances when the call ends.  Returns the removed states.
-        """
-        numerator, denominator = level.numerator, level.denominator
-        total, on_target, surviving, keys = self.total, self.on_target, self.surviving, self.keys
-        alive, weights, blocks = self.alive, self.weights, self.blocks
-        block_ids, first_count = self.block_ids, self.first_count
-        bits, dead, died, rung = self.bits, self.dead, self.died, self.rung
-        removed: list[int] = []
-        work = failing
-        if work is None:
-            work = [
-                b for b in range(len(blocks))
-                if surviving[b] and min(surviving[b], on_target[b]) * denominator <= numerator * total[b]
-            ]
-        while work:
-            b = work.pop()
-            companion = block_ids[b < first_count]
-            for state in blocks[b]:
-                if alive[state]:
-                    alive[state] = 0
-                    removed.append(state)
-                    weight = weights[state]
-                    surviving[b] -= weight
-                    other = companion[state]
-                    surviving[other] -= weight
-                    # Only a block left lighter than its part on the target loses belief,
-                    # and its least belief is then its surviving weight; any other one
-                    # stays above the level or is queued already.
-                    if surviving[other] < on_target[other]:
-                        if not surviving[other]:
-                            keys[other] = dead
-                            died[other] = rung
-                        elif surviving[other] * denominator <= numerator * total[other]:
-                            work.append(other)
-                        else:
-                            keys[other] = (surviving[other] << bits) // total[other]
-            keys[b] = dead
-            died[b] = rung
-        self.rung += 1
-        return removed
 
 
 def evidence_level(structure: InformationStructure, event: Event, target: Event) -> Fraction:
@@ -402,9 +261,10 @@ def evidence_level(structure: InformationStructure, event: Event, target: Event)
     This is the minimum of min_belief over the event's members; the empty
     event has no evidence level and is rejected.
     """
+    event, target = frozenset(event), frozenset(target)
     if not event:
         raise ValueError("the empty event has no evidence level")
-    return _Peel(structure, event, target).level()[0]
+    return min(min_belief(structure, event, target, state) for state in event)
 
 
 def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
@@ -414,8 +274,14 @@ def super_p_evident(structure: InformationStructure, event: Event, target: Event
     removing every member whose min_belief is <= level does not depend on the
     order of removal; the result may be empty.
     """
-    event = frozenset(event)
-    return event.difference(_Peel(structure, event, target).peel(level))
+    event, target = frozenset(event), frozenset(target)
+    structure._check_inside(event, "event")
+    structure._check_inside(target, "target event")
+    while True:
+        failing = {state for state in event if min_belief(structure, event, target, state) <= level}
+        if not failing:
+            return event
+        event -= failing
 
 
 @dataclass(frozen=True)
@@ -478,34 +344,99 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
 def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """The ladder itself, built afresh: `evident_ladder` stores it.
 
-    One peel runs from the full space to empty.  Each rung takes the least of
-    the blocks' floor keys and compares the few blocks holding it exactly: that
-    finds the survivors' evidence level together with the blocks attaining it,
-    which are exactly the blocks failing at that level, and the rung peels
-    from them.  The states peeled at a rung are the ones whose
-    deepest rung it is, so each state is removed once; a rung that removes no
-    state would loop forever, so it raises `RuntimeError` instead.
+    One peel runs from the full space to empty, on blocks: a belief depends
+    on the state only through the information set.  Each block of `_blocks`
+    reads two integer weights, its total (`_totals`) and its part on the
+    target (`_target_weights`), and keeps a third, its part that still
+    survives, so its weakest belief in the survivors and in the target is
+    min(surviving, on_target) / total.  A state survives only while both of
+    its blocks stay strictly above the level.  Each block also keeps a floor
+    key, that belief times 2**_KEY_BITS rounded down, or `dead`, above every
+    belief's key, once no member survives: a smaller key means a strictly
+    smaller belief, and equal beliefs share a key.
 
-    The peel records the rung at which each block loses its last survivor,
-    and that is the block's deepest rung, `block_depth`.  A state leaves the
-    survivors when the first of its two blocks is popped, which empties that
-    block at that rung, and no block empties before all its states have left,
-    so a state's depth is the lesser of its two blocks' dying rungs.  The
-    answer rows, `levels[block_depth[b]]` at each (player, state), are built
-    here too, so a query is one lookup.
+    Each rung takes the least key, one C-level `min`, and compares the few
+    blocks holding it exactly, cross-multiplied: the least belief among them
+    is the survivors' evidence level, and the blocks attaining it are exactly
+    the ones failing at that level, the rung's work list.  A popped block
+    loses all its survivors; each removal lowers the surviving weight of the
+    other player's block holding the state, read from the companion row of
+    `_block_ids` (player 1's for player 0's blocks, and the other way round),
+    and only that block, if its belief fell, is checked again, queued if it
+    is now at or below the level and re-keyed if not.  The states peeled at a
+    rung are the ones whose deepest rung it is, so each state is removed
+    once, and a ladder costs O(n) integer updates plus one `min` per rung; a
+    rung that removes no state would loop forever, so it raises
+    `RuntimeError` instead.
+
+    The peel records, in `died`, the rung at which each block loses its last
+    survivor, where the block is popped or where its companions' removals
+    empty it, and that is the block's deepest rung, `block_depth`.  A state
+    leaves the survivors when the first of its two blocks is popped, which
+    empties that block at that rung, and no block empties before all its
+    states have left, so a state's depth is the lesser of its two blocks'
+    dying rungs.  The answer rows, `levels[block_depth[b]]` at each (player,
+    state), are built here too, so a query is one lookup.
     """
+    on_target, total = _target_weights(structure, target), structure._totals
+    weights, blocks, block_ids = structure._weights, structure._blocks, structure._block_ids
+    first_count = len(structure.partitions[0].blocks)
+    bits = _KEY_BITS
+    dead = (1 << bits) + 1
+    # Every block survives whole, so its weakest belief is its part on the target.
+    surviving = list(total)
+    keys = [(on << bits) // weight for on, weight in zip(on_target, total)]
+    alive = bytearray(b"\x01") * len(structure)
+    died = [0] * len(blocks)
     levels: list[Fraction] = []
-    peel = _Peel(structure, structure.universe(), target)
     remaining = len(structure)
     while remaining:
-        level, lowest = peel.level()
-        removed = peel.peel(level, lowest)
+        rung = len(levels)
+        least_key = min(keys)
+        low, low_total, work = 1, 1, []
+        b = -1
+        for _ in range(keys.count(least_key)):
+            b = keys.index(least_key, b + 1)
+            held = surviving[b]
+            if on_target[b] < held:
+                held = on_target[b]
+            # held / total[b] against low / low_total, cross-multiplied.
+            this, least = held * low_total, low * total[b]
+            if this < least:
+                low, low_total, work = held, total[b], [b]
+            elif this == least:
+                work.append(b)
+        removed = 0
+        while work:
+            b = work.pop()
+            companion = block_ids[b < first_count]
+            for state in blocks[b]:
+                if alive[state]:
+                    alive[state] = 0
+                    removed += 1
+                    weight = weights[state]
+                    surviving[b] -= weight
+                    other = companion[state]
+                    surviving[other] -= weight
+                    # Only a block left lighter than its part on the target loses belief,
+                    # and its least belief is then its surviving weight; any other one
+                    # stays above the level or is queued already.
+                    if surviving[other] < on_target[other]:
+                        if not surviving[other]:
+                            keys[other] = dead
+                            died[other] = rung
+                        elif surviving[other] * low_total <= low * total[other]:
+                            work.append(other)
+                        else:
+                            keys[other] = (surviving[other] << bits) // total[other]
+            keys[b] = dead
+            died[b] = rung
+        level = Fraction(low, low_total)
         if not removed:
-            raise RuntimeError(f"ladder rung {len(levels)} at level {level} removed no state")
+            raise RuntimeError(f"ladder rung {rung} at level {level} removed no state")
         levels.append(level)
-        remaining -= len(removed)
-    died = peel.died
-    first, second = structure._block_ids
+        remaining -= removed
+    first, second = block_ids
     # A conditional expression, not `map(min, ...)`: the builtin's call costs twice as much per state.
     pairs = zip(map(died.__getitem__, first), map(died.__getitem__, second))
     depth = tuple([one if one < other else other for one, other in pairs])

@@ -202,6 +202,19 @@ class TestEvidenceLevel:
         with pytest.raises(ValueError):
             evidence_level(loudspeaker, frozenset(), loudspeaker_target)
 
+    def test_generator_events_answer_as_frozensets(self):
+        # A one-shot iterable is frozen once, before any check reads it.
+        structure, target = random_structure(RandomStructureConfig(seed=0, num_states=6))
+        assert evidence_level(structure, frozenset({0}), target) == Fraction(1, 16)
+        assert evidence_level(structure, iter((0,)), iter(target)) == Fraction(1, 16)
+        with pytest.raises(ValueError, match="the empty event has no evidence level"):
+            evidence_level(structure, iter(()), target)
+        for level in (Fraction(0), Fraction(1, 16), Fraction(1, 2)):
+            assert super_p_evident(structure, iter(range(6)), iter(target), level) == (
+                super_p_evident(structure, structure.universe(), target, level)
+            )
+            assert super_p_evident(structure, iter(()), target, level) == frozenset()
+
 
 class TestSuperPEvident:
     def test_first_shrink_removes_observed_bad_state(self, loudspeaker, loudspeaker_target):
@@ -396,21 +409,18 @@ class TestEvidentLadder:
                 popped.add(b)
                 return tuple.__getitem__(self, b)
 
-        peel = epistemic._Peel(structure, structure.universe(), target)
-        peel.blocks = Reads(peel.blocks)
-        while any(peel.alive):
-            peel.peel(*peel.level())
+        # Preset before the ladder first reads the cached property.
+        structure.__dict__["_blocks"] = Reads(structure._blocks)
+        ladder = epistemic._build_ladder(structure, target)
         never = [b for b in range(len(structure._blocks)) if b not in popped]
         assert [structure._blocks[b] for b in never] == [frozenset({1, 3})]
-        assert peel.died[never[0]] == 2 and peel.rung == 3
+        assert ladder.block_depth[never[0]] == 2 and len(ladder) == 3
 
-        ladder = epistemic._build_ladder(structure, target)
         walk = definitional_rungs(structure, target)
         assert ladder.levels == tuple(rung.level for rung in walk)
         assert ladder.depth == tuple(
             max(k for k, rung in enumerate(walk) if state in rung.event) for state in range(len(structure))
         )
-        assert ladder.block_depth == tuple(peel.died)
         assert ladder.block_depth == tuple(max(ladder.depth[s] for s in block) for block in structure._blocks)
         assert ladder.block_depth == tuple(
             max(k for k, rung in enumerate(walk) if rung.event & block) for block in structure._blocks
@@ -425,10 +435,11 @@ class TestEvidentLadder:
             assert apart.answers == cached.answers and repr(apart) == repr(cached)
             assert "answers" not in repr(apart)
 
-    def test_rung_that_removes_nothing_raises(self, monkeypatch):
+    def test_rung_that_removes_nothing_raises(self):
         # A peel that removes no state would leave the ladder looping on one rung forever.
-        monkeypatch.setattr(epistemic._Peel, "peel", lambda self, level, failing=None: [])
+        # Blocks preset empty on a fresh structure: a popped block has no state to remove.
         structure, target = random_structure(RandomStructureConfig(seed=0, num_states=5))
+        structure.__dict__["_blocks"] = (frozenset(),) * len(structure._blocks)
         with pytest.raises(RuntimeError, match=r"ladder rung 0 at level .* removed no state"):
             epistemic._build_ladder(structure, target)
 
@@ -455,7 +466,10 @@ class TestBeliefKernel:
         assert twin == structure and hash(twin) == hash(structure)
         assert conditional_belief(twin, 0, target, 0) == conditional_belief(structure, 0, target, 0)
         assert {"_hash", "_weights"} <= vars(twin).keys()
+        # The per-state definitions need no block table; the ladder builds it.
         evidence_level(twin, twin.universe(), target)
+        assert "_totals" not in vars(twin)
+        evident_ladder(twin, target)
         assert "_totals" in vars(twin)
 
     def test_hash_is_shared_by_equal_structures_built_apart(self):
@@ -619,20 +633,25 @@ class TestBeliefKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_space_peel_starts_from_block_totals(self, seed):
+        """Any iterable spelling of an event answers as its frozenset, the full
+        space included, and a list with a duplicate entry is not the full space."""
         structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=9 + seed))
         n = len(structure)
-        literal = [structure._weight(block) for block in structure._blocks]
-        for full in (structure.universe(), set(range(n)), list(range(n)), list(range(n))[::-1]):
-            peel = epistemic._Peel(structure, full, target)
-            assert peel.surviving == literal and peel.alive == bytearray([1] * n)
-        # As many entries as states, with a duplicate: not the full space.
+        ladder = evident_ladder(structure, target)
         partial = [0, *range(n - 1)]
-        peel = epistemic._Peel(structure, partial, target)
-        assert peel.surviving == [structure._weight(block - {n - 1}) for block in structure._blocks]
-        assert peel.alive[n - 1] == 0
-        assert super_p_evident(structure, partial, target, Fraction(0)) == (
-            super_p_evident(structure, frozenset(partial), target, Fraction(0))
-        )
+        for entries in (list(range(n)), partial, sorted(target)):
+            frozen = frozenset(entries)
+            # A generator is read once: it must be frozen before anything else reads it.
+            for spell in (set, list, lambda listed: listed[::-1], iter):
+                for level in (Fraction(0), *ladder.levels):
+                    assert super_p_evident(structure, spell(entries), target, level) == (
+                        super_p_evident(structure, frozen, target, level)
+                    ) == literal_super_p_evident(structure, frozen, target, level)
+                assert evidence_level(structure, spell(entries), target) == (
+                    evidence_level(structure, frozen, target)
+                ) == min(weakest_belief(structure, frozen, target, state) for state in frozen)
+        assert evidence_level(structure, list(range(n)), target) == ladder.levels[0]
+        assert n - 1 not in super_p_evident(structure, partial, target, Fraction(0))
 
     def test_rungs_match_definitional_walk(self):
         cases = [random_structure(RandomStructureConfig(seed=seed)) for seed in self.SEEDS]

@@ -15,6 +15,7 @@ from epicoord import (
     brute_force_common_p_belief,
     cognitive_strategy,
     common_p_belief,
+    conditional_belief,
     evidence_level,
     fixedpoint_common_p_belief,
     from_world_model,
@@ -23,6 +24,7 @@ from epicoord import (
     iterated_maximization_prob,
     largest_p_evident_indicating_event,
     matched_p_belief_prob,
+    min_belief,
     pair_heuristic,
     private_heuristic,
     random_structure,
@@ -51,6 +53,9 @@ OUTSIDE_QUERIES = {
     "super_p_evident": lambda structure, outside, target: super_p_evident(structure, outside, target, Fraction(1, 2)),
     "evidence_level": lambda structure, outside, target: evidence_level(structure, outside, target),
     "measure_of": lambda structure, outside, target: structure.measure_of(outside),
+    "conditional_belief": lambda structure, outside, target: conditional_belief(structure, 0, outside, 0),
+    "min_belief-event": lambda structure, outside, target: min_belief(structure, outside, target, 0),
+    "min_belief-target": lambda structure, outside, target: min_belief(structure, frozenset({0}), outside, 0),
     "largest_p_evident": lambda structure, outside, target: largest_p_evident_indicating_event(
         structure, outside, Fraction(0)
     ),

@@ -124,16 +124,22 @@ MUTANTS = (
         "for row in self._block_ids[:-1]:",
     ),
     Mutant(
-        "_Peel.peel keeps a companion block at the level",
+        "_build_ladder keeps a companion block at the level",
         "src/epicoord/epistemic.py",
-        "elif surviving[other] * denominator <= numerator * total[other]:",
-        "elif surviving[other] * denominator < numerator * total[other]:",
+        "elif surviving[other] * low_total <= low * total[other]:",
+        "elif surviving[other] * low_total < low * total[other]:",
     ),
     Mutant(
-        "_Peel.peel's opening scan keeps a block at the level",
+        "super_p_evident keeps a member at the level",
         "src/epicoord/epistemic.py",
-        "min(surviving[b], on_target[b]) * denominator <= numerator * total[b]",
-        "min(surviving[b], on_target[b]) * denominator < numerator * total[b]",
+        "if min_belief(structure, event, target, state) <= level}",
+        "if min_belief(structure, event, target, state) < level}",
+    ),
+    Mutant(
+        "evidence_level takes the max of min_belief over the event",
+        "src/epicoord/epistemic.py",
+        "return min(min_belief(structure, event, target, state) for state in event)",
+        "return max(min_belief(structure, event, target, state) for state in event)",
     ),
     Mutant(
         "oracle._largest_event drops a block at the level",
@@ -154,28 +160,28 @@ MUTANTS = (
         "one if one > other else other",
     ),
     Mutant(
-        "_Peel.level drops tied blocks",
+        "_build_ladder drops tied blocks",
         "src/epicoord/epistemic.py",
-        "            elif this == least:\n                lowest.append(b)\n",
+        "            elif this == least:\n                work.append(b)\n",
         "",
     ),
     Mutant(
-        "_Peel.peel leaves a companion block's key stale after a removal",
+        "_build_ladder leaves a companion block's key stale after a removal",
         "src/epicoord/epistemic.py",
         "keys[other] = (surviving[other] << bits) // total[other]",
         "pass",
     ),
     Mutant(
-        "_Peel.peel records the dying rung only for popped blocks",
+        "_build_ladder records the dying rung only for popped blocks",
         "src/epicoord/epistemic.py",
         "died[other] = rung",
         "pass",
     ),
     Mutant(
-        "_Peel.peel advances the rung counter before the peel, not after it",
+        "_build_ladder records each block's dying rung one rung late",
         "src/epicoord/epistemic.py",
-        "bits, dead, died, rung = self.bits, self.dead, self.died, self.rung",
-        "bits, dead, died, rung = self.bits, self.dead, self.died, self.rung + 1",
+        "        rung = len(levels)\n",
+        "        rung = len(levels) + 1\n",
     ),
     Mutant(
         "the ladder's answer rows read the rung below each block's deepest",
