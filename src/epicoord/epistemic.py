@@ -33,6 +33,13 @@ block loses its last survivor and builds each player's row of answers from
 that record, so a `common_p_belief` query is one memo read and one row
 lookup.  `min_belief`, `evidence_level` and `super_p_evident` stay the
 per-state definitions.
+
+Every public query reads each event or target argument once, at entry,
+through `InformationStructure._event`, which freezes any iterable of state
+indices and refuses one outside the space (a query with a memo freezes for
+the key and checks on a miss), and reads each level once with
+`parse_probability`; below that boundary one unchecked kernel,
+`InformationStructure._belief`, gives every per-state belief.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from .rational import parse_probability
 from .worldmodel import (
     Partition,
     StateSpace,
@@ -119,14 +127,24 @@ class InformationStructure:
         first, second = self.partitions
         return first.block_of, tuple(map(len(first.blocks).__add__, second.block_of))
 
+    def _block_weights(self, states) -> tuple[int, ...]:
+        """The integer weight in `states`, checked state indices, of each block of `_blocks`.
+
+        One pass over `states` credits each state's weight to the block holding
+        it in both rows of `_block_ids`.
+        """
+        weights, (first, second) = self._weights, self._block_ids
+        table = [0] * len(self._blocks)
+        for state in states:
+            weight = weights[state]
+            table[first[state]] += weight
+            table[second[state]] += weight
+        return tuple(table)
+
     @cached_property
     def _totals(self) -> tuple[int, ...]:
-        """The integer weight of each block of `_blocks`, summed in one pass over the states."""
-        totals = [0] * len(self._blocks)
-        for row in self._block_ids:
-            for block, weight in zip(row, self._weights):
-                totals[block] += weight
-        return tuple(totals)
+        """The integer weight of each block of `_blocks`: the full space's `_block_weights`."""
+        return self._block_weights(range(len(self.space.states)))
 
     @cached_property
     def _overlaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -152,9 +170,12 @@ class InformationStructure:
         """Every state index, as one frozenset built once per structure."""
         return self._universe
 
-    def _check_inside(self, states: Event, what: str) -> None:
-        if not self.universe().issuperset(states):
+    def _event(self, states, what: str) -> Event:
+        """`states`, any iterable of state indices, frozen once; an index outside the space is refused."""
+        states = frozenset(states)
+        if not self._universe.issuperset(states):
             raise ValueError(f"{what} references state indices outside the space")
+        return states
 
     def _block_id(self, player: int, state: int) -> int:
         """The number, in `_blocks`, of `player`'s block holding state index `state`.
@@ -170,15 +191,18 @@ class InformationStructure:
         return self._blocks[self._block_id(player, state)]
 
     def measure_of(self, event: Event) -> Fraction:
-        self._check_inside(event, "event")
+        event = self._event(event, "event")
         # The measures sum to 1, so the weights sum to their common denominator.
         return Fraction(self._weight(event), sum(self._weights))
 
+    def _belief(self, block: frozenset[int], event: Event) -> Fraction:
+        """mu(event | block), unchecked: `event` is a frozenset of state indices inside the space."""
+        return Fraction(self._weight(event & block), self._weight(block))
+
     def conditional_belief(self, player: int, event: Event, state: int) -> Fraction:
         """The probability `player` assigns to `event` at `state`: mu(E | block)."""
-        self._check_inside(event, "event")
-        block = self.block(player, state)
-        return Fraction(self._weight(event & block), self._weight(block))
+        event = self._event(event, "event")
+        return self._belief(self.block(player, state), event)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -212,22 +236,15 @@ def _entry(structure: InformationStructure, target: Event) -> _Entry:
     """`structure`'s memo entry for `target`, a frozenset, built on first use.
 
     The target is checked against the space before anything is stored, and
-    the table is summed in one pass over the target's states, each state's
-    weight credited to the block holding it in every row of `_block_ids`.
-    Every weight is positive, so a block lies inside the target exactly when
-    its entry equals its `_totals` entry.  The memo keeps at most
-    `CACHE_SIZE` targets and drops the oldest first.
+    the table is its `_block_weights`, summed like `_totals`.  Every weight
+    is positive, so a block lies inside the target exactly when its entry
+    equals its `_totals` entry.  The memo keeps at most `CACHE_SIZE` targets
+    and drops the oldest first.
     """
     memo = structure._memo
     entry = memo.get(target)
     if entry is None:
-        structure._check_inside(target, "target event")
-        weights = structure._weights
-        on_target = [0] * len(structure._blocks)
-        for row in structure._block_ids:
-            for state in target:
-                on_target[row[state]] += weights[state]
-        entry = _Entry(tuple(on_target))
+        entry = _Entry(structure._block_weights(structure._event(target, "target event")))
         if len(memo) >= CACHE_SIZE:
             del memo[next(iter(memo))]
         memo[target] = entry
@@ -246,13 +263,14 @@ conditional_belief = InformationStructure.conditional_belief
 
 def min_belief(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
     """The weakest of both players' beliefs in the event and in the target at `state`."""
-    structure._check_inside(event, "event")
-    structure._check_inside(target, "target event")
-    return min(
-        conditional_belief(structure, player, members, state)
-        for player in (0, 1)
-        for members in (event, target)
-    )
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    return _weakest(structure, event, target, state)
+
+
+def _weakest(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
+    """`min_belief` of frozensets already checked against the space."""
+    blocks = structure.block(0, state), structure.block(1, state)
+    return min(structure._belief(block, members) for block in blocks for members in (event, target))
 
 
 def evidence_level(structure: InformationStructure, event: Event, target: Event) -> Fraction:
@@ -261,10 +279,11 @@ def evidence_level(structure: InformationStructure, event: Event, target: Event)
     This is the minimum of min_belief over the event's members; the empty
     event has no evidence level and is rejected.
     """
-    event, target = frozenset(event), frozenset(target)
+    event = structure._event(event, "event")
     if not event:
         raise ValueError("the empty event has no evidence level")
-    return min(min_belief(structure, event, target, state) for state in event)
+    target = structure._event(target, "target event")
+    return min(_weakest(structure, event, target, state) for state in event)
 
 
 def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
@@ -274,11 +293,10 @@ def super_p_evident(structure: InformationStructure, event: Event, target: Event
     removing every member whose min_belief is <= level does not depend on the
     order of removal; the result may be empty.
     """
-    event, target = frozenset(event), frozenset(target)
-    structure._check_inside(event, "event")
-    structure._check_inside(target, "target event")
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    level = parse_probability(level, "level")
     while True:
-        failing = {state for state in event if min_belief(structure, event, target, state) <= level}
+        failing = {state for state in event if _weakest(structure, event, target, state) <= level}
         if not failing:
             return event
         event -= failing
@@ -471,15 +489,14 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
 
 def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:
     """Does every member state give both players belief >= level in the event?"""
+    event = frozenset(event)
     return is_c_indicating(structure, event, event, level)
 
 
 def is_c_indicating(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> bool:
     """Does every member state give both players belief >= level in the target?"""
-    structure._check_inside(event, "event")
-    structure._check_inside(target, "target event")
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    level = parse_probability(level, "level")
     return all(
-        conditional_belief(structure, player, target, state) >= level
-        for state in event
-        for player in (0, 1)
+        structure._belief(structure.block(player, state), target) >= level for state in event for player in (0, 1)
     )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .epistemic import Event, InformationStructure
-from .rational import format_rational
+from .rational import format_rational, parse_probability
 from .worldmodel import Partition, StateSpace
 
 EXHAUSTIVE_STATE_LIMIT = 12
@@ -94,7 +94,7 @@ def _block_answers(
     - E meets B exactly when E holds some state of B, so a block's answer is
       the max over its states s of the largest level among the events holding s.
     """
-    structure._check_inside(target, "target event")
+    structure._event(target, "target event")
     n = len(structure)
     full = 1 << n
     weights = _integer_weights(structure)
@@ -166,7 +166,8 @@ def largest_p_evident_indicating_event(
     Computed by batch-removing violators from the full space until stable;
     may be empty.  Weak inequality, in contrast to super_p_evident's strict one.
     """
-    structure._check_inside(target, "target event")
+    target = structure._event(target, "target event")
+    level = parse_probability(level, "level")
     weights = _integer_weights(structure)
     return _largest_event(structure.universe(), weights, _weighed_blocks(structure, target, weights), level)
 
@@ -225,7 +226,7 @@ def _fixedpoint_answers(
     Level 0 keeps the whole space, so every block is answered by then.  The
     weights and block sums are computed once for the whole scan.
     """
-    structure._check_inside(target, "target event")
+    structure._event(target, "target event")
     weights = _integer_weights(structure)
     blocks = _weighed_blocks(structure, target, weights)
     universe = structure.universe()

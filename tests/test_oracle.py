@@ -20,6 +20,7 @@ from epicoord import (
     fixedpoint_common_p_belief,
     from_world_model,
     is_c_indicating,
+    is_p_evident,
     iterated_matching,
     iterated_maximization_prob,
     largest_p_evident_indicating_event,
@@ -81,23 +82,40 @@ def test_indices_outside_the_space_rejected(query, where):
 
 
 def at_every_state(answer, *args):
-    """A query asking `answer(structure, target, *args, player, state)` at every (player, state)."""
-    return lambda structure, target: [
-        answer(structure, target, *args, player, state) for player in (0, 1) for state in range(len(structure))
+    """A query asking `answer(structure, fresh(), *args, player, state)` at every (player, state)."""
+    return lambda structure, fresh: [
+        answer(structure, fresh(), *args, player, state) for player in (0, 1) for state in range(len(structure))
     ]
+
+
+def each_level(answer):
+    """A query asking `answer(structure, fresh(), level)` at each of `LEVELS`."""
+    return lambda structure, fresh: [answer(structure, fresh(), level) for level in LEVELS]
 
 
 PAYOFFS = PayoffParams(1, 0, Fraction(1, 3), 0)  # risk threshold 1/3
 
-# Each query takes its target as a `set` or as a `frozenset`; both must answer alike.
+# Levels at which a yes-or-no query is asked, so that it meets both answers.
+LEVELS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+# The ways of spelling an event besides a frozenset.
+SPELLINGS = {
+    "set": set,
+    "list": list,
+    "reversed list with a repeated index": lambda states: [*sorted(states, reverse=True), min(states)],
+    "generator": lambda states: (state for state in states),
+}
+
+# Each query takes `fresh`, which spells the drawn target anew on every call, as the
+# target or as the event named in the key; every spelling must answer as the frozenset.
 SET_TARGET_QUERIES = {
-    "super_p_evident": lambda structure, target: super_p_evident(structure, structure.universe(), target, Fraction(1, 3)),
-    "evidence_level": lambda structure, target: evidence_level(structure, structure.universe(), target),
+    "super_p_evident": lambda structure, fresh: super_p_evident(structure, structure.universe(), fresh(), Fraction(1, 3)),
+    "evidence_level": lambda structure, fresh: evidence_level(structure, structure.universe(), fresh()),
     "private_heuristic": at_every_state(private_heuristic),
     "pair_heuristic": at_every_state(pair_heuristic),
     "cognitive_strategy": at_every_state(cognitive_strategy, PAYOFFS),
-    "is_c_indicating": lambda structure, target: is_c_indicating(
-        structure, structure.universe(), target, Fraction(1, 3)
+    "is_c_indicating": lambda structure, fresh: is_c_indicating(
+        structure, structure.universe(), fresh(), Fraction(1, 3)
     ),
     "common_p_belief": at_every_state(common_p_belief),
     "rational_p_belief_action": at_every_state(rational_p_belief_action, PAYOFFS),
@@ -105,9 +123,28 @@ SET_TARGET_QUERIES = {
     "iterated_maximization_prob": at_every_state(iterated_maximization_prob, PAYOFFS, 2),
     "iterated_matching": at_every_state(iterated_matching, 2),
     # The exhaustive oracle answers only within its state cap.
-    "brute_force_common_p_belief": lambda structure, target: len(structure) <= EXHAUSTIVE_STATE_LIMIT
-    and at_every_state(brute_force_common_p_belief)(structure, target),
+    "brute_force_common_p_belief": lambda structure, fresh: len(structure) <= EXHAUSTIVE_STATE_LIMIT
+    and at_every_state(brute_force_common_p_belief)(structure, fresh),
     "fixedpoint_common_p_belief": at_every_state(fixedpoint_common_p_belief),
+    "measure_of-event": lambda structure, fresh: structure.measure_of(fresh()),
+    "conditional_belief-event": lambda structure, fresh: [
+        conditional_belief(structure, player, fresh(), state) for player in (0, 1) for state in range(len(structure))
+    ],
+    "min_belief-event": lambda structure, fresh: [
+        min_belief(structure, fresh(), structure.universe(), state) for state in range(len(structure))
+    ],
+    "min_belief-target": lambda structure, fresh: [
+        min_belief(structure, structure.universe(), fresh(), state) for state in range(len(structure))
+    ],
+    "evidence_level-event": lambda structure, fresh: evidence_level(structure, fresh(), structure.universe()),
+    "super_p_evident-event": each_level(
+        lambda structure, event, level: super_p_evident(structure, event, structure.universe(), level)
+    ),
+    "is_p_evident-event": each_level(is_p_evident),
+    "is_c_indicating-event": each_level(
+        lambda structure, event, level: is_c_indicating(structure, event, frozenset(range(0, len(structure), 2)), level)
+    ),
+    "largest_p_evident_indicating_event": each_level(largest_p_evident_indicating_event),
 }
 
 
@@ -115,7 +152,59 @@ SET_TARGET_QUERIES = {
 def test_set_targets_answer_as_frozensets(query):
     for seed in range(8):
         structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=6 + seed))
-        assert query(structure, set(target)) == query(structure, frozenset(target)), seed
+        expected = query(structure, lambda: target)
+        for spelling, spell in SPELLINGS.items():
+            assert query(structure, lambda: spell(target)) == expected, (seed, spelling)
+
+
+def test_each_argument_is_checked_once(monkeypatch):
+    structure, target = random_structure(RandomStructureConfig(seed=0, num_states=12))
+    event = structure.universe()
+    calls = []
+    check = InformationStructure._event
+    monkeypatch.setattr(
+        InformationStructure, "_event", lambda self, states, what: calls.append(what) or check(self, states, what)
+    )
+    for query in (
+        lambda: min_belief(structure, event, target, 0),
+        lambda: evidence_level(structure, event, target),
+        lambda: super_p_evident(structure, event, target, Fraction(1, 2)),
+        lambda: is_c_indicating(structure, event, target, Fraction(0)),
+    ):
+        calls.clear()
+        query()
+        assert calls == ["event", "target event"]
+
+
+# Each query takes a level, read exactly once its events are read.
+LEVEL_QUERIES = {
+    "super_p_evident": super_p_evident,
+    "is_p_evident": lambda structure, event, target, level: is_p_evident(structure, event, level),
+    "is_c_indicating": is_c_indicating,
+    "largest_p_evident_indicating_event": lambda structure, event, target, level: (
+        largest_p_evident_indicating_event(structure, target, level)
+    ),
+}
+
+
+@pytest.mark.parametrize("query", LEVEL_QUERIES.values(), ids=LEVEL_QUERIES.keys())
+def test_levels_are_read_exactly(query):
+    structure, target = random_structure(RandomStructureConfig(seed=0, num_states=6))
+    event = structure.universe()
+    assert query(structure, event, target, "1/2") == query(structure, event, target, Fraction(1, 2))
+    refused = {
+        0.5: "level: refusing inexact float",
+        "half": "level: not a rational number",
+        True: "level: refusing boolean",
+        Fraction(-1, 2): r"level must lie in \[0, 1\], got -1/2",
+        Fraction(3, 2): r"level must lie in \[0, 1\], got 3/2",
+    }
+    for level, message in refused.items():
+        with pytest.raises(ValueError, match=message):
+            query(structure, event, target, level)
+    outside = frozenset({len(structure)})
+    with pytest.raises(ValueError, match="references state indices outside the space"):
+        query(structure, outside, outside, 0.5)
 
 
 def single_state_structure():
@@ -152,7 +241,7 @@ def reference_block_answers(structure, target):
     reference: O(2^n * blocks), with fractions as (numerator, denominator)
     pairs compared by cross-multiplying.
     """
-    structure._check_inside(target, "target event")
+    structure._event(target, "target event")
     n = len(structure)
     weights = _integer_weights(structure)
     sums = [0] * (1 << n)

@@ -100,10 +100,10 @@ MUTANTS = (
         "zip(self.partitions, self._block_ids)",
     ),
     Mutant(
-        "_entry's on-target table credits an on-target state to the first row's block only",
+        "_block_weights credits each state to the first row's block only",
         "src/epicoord/epistemic.py",
-        "for row in structure._block_ids:",
-        "for row in structure._block_ids[:1]:",
+        "table[second[state]] += weight",
+        "pass",
     ),
     Mutant(
         "one memo shared by every structure, keyed on the target alone",
@@ -118,12 +118,6 @@ MUTANTS = (
         "pass",
     ),
     Mutant(
-        "_totals skips the last row of _block_ids",
-        "src/epicoord/epistemic.py",
-        "for row in self._block_ids:",
-        "for row in self._block_ids[:-1]:",
-    ),
-    Mutant(
         "_build_ladder keeps a companion block at the level",
         "src/epicoord/epistemic.py",
         "elif surviving[other] * low_total <= low * total[other]:",
@@ -132,14 +126,26 @@ MUTANTS = (
     Mutant(
         "super_p_evident keeps a member at the level",
         "src/epicoord/epistemic.py",
-        "if min_belief(structure, event, target, state) <= level}",
-        "if min_belief(structure, event, target, state) < level}",
+        "if _weakest(structure, event, target, state) <= level}",
+        "if _weakest(structure, event, target, state) < level}",
     ),
     Mutant(
-        "evidence_level takes the max of min_belief over the event",
+        "evidence_level takes the max of _weakest over the event",
         "src/epicoord/epistemic.py",
-        "return min(min_belief(structure, event, target, state) for state in event)",
-        "return max(min_belief(structure, event, target, state) for state in event)",
+        "return min(_weakest(structure, event, target, state) for state in event)",
+        "return max(_weakest(structure, event, target, state) for state in event)",
+    ),
+    Mutant(
+        "_event does not freeze",
+        "src/epicoord/epistemic.py",
+        "states = frozenset(states)",
+        "pass",
+    ),
+    Mutant(
+        "is_c_indicating skips the level check",
+        "src/epicoord/epistemic.py",
+        '    level = parse_probability(level, "level")\n    return all(',
+        "    return all(",
     ),
     Mutant(
         "oracle._largest_event drops a block at the level",
