@@ -220,8 +220,8 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
 @click.option("--payoffs", required=True)
 def verify(fmt, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
-    spec, _ = _load_model(model, delta)
-    instance = game.GameInstance.from_world_model(spec, game.PayoffParams.parse(payoffs))
+    spec, structure = _load_model(model, delta)
+    instance = game.GameInstance(structure, game.PayoffParams.parse(payoffs), worldmodel.x_event(spec, structure.space))
     report = game.verify_equilibrium(instance)
     if not report.applicable:
         status = "N-A"

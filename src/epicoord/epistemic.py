@@ -9,13 +9,13 @@ both players' blocks once, player 0's first, and keeps, for each numbered
 block, its integer weight, summed in one pass over the states, and the
 integer weight of its overlap with each companion block it meets; the
 ladder's peel and the level-k strategies both work on that one numbering.
-Each structure keeps one memo, keyed by target.  An entry holds how much of
-each block lies on the target, summed in one pass over the target's states
-when the entry is built, and later the target's ladder and its matched
-policy; an entry is built only for a target checked against the space.  The
-peel, the level-k steps, the certainty heuristics and the attack game all
-read the table (`_target_weights`), and a block is certain of the target
-exactly when its weight on the target equals its weight.
+Each structure keeps one memo, keyed by target, holding one value per
+target: its `EvidentLadder`, built only for a target checked against the
+space.  The ladder carries the table its peel starts from, `on_target`: how
+much of each block lies on the target, summed in one pass over the target's
+states.  The level-k steps, the certainty heuristics and the attack game
+read that table, and a block is certain of the target exactly when its
+weight on the target equals its weight.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -97,15 +97,16 @@ class InformationStructure:
 
     @cached_property
     def _hash(self) -> int:
-        # Computed once: `game._levels`' cache and callers' dicts hash a structure.
+        # Computed once: `game._levels`' cache, the oracle's two `lru_cache`s and
+        # callers' dicts hash a structure.
         # The measures sum to 1, so equal structures have equal integer weights
         # and equal block maps; hashing those integers skips the modular
         # inverse `Fraction.__hash__` takes per state.
         return hash((self._weights, *(partition.block_of for partition in self.partitions)))
 
     @cached_property
-    def _memo(self) -> dict[Event, _Entry]:
-        """This structure's `_Entry` for each target met lately, oldest first (`_entry`)."""
+    def _memo(self) -> dict[Event, EvidentLadder]:
+        """This structure's `EvidentLadder` for each target met lately, oldest first (`evident_ladder`)."""
         return {}
 
     @cached_property
@@ -218,45 +219,6 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
     )
 
 
-class _Entry:
-    """What a structure keeps for one target: the integer weight on the target of
-    each block of `_blocks`, then the target's `EvidentLadder` and its matched
-    policy (`game.matched_policy`), each stored when first asked for.  It refers
-    to no structure, so a structure's memo is freed with it by reference counting."""
-
-    __slots__ = ("on_target", "ladder", "policy")
-
-    def __init__(self, on_target: tuple[int, ...]) -> None:
-        self.on_target = on_target
-        self.ladder = None
-        self.policy = None
-
-
-def _entry(structure: InformationStructure, target: Event) -> _Entry:
-    """`structure`'s memo entry for `target`, a frozenset, built on first use.
-
-    The target is checked against the space before anything is stored, and
-    the table is its `_block_weights`, summed like `_totals`.  Every weight
-    is positive, so a block lies inside the target exactly when its entry
-    equals its `_totals` entry.  The memo keeps at most `CACHE_SIZE` targets
-    and drops the oldest first.
-    """
-    memo = structure._memo
-    entry = memo.get(target)
-    if entry is None:
-        entry = _Entry(structure._block_weights(structure._event(target, "target event")))
-        if len(memo) >= CACHE_SIZE:
-            del memo[next(iter(memo))]
-        memo[target] = entry
-    return entry
-
-
-def _target_weights(structure: InformationStructure, target: Event) -> tuple[int, ...]:
-    """The integer weight on `target`, any iterable of state indices, of each block of
-    `structure._blocks`, read from the memo."""
-    return _entry(structure, frozenset(target)).on_target
-
-
 # Module-level spelling: conditional_belief(structure, player, event, state).
 conditional_belief = InformationStructure.conditional_belief
 
@@ -322,14 +284,17 @@ class EvidentLadder:
 
     `answers[player][state]` is `levels[block_depth[b]]` for `player`'s block b
     holding `state`, the `common_p_belief` answer, built once with the ladder.
-    It follows from the other fields, so it takes no part in equality,
-    hashing or the repr.
+    `on_target[b]` is block b's integer weight on the target, the table the
+    peel starts from, which the level-k steps, the certainty heuristics and
+    the attack game read.  Both follow from the structure and the target, so
+    they take no part in equality, hashing or the repr.
     """
 
     depth: tuple[int, ...]
     levels: tuple[Fraction, ...]
     block_depth: tuple[int, ...]
     answers: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = field(compare=False, repr=False)
+    on_target: tuple[int, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -348,30 +313,37 @@ class EvidentLadder:
 def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
     """Walk the full nested sequence of maximally evident target-indicating events.
 
-    Built once per (structure, target) by `_build_ladder` and kept in the
-    structure's memo entry for the target; any iterable of state indices is
-    a target.
+    Any iterable of state indices is a target.  The ladder is built once
+    per (structure, target) by `_build_ladder`, after the target is checked
+    against the space, and kept in the structure's memo, which holds at most
+    `CACHE_SIZE` targets and drops the oldest first.  It refers to no
+    structure, so a structure's memo is freed with it by reference counting.
     """
     target = frozenset(target)
-    entry = _entry(structure, target)
-    if entry.ladder is None:
-        entry.ladder = _build_ladder(structure, target)
-    return entry.ladder
+    memo = structure._memo
+    ladder = memo.get(target)
+    if ladder is None:
+        ladder = _build_ladder(structure, structure._event(target, "target event"))
+        if len(memo) >= CACHE_SIZE:
+            del memo[next(iter(memo))]
+        memo[target] = ladder
+    return ladder
 
 
 def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadder:
-    """The ladder itself, built afresh: `evident_ladder` stores it.
+    """The ladder of `target`, a frozenset checked against the space, built
+    afresh: `evident_ladder` stores it.
 
     One peel runs from the full space to empty, on blocks: a belief depends
     on the state only through the information set.  Each block of `_blocks`
     reads two integer weights, its total (`_totals`) and its part on the
-    target (`_target_weights`), and keeps a third, its part that still
-    survives, so its weakest belief in the survivors and in the target is
-    min(surviving, on_target) / total.  A state survives only while both of
-    its blocks stay strictly above the level.  Each block also keeps a floor
-    key, that belief times 2**_KEY_BITS rounded down, or `dead`, above every
-    belief's key, once no member survives: a smaller key means a strictly
-    smaller belief, and equal beliefs share a key.
+    target (`on_target`, the target's `_block_weights`), and keeps a third,
+    its part that still survives, so its weakest belief in the survivors and
+    in the target is min(surviving, on_target) / total.  A state survives
+    only while both of its blocks stay strictly above the level.  Each block
+    also keeps a floor key, that belief times 2**_KEY_BITS rounded down, or
+    `dead`, above every belief's key, once no member survives: a smaller key
+    means a strictly smaller belief, and equal beliefs share a key.
 
     Each rung takes the least key, one C-level `min`, and compares the few
     blocks holding it exactly, cross-multiplied: the least belief among them
@@ -396,7 +368,7 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     dying rungs.  The answer rows, `levels[block_depth[b]]` at each (player,
     state), are built here too, so a query is one lookup.
     """
-    on_target, total = _target_weights(structure, target), structure._totals
+    on_target, total = structure._block_weights(target), structure._totals
     weights, blocks, block_ids = structure._weights, structure._blocks, structure._block_ids
     first_count = len(structure.partitions[0].blocks)
     bits = _KEY_BITS
@@ -460,7 +432,7 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     depth = tuple([one if one < other else other for one, other in pairs])
     block_levels = tuple(map(levels.__getitem__, died))
     answers = (tuple(map(block_levels.__getitem__, first)), tuple(map(block_levels.__getitem__, second)))
-    return EvidentLadder(depth, tuple(levels), tuple(died), answers)
+    return EvidentLadder(depth, tuple(levels), tuple(died), answers, on_target)
 
 
 def common_p_belief(structure: InformationStructure, target: Event, player: int, state: int) -> Fraction:
@@ -471,16 +443,16 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     nonempty intersection is exactly positive belief.  Depends on `state`
     only through the player's block, so the ladder builds every answer once,
     `levels[block_depth[_block_id(player, state)]]`, and a query reads its
-    row, `answers[player][state]`, from the structure's memo entry for the
-    target.  It goes through `evident_ladder` only when that read fails: no
-    entry yet (`KeyError`), an entry with no ladder yet (`AttributeError` on
-    `None`), or a target that is not hashable, such as a `set` (`TypeError`).
+    row, `answers[player][state]`, from the target's ladder in the
+    structure's memo.  It goes through `evident_ladder` only when that read
+    fails: no ladder yet (`KeyError`) or a target that is not hashable, such
+    as a `set` (`TypeError`).
     A bad target raises `ValueError` first; then a bad player or state raises
     `_block_id`'s `IndexError`, so no negative index reads another entry.
     """
     try:
-        answers = structure._memo[target].ladder.answers
-    except (KeyError, AttributeError, TypeError):
+        answers = structure._memo[target].answers
+    except (KeyError, TypeError):
         answers = evident_ladder(structure, target).answers
     if player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]

@@ -12,10 +12,11 @@ probability-matching companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
-`Fraction` only for a returned value.  Targets are checked where a
-structure's memo first meets them (`epistemic._entry`); the level-k steps, the
-heuristics and the noiseless check read that entry's table of block weights
-on the target, and `matched_policy` keeps its policy there.  The level-k
+`Fraction` only for a returned value.  Every per-target reader goes through
+`evident_ladder`, which checks a target where a structure's memo first meets
+it: the level-k steps, the heuristics and the noiseless check read the
+ladder's table of block weights on the target (`on_target`), and the
+cognitive agent and the threshold profile read its answer rows.  The level-k
 routines keep their own cache, `_levels`.  `verify_equilibrium` checks the
 threshold profile when signals are noiseless and the risk threshold exceeds
 the target's prior.
@@ -32,9 +33,7 @@ from .epistemic import (
     CACHE_SIZE,
     Event,
     InformationStructure,
-    _entry,
     _index_error,
-    _target_weights,
     common_p_belief,
     evident_ladder,
     from_world_model,
@@ -195,7 +194,7 @@ class _Levels:
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
         # (t_B, W_B) for each block of `_blocks`.
-        self.blocks = blocks = list(zip(_target_weights(structure, target), structure._totals))
+        self.blocks = blocks = list(zip(evident_ladder(structure, target).on_target, structure._totals))
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
@@ -293,7 +292,7 @@ def private_heuristic(
     its whole weight.
     """
     block = structure._block_id(player, state)
-    on_target = _target_weights(structure, target)
+    on_target = evident_ladder(structure, target).on_target
     return Action.A if on_target[block] == structure._totals[block] else Action.B
 
 
@@ -310,7 +309,7 @@ def pair_heuristic(
     inside the target.
     """
     block = structure._block_id(player, state)
-    on_target, totals = _target_weights(structure, target), structure._totals
+    on_target, totals = evident_ladder(structure, target).on_target, structure._totals
     certain = all(on_target[other] == totals[other] for other, _ in structure._overlaps[block])
     return Action.A if certain else Action.B
 
@@ -327,7 +326,7 @@ class GameInstance:
     def __post_init__(self) -> None:
         _check_payoffs(self.payoffs)
         object.__setattr__(self, "target", frozenset(self.target))
-        _target_weights(self.structure, self.target)  # refuses a target outside the space
+        evident_ladder(self.structure, self.target)  # refuses a target outside the space
 
     @classmethod
     def from_world_model(cls, spec: WorldModelSpec, payoffs: PayoffParams) -> "GameInstance":
@@ -366,9 +365,18 @@ class Policy:
         return cls((row, row))
 
 
+def _covering(structure: InformationStructure, rows):
+    """A policy's two rows, refused unless they cover the structure's states."""
+    if len(rows[0]) != len(structure):
+        raise ValueError(f"the companion policy covers {len(rows[0])} states, but the structure has {len(structure)}")
+    return rows
+
+
 def is_partition_measurable(structure: InformationStructure, policy: Policy) -> bool:
+    """Is `policy` constant on each player's information sets?  A policy of the wrong size is refused."""
+    rows = _covering(structure, policy.prob_a)
     return all(
-        len({policy.prob(player, state) for state in block}) == 1
+        len({rows[player][state] for state in block}) == 1
         for player in (0, 1)
         for block in structure.partitions[player].blocks
     )
@@ -384,17 +392,16 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
-def _a_weights(game: GameInstance, block: int, companion: Policy) -> tuple[int, int, int]:
-    """(on, off, T), T > 0: the companion's A-weight on and off the target over
-    block number `block` of `_blocks`, and the block's weight, on one integer
-    scale T = W_B * L (`payoff_of_a`'s sums).  The companion's row is
-    `prob_a[block < first_count]`: player 0's blocks come first.  A companion
-    whose rows do not cover the structure's states is refused."""
+def _a_weights(game: GameInstance, block: int, companion) -> tuple[int, int, int]:
+    """(on, off, T), T > 0: the A-weight on and off the target over block number
+    `block` of `_blocks` of a companion whose two rows of exact play are
+    `companion`, and the block's weight, on one integer scale T = W_B * L
+    (`payoff_of_a`'s sums).  The companion's row is `companion[block <
+    first_count]`: player 0's blocks come first.  Rows that do not cover the
+    structure's states are refused."""
     structure, target = game.structure, game.target
     weights, members = structure._weights, structure._blocks[block]
-    plays = companion.prob_a[block < len(structure.partitions[0].blocks)]
-    if len(plays) != len(structure):
-        raise ValueError(f"the companion policy covers {len(plays)} states, but the structure has {len(structure)}")
+    plays = _covering(structure, companion)[block < len(structure.partitions[0].blocks)]
     numerators, scale = on_one_scale([plays[member] for member in members])
     on = off = 0
     for member, play in zip(members, numerators):
@@ -417,7 +424,7 @@ def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) 
     the gain of A over B is `PayoffParams._gain` on the payoffs' integer scale,
     so one `Fraction` is built at the end.  Play may differ state by state.
     """
-    on, off, total = _a_weights(game, game.structure._block_id(player, state), companion)
+    on, off, total = _a_weights(game, game.structure._block_id(player, state), companion.prob_a)
     return game.payoffs.c + Fraction(game.payoffs._gain(on, off, total), total * game.payoffs._integers[4])
 
 
@@ -431,7 +438,7 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
 
 def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
     """Play A only on a strict gain over the safe payoff c (`PayoffParams._plays_a`); a tie plays B."""
-    weights = _a_weights(game, game.structure._block_id(player, state), companion)
+    weights = _a_weights(game, game.structure._block_id(player, state), companion.prob_a)
     return Action.A if game.payoffs._plays_a(*weights) else Action.B
 
 
@@ -446,26 +453,23 @@ def noiseless_check(game: GameInstance) -> bool:
     whole, inside = sum(structure._weights), structure._weight(game.target)
     return not any(
         on * whole > inside * total and on != total
-        for on, total in zip(_target_weights(structure, game.target), structure._totals)
+        for on, total in zip(evident_ladder(structure, game.target).on_target, structure._totals)
     )
 
 
 def matched_policy(structure: InformationStructure, target: Event) -> Policy:
     """Both players probability-matching on perceived common belief in the target: the
     ladder's answer rows, where block b of `_blocks` plays `levels[block_depth[b]]` at
-    each of its states.  Built once and kept in the structure's memo entry for the target."""
-    target = frozenset(target)
-    entry = _entry(structure, target)
-    if entry.policy is None:
-        entry.policy = Policy(evident_ladder(structure, target).answers)
-    return entry.policy
+    each of its states.  A new `Policy` on each call; the rules that play against it
+    read the rows from the ladder itself."""
+    return Policy(evident_ladder(structure, target).answers)
 
 
 def rational_policy(game: GameInstance) -> Policy:
     """Both players following the common-belief threshold rule everywhere: A where
     `matched_policy` plays above the risk threshold (`PayoffParams._plays_a`)."""
     plays = game.payoffs._plays_a
-    rows = matched_policy(game.structure, game.target).prob_a
+    rows = evident_ladder(game.structure, game.target).answers
     return Policy(tuple(tuple(ONE if plays(p.numerator, 0, p.denominator) else ZERO for p in row) for row in rows))
 
 
@@ -475,7 +479,8 @@ def cognitive_strategy(
     """The "cognitive" agent: best respond to a companion assumed to
     probability-match on perceived common belief, so a tie plays B."""
     game = GameInstance(structure, payoffs, target)
-    return best_response(game, player, state, matched_policy(game.structure, game.target))
+    weights = _a_weights(game, structure._block_id(player, state), evident_ladder(structure, game.target).answers)
+    return Action.A if payoffs._plays_a(*weights) else Action.B
 
 
 @dataclass(frozen=True)
@@ -531,7 +536,7 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     structure, payoffs = game.structure, game.payoffs
     gains = []
     for block in range(len(structure._blocks)):
-        on, off, total = _a_weights(game, block, policy)
+        on, off, total = _a_weights(game, block, policy.prob_a)
         gains.append((payoffs._gain(on, off, total), total * payoffs._integers[4]))
     violations = []
     for player, (plays, row) in enumerate(zip(policy.prob_a, structure._block_ids)):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -35,7 +36,7 @@ from epicoord import (
     x_event,
 )
 from epicoord import epistemic, game, oracle
-from epicoord.epistemic import CACHE_SIZE, _target_weights
+from epicoord.epistemic import CACHE_SIZE
 from epicoord.rational import on_one_scale
 
 from .conftest import DELTA, email_chain
@@ -433,7 +434,11 @@ class TestEvidentLadder:
             assert apart is not cached and apart.answers is not cached.answers
             assert apart == cached and hash(apart) == hash(cached)
             assert apart.answers == cached.answers and repr(apart) == repr(cached)
-            assert "answers" not in repr(apart)
+            assert apart.on_target == cached.on_target == structure._block_weights(target)
+            assert "answers" not in repr(apart) and "on_target" not in repr(apart)
+            # Neither record takes part in equality or hashing.
+            other = dataclasses.replace(apart, answers=((), ()), on_target=())
+            assert other == cached and hash(other) == hash(cached)
 
     def test_rung_that_removes_nothing_raises(self):
         # A peel that removes no state would leave the ladder looping on one rung forever.
@@ -524,11 +529,11 @@ class TestBeliefKernel:
         targets = (lambda: {0, 1}, lambda: [0, 1], lambda: [1, 0, 1], lambda: (s for s in (0, 1)))
         for target in targets:
             assert evident_ladder(structure, target()) is ladder
-            assert matched_policy(structure, target()) is policy
+            assert matched_policy(structure, target()) == policy
             assert common_p_belief(structure, target(), 1, 5) is ladder.answers[1][5]
         assert list(structure._memo) == [frozenset({0, 1})]
-        # A one-shot iterable asked first is read once: the entry stored under
-        # its states holds their ladder and policy, not the empty target's.
+        # A one-shot iterable asked first is read once: the ladder stored under
+        # its states is theirs, not the empty target's.
         queries = (evident_ladder, matched_policy, lambda structure, target: common_p_belief(structure, target, 1, 5))
         for query in queries:
             fresh, _ = random_structure(config)
@@ -538,9 +543,24 @@ class TestBeliefKernel:
             assert evident_ladder(fresh, frozenset({0, 1})) == ladder
             assert evident_ladder(fresh, frozenset({0, 1})).answers == ladder.answers
             assert matched_policy(fresh, frozenset({0, 1})) == policy
+        # Every per-target reader keeps one value per target in the memo: the target's ladder.
+        fresh, target = random_structure(config)[0], frozenset({0, 1})
+        payoffs = game.PayoffParams(1, 0, Fraction(1, 2), 0)
+        instance = game.GameInstance(fresh, payoffs, target)
+        game.private_heuristic(fresh, target, 0, 0)
+        game.pair_heuristic(fresh, target, 1, 5)
+        game.iterated_matching(fresh, target, 2, 0, 0)
+        game.iterated_maximization_prob(fresh, target, payoffs, 2, 1, 5)
+        game.cognitive_strategy(fresh, target, payoffs, 0, 0)
+        game.noiseless_check(instance)
+        game.matched_policy(fresh, target)
+        game.rational_policy(instance)
+        assert list(fresh._memo) == [target]
+        assert type(fresh._memo[target]) is epistemic.EvidentLadder
+        assert fresh._memo[target] is evident_ladder(fresh, target)
 
     def test_memo_is_freed_with_its_structure(self):
-        """No memo entry refers back to its structure, so reference counting alone
+        """No ladder in the memo refers back to its structure, so reference counting alone
         frees a queried structure: long fuzz runs stay bounded without the cyclic collector."""
         gc.disable()
         try:
@@ -574,13 +594,13 @@ class TestBeliefKernel:
             blocks = structure._blocks
             assert structure._totals == tuple(sum(weights[s] for s in block) for block in blocks)
             for event in (target, structure.universe(), frozenset()):
-                table = _target_weights(structure, event)
+                table = evident_ladder(structure, event).on_target
                 assert table == tuple(sum(weights[s] for s in block if s in event) for block in blocks)
             # A target outside the space is refused before the memo stores or drops anything.
             kept = list(structure._memo)
             for outside in (target | {len(structure)}, frozenset({-1})):
                 with pytest.raises(ValueError, match="target event"):
-                    _target_weights(structure, outside)
+                    evident_ladder(structure, outside)
                 assert list(structure._memo) == kept
 
     @pytest.mark.parametrize(

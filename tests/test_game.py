@@ -450,6 +450,8 @@ class TestPolicy:
             expected_utility(game, 0, 0, Fraction(1), companion)
         with pytest.raises(ValueError, match=sizes):
             _violations(game, companion)
+        with pytest.raises(ValueError, match=sizes):
+            is_partition_measurable(game.structure, companion)
 
     def test_boolean_entries_rejected(self):
         with pytest.raises(ValueError, match="boolean"):

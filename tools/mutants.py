@@ -109,7 +109,13 @@ MUTANTS = (
         "one memo shared by every structure, keyed on the target alone",
         "src/epicoord/epistemic.py",
         "        return {}\n",
-        "        return _entry.__dict__.setdefault(\"shared\", {})\n",
+        "        return evident_ladder.__dict__.setdefault(\"shared\", {})\n",
+    ),
+    Mutant(
+        "evident_ladder skips the target check on a miss",
+        "src/epicoord/epistemic.py",
+        'ladder = _build_ladder(structure, structure._event(target, "target event"))',
+        "ladder = _build_ladder(structure, target)",
     ),
     Mutant(
         "the memo never drops a target at its bound",
