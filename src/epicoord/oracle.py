@@ -6,10 +6,10 @@ independent routes are provided — an exhaustive scan over all events
 (exponential, capped at 12 states) and a candidate-level fixed-point search
 (polynomial, usable on larger spaces) — and they are required to agree with
 each other.  The exhaustive scan still computes every event's level from its
-definition; it only folds the minimum over each player's blocks one block at
-a time, reading each block's part of the event from a value table built once
-per block, so each event costs one table read, one list read and one
-comparison per player rather than O(blocks).
+definition; it only lays each player's states out block by block, so that a
+player's level table over all events is the min-product of one small value
+table per block, built one block at a time in a list comprehension rather
+than by visiting the blocks event by event.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class RandomStructureConfig:
     uniform_measure: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.num_states, int) or isinstance(self.num_states, bool):
+            raise ValueError(f"num_states must be an int, got {self.num_states!r}")
         if self.num_states < 1:
             raise ValueError("num_states must be at least 1")
 
@@ -80,62 +82,64 @@ def _block_answers(
 ) -> dict[tuple[int, frozenset[int]], Fraction]:
     """The exhaustive answer of every (player, block), from one scan of the events.
 
-    Events are bitmasks and each event's weight is a subset sum.  level(E) is
-    the least min(w(E & B), w(T & B)) / w(B) over the blocks B of either player
-    that meet E, and a block's answer is the largest level(E) over the events E
-    that meet it (such a block believes E at least at level(E)).  All values
-    are integers over one scale K, the lcm of the block weights.  Per player:
+    Events are bitmasks and level(E) is the least min(w(E & B), w(T & B)) / w(B)
+    over the blocks B of either player that meet E; a block's answer is the
+    largest level(E) over the events E that meet it (such a block believes E
+    at least at level(E)).  All values are integers over one scale K, the lcm
+    of the block weights.  Per player:
 
-    - the blocks partition the space, so the block B holding E's lowest state
-      meets E and the player's other blocks meeting E are those meeting E & ~B;
-    - E & ~B < E, so L[E] = min(value_B(E & B), L[E & ~B]) reads a filled entry;
-    - value_B is one table per block, built before the scan: a dict from each
-      nonempty part of B (a bitmask) to min(w(part), w(T & B)) * K / w(B);
-    - E meets B exactly when E holds some state of B, so a block's answer is
-      the max over its states s of the largest level among the events holding s.
+    - the states are laid out block by block, smallest block first, so each
+      block owns a contiguous run of bits and an event is one part per block;
+    - value_B, over the 2^|B| parts of B, holds min(w(part), w(T & B)) * K / w(B)
+      from B's own subset sums, and K at the empty part, which does not meet B
+      and so must not lower the min;
+    - the player's table is the min over its blocks of value_B(E & B), built
+      one block at a time as a product: each entry of the table so far is
+      paired with each entry of value_B, which fills the block's higher bits.
+
+    Player 1's table is read through a permutation onto player 0's layout, and
+    the pointwise min of the two is level(E).  E meets B exactly when E holds
+    some state of B, so a block's answer is the max over its states s of the
+    largest level among the events holding s.
     """
     structure._event(target, "target event")
-    n = len(structure)
-    full = 1 << n
     weights = _integer_weights(structure)
-    sums = [0]
-    for weight in weights:
-        sums += [inside + weight for inside in sums]
     weighed = _weighed_blocks(structure, target, weights)
     scale = math.lcm(*(weight for _, _, weight, _ in weighed))
-    levels = []
+    tables = []
+    layouts = []
     for player in range(len(structure.partitions)):
-        block_at = [None] * n
-        for owner, block, weight, on_target in weighed:
-            if owner == player:
-                parts = [0]
-                for state in block:
-                    parts += [part | 1 << state for part in parts]
-                factor = scale // weight
-                values = {part: min(sums[part], on_target) * factor for part in parts[1:]}
-                for state in block:
-                    block_at[state] = parts[-1], values
-        level = [scale] * full
-        # The events whose lowest state is `state` sit at a stride of 2^(state+1);
-        # their E & ~B has a higher lowest state (or is empty), so it is filled first.
-        for state in reversed(range(n)):
-            mask, values = block_at[state]
-            rest = ~mask
-            bit = 1 << state
-            level[bit::bit << 1] = [
-                value if (value := values[event & mask]) < (kept := level[event & rest]) else kept
-                for event in range(bit, full, bit << 1)
-            ]
-        levels.append(level)
-    first, second = levels
-    level = [one if one < other else other for one, other in zip(first, second)]
-    # Fold the top state away one at a time: the top half of what is left is the
-    # events holding that state, and the max of the halves carries the rest down.
-    # level[0], the empty event, is K but lies in no top half.
-    best = [0] * n
-    for state in reversed(range(n)):
-        half = 1 << state
-        best[state] = max(level[half:])
+        table = [scale]
+        layout = []
+        for _, block, weight, on_target in sorted(
+            (entry for entry in weighed if entry[0] == player), key=lambda entry: len(entry[1])
+        ):
+            sums = [0]
+            for state in block:
+                sums += [inside + weights[state] for inside in sums]
+            factor = scale // weight
+            values = [scale] + [(inside if inside < on_target else on_target) * factor for inside in sums[1:]]
+            table = [x if x < y else y for y in values for x in table]
+            layout += block
+        tables.append(table)
+        layouts.append(layout)
+    first, second = tables
+    layout, other_layout = layouts
+    # The index in player 1's layout of each event of player 0's, by doubling
+    # over player 0's states: bit i of player 0's index holds layout[i].
+    bit_of = {state: 1 << position for position, state in enumerate(other_layout)}
+    aligned = [0]
+    for state in layout:
+        bit = bit_of[state]
+        aligned += [index | bit for index in aligned]
+    level = [one if one < other else other for one, other in zip(first, map(second.__getitem__, aligned))]
+    # Fold the top bit away one at a time: the top half of what is left is the
+    # events holding that bit's state, and the max of the halves carries the rest
+    # down.  level[0], the empty event, is K but lies in no top half.
+    best = [0] * len(layout)
+    for position in reversed(range(len(layout))):
+        half = 1 << position
+        best[layout[position]] = max(level[half:])
         level = [low if low > high else high for low, high in zip(level[:half], level[half:])]
     return {(player, block): Fraction(max(best[s] for s in block), scale) for player, block, _, _ in weighed}
 
@@ -259,6 +263,7 @@ def fixedpoint_common_p_belief(
 
 def structure_to_json(structure: InformationStructure, target: Event) -> dict:
     """World-model-free dump used by the fuzz command's counterexample output."""
+    target = structure._event(target, "target event")
     return {
         "states": [list(state) for state in structure.space.states],
         "measures": [format_rational(m) for m in structure.space.measures],

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -297,10 +298,27 @@ class TestBlockAnswers:
                 structure = from_world_model(spec)
                 assert_table_matches_reference(structure, x_event(spec, structure.space))
 
-    @pytest.mark.parametrize("first,second", [("coarse", "coarse"), ("fine", "fine"), ("coarse", "fine")])
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("coarse", "coarse"),
+            ("fine", "fine"),
+            ("coarse", "fine"),
+            ("largest-first", "fine"),
+            ("coarse", "largest-first"),
+            ("largest-first", "largest-first"),
+        ],
+    )
     def test_table_sizes_at_the_extremes(self, first, second):
-        # A single block's value table has 2^12 - 1 entries; a singleton's has one.
-        labels = {"coarse": [0] * EXHAUSTIVE_STATE_LIMIT, "fine": range(EXHAUSTIVE_STATE_LIMIT)}
+        # A single block's value table has 2^12 entries; a singleton's has two.
+        # The largest-first partition lists its blocks by falling size, each
+        # block's states scattered over the index range: {0, 3, 5, 7, 9, 11},
+        # {1, 4, 8}, then the singletons {2}, {6} and {10}.
+        labels = {
+            "coarse": [0] * EXHAUSTIVE_STATE_LIMIT,
+            "fine": range(EXHAUSTIVE_STATE_LIMIT),
+            "largest-first": [0, 1, 2, 0, 1, 0, 3, 0, 1, 0, 4, 0],
+        }
         partitions = (Partition.from_labels(labels[first]), Partition.from_labels(labels[second]))
         for seed in range(3):
             drawn, target = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
@@ -329,6 +347,40 @@ class TestBlockAnswers:
             assert table == reference_block_answers(structure, event)
             assert table == _fixedpoint_answers.__wrapped__(structure, event)
         assert len(set(_block_answers.__wrapped__(structure, target).values())) > 2
+
+    @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
+    def test_relabeling_the_states_relabels_the_answers(self, size):
+        # The table lays each player's states out block by block, smallest first,
+        # so a relabeling moves every block to other bits; the answers must follow.
+        for seed in range(12):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=size))
+            order = list(range(size))
+            random.Random(seed).shuffle(order)
+            moved, moved_target = relabeled(structure, target, order)
+            answers = _block_answers.__wrapped__(structure, target)
+            moved_answers = _block_answers.__wrapped__(moved, moved_target)
+            assert moved_answers == {
+                (player, frozenset(order[i] for i in block)): answer for (player, block), answer in answers.items()
+            }
+            assert moved_answers == reference_block_answers(moved, moved_target)
+
+
+def relabeled(structure, target, order):
+    """The structure and target with state index i renamed `order[i]`, in space, partitions and target."""
+    space = structure.space
+    states = [None] * len(order)
+    measures = [None] * len(order)
+    for old, new in enumerate(order):
+        states[new] = space.states[old]
+        measures[new] = space.measures[old]
+    partitions = []
+    for partition in structure.partitions:
+        block_of = [None] * len(order)
+        for old, new in enumerate(order):
+            block_of[new] = partition.block_of[old]
+        partitions.append(Partition(tuple(frozenset(order[i] for i in block) for block in partition.blocks), block_of))
+    moved = InformationStructure(StateSpace(tuple(states), tuple(measures)), tuple(partitions))
+    return moved, frozenset(order[i] for i in target)
 
 
 @pytest.mark.parametrize("route", [brute_force_common_p_belief, fixedpoint_common_p_belief])
@@ -407,6 +459,19 @@ class TestRandomStructure:
         assert target == frozenset({0})
         assert structure.partitions[0].blocks == (frozenset({0}),)
 
+    @pytest.mark.parametrize(
+        "num_states,message",
+        [
+            (2.5, "num_states must be an int, got 2.5"),
+            (True, "num_states must be an int, got True"),
+            ("8", "num_states must be an int, got '8'"),
+            (0, "num_states must be at least 1"),
+        ],
+    )
+    def test_config_refuses_a_state_count_that_is_no_positive_int(self, num_states, message):
+        with pytest.raises(ValueError, match=message):
+            RandomStructureConfig(seed=0, num_states=num_states)
+
     def test_config_bounds(self):
         with pytest.raises(ValueError, match="num_states must be at least 1"):
             RandomStructureConfig(seed=0, num_states=0)
@@ -438,3 +503,10 @@ def test_structure_dump_is_json_serializable(loudspeaker, loudspeaker_target):
     assert parsed["states"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert parsed["measures"] == ["3/8", "3/8", "1/8", "1/8"]
     assert sorted(parsed["target"]) == [2, 3]
+
+
+def test_structure_dump_checks_its_target():
+    structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
+    with pytest.raises(ValueError, match="target event references state indices outside the space"):
+        structure_to_json(structure, [99])
+    assert structure_to_json(structure, list(target)) == structure_to_json(structure, target)

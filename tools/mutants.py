@@ -162,14 +162,26 @@ MUTANTS = (
     Mutant(
         "oracle._block_answers' value table drops the on-target cap",
         "src/epicoord/oracle.py",
-        "values = {part: min(sums[part], on_target) * factor for part in parts[1:]}",
-        "values = {part: sums[part] * factor for part in parts[1:]}",
+        "[(inside if inside < on_target else on_target) * factor for inside in sums[1:]]",
+        "[inside * factor for inside in sums[1:]]",
+    ),
+    Mutant(
+        "oracle._block_answers values a block's empty part 0, not the scale",
+        "src/epicoord/oracle.py",
+        "values = [scale] + [",
+        "values = [0] + [",
     ),
     Mutant(
         "oracle._block_answers combines the two players' levels with max",
         "src/epicoord/oracle.py",
-        "one if one < other else other",
-        "one if one > other else other",
+        "level = [one if one < other else other for one, other in zip(",
+        "level = [one if one > other else other for one, other in zip(",
+    ),
+    Mutant(
+        "oracle._block_answers reads player 1's table without the alignment permutation",
+        "src/epicoord/oracle.py",
+        "zip(first, map(second.__getitem__, aligned))",
+        "zip(first, second)",
     ),
     Mutant(
         "_build_ladder drops tied blocks",
