@@ -1,6 +1,6 @@
-"""Exact conditional belief and graded common belief over finite information structures.
+"""The exact engine for graded common belief over finite information structures.
 
-`InformationStructure` owns all belief arithmetic: it reads its state
+`InformationStructure` owns the engine's belief arithmetic: it reads its state
 weights from the space, which scales the measures once to integer weights
 over their common denominator when it is built, so a belief is a ratio of
 integer sums over one information set.  A structure is hashed on those
@@ -31,15 +31,13 @@ ladder is one integer peel over blocks, from the full space to empty, that
 removes each state once (`_build_ladder`).  It keeps the rung at which each
 block loses its last survivor and builds each player's row of answers from
 that record, so a `common_p_belief` query is one memo read and one row
-lookup.  `min_belief`, `evidence_level` and `super_p_evident` stay the
-per-state definitions.
+lookup.  The per-state definitions the peel is checked against live in
+`oracle`, which reads none of these tables.
 
 Every public query reads each event or target argument once, at entry,
 through `InformationStructure._event`, which freezes any iterable of state
-indices and refuses one outside the space (a query with a memo freezes for
-the key and checks on a miss), and reads each level once with
-`parse_probability`; below that boundary one unchecked kernel,
-`InformationStructure._belief`, gives every per-state belief.
+indices and refuses one outside the space; a query with a memo freezes for
+the key and checks on a miss.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .rational import parse_probability
 from .worldmodel import (
     Partition,
     StateSpace,
@@ -97,7 +94,7 @@ class InformationStructure:
 
     @cached_property
     def _hash(self) -> int:
-        # Computed once: `game._levels`' cache, the oracle's two `lru_cache`s and
+        # Computed once: `game._levels`' cache, the oracle's three `lru_cache`s and
         # callers' dicts hash a structure.
         # The measures sum to 1, so equal structures have equal integer weights
         # and equal block maps; hashing those integers skips the modular
@@ -196,15 +193,6 @@ class InformationStructure:
         # The measures sum to 1, so the weights sum to their common denominator.
         return Fraction(self._weight(event), sum(self._weights))
 
-    def _belief(self, block: frozenset[int], event: Event) -> Fraction:
-        """mu(event | block), unchecked: `event` is a frozenset of state indices inside the space."""
-        return Fraction(self._weight(event & block), self._weight(block))
-
-    def conditional_belief(self, player: int, event: Event, state: int) -> Fraction:
-        """The probability `player` assigns to `event` at `state`: mu(E | block)."""
-        event = self._event(event, "event")
-        return self._belief(self.block(player, state), event)
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def from_world_model(spec: WorldModelSpec) -> InformationStructure:
@@ -217,51 +205,6 @@ def from_world_model(spec: WorldModelSpec) -> InformationStructure:
             build_information_partition(spec, space, 1),
         ),
     )
-
-
-# Module-level spelling: conditional_belief(structure, player, event, state).
-conditional_belief = InformationStructure.conditional_belief
-
-
-def min_belief(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
-    """The weakest of both players' beliefs in the event and in the target at `state`."""
-    event, target = structure._event(event, "event"), structure._event(target, "target event")
-    return _weakest(structure, event, target, state)
-
-
-def _weakest(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
-    """`min_belief` of frozensets already checked against the space."""
-    blocks = structure.block(0, state), structure.block(1, state)
-    return min(structure._belief(block, members) for block in blocks for members in (event, target))
-
-
-def evidence_level(structure: InformationStructure, event: Event, target: Event) -> Fraction:
-    """The largest p at which `event` is p-evident and target-indicating.
-
-    This is the minimum of min_belief over the event's members; the empty
-    event has no evidence level and is rejected.
-    """
-    event = structure._event(event, "event")
-    if not event:
-        raise ValueError("the empty event has no evidence level")
-    target = structure._event(target, "target event")
-    return min(_weakest(structure, event, target, state) for state in event)
-
-
-def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
-    """Largest subset whose members all keep strictly-above-`level` belief in it and the target.
-
-    Removing a member only lowers the others' beliefs, so the fixpoint of
-    removing every member whose min_belief is <= level does not depend on the
-    order of removal; the result may be empty.
-    """
-    event, target = structure._event(event, "event"), structure._event(target, "target event")
-    level = parse_probability(level, "level")
-    while True:
-        failing = {state for state in event if _weakest(structure, event, target, state) <= level}
-        if not failing:
-            return event
-        event -= failing
 
 
 @dataclass(frozen=True)
@@ -458,17 +401,3 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
         return answers[player][state]
     raise _index_error(player, state, len(answers[0]))
 
-
-def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:
-    """Does every member state give both players belief >= level in the event?"""
-    event = frozenset(event)
-    return is_c_indicating(structure, event, event, level)
-
-
-def is_c_indicating(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> bool:
-    """Does every member state give both players belief >= level in the target?"""
-    event, target = structure._event(event, "event"), structure._event(target, "target event")
-    level = parse_probability(level, "level")
-    return all(
-        structure._belief(structure.block(player, state), target) >= level for state in event for player in (0, 1)
-    )

@@ -1,8 +1,20 @@
 """Brute-force reference computations and seeded random-instance generation.
 
 Deliberately naive in what is computed: answers are assembled straight from
-the definitions so the main engine can be checked against them exactly.  Two
-independent routes are provided — an exhaustive scan over all events
+the definitions so the main engine can be checked against them exactly.  The
+reference reads only a structure's `space` and `partitions`: its integer
+weights come from the measures (`_integer_weights`), and a player's block
+from the partition's `blocks` and `block_of` (`_block_at`), never from the
+engine's tables, so a fault in the engine's block numbering cannot reach
+both sides.  `_event` is the one input check and `parse_probability` the one
+level check.
+
+Monderer & Samet's (1989) per-state definitions live here: a player's
+conditional belief in an event at a state, `min_belief` (the weakest of both
+players' beliefs in an event and in the target), an event's
+`evidence_level`, the strict `super_p_evident` fixpoint, and the weak checks
+`is_p_evident` and `is_c_indicating`.  Two independent routes to common
+p-belief are provided — an exhaustive scan over all events
 (exponential, capped at 12 states) and a candidate-level fixed-point search
 (polynomial, usable on larger spaces) — and they are required to agree with
 each other.  The exhaustive scan still computes every event's level from its
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .epistemic import Event, InformationStructure
+from .epistemic import Event, InformationStructure, _index_error
 from .rational import format_rational, parse_probability
 from .worldmodel import Partition, StateSpace
 
@@ -36,10 +48,15 @@ class RandomStructureConfig:
     uniform_measure: bool = False
 
     def __post_init__(self) -> None:
+        # A seed of None would draw afresh on each call and True would replay seed 1.
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if not isinstance(self.num_states, int) or isinstance(self.num_states, bool):
             raise ValueError(f"num_states must be an int, got {self.num_states!r}")
         if self.num_states < 1:
             raise ValueError("num_states must be at least 1")
+        if not isinstance(self.uniform_measure, bool):
+            raise ValueError(f"uniform_measure must be a bool, got {self.uniform_measure!r}")
 
 
 def _random_partition(rng: random.Random, num_states: int) -> Partition:
@@ -67,11 +84,97 @@ def random_structure(config: RandomStructureConfig) -> tuple[InformationStructur
     return InformationStructure(space, partitions), target
 
 
-def _integer_weights(structure: InformationStructure) -> list[int]:
+# One entry, like the two answer tables below: the per-state definitions are
+# called in inner loops on the structure in use.
+@lru_cache(maxsize=1)
+def _integer_weights(structure: InformationStructure) -> tuple[int, ...]:
     """Each state's measure times the least common denominator of all of them."""
     measures = structure.space.measures
     denominator = math.lcm(*(m.denominator for m in measures))
-    return [m.numerator * (denominator // m.denominator) for m in measures]
+    return tuple(m.numerator * (denominator // m.denominator) for m in measures)
+
+
+def _block_at(structure: InformationStructure, player: int, state: int) -> frozenset[int]:
+    """The information set of `player` holding state index `state`, read from the partition.
+
+    A bad player or state raises the engine's `IndexError` before any block is read.
+    """
+    if player in (0, 1) and 0 <= state < len(structure.space.states):
+        partition = structure.partitions[player]
+        return partition.blocks[partition.block_of[state]]
+    raise _index_error(player, state, len(structure.space.states))
+
+
+def _belief(weights: tuple[int, ...], block: frozenset[int], event: Event) -> Fraction:
+    """mu(event | block), unchecked: `event` is a frozenset of state indices inside the space."""
+    return Fraction(sum(map(weights.__getitem__, event & block)), sum(map(weights.__getitem__, block)))
+
+
+def conditional_belief(structure: InformationStructure, player: int, event: Event, state: int) -> Fraction:
+    """The probability `player` assigns to `event` at `state`: mu(E | block)."""
+    event = structure._event(event, "event")
+    return _belief(_integer_weights(structure), _block_at(structure, player, state), event)
+
+
+def min_belief(structure: InformationStructure, event: Event, target: Event, state: int) -> Fraction:
+    """The weakest of both players' beliefs in the event and in the target at `state`."""
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    return _weakest(structure, _integer_weights(structure), event, target, state)
+
+
+def _weakest(
+    structure: InformationStructure, weights: tuple[int, ...], event: Event, target: Event, state: int
+) -> Fraction:
+    """`min_belief` of frozensets already checked against the space, on the structure's `weights`."""
+    blocks = _block_at(structure, 0, state), _block_at(structure, 1, state)
+    return min(_belief(weights, block, members) for block in blocks for members in (event, target))
+
+
+def evidence_level(structure: InformationStructure, event: Event, target: Event) -> Fraction:
+    """The largest p at which `event` is p-evident and target-indicating.
+
+    This is the minimum of min_belief over the event's members; the empty
+    event has no evidence level and is rejected.
+    """
+    event = structure._event(event, "event")
+    if not event:
+        raise ValueError("the empty event has no evidence level")
+    target = structure._event(target, "target event")
+    weights = _integer_weights(structure)
+    return min(_weakest(structure, weights, event, target, state) for state in event)
+
+
+def super_p_evident(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> Event:
+    """Largest subset whose members all keep strictly-above-`level` belief in it and the target.
+
+    Removing a member only lowers the others' beliefs, so the fixpoint of
+    removing every member whose min_belief is <= level does not depend on the
+    order of removal; the result may be empty.
+    """
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    level = parse_probability(level, "level")
+    weights = _integer_weights(structure)
+    while True:
+        failing = {state for state in event if _weakest(structure, weights, event, target, state) <= level}
+        if not failing:
+            return event
+        event -= failing
+
+
+def is_p_evident(structure: InformationStructure, event: Event, level: Fraction) -> bool:
+    """Does every member state give both players belief >= level in the event?"""
+    event = frozenset(event)
+    return is_c_indicating(structure, event, event, level)
+
+
+def is_c_indicating(structure: InformationStructure, event: Event, target: Event, level: Fraction) -> bool:
+    """Does every member state give both players belief >= level in the target?"""
+    event, target = structure._event(event, "event"), structure._event(target, "target event")
+    level = parse_probability(level, "level")
+    weights = _integer_weights(structure)
+    return all(
+        _belief(weights, _block_at(structure, player, state), target) >= level for state in event for player in (0, 1)
+    )
 
 
 # One entry: callers query one structure at a time, and the table is built by
@@ -155,7 +258,7 @@ def brute_force_common_p_belief(
     max of level(E) over the events E meeting the player's block (see
     `_block_answers`).  Exponential in the state count; capped at 12 states.
     """
-    block = structure.block(player, state)
+    block = _block_at(structure, player, state)
     n = len(structure)
     if n > EXHAUSTIVE_STATE_LIMIT:
         raise ValueError(f"exhaustive oracle is capped at {EXHAUSTIVE_STATE_LIMIT} states, got {n}")
@@ -177,7 +280,7 @@ def largest_p_evident_indicating_event(
 
 
 def _weighed_blocks(
-    structure: InformationStructure, target: Event, weights: list[int]
+    structure: InformationStructure, target: Event, weights: tuple[int, ...]
 ) -> list[tuple[int, frozenset[int], int, int]]:
     """(player, block, weight, on-target weight) for every block of either player."""
     return [
@@ -187,7 +290,7 @@ def _weighed_blocks(
     ]
 
 
-def _largest_event(universe: Event, weights: list[int], blocks, level: Fraction) -> Event:
+def _largest_event(universe: Event, weights: tuple[int, ...], blocks, level: Fraction) -> Event:
     """`largest_p_evident_indicating_event` from weights and block sums computed by the caller."""
     current = universe
     while current:
@@ -202,7 +305,7 @@ def _largest_event(universe: Event, weights: list[int], blocks, level: Fraction)
     return current
 
 
-def _candidate_levels(blocks, weights: list[int]) -> tuple[Fraction, ...]:
+def _candidate_levels(blocks, weights: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Every realizable conditional-belief value, descending, plus 0 and 1.
 
     Any achievable answer is a ratio of a subset-sum of block weights to the
@@ -257,7 +360,7 @@ def fixedpoint_common_p_belief(
     12-state cap; the two routes must agree wherever both run.  One scan
     answers every block of the structure, and its table is kept.
     """
-    block = structure.block(player, state)
+    block = _block_at(structure, player, state)
     return _fixedpoint_answers(structure, frozenset(target))[player, block]
 
 

@@ -746,7 +746,8 @@ class TestBeliefKernel:
         for cache, bound in (
             (from_world_model, CACHE_SIZE),
             (game._levels, CACHE_SIZE),
-            # The oracle keeps only the answers of the structure in use.
+            # The oracle keeps only the weights and answers of the structure in use.
+            (oracle._integer_weights, 1),
             (oracle._block_answers, 1),
             (oracle._fixedpoint_answers, 1),
         ):

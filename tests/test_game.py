@@ -20,6 +20,7 @@ from epicoord import (
     builtin_loudspeaker,
     builtin_messenger,
     common_p_belief,
+    conditional_belief,
     expected_utility,
     from_world_model,
     is_partition_measurable,
@@ -95,7 +96,7 @@ def per_block_noiseless(game: GameInstance) -> bool:
     prior = structure.measure_of(game.target)
     for player in (0, 1):
         for block in structure.partitions[player].blocks:
-            belief = structure.conditional_belief(player, game.target, min(block))
+            belief = conditional_belief(structure, player, game.target, min(block))
             if belief > prior and belief != 1:
                 return False
     return True
@@ -247,7 +248,7 @@ class TestBestResponse:
         seen, ties = set(), 0
         for player in (0, 1):
             for state in range(len(structure)):
-                belief = structure.conditional_belief(player, game.target, state)
+                belief = conditional_belief(structure, player, game.target, state)
                 worth = belief * game.payoffs.a + (1 - belief) * game.payoffs.d
                 expected = Action.A if worth > game.payoffs.c else Action.B
                 assert best_response(game, player, state, always_a) is expected, (player, state)

@@ -391,6 +391,66 @@ def test_out_of_range_query_raises(route, player, state):
         route(structure, target, player, state)
 
 
+class _Unreadable:
+    """Stands in for an engine table that the reference must not read: any read fails."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the reference read an engine table")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = __getattr__ = _refuse
+
+
+ENGINE_TABLES = ("_weights", "_blocks", "_block_ids", "_totals", "_overlaps", "_memo")
+
+
+def reference_answers(structure, target):
+    """Every per-state definition and both oracles, on a fixed spread of events and levels."""
+    n = len(structure)
+    events = [frozenset(s for s in range(n) if s % step == rest) for step in (1, 2, 3) for rest in range(step)]
+    events += [target, structure.universe() - target]
+    levels = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+    answers = []
+    for event in events:
+        answers.append([conditional_belief(structure, p, event, s) for p in (0, 1) for s in range(n)])
+        answers.append([min_belief(structure, event, target, s) for s in range(n)])
+        answers.append(event and evidence_level(structure, event, target))
+        for level in levels:
+            answers.append(super_p_evident(structure, event, target, level))
+            answers.append(is_p_evident(structure, event, level))
+            answers.append(is_c_indicating(structure, event, target, level))
+            answers.append(largest_p_evident_indicating_event(structure, event, level))
+        if event:
+            for route in (brute_force_common_p_belief, fixedpoint_common_p_belief):
+                answers.append([route(structure, event, p, s) for p in (0, 1) for s in range(n)])
+    for player, state in ((2, 0), (0, n), (1, -1)):
+        for query in (
+            lambda: conditional_belief(structure, player, target, state),
+            lambda: min_belief(structure, target, target, state if player < 2 else n),
+            lambda: brute_force_common_p_belief(structure, target, player, state),
+            lambda: fixedpoint_common_p_belief(structure, target, player, state),
+        ):
+            with pytest.raises(IndexError):
+                query()
+    return answers
+
+
+@pytest.mark.parametrize("seed,size", [(11, 9), (12, 12), (13, 7)])
+def test_the_reference_reads_no_engine_table(seed, size):
+    """The reference reads only `space` and `partitions`: on a structure whose engine
+    tables fail on any read, every per-state definition and both oracles answer as on
+    an equal structure built separately."""
+    config = RandomStructureConfig(seed=seed, num_states=size)
+    expected = reference_answers(*random_structure(config))
+    structure, target = random_structure(config)
+    hash(structure)
+    for name in ENGINE_TABLES:
+        structure.__dict__[name] = _Unreadable()
+    # Equal structures share the oracle's cache entries, so the poisoned one must build its own.
+    for cache in (_integer_weights, _block_answers, _fixedpoint_answers):
+        cache.cache_clear()
+    assert reference_answers(structure, target) == expected
+
+
 class TestFixedpointVariant:
     def test_agrees_with_exhaustive(self):
         for seed in range(72):
@@ -471,6 +531,26 @@ class TestRandomStructure:
     def test_config_refuses_a_state_count_that_is_no_positive_int(self, num_states, message):
         with pytest.raises(ValueError, match=message):
             RandomStructureConfig(seed=0, num_states=num_states)
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (None, "seed must be an int, got None"),
+            (True, "seed must be an int, got True"),
+            (1.0, "seed must be an int, got 1.0"),
+            ("1", "seed must be an int, got '1'"),
+        ],
+    )
+    def test_config_refuses_a_seed_that_is_no_int(self, seed, message):
+        """A seed that is no int would not replay: None draws afresh on each call, True is seed 1."""
+        with pytest.raises(ValueError, match=message):
+            RandomStructureConfig(seed=seed)
+
+    @pytest.mark.parametrize("uniform_measure", ["no", 0, 1, None])
+    def test_config_refuses_a_uniform_flag_that_is_no_bool(self, uniform_measure):
+        """A truthy flag that is no bool, such as "no", would draw a uniform measure."""
+        with pytest.raises(ValueError, match=f"uniform_measure must be a bool, got {uniform_measure!r}"):
+            RandomStructureConfig(seed=0, uniform_measure=uniform_measure)
 
     def test_config_bounds(self):
         with pytest.raises(ValueError, match="num_states must be at least 1"):

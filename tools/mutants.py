@@ -131,15 +131,21 @@ MUTANTS = (
     ),
     Mutant(
         "super_p_evident keeps a member at the level",
-        "src/epicoord/epistemic.py",
-        "if _weakest(structure, event, target, state) <= level}",
-        "if _weakest(structure, event, target, state) < level}",
+        "src/epicoord/oracle.py",
+        "if _weakest(structure, weights, event, target, state) <= level}",
+        "if _weakest(structure, weights, event, target, state) < level}",
     ),
     Mutant(
         "evidence_level takes the max of _weakest over the event",
-        "src/epicoord/epistemic.py",
-        "return min(_weakest(structure, event, target, state) for state in event)",
-        "return max(_weakest(structure, event, target, state) for state in event)",
+        "src/epicoord/oracle.py",
+        "return min(_weakest(structure, weights, event, target, state) for state in event)",
+        "return max(_weakest(structure, weights, event, target, state) for state in event)",
+    ),
+    Mutant(
+        "the reference's _weakest reads player 0's block for both players",
+        "src/epicoord/oracle.py",
+        "blocks = _block_at(structure, 0, state), _block_at(structure, 1, state)",
+        "blocks = _block_at(structure, 0, state), _block_at(structure, 0, state)",
     ),
     Mutant(
         "_event does not freeze",
@@ -149,9 +155,9 @@ MUTANTS = (
     ),
     Mutant(
         "is_c_indicating skips the level check",
-        "src/epicoord/epistemic.py",
-        '    level = parse_probability(level, "level")\n    return all(',
-        "    return all(",
+        "src/epicoord/oracle.py",
+        '    level = parse_probability(level, "level")\n    weights = _integer_weights(structure)\n    return all(',
+        "    weights = _integer_weights(structure)\n    return all(",
     ),
     Mutant(
         "oracle._largest_event drops a block at the level",
