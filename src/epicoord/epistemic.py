@@ -15,7 +15,8 @@ space.  The ladder carries the table its peel starts from, `on_target`: how
 much of each block lies on the target, summed in one pass over the target's
 states.  The level-k steps, the certainty heuristics and the attack game
 read that table, and a block is certain of the target exactly when its
-weight on the target equals its weight.
+weight on the target equals its weight.  The structure also keeps `game`'s
+level-k tables, `_level_tables`, so they are freed with it.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -56,8 +57,8 @@ from .worldmodel import (
 
 Event = frozenset[int]
 
-# Targets kept in each structure's memo, and entries kept by each cache still keyed on a
-# whole model or structure: `from_world_model` here and `game._levels`.
+# Targets kept in each structure's memo, level-k tables kept on each structure
+# (`game._levels`), and entries kept by `from_world_model`'s cache, keyed on a whole model.
 CACHE_SIZE = 64
 
 # Bits of the floor key the ladder's peel keeps per block, read when a ladder is
@@ -94,8 +95,7 @@ class InformationStructure:
 
     @cached_property
     def _hash(self) -> int:
-        # Computed once: `game._levels`' cache, the oracle's three `lru_cache`s and
-        # callers' dicts hash a structure.
+        # Computed once: the oracle's three `lru_cache`s and callers' dicts hash a structure.
         # The measures sum to 1, so equal structures have equal integer weights
         # and equal block maps; hashing those integers skips the modular
         # inverse `Fraction.__hash__` takes per state.
@@ -104,6 +104,11 @@ class InformationStructure:
     @cached_property
     def _memo(self) -> dict[Event, EvidentLadder]:
         """This structure's `EvidentLadder` for each target met lately, oldest first (`evident_ladder`)."""
+        return {}
+
+    @cached_property
+    def _level_tables(self) -> dict:
+        """`game`'s level-k tables for each (target, payoffs) met lately, oldest first (`game._levels`)."""
         return {}
 
     @cached_property

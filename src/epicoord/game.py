@@ -17,9 +17,10 @@ A-weight on and off the target over a block as two integer sums, and build a
 it: the level-k steps, the heuristics and the noiseless check read the
 ladder's table of block weights on the target (`on_target`), and the
 cognitive agent and the threshold profile read its answer rows.  The level-k
-routines keep their own cache, `_levels`.  `verify_equilibrium` checks the
-threshold profile when signals are noiseless and the risk threshold exceeds
-the target's prior.
+tables live on the structure too, in `_level_tables`, one per target and
+payoffs (`_levels`), so they are freed with it.  `verify_equilibrium` checks
+the threshold profile when signals are noiseless and the risk threshold
+exceeds the target's prior.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .epistemic import (
     CACHE_SIZE,
@@ -69,19 +70,13 @@ class PayoffParams:
                 f"a={self.a}, b={self.b}, c={self.c}, d={self.d}"
             )
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:  # every read of a level-k value hashes the payoffs in its cache key
-        return hash((self.a, self.b, self.c, self.d))
-
     @cached_property
     def _integers(self) -> tuple[int, int, int, int, int]:
         """a, b, c and d times their least common denominator, followed by that denominator.
 
         Only `_gain` reads the payoffs here, so every choice between A and B
-        stays on integers; elsewhere only the denominator is read.
+        stays on integers; elsewhere only the denominator is read.  The tuple
+        identifies the payoffs exactly, so it keys their level-k tables (`_levels`).
         """
         numerators, denominator = on_one_scale((self.a, self.b, self.c, self.d))
         return (*numerators, denominator)
@@ -189,26 +184,28 @@ class _Levels:
 
     A Fraction is built only when a value is read.  Only level 0 and the
     levels already read are kept; a read starts from the deepest kept level
-    below it, so memory grows with the reads and not with k.
+    below it, so memory grows with the reads and not with k.  The tables hold
+    the structure's tuples and not the structure, so a structure keeping them
+    in `_level_tables` is freed by reference counting.
     """
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
-        # (t_B, W_B) for each block of `_blocks`.
-        self.blocks = blocks = list(zip(evident_ladder(structure, target).on_target, structure._totals))
+        # t_B and W_B for each block of `_blocks`.
+        self.on_target, self.totals = evident_ladder(structure, target).on_target, structure._totals
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
-            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in blocks)
-            self.kept = {0: ([m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm)}
+            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in zip(self.on_target, self.totals))
+            self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}
         else:
-            self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in blocks], 1)}
+            self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in zip(self.on_target, self.totals)], 1)}
 
     def _step(self, numerators, denominator):
         sums = [sum(w * numerators[b] for b, w in meets) for meets in self.overlaps]
         if self.payoffs is None:
             return [c * s for c, s in zip(self.scale, sums)], denominator * self.lcm
         plays = self.payoffs._plays_a
-        return [int(plays(t * s, (w - t) * s, w * w)) for (t, w), s in zip(self.blocks, sums)], 1
+        return [int(plays(t * s, (w - t) * s, w * w)) for t, w, s in zip(self.on_target, self.totals, sums)], 1
 
     def value(self, level: int, block: int) -> Fraction:
         if level not in self.kept:
@@ -221,16 +218,33 @@ class _Levels:
         return Fraction(numerators[block], denominator)
 
 
-# One per (structure, target, payoffs); payoffs None is the matching family.
-_levels = lru_cache(maxsize=CACHE_SIZE)(_Levels)
+def _levels(structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> _Levels:
+    """The level-k tables of (target, payoffs) on `structure`; payoffs None is the matching family.
+
+    Built once and kept in the structure's `_level_tables` under the frozen
+    target and the payoffs' `_integers`; the dict holds at most `CACHE_SIZE`
+    tables and drops the oldest first, as the ladder memo does.
+    A target outside the space is refused (`evident_ladder`) before anything is stored.
+    """
+    target = frozenset(target)
+    key = target, None if payoffs is None else payoffs._integers
+    tables = structure._level_tables
+    levels = tables.get(key)
+    if levels is None:
+        levels = _Levels(structure, target, payoffs)
+        if len(tables) >= CACHE_SIZE:
+            del tables[next(iter(tables))]
+        tables[key] = levels
+    return levels
 
 
 def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
+    """A bad level, then a bad target, raises `ValueError`; then a bad player or state raises `IndexError`."""
     # A bool is an int to Python, but no level.
     if isinstance(level, bool) or not isinstance(level, int) or level < 0:
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
-    block = structure._block_id(player, state)
-    return _levels(structure, frozenset(target), payoffs).value(level, block)
+    levels = _levels(structure, target, payoffs)
+    return levels.value(level, structure._block_id(player, state))
 
 
 def iterated_maximization_prob(
@@ -289,10 +303,10 @@ def private_heuristic(
 
     Every state has positive measure, so belief 1 in the target means the
     player's information set lies inside it: its weight on the target equals
-    its whole weight.
+    its whole weight.  A bad target raises `ValueError` before a bad player or state raises `IndexError`.
     """
-    block = structure._block_id(player, state)
     on_target = evident_ladder(structure, target).on_target
+    block = structure._block_id(player, state)
     return Action.A if on_target[block] == structure._totals[block] else Action.B
 
 
@@ -306,10 +320,10 @@ def pair_heuristic(
     certain of the target when its weight on the target equals its whole
     weight.  The player plays A when every companion block its information
     set meets is certain, so its own set lies inside those blocks and hence
-    inside the target.
+    inside the target.  A bad target raises `ValueError` before a bad player or state raises `IndexError`.
     """
-    block = structure._block_id(player, state)
     on_target, totals = evident_ladder(structure, target).on_target, structure._totals
+    block = structure._block_id(player, state)
     certain = all(on_target[other] == totals[other] for other, _ in structure._overlaps[block])
     return Action.A if certain else Action.B
 

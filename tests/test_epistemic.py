@@ -743,9 +743,14 @@ class TestBeliefKernel:
             small = random_structure(RandomStructureConfig(seed=n, num_states=4))
             brute_force_common_p_belief(*small, 0, 0)
             fixedpoint_common_p_belief(*small, 0, 0)
+        # More distinct payoffs than the bound on one structure and target: it keeps the latest level tables.
+        payoffs = [game.PayoffParams(1, 0, Fraction(k, CACHE_SIZE + 10), 0) for k in range(1, CACHE_SIZE + 10)]
+        for each in payoffs:
+            game.iterated_maximization_prob(structure, target, each, 2, 0, 0)
+            assert len(structure._level_tables) <= CACHE_SIZE
+        assert list(structure._level_tables) == [(target, each._integers) for each in payoffs[-CACHE_SIZE:]]
         for cache, bound in (
             (from_world_model, CACHE_SIZE),
-            (game._levels, CACHE_SIZE),
             # The oracle keeps only the weights and answers of the structure in use.
             (oracle._integer_weights, 1),
             (oracle._block_answers, 1),

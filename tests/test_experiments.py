@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from epicoord import (
     KnowledgeCondition,
     ModelKind,
     PayoffParams,
+    RandomStructureConfig,
     builtin_loudspeaker,
     builtin_messenger,
     cognitive_strategy,
@@ -31,7 +34,9 @@ from epicoord import (
     pair_heuristic,
     predict,
     private_heuristic,
+    random_structure,
     rational_p_belief_action,
+    verify_equilibrium,
     x_event,
 )
 from epicoord.experiments import (
@@ -237,6 +242,33 @@ class TestPlay:
                             expected = function(structure, target, *map(arguments.get, reads), player, state)
                             value = play(rule, structure, target, payoffs, level, player, state)
                             assert (type(value), value) == (type(expected), expected), (rule, player, state)
+
+    @pytest.mark.parametrize("rule", [rule for rule, _, _ in PLAY_RULES])
+    def test_a_bad_target_is_refused_before_a_bad_player(self, rule):
+        """`common_p_belief`'s error order for every rule: a target outside the space
+        raises `ValueError` before a bad player raises `IndexError`."""
+        structure = from_world_model(builtin_messenger(DELTA))
+        with pytest.raises(ValueError, match="outside the space"):
+            play(rule, structure, {999}, PAYOFF_CONDITION_1, 2, 5, 0)
+
+    @pytest.mark.parametrize("read", [rule for rule, _, _ in PLAY_RULES] + ["verify_equilibrium", "matched_policy"])
+    def test_a_dropped_structure_is_freed(self, read):
+        """Nothing a rule keeps on a structure refers back to it, so reference counting
+        alone frees a dropped structure, with the cyclic collector off."""
+        gc.disable()
+        try:
+            structure, target = random_structure(RandomStructureConfig(seed=5, num_states=40))
+            if read == "verify_equilibrium":
+                verify_equilibrium(GameInstance(structure, PAYOFF_CONDITION_1, target))
+            elif read == "matched_policy":
+                matched_policy(structure, target)
+            else:
+                play(read, structure, target, PAYOFF_CONDITION_1, 2, 0, 0)
+            alive = weakref.ref(structure)
+            del structure
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_always_b_and_unknown_rules(self):
         private = knowledge_conditions(DELTA)[0]

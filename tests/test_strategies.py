@@ -395,12 +395,12 @@ class TestLevelsReadOutOfOrder:
             return naive_matching(messenger, messenger_target, level, player, state)
 
         cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
-        game._levels.cache_clear()
+        messenger._level_tables.clear()
         values = {level: [read(level, *case) for case in cases] for level in self.ORDER}
         key_payoffs = payoffs if family == "maximization" else None
         assert sorted(game._levels(messenger, messenger_target, key_payoffs).kept) == sorted(self.ORDER)
         for level in self.ORDER:
-            game._levels.cache_clear()
+            messenger._level_tables.clear()
             assert [read(level, *case) for case in cases] == values[level]
         for level in range(6):
             assert values[level] == [naive(level, *case) for case in cases]

@@ -84,8 +84,20 @@ MUTANTS = (
     Mutant(
         "_Levels grounds itermatch at 1 for every block",
         "src/epicoord/game.py",
-        "self.kept = {0: ([m * w for m, (_, w) in zip(self.scale, blocks)], self.lcm)}",
-        "self.kept = {0: ([self.lcm] * len(blocks), self.lcm)}",
+        "self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}",
+        "self.kept = {0: ([self.lcm] * len(self.totals), self.lcm)}",
+    ),
+    Mutant(
+        "the level table is keyed without the payoffs",
+        "src/epicoord/game.py",
+        "key = target, None if payoffs is None else payoffs._integers",
+        "key = target, None",
+    ),
+    Mutant(
+        "level tables never drop the oldest",
+        "src/epicoord/game.py",
+        "del tables[next(iter(tables))]",
+        "pass",
     ),
     Mutant(
         "_violations counts a zero gain as a violation",
@@ -108,8 +120,8 @@ MUTANTS = (
     Mutant(
         "one memo shared by every structure, keyed on the target alone",
         "src/epicoord/epistemic.py",
-        "        return {}\n",
-        "        return evident_ladder.__dict__.setdefault(\"shared\", {})\n",
+        "(`evident_ladder`).\"\"\"\n        return {}\n",
+        "(`evident_ladder`).\"\"\"\n        return evident_ladder.__dict__.setdefault(\"shared\", {})\n",
     ),
     Mutant(
         "evident_ladder skips the target check on a miss",
