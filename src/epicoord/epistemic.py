@@ -16,7 +16,8 @@ much of each block lies on the target, summed in one pass over the target's
 states.  The level-k steps, the certainty heuristics and the attack game
 read that table, and a block is certain of the target exactly when its
 weight on the target equals its weight.  The structure also keeps `game`'s
-level-k tables, `_level_tables`, so they are freed with it.
+level-k tables, `_level_tables`, so they are freed with it; both memos keep
+at most `CACHE_SIZE` entries by one rule, `_remember`.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -57,8 +58,8 @@ from .worldmodel import (
 
 Event = frozenset[int]
 
-# Targets kept in each structure's memo, level-k tables kept on each structure
-# (`game._levels`), and entries kept by `from_world_model`'s cache, keyed on a whole model.
+# Entries kept in each of a structure's two memos, its ladders and its level-k
+# tables (`_remember`), and by `from_world_model`'s cache, keyed on a whole model.
 CACHE_SIZE = 64
 
 # Bits of the floor key the ladder's peel keeps per block, read when a ladder is
@@ -68,11 +69,25 @@ CACHE_SIZE = 64
 _KEY_BITS = 62
 
 
-def _index_error(player: int, state: int, count: int) -> IndexError:
-    """The error for a (player, state) pair that is not one over `count` states, the player checked first."""
+def _entry(rows, player: int, state: int):
+    """`rows[player][state]`, for two rows of equal length, one per player.
+
+    A bad player, then a bad state (a negative one too), raises `IndexError`
+    before any row is read, so no index wraps to another entry.
+    """
     if player not in (0, 1):
-        return IndexError(f"player must be 0 or 1, got {player}")
-    return IndexError(f"state index {state} out of range 0..{count - 1}")
+        raise IndexError(f"player must be 0 or 1, got {player}")
+    if not 0 <= state < len(rows[0]):
+        raise IndexError(f"state index {state} out of range 0..{len(rows[0]) - 1}")
+    return rows[player][state]
+
+
+def _remember(memo: dict, key, value):
+    """Store `value` under `key` in `memo` and return it; at `CACHE_SIZE` entries the oldest is dropped first."""
+    if len(memo) >= CACHE_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -183,11 +198,9 @@ class InformationStructure:
     def _block_id(self, player: int, state: int) -> int:
         """The number, in `_blocks`, of `player`'s block holding state index `state`.
 
-        A bad player or state raises `IndexError` before `_block_ids` is read.
+        A bad player or state raises `_entry`'s `IndexError`.
         """
-        if player in (0, 1) and 0 <= state < len(self.space.states):
-            return self._block_ids[player][state]
-        raise _index_error(player, state, len(self.space.states))
+        return _entry(self._block_ids, player, state)
 
     def block(self, player: int, state: int) -> frozenset[int]:
         """The information set of `player` containing state index `state`."""
@@ -264,17 +277,14 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     Any iterable of state indices is a target.  The ladder is built once
     per (structure, target) by `_build_ladder`, after the target is checked
     against the space, and kept in the structure's memo, which holds at most
-    `CACHE_SIZE` targets and drops the oldest first.  It refers to no
-    structure, so a structure's memo is freed with it by reference counting.
+    `CACHE_SIZE` targets and drops the oldest first (`_remember`).  It refers
+    to no structure, so a structure's memo is freed with it by reference
+    counting.
     """
     target = frozenset(target)
-    memo = structure._memo
-    ladder = memo.get(target)
+    ladder = structure._memo.get(target)
     if ladder is None:
-        ladder = _build_ladder(structure, structure._event(target, "target event"))
-        if len(memo) >= CACHE_SIZE:
-            del memo[next(iter(memo))]
-        memo[target] = ladder
+        ladder = _remember(structure._memo, target, _build_ladder(structure, structure._event(target, "target event")))
     return ladder
 
 
@@ -396,13 +406,14 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     fails: no ladder yet (`KeyError`) or a target that is not hashable, such
     as a `set` (`TypeError`).
     A bad target raises `ValueError` first; then a bad player or state raises
-    `_block_id`'s `IndexError`, so no negative index reads another entry.
+    `_entry`'s `IndexError`, so no negative index reads another entry.
     """
     try:
         answers = structure._memo[target].answers
     except (KeyError, TypeError):
         answers = evident_ladder(structure, target).answers
+    # `_entry`'s check inline, and `_entry` only to raise: a call on every query costs ladder-large ops/s.
     if player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]
-    raise _index_error(player, state, len(answers[0]))
+    return _entry(answers, player, state)
 

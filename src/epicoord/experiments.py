@@ -38,7 +38,8 @@ PAYOFF_CONDITION_1 = PayoffParams("1.1", "0", "1", "0.4")
 @dataclass(frozen=True)
 class KnowledgeCondition:
     """One scenario: a world model, the realized state, and which seat the
-    human participant occupies (the simulated agent takes the other seat)."""
+    human participant occupies (the simulated agent takes the other seat).
+    A participant other than the integer 0 or 1 raises `ValueError`."""
 
     name: str
     model: WorldModelSpec
@@ -50,6 +51,9 @@ class KnowledgeCondition:
         return 1 - self.participant
 
     def __post_init__(self) -> None:
+        # A bool is an int to Python, but no seat: True would seat player 1.
+        if type(self.participant) is not int or self.participant not in (0, 1):
+            raise ValueError(f"participant must be the integer 0 or 1, got {self.participant!r}")
         # Resolved once, when the condition is made, since a lookup keyed on the model
         # hashes the whole spec; not fields, so equality and hashing ignore them.
         structure = from_world_model(self.model)
@@ -170,8 +174,10 @@ def predict(
     """Evaluate one model for the participant seat at each condition state through `play`.
 
     An action maps to probability 0 or 1; the matching models report their
-    exact mixing probability.  Bad payoffs or levels are refused by the rules.
+    exact mixing probability.  `kind` is a `ModelKind` or its value; another
+    name raises `ValueError`.  Bad payoffs or levels are refused by the rules.
     """
+    kind = ModelKind(kind)
     probs: dict[str, Fraction] = {}
     for c in conditions:
         value = play(kind.value, c.structure(), c.target(), payoffs, level, c.participant, c.state_index())
@@ -203,7 +209,8 @@ def fit_level(
 ) -> int:
     """Grid-search LEVEL_GRID for the recursion depth minimizing mse; ties go to smaller k.
 
-    Each level's table is predicted once.
+    Each level's table is predicted once.  `kind` is a `ModelKind` or its
+    value; another name raises `ValueError`.
     """
     return _fit(kind, conditions, payoffs, human)[0]
 
@@ -215,6 +222,7 @@ def _fit(
     human: HumanData,
 ) -> tuple[int, PredictionTable, Fraction]:
     """The best level of LEVEL_GRID with its table and error, predicting each level once."""
+    kind = ModelKind(kind)
     if kind not in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
         raise ValueError(f"{kind.value} has no recursion level to fit")
     best = None
@@ -290,7 +298,9 @@ def play(
 def agent_action(
     strategy: AgentStrategy, condition: KnowledgeCondition, payoffs: PayoffParams
 ) -> Action:
-    """The simulated agent's action from the non-participant seat, through `play`."""
+    """The simulated agent's action from the non-participant seat, through `play`.
+    `strategy` is an `AgentStrategy` or its value; another name raises `ValueError`."""
+    strategy = AgentStrategy(strategy)
     return play(
         strategy.value, condition.structure(), condition.target(), payoffs, None, condition.agent, condition.state_index()
     )
@@ -307,7 +317,9 @@ def marginal_value(
     The agent's action comes from its own information set; the payoff is then
     evaluated at the realized condition state against the human seat mixing at
     the observed proportion.  Playing B contributes exactly zero.
+    `strategy` is an `AgentStrategy` or its value; another name raises `ValueError`.
     """
+    strategy = AgentStrategy(strategy)
     total = Fraction(0)
     for condition in conditions:
         action = agent_action(strategy, condition, payoffs)
@@ -340,8 +352,11 @@ def human_agent_sweep(
 
     The scan is integer-only: the gains and the grid share one scale L, the
     lcm of their denominators, the test p* < bound is one cross-multiplied
-    integer comparison, and each cell is one `Fraction` over L.
+    integer comparison, and each cell is one `Fraction` over L.  Each strategy
+    is an `AgentStrategy` or its value, and keys its row as the member; another
+    name raises `ValueError`.
     """
+    strategies = tuple(map(AgentStrategy, strategies))
     grid = tuple(map(parse_rational, grid))
     if any(not 0 < p < 1 for p in grid):
         raise ValueError("risk grid values must lie strictly in (0, 1)")

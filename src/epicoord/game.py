@@ -18,9 +18,12 @@ it: the level-k steps, the heuristics and the noiseless check read the
 ladder's table of block weights on the target (`on_target`), and the
 cognitive agent and the threshold profile read its answer rows.  The level-k
 tables live on the structure too, in `_level_tables`, one per target and
-payoffs (`_levels`), so they are freed with it.  `verify_equilibrium` checks
-the threshold profile when signals are noiseless and the risk threshold
-exceeds the target's prior.
+payoffs (`_levels`), kept by the ladder memo's rule (`epistemic._remember`),
+so they are freed with it.  A `GameInstance` checks its target against the
+space without building its ladder, and the cognitive agent builds no
+`GameInstance`: `_a_weights` reads a structure and a target.
+`verify_equilibrium` checks the threshold profile when signals are noiseless
+and the risk threshold exceeds the target's prior.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .epistemic import (
-    CACHE_SIZE,
     Event,
     InformationStructure,
-    _index_error,
+    _entry,
+    _remember,
     common_p_belief,
     evident_ladder,
     from_world_model,
@@ -223,18 +226,14 @@ def _levels(structure: InformationStructure, target: Event, payoffs: PayoffParam
 
     Built once and kept in the structure's `_level_tables` under the frozen
     target and the payoffs' `_integers`; the dict holds at most `CACHE_SIZE`
-    tables and drops the oldest first, as the ladder memo does.
+    tables and drops the oldest first, by the ladder memo's rule (`_remember`).
     A target outside the space is refused (`evident_ladder`) before anything is stored.
     """
     target = frozenset(target)
     key = target, None if payoffs is None else payoffs._integers
-    tables = structure._level_tables
-    levels = tables.get(key)
+    levels = structure._level_tables.get(key)
     if levels is None:
-        levels = _Levels(structure, target, payoffs)
-        if len(tables) >= CACHE_SIZE:
-            del tables[next(iter(tables))]
-        tables[key] = levels
+        levels = _remember(structure._level_tables, key, _Levels(structure, target, payoffs))
     return levels
 
 
@@ -339,8 +338,7 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         _check_payoffs(self.payoffs)
-        object.__setattr__(self, "target", frozenset(self.target))
-        evident_ladder(self.structure, self.target)  # refuses a target outside the space
+        object.__setattr__(self, "target", self.structure._event(self.target, "target event"))
 
     @classmethod
     def from_world_model(cls, spec: WorldModelSpec, payoffs: PayoffParams) -> "GameInstance":
@@ -369,9 +367,7 @@ class Policy:
 
     def prob(self, player: int, state: int) -> Fraction:
         """A bad player, then a bad state (a negative one too), raises `IndexError` as `common_p_belief` does."""
-        if player in (0, 1) and 0 <= state < len(self.prob_a[0]):
-            return self.prob_a[player][state]
-        raise _index_error(player, state, len(self.prob_a[0]))
+        return _entry(self.prob_a, player, state)
 
     @classmethod
     def constant(cls, num_states: int, value: Fraction) -> "Policy":
@@ -406,16 +402,15 @@ def stage_payoff(
     return my_prob_a * payoffs.value_of_a(x_is_one, other_prob_a) + (1 - my_prob_a) * payoffs.c
 
 
-def _a_weights(game: GameInstance, block: int, companion) -> tuple[int, int, int]:
-    """(on, off, T), T > 0: the A-weight on and off the target over block number
-    `block` of `_blocks` of a companion whose two rows of exact play are
-    `companion`, and the block's weight, on one integer scale T = W_B * L
-    (`payoff_of_a`'s sums).  The companion's row is `companion[block <
-    first_count]`: player 0's blocks come first.  Rows that do not cover the
-    structure's states are refused."""
-    structure, target = game.structure, game.target
+def _a_weights(structure: InformationStructure, target: Event, block: int, rows) -> tuple[int, int, int]:
+    """(on, off, T), T > 0: the A-weight on and off `target`, a frozenset
+    checked against the space, over block number `block` of the structure's
+    `_blocks` of a companion whose two rows of exact play are `rows`, and the
+    block's weight, on one integer scale T = W_B * L (`payoff_of_a`'s sums).
+    The companion's row is `rows[block < first_count]`: player 0's blocks come
+    first.  Rows that do not cover the structure's states are refused."""
     weights, members = structure._weights, structure._blocks[block]
-    plays = _covering(structure, companion)[block < len(structure.partitions[0].blocks)]
+    plays = _covering(structure, rows)[block < len(structure.partitions[0].blocks)]
     numerators, scale = on_one_scale([plays[member] for member in members])
     on = off = 0
     for member, play in zip(members, numerators):
@@ -438,7 +433,7 @@ def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) 
     the gain of A over B is `PayoffParams._gain` on the payoffs' integer scale,
     so one `Fraction` is built at the end.  Play may differ state by state.
     """
-    on, off, total = _a_weights(game, game.structure._block_id(player, state), companion.prob_a)
+    on, off, total = _a_weights(game.structure, game.target, game.structure._block_id(player, state), companion.prob_a)
     return game.payoffs.c + Fraction(game.payoffs._gain(on, off, total), total * game.payoffs._integers[4])
 
 
@@ -452,7 +447,7 @@ def expected_utility(game: GameInstance, player: int, state: int, my_prob_a: Fra
 
 def best_response(game: GameInstance, player: int, state: int, companion: Policy) -> Action:
     """Play A only on a strict gain over the safe payoff c (`PayoffParams._plays_a`); a tie plays B."""
-    weights = _a_weights(game, game.structure._block_id(player, state), companion.prob_a)
+    weights = _a_weights(game.structure, game.target, game.structure._block_id(player, state), companion.prob_a)
     return Action.A if game.payoffs._plays_a(*weights) else Action.B
 
 
@@ -491,9 +486,14 @@ def cognitive_strategy(
     structure: InformationStructure, target: Event, payoffs: PayoffParams, player: int, state: int
 ) -> Action:
     """The "cognitive" agent: best respond to a companion assumed to
-    probability-match on perceived common belief, so a tie plays B."""
-    game = GameInstance(structure, payoffs, target)
-    weights = _a_weights(game, structure._block_id(player, state), evident_ladder(structure, game.target).answers)
+    probability-match on perceived common belief, so a tie plays B.
+
+    Bad payoffs, then a bad target, raise `ValueError`; then a bad player or state raises `IndexError`.
+    """
+    _check_payoffs(payoffs)
+    target = frozenset(target)
+    answers = evident_ladder(structure, target).answers
+    weights = _a_weights(structure, target, structure._block_id(player, state), answers)
     return Action.A if payoffs._plays_a(*weights) else Action.B
 
 
@@ -550,7 +550,7 @@ def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
     structure, payoffs = game.structure, game.payoffs
     gains = []
     for block in range(len(structure._blocks)):
-        on, off, total = _a_weights(game, block, policy.prob_a)
+        on, off, total = _a_weights(structure, game.target, block, policy.prob_a)
         gains.append((payoffs._gain(on, off, total), total * payoffs._integers[4]))
     violations = []
     for player, (plays, row) in enumerate(zip(policy.prob_a, structure._block_ids)):

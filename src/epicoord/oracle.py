@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .epistemic import Event, InformationStructure, _index_error
+from .epistemic import Event, InformationStructure, _entry
 from .rational import format_rational, parse_probability
 from .worldmodel import Partition, StateSpace
 
@@ -95,14 +95,13 @@ def _integer_weights(structure: InformationStructure) -> tuple[int, ...]:
 
 
 def _block_at(structure: InformationStructure, player: int, state: int) -> frozenset[int]:
-    """The information set of `player` holding state index `state`, read from the partition.
+    """The information set of `player` holding state index `state`, read from the partitions' `block_of`.
 
-    A bad player or state raises the engine's `IndexError` before any block is read.
+    A bad player or state raises the engine's `IndexError` (`_entry`) before any block is read.
     """
-    if player in (0, 1) and 0 <= state < len(structure.space.states):
-        partition = structure.partitions[player]
-        return partition.blocks[partition.block_of[state]]
-    raise _index_error(player, state, len(structure.space.states))
+    partitions = structure.partitions
+    block = _entry((partitions[0].block_of, partitions[1].block_of), player, state)
+    return partitions[player].blocks[block]
 
 
 def _belief(weights: tuple[int, ...], block: frozenset[int], event: Event) -> Fraction:
@@ -257,12 +256,14 @@ def brute_force_common_p_belief(
     level(E), and a block missing E believes it at 0, so the answer is the
     max of level(E) over the events E meeting the player's block (see
     `_block_answers`).  Exponential in the state count; capped at 12 states.
+    The cap, then a bad target, raise `ValueError`, before a bad player or
+    state raises `IndexError`, in the engine's order.
     """
-    block = _block_at(structure, player, state)
     n = len(structure)
     if n > EXHAUSTIVE_STATE_LIMIT:
         raise ValueError(f"exhaustive oracle is capped at {EXHAUSTIVE_STATE_LIMIT} states, got {n}")
-    return _block_answers(structure, frozenset(target))[player, block]
+    answers = _block_answers(structure, frozenset(target))
+    return answers[player, _block_at(structure, player, state)]
 
 
 def largest_p_evident_indicating_event(
@@ -358,10 +359,12 @@ def fixedpoint_common_p_belief(
 
     Polynomial per candidate, so usable well past the exhaustive route's
     12-state cap; the two routes must agree wherever both run.  One scan
-    answers every block of the structure, and its table is kept.
+    answers every block of the structure, and its table is kept.  A bad
+    target raises `ValueError` before a bad player or state raises
+    `IndexError`, in the engine's order.
     """
-    block = _block_at(structure, player, state)
-    return _fixedpoint_answers(structure, frozenset(target))[player, block]
+    answers = _fixedpoint_answers(structure, frozenset(target))
+    return answers[player, _block_at(structure, player, state)]
 
 
 def structure_to_json(structure: InformationStructure, target: Event) -> dict:

@@ -155,6 +155,13 @@ class TestKnowledgeConditions:
         with pytest.raises(ValueError):
             knowledge_conditions(delta)
 
+    @pytest.mark.parametrize("participant", [2, -1, True, False, 1.0, "0", None])
+    def test_participant_must_be_the_integer_0_or_1(self, monkeypatch, participant):
+        # Refused before the structure is resolved: True would silently seat player 1.
+        monkeypatch.setattr(experiments, "from_world_model", None)
+        with pytest.raises(ValueError, match=re.escape(f"participant must be the integer 0 or 1, got {participant!r}")):
+            KnowledgeCondition("private", builtin_messenger(DELTA), (1, 1, 0, 1, 0), participant=participant)
+
 
 class TestPredict:
     def test_matched_table(self):
@@ -269,6 +276,47 @@ class TestPlay:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_a_rule_name_answers_as_its_member(self, synthetic_human):
+        """Every entry that takes a `ModelKind` or `AgentStrategy` takes its value as `play` does."""
+        conditions = knowledge_conditions(DELTA)
+        for kind, payoffs, level in (
+            (ModelKind.RATIONAL, PAYOFF_CONDITION_1, None),
+            (ModelKind.MATCHED, None, None),
+            (ModelKind.ITERMAX, PAYOFF_CONDITION_1, 3),
+            (ModelKind.ITERMATCH, None, 3),
+        ):
+            assert predict(kind.value, conditions, payoffs, level) == predict(kind, conditions, payoffs, level)
+        for kind in (ModelKind.ITERMAX, ModelKind.ITERMATCH):
+            fitted = fit_level(kind, conditions, PAYOFF_CONDITION_1, synthetic_human)
+            assert fit_level(kind.value, conditions, PAYOFF_CONDITION_1, synthetic_human) == fitted
+        with pytest.raises(ValueError, match="matched has no recursion level to fit"):
+            fit_level("matched", conditions, PAYOFF_CONDITION_1, synthetic_human)
+        for strategy in AgentStrategy:
+            for condition in conditions:
+                action = agent_action(strategy, condition, PAYOFF_CONDITION_1)
+                assert agent_action(strategy.value, condition, PAYOFF_CONDITION_1) is action
+            value = marginal_value(strategy, conditions, synthetic_human, PAYOFF_CONDITION_1)
+            assert marginal_value(strategy.value, conditions, synthetic_human, PAYOFF_CONDITION_1) == value
+        grid = default_risk_grid()
+        for strategies in [(strategy,) for strategy in AgentStrategy] + [SWEEP_STRATEGIES]:
+            names = tuple(strategy.value for strategy in strategies)
+            swept = human_agent_sweep(grid, conditions, synthetic_human, names)
+            assert swept == human_agent_sweep(grid, conditions, synthetic_human, strategies)
+            assert all(type(key) is AgentStrategy for key in swept.values)
+
+    def test_an_unknown_rule_name_is_refused(self, synthetic_human):
+        conditions = knowledge_conditions(DELTA)
+        for call in (
+            lambda: predict("bogus", conditions, PAYOFF_CONDITION_1, 0),
+            lambda: fit_level("bogus", conditions, PAYOFF_CONDITION_1, synthetic_human),
+            lambda: agent_action("bogus", conditions[0], PAYOFF_CONDITION_1),
+            # Refused at entry, with no condition to play.
+            lambda: marginal_value("bogus", (), synthetic_human, PAYOFF_CONDITION_1),
+            lambda: human_agent_sweep(default_risk_grid(), conditions, synthetic_human, ("cognitive", "bogus")),
+        ):
+            with pytest.raises(ValueError, match="'bogus' is not a valid"):
+                call()
 
     def test_always_b_and_unknown_rules(self):
         private = knowledge_conditions(DELTA)[0]

@@ -19,6 +19,7 @@ from epicoord import (
     best_response,
     builtin_loudspeaker,
     builtin_messenger,
+    cognitive_strategy,
     common_p_belief,
     conditional_belief,
     expected_utility,
@@ -36,6 +37,7 @@ from epicoord import (
     verify_equilibrium,
     x_event,
 )
+from epicoord import game as game_module
 from epicoord.experiments import PAYOFF_CONDITION_1
 from epicoord.game import Violation, _violations
 
@@ -490,6 +492,29 @@ class TestPolicy:
         structure, _ = random_structure(RandomStructureConfig(seed=1, num_states=4))
         with pytest.raises(ValueError):
             GameInstance(structure, PAYOFF_CONDITION_1, frozenset({99}))
+
+
+class TestNothingBuiltToValidate:
+    def test_a_game_instance_builds_no_ladder(self):
+        structure, target = random_structure(RandomStructureConfig(seed=1, num_states=4))
+        game = GameInstance(structure, PAYOFF_CONDITION_1, iter(target))
+        assert game.target == target and structure._memo == {}
+        with pytest.raises(ValueError, match="^target event references state indices outside the space$"):
+            GameInstance(structure, PAYOFF_CONDITION_1, {99})
+        assert structure._memo == {}
+
+    def test_the_cognitive_agent_builds_no_game_instance(self, monkeypatch):
+        structure, target = random_structure(RandomStructureConfig(seed=2, num_states=12))
+        game = GameInstance(structure, PAYOFF_CONDITION_1, target)
+        companion = matched_policy(structure, target)
+        expected = {(p, s): best_response(game, p, s, companion) for p in (0, 1) for s in range(len(structure))}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GameInstance was built")
+
+        monkeypatch.setattr(game_module, "GameInstance", refuse)
+        for (player, state), action in expected.items():
+            assert cognitive_strategy(structure, iter(target), PAYOFF_CONDITION_1, player, state) is action
 
 
 POLICY_PAYOFFS = ["1.1,0,1,0.4", "1,0,1/2,0", "1,0,3/10,0", "2,1/3,1,0"]

@@ -391,6 +391,26 @@ def test_out_of_range_query_raises(route, player, state):
         route(structure, target, player, state)
 
 
+@pytest.mark.parametrize(
+    "route,num_states,message",
+    [
+        (brute_force_common_p_belief, 6, "target event references state indices outside the space"),
+        (fixedpoint_common_p_belief, 6, "target event references state indices outside the space"),
+        (brute_force_common_p_belief, 14, "exhaustive oracle is capped at 12 states, got 14"),
+    ],
+    ids=["brute_force-target", "fixedpoint-target", "brute_force-cap"],
+)
+@pytest.mark.parametrize("player,state", [(5, 0), (0, 99), (1, -1)])
+def test_the_reference_checks_arguments_in_the_engine_order(route, num_states, message, player, state):
+    """A bad target, and on the exhaustive route the cap, raise `ValueError` before a bad player or state."""
+    structure, _ = random_structure(RandomStructureConfig(seed=3, num_states=num_states))
+    with pytest.raises(ValueError, match=message):
+        route(structure, {99}, player, state)
+    if num_states == 6:
+        with pytest.raises(ValueError, match=message):
+            common_p_belief(structure, {99}, player, state)
+
+
 class _Unreadable:
     """Stands in for an engine table that the reference must not read: any read fails."""
 

@@ -13,8 +13,10 @@ installed in editable mode.  The unmutated copy runs first and must pass.
 
     python tools/mutants.py
 
-Exit status 0 when every mutant is killed; 1 when one survives, an old text
-does not occur exactly once, or the unmutated copy fails.
+The last line gives the count and the whole run's wall time, unmutated copy
+included: `N of N mutants killed in M min S s`.  Exit status 0 when every
+mutant is killed; 1 when one survives, an old text does not occur exactly
+once, or the unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ MUTANTS = (
         "key = target, None",
     ),
     Mutant(
-        "level tables never drop the oldest",
+        "GameInstance skips its target check",
         "src/epicoord/game.py",
-        "del tables[next(iter(tables))]",
-        "pass",
+        'object.__setattr__(self, "target", self.structure._event(self.target, "target event"))',
+        'object.__setattr__(self, "target", frozenset(self.target))',
     ),
     Mutant(
         "_violations counts a zero gain as a violation",
@@ -126,14 +128,20 @@ MUTANTS = (
     Mutant(
         "evident_ladder skips the target check on a miss",
         "src/epicoord/epistemic.py",
-        'ladder = _build_ladder(structure, structure._event(target, "target event"))',
-        "ladder = _build_ladder(structure, target)",
+        '_build_ladder(structure, structure._event(target, "target event"))',
+        "_build_ladder(structure, target)",
     ),
     Mutant(
-        "the memo never drops a target at its bound",
+        "_remember never drops the oldest entry at its bound",
         "src/epicoord/epistemic.py",
         "del memo[next(iter(memo))]",
         "pass",
+    ),
+    Mutant(
+        "_entry lets a negative state wrap to the end of the row",
+        "src/epicoord/epistemic.py",
+        "if not 0 <= state < len(rows[0]):",
+        "if not state < len(rows[0]):",
     ),
     Mutant(
         "_build_ladder keeps a companion block at the level",
@@ -158,6 +166,14 @@ MUTANTS = (
         "src/epicoord/oracle.py",
         "blocks = _block_at(structure, 0, state), _block_at(structure, 1, state)",
         "blocks = _block_at(structure, 0, state), _block_at(structure, 0, state)",
+    ),
+    Mutant(
+        "the fixed-point reference reads the block before the target",
+        "src/epicoord/oracle.py",
+        "    answers = _fixedpoint_answers(structure, frozenset(target))\n"
+        "    return answers[player, _block_at(structure, player, state)]\n",
+        "    block = _block_at(structure, player, state)\n"
+        "    return _fixedpoint_answers(structure, frozenset(target))[player, block]\n",
     ),
     Mutant(
         "_event does not freeze",
@@ -236,6 +252,18 @@ MUTANTS = (
         "src/epicoord/experiments.py",
         "return pair_heuristic(structure, target, player, state)",
         "return private_heuristic(structure, target, player, state)",
+    ),
+    Mutant(
+        "KnowledgeCondition skips its participant check",
+        "src/epicoord/experiments.py",
+        "if type(self.participant) is not int or self.participant not in (0, 1):",
+        "if False:",
+    ),
+    Mutant(
+        "predict reads kind.value without its enum",
+        "src/epicoord/experiments.py",
+        "    kind = ModelKind(kind)\n    probs: dict[str, Fraction] = {}\n",
+        "    probs: dict[str, Fraction] = {}\n",
     ),
     Mutant(
         "_check_payoffs accepts None",
@@ -328,6 +356,7 @@ def main() -> int:
         print(exc)
         return 1
     survivors = 0
+    began = time.perf_counter()
     for mutant, text in ((None, ""), *zip(MUTANTS, texts)):
         start = time.perf_counter()
         failing = _failing_check(mutant, text)
@@ -342,7 +371,8 @@ def main() -> int:
             print(f"SURVIVED: {mutant.name} ({elapsed})", flush=True)
         else:
             print(f"killed by {failing}: {mutant.name} ({elapsed})", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    minutes, seconds = divmod(round(time.perf_counter() - began), 60)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in {minutes} min {seconds} s")
     return 1 if survivors else 0
 
 
