@@ -14,14 +14,17 @@ conditional belief in an event at a state, `min_belief` (the weakest of both
 players' beliefs in an event and in the target), an event's
 `evidence_level`, the strict `super_p_evident` fixpoint, and the weak checks
 `is_p_evident` and `is_c_indicating`.  Two independent routes to common
-p-belief are provided — an exhaustive scan over all events
+p-belief are provided — an exhaustive scan over every union of cells
 (exponential, capped at 12 states) and a candidate-level fixed-point search
 (polynomial, usable on larger spaces) — and they are required to agree with
-each other.  The exhaustive scan still computes every event's level from its
-definition; it only lays each player's states out block by block, so that a
-player's level table over all events is the min-product of one small value
-table per block, built one block at a time in a list comprehension rather
-than by visiting the blocks event by event.
+each other.  A cell is the set of states that share both players' blocks.
+An event's cell closure, every state of every cell it meets, meets the same
+blocks at no lower level (see `_block_answers`), so the exhaustive scan
+computes the level of every union of cells from its definition and drops no
+case.  It lays each player's cells out block by block, so that a player's
+level table over the unions is the min-product of one small value table per
+block, built one block at a time in a list comprehension rather than by
+visiting the blocks union by union.
 """
 
 from __future__ import annotations
@@ -177,85 +180,104 @@ def is_c_indicating(structure: InformationStructure, event: Event, target: Event
 
 
 # One entry: callers query one structure at a time, and the table is built by
-# a pass over all 2^n - 1 events, so it is worth keeping for the 2n queries.
+# a pass over every union of cells, so it is worth keeping for the 2n queries.
 @lru_cache(maxsize=1)
 def _block_answers(
     structure: InformationStructure, target: Event
 ) -> dict[tuple[int, frozenset[int]], Fraction]:
-    """The exhaustive answer of every (player, block), from one scan of the events.
+    """The exhaustive answer of every (player, block), from one scan of the unions of cells.
 
-    Events are bitmasks and level(E) is the least min(w(E & B), w(T & B)) / w(B)
-    over the blocks B of either player that meet E; a block's answer is the
-    largest level(E) over the events E that meet it (such a block believes E
-    at least at level(E)).  All values are integers over one scale K, the lcm
-    of the block weights.  Per player:
+    level(E) is the least min(w(E & B), w(T & B)) / w(B) over the blocks B of
+    either player that meet E; a block's answer is the largest level(E) over
+    the events E that meet it (such a block believes E at least at level(E)).
+    A cell is the set of states that share both players' blocks (the coarsest
+    common refinement of the two partitions), and the cell closure of E is every state of every cell that E
+    meets.  The closure meets exactly the blocks that E meets and weighs at
+    least as much in each one, so its level is at least level(E); it holds
+    every state that E holds.  So the largest level over the events that meet
+    a block is reached on a union of cells, and only those are scanned, as
+    bitmasks over the cells, each cell weighing the sum of its states.  All
+    values are integers over one scale K, the lcm of the block weights.  Per
+    player:
 
-    - the states are laid out block by block, smallest block first, so each
-      block owns a contiguous run of bits and an event is one part per block;
-    - value_B, over the 2^|B| parts of B, holds min(w(part), w(T & B)) * K / w(B)
-      from B's own subset sums, and K at the empty part, which does not meet B
-      and so must not lower the min;
+    - the cells are laid out block by block, fewest cells first, so each
+      block owns a contiguous run of bits and a union is one part per block;
+    - value_B, over the 2^(cells in B) parts of B, holds
+      min(w(part), w(T & B)) * K / w(B) from the subset sums of B's cells,
+      and K at the empty part, which does not meet B and so must not lower
+      the min;
     - the player's table is the min over its blocks of value_B(E & B), built
       one block at a time as a product: each entry of the table so far is
       paired with each entry of value_B, which fills the block's higher bits.
 
     Player 1's table is read through a permutation onto player 0's layout, and
-    the pointwise min of the two is level(E).  E meets B exactly when E holds
-    some state of B, so a block's answer is the max over its states s of the
-    largest level among the events holding s.
+    the pointwise min of the two is level(E).  A union meets B exactly when it
+    holds some cell of B, so a block's answer is the max over its cells c of
+    the largest level among the unions holding c.
     """
     structure._event(target, "target event")
     weights = _integer_weights(structure)
     weighed = _weighed_blocks(structure, target, weights)
     scale = math.lcm(*(weight for _, _, weight, _ in weighed))
+    first, second = (partition.block_of for partition in structure.partitions)
+    cells: dict[tuple[int, int], int] = {}
+    for cell, weight in zip(zip(first, second), weights):
+        cells[cell] = cells.get(cell, 0) + weight
     tables = []
     layouts = []
     for player in range(len(structure.partitions)):
+        blocks = [entry for entry in weighed if entry[0] == player]
+        members = [[] for _ in blocks]
+        for cell in cells:
+            members[cell[player]].append(cell)
         table = [scale]
         layout = []
-        for _, block, weight, on_target in sorted(
-            (entry for entry in weighed if entry[0] == player), key=lambda entry: len(entry[1])
-        ):
+        for (_, _, weight, on_target), own in sorted(zip(blocks, members), key=lambda pair: len(pair[1])):
             sums = [0]
-            for state in block:
-                sums += [inside + weights[state] for inside in sums]
+            for cell in own:
+                sums += [inside + cells[cell] for inside in sums]
             factor = scale // weight
             values = [scale] + [(inside if inside < on_target else on_target) * factor for inside in sums[1:]]
             table = [x if x < y else y for y in values for x in table]
-            layout += block
+            layout += own
         tables.append(table)
         layouts.append(layout)
-    first, second = tables
+    own_table, other_table = tables
     layout, other_layout = layouts
-    # The index in player 1's layout of each event of player 0's, by doubling
-    # over player 0's states: bit i of player 0's index holds layout[i].
-    bit_of = {state: 1 << position for position, state in enumerate(other_layout)}
+    # The index in player 1's layout of each union of player 0's, by doubling
+    # over player 0's cells: bit i of player 0's index holds layout[i].
+    bit_of = {cell: 1 << position for position, cell in enumerate(other_layout)}
     aligned = [0]
-    for state in layout:
-        bit = bit_of[state]
+    for cell in layout:
+        bit = bit_of[cell]
         aligned += [index | bit for index in aligned]
-    level = [one if one < other else other for one, other in zip(first, map(second.__getitem__, aligned))]
+    level = [one if one < other else other for one, other in zip(own_table, map(other_table.__getitem__, aligned))]
     # Fold the top bit away one at a time: the top half of what is left is the
-    # events holding that bit's state, and the max of the halves carries the rest
-    # down.  level[0], the empty event, is K but lies in no top half.
-    best = [0] * len(layout)
+    # unions holding that bit's cell, and the max of the halves carries the rest
+    # down.  level[0], the empty union, is K but lies in no top half.
+    best = {}
     for position in reversed(range(len(layout))):
         half = 1 << position
         best[layout[position]] = max(level[half:])
         level = [low if low > high else high for low, high in zip(level[:half], level[half:])]
-    return {(player, block): Fraction(max(best[s] for s in block), scale) for player, block, _, _ in weighed}
+    return {
+        (player, block): Fraction(max(best[first[s], second[s]] for s in block), scale)
+        for player, block, _, _ in weighed
+    }
 
 
 def brute_force_common_p_belief(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Fraction:
-    """Definitional answer by exhaustive scan over every nonempty event.
+    """Definitional answer by exhaustive scan over every union of cells.
 
     An event E supports level p exactly when p <= level(E) and the player's
     belief in E is >= p.  Every block meeting E believes E at least at
     level(E), and a block missing E believes it at 0, so the answer is the
-    max of level(E) over the events E meeting the player's block (see
-    `_block_answers`).  Exponential in the state count; capped at 12 states.
+    max of level(E) over the events E meeting the player's block.  Each
+    event's cell closure meets the same blocks at no lower level, so the max
+    is reached on a union of cells (see `_block_answers`).  Exponential in
+    the cell count; capped at 12 states.
     The cap, then a bad target, raise `ValueError`, before a bad player or
     state raises `IndexError`, in the engine's order.
     """

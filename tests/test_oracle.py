@@ -275,6 +275,52 @@ def assert_table_matches_reference(structure, target):
         assert _block_answers.__wrapped__(structure, event) == reference_block_answers(structure, event)
 
 
+def literal_level(structure, target, event):
+    """level(E), from the measures: the least min(mu(E | B), mu(T | B)) over the
+    blocks B of either player that meet E."""
+    measures = structure.space.measures
+
+    def mu(states):
+        return sum((measures[s] for s in states), Fraction(0))
+
+    return min(
+        min(mu(event & block), mu(target & block)) / mu(block)
+        for partition in structure.partitions
+        for block in partition.blocks
+        if event & block
+    )
+
+
+def met_blocks(structure, event):
+    """The (player, block) pairs whose block meets `event`."""
+    return {
+        (player, block)
+        for player, partition in enumerate(structure.partitions)
+        for block in partition.blocks
+        if block & event
+    }
+
+
+def cell_closure(structure, event):
+    """Every state of every cell that `event` meets, a cell being one block of each player intersected."""
+    first, second = ({s: block for block in partition.blocks for s in block} for partition in structure.partitions)
+    return frozenset().union(*(first[s] & second[s] for s in event))
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_the_cell_closure_dominates_the_event(size):
+    """The lemma behind `_block_answers`: the cell closure of an event holds it,
+    meets the same blocks, and has at least its level."""
+    for seed in range(6):
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=size))
+        for mask in range(1, 1 << size):
+            event = frozenset(s for s in range(size) if mask >> s & 1)
+            closure = cell_closure(structure, event)
+            assert event <= closure
+            assert met_blocks(structure, closure) == met_blocks(structure, event)
+            assert literal_level(structure, target, closure) >= literal_level(structure, target, event)
+
+
 class TestBlockAnswers:
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
     @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
@@ -324,6 +370,29 @@ class TestBlockAnswers:
             drawn, target = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
             assert_table_matches_reference(InformationStructure(drawn.space, partitions), target)
 
+    def test_a_target_that_splits_cells(self):
+        # Four cells of two states each: {0, 1}, {2, 3}, {4, 5} and {6, 7}; the
+        # target holds one state of each, and events of half a cell too.
+        partitions = (
+            Partition.from_labels((0, 0, 0, 0, 1, 1, 1, 1)),
+            Partition.from_labels((0, 0, 1, 1, 1, 1, 2, 2)),
+        )
+        for seed in range(6):
+            drawn, _ = random_structure(RandomStructureConfig(seed=seed, num_states=8))
+            structure = InformationStructure(drawn.space, partitions)
+            for target in (frozenset({0, 2, 4, 6}), frozenset({1, 2, 3, 5}), frozenset({7})):
+                assert_table_matches_reference(structure, target)
+
+    @pytest.mark.parametrize("finer", [0, 1])
+    def test_one_partition_refines_the_other(self, finer):
+        # The cells are then the finer partition's blocks.
+        coarse = Partition.from_labels((0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 3))
+        fine = Partition.from_labels((0, 1, 1, 2, 2, 3, 4, 4, 5, 6, 6, 6))
+        partitions = (fine, coarse) if finer == 0 else (coarse, fine)
+        for seed in range(3):
+            drawn, target = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
+            assert_table_matches_reference(InformationStructure(drawn.space, partitions), target)
+
     def test_exact_where_the_common_scale_is_large(self):
         # Distinct prime denominators make the block weights' lcm, the table's
         # one integer scale, far wider than any single weight.
@@ -350,7 +419,7 @@ class TestBlockAnswers:
 
     @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
     def test_relabeling_the_states_relabels_the_answers(self, size):
-        # The table lays each player's states out block by block, smallest first,
+        # The table lays each player's cells out block by block, fewest cells first,
         # so a relabeling moves every block to other bits; the answers must follow.
         for seed in range(12):
             structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=size))

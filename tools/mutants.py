@@ -214,8 +214,20 @@ MUTANTS = (
     Mutant(
         "oracle._block_answers reads player 1's table without the alignment permutation",
         "src/epicoord/oracle.py",
-        "zip(first, map(second.__getitem__, aligned))",
-        "zip(first, second)",
+        "zip(own_table, map(other_table.__getitem__, aligned))",
+        "zip(own_table, other_table)",
+    ),
+    Mutant(
+        "oracle cells keyed on player 0's block only",
+        "src/epicoord/oracle.py",
+        "zip(zip(first, second), weights)",
+        "zip(zip(first, first), weights)",
+    ),
+    Mutant(
+        "a cell weighs only its first state",
+        "src/epicoord/oracle.py",
+        "cells[cell] = cells.get(cell, 0) + weight",
+        "cells.setdefault(cell, weight)",
     ),
     Mutant(
         "_build_ladder drops tied blocks",
