@@ -14,17 +14,20 @@ conditional belief in an event at a state, `min_belief` (the weakest of both
 players' beliefs in an event and in the target), an event's
 `evidence_level`, the strict `super_p_evident` fixpoint, and the weak checks
 `is_p_evident` and `is_c_indicating`.  Two independent routes to common
-p-belief are provided — an exhaustive scan over every union of cells
-(exponential, capped at 12 states) and a candidate-level fixed-point search
+p-belief are provided — an exhaustive scan over every union of cells in
+each meet component (exponential in the largest component's cell count,
+capped at 12 states) and a candidate-level fixed-point search
 (polynomial, usable on larger spaces) — and they are required to agree with
 each other.  A cell is the set of states that share both players' blocks.
 An event's cell closure, every state of every cell it meets, meets the same
-blocks at no lower level (see `_block_answers`), so the exhaustive scan
-computes the level of every union of cells from its definition and drops no
-case.  It lays each player's cells out block by block, so that a player's
-level table over the unions is the min-product of one small value table per
-block, built one block at a time in a list comprehension rather than by
-visiting the blocks union by union.
+blocks at no lower level, and a union of cells is no higher than its part
+inside any one meet component, the cells linked through shared blocks (see
+`_block_answers`).  So the exhaustive scan computes, component by component,
+the level of every union of the component's cells from its definition and
+drops no case.  It lays each player's cells out block by block, so that a
+player's level table over the unions is the min-product of one small value
+table per block, built one block at a time in a list comprehension rather
+than by visiting the blocks union by union.
 """
 
 from __future__ import annotations
@@ -180,12 +183,13 @@ def is_c_indicating(structure: InformationStructure, event: Event, target: Event
 
 
 # One entry: callers query one structure at a time, and the table is built by
-# a pass over every union of cells, so it is worth keeping for the 2n queries.
+# a pass over every union of cells in each meet component, so it is worth
+# keeping for the 2n queries.
 @lru_cache(maxsize=1)
 def _block_answers(
     structure: InformationStructure, target: Event
 ) -> dict[tuple[int, frozenset[int]], Fraction]:
-    """The exhaustive answer of every (player, block), from one scan of the unions of cells.
+    """The exhaustive answer of every (player, block), from one scan of the unions of cells per meet component.
 
     level(E) is the least min(w(E & B), w(T & B)) / w(B) over the blocks B of
     either player that meet E; a block's answer is the largest level(E) over
@@ -195,10 +199,18 @@ def _block_answers(
     meets.  The closure meets exactly the blocks that E meets and weighs at
     least as much in each one, so its level is at least level(E); it holds
     every state that E holds.  So the largest level over the events that meet
-    a block is reached on a union of cells, and only those are scanned, as
-    bitmasks over the cells, each cell weighing the sum of its states.  All
-    values are integers over one scale K, the lcm of the block weights.  Per
-    player:
+    a block is reached on a union of cells.
+
+    A meet component (Aumann 1976) is a class of cells linked through shared
+    blocks of either player (`_meet_components`); every block lies inside one.
+    The parts of a union U in different components meet disjoint sets of
+    blocks, and U & B is the part inside B's component, so level(U) is the min
+    of its parts' levels: a union that holds a cell c is beaten by its part
+    inside c's component, which holds c too.  So each component is scanned on
+    its own, over the unions of its cells as bitmasks, each cell weighing the
+    sum of its states: the scan costs the sum over components of 2^(cells in
+    it), not 2^cells.  All values are integers over one scale K, the lcm of
+    the block weights.  Per component and per player:
 
     - the cells are laid out block by block, fewest cells first, so each
       block owns a contiguous run of bits and a union is one part per block;
@@ -223,61 +235,91 @@ def _block_answers(
     cells: dict[tuple[int, int], int] = {}
     for cell, weight in zip(zip(first, second), weights):
         cells[cell] = cells.get(cell, 0) + weight
-    tables = []
-    layouts = []
-    for player in range(len(structure.partitions)):
-        blocks = [entry for entry in weighed if entry[0] == player]
-        members = [[] for _ in blocks]
-        for cell in cells:
-            members[cell[player]].append(cell)
-        table = [scale]
-        layout = []
-        for (_, _, weight, on_target), own in sorted(zip(blocks, members), key=lambda pair: len(pair[1])):
-            sums = [0]
-            for cell in own:
-                sums += [inside + cells[cell] for inside in sums]
-            factor = scale // weight
-            values = [scale] + [(inside if inside < on_target else on_target) * factor for inside in sums[1:]]
-            table = [x if x < y else y for y in values for x in table]
-            layout += own
-        tables.append(table)
-        layouts.append(layout)
-    own_table, other_table = tables
-    layout, other_layout = layouts
-    # The index in player 1's layout of each union of player 0's, by doubling
-    # over player 0's cells: bit i of player 0's index holds layout[i].
-    bit_of = {cell: 1 << position for position, cell in enumerate(other_layout)}
-    aligned = [0]
-    for cell in layout:
-        bit = bit_of[cell]
-        aligned += [index | bit for index in aligned]
-    level = [one if one < other else other for one, other in zip(own_table, map(other_table.__getitem__, aligned))]
-    # Fold the top bit away one at a time: the top half of what is left is the
-    # unions holding that bit's cell, and the max of the halves carries the rest
-    # down.  level[0], the empty union, is K but lies in no top half.
+    # Each player's blocks in the partition's order, as (weight, on-target weight, cells).
+    blocks = ([], [])
+    for player, _, weight, on_target in weighed:
+        blocks[player].append((weight, on_target, []))
+    for cell in cells:
+        blocks[0][cell[0]][2].append(cell)
+        blocks[1][cell[1]][2].append(cell)
     best = {}
-    for position in reversed(range(len(layout))):
-        half = 1 << position
-        best[layout[position]] = max(level[half:])
-        level = [low if low > high else high for low, high in zip(level[:half], level[half:])]
+    for component in _meet_components(blocks):
+        tables = []
+        layouts = []
+        for own_blocks in component:
+            table = [scale]
+            layout = []
+            for weight, on_target, own in sorted(own_blocks, key=lambda entry: len(entry[2])):
+                sums = [0]
+                for cell in own:
+                    sums += [inside + cells[cell] for inside in sums]
+                factor = scale // weight
+                values = [scale] + [(inside if inside < on_target else on_target) * factor for inside in sums[1:]]
+                table = [x if x < y else y for y in values for x in table]
+                layout += own
+            tables.append(table)
+            layouts.append(layout)
+        own_table, other_table = tables
+        layout, other_layout = layouts
+        # The index in player 1's layout of each union of player 0's, by doubling
+        # over player 0's cells: bit i of player 0's index holds layout[i].
+        bit_of = {cell: 1 << position for position, cell in enumerate(other_layout)}
+        aligned = [0]
+        for cell in layout:
+            bit = bit_of[cell]
+            aligned += [index | bit for index in aligned]
+        level = [one if one < other else other for one, other in zip(own_table, map(other_table.__getitem__, aligned))]
+        # Fold the top bit away one at a time: the top half of what is left is the
+        # unions holding that bit's cell, and the max of the halves carries the rest
+        # down.  level[0], the empty union, is K but lies in no top half.
+        for position in reversed(range(len(layout))):
+            half = 1 << position
+            best[layout[position]] = max(level[half:])
+            level = [low if low > high else high for low, high in zip(level[:half], level[half:])]
     return {
-        (player, block): Fraction(max(best[first[s], second[s]] for s in block), scale)
-        for player, block, _, _ in weighed
+        (player, block): Fraction(max(map(best.__getitem__, own)), scale)
+        for (player, block, _, _), (_, _, own) in zip(weighed, blocks[0] + blocks[1])
     }
+
+
+def _meet_components(blocks):
+    """Each player's blocks, split by meet component: one pair of lists per component.
+
+    Two cells are linked when they share a block of either player, and a meet
+    component is a class of linked cells.  `blocks` holds each player's blocks
+    as (weight, on-target weight, cells), a cell being its pair of block
+    indices, so the labels come from the partitions' `block_of` rows only:
+    each player-0 block starts with its own label, and each player-1 block
+    merges the labels of the player-0 blocks its cells lie in.
+    """
+    label = list(range(len(blocks[0])))
+    for _, _, own in blocks[1]:
+        joined = {label[cell[0]] for cell in own}
+        if len(joined) > 1:
+            kept = min(joined)
+            label = [kept if mark in joined else mark for mark in label]
+    components = {mark: ([], []) for mark in label}
+    for player, row in enumerate(blocks):
+        for entry in row:
+            # A block lies in the component of its first cell's player-0 block.
+            components[label[entry[2][0][0]]][player].append(entry)
+    return components.values()
 
 
 def brute_force_common_p_belief(
     structure: InformationStructure, target: Event, player: int, state: int
 ) -> Fraction:
-    """Definitional answer by exhaustive scan over every union of cells.
+    """Definitional answer by exhaustive scan over every union of cells in each meet component.
 
     An event E supports level p exactly when p <= level(E) and the player's
     belief in E is >= p.  Every block meeting E believes E at least at
     level(E), and a block missing E believes it at 0, so the answer is the
     max of level(E) over the events E meeting the player's block.  Each
     event's cell closure meets the same blocks at no lower level, so the max
-    is reached on a union of cells (see `_block_answers`).  Exponential in
-    the cell count; capped at 12 states.
+    is reached on a union of cells, and the max over the unions holding a
+    cell on a union inside its meet component (see `_block_answers`).
+    Exponential in the cell count of the largest meet component; capped at
+    12 states.
     The cap, then a bad target, raise `ValueError`, before a bad player or
     state raises `IndexError`, in the engine's order.
     """

@@ -321,6 +321,44 @@ def test_the_cell_closure_dominates_the_event(size):
             assert literal_level(structure, target, closure) >= literal_level(structure, target, event)
 
 
+def meet_components(structure):
+    """Aumann's meet as sets of states: both players' blocks, merged wherever two overlap."""
+    components = []
+    for partition in structure.partitions:
+        for block in partition.blocks:
+            merged = set(block)
+            apart = []
+            for component in components:
+                if component & merged:
+                    merged |= component
+                else:
+                    apart.append(component)
+            components = apart + [frozenset(merged)]
+    return components
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_a_union_is_as_low_as_its_lowest_component_part(size):
+    """The lemma behind `_block_answers`' split: the parts of an event in
+    different meet components meet disjoint blocks, each only its own
+    component's, so the event's level is the least of its parts' levels."""
+    split = 0
+    for seed in range(12):
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=size))
+        components = meet_components(structure)
+        split += len(components) > 1
+        for mask in range(1, 1 << size):
+            event = frozenset(s for s in range(size) if mask >> s & 1)
+            parts = [(event & component, component) for component in components if event & component]
+            for part, component in parts:
+                assert all(block <= component for _, block in met_blocks(structure, part))
+            assert literal_level(structure, target, event) == min(
+                literal_level(structure, target, part) for part, _ in parts
+            )
+    # From three states on, some of these seeds draw more than one component.
+    assert split or size < 3
+
+
 class TestBlockAnswers:
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
     @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
@@ -393,6 +431,34 @@ class TestBlockAnswers:
             drawn, target = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
             assert_table_matches_reference(InformationStructure(drawn.space, partitions), target)
 
+    @pytest.mark.parametrize(
+        "first,second,targets",
+        [
+            # Two 6-state components: {0..5}, linked by a cycle of pairs, and {6..11}.
+            (
+                (0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4),
+                (0, 1, 1, 2, 2, 0, 3, 4, 5, 4, 5, 5),
+                (frozenset({1, 2, 4}), frozenset({6, 10}), frozenset({0, 7})),
+            ),
+            # A single cell, states 3 and 8, beside a 10-state component.
+            (
+                (0, 1, 1, 9, 0, 2, 2, 3, 9, 3, 4, 4),
+                (0, 1, 2, 9, 1, 2, 3, 3, 9, 4, 4, 4),
+                (frozenset({3}), frozenset({3, 8}), frozenset({0, 5, 11}), frozenset({5, 8})),
+            ),
+        ],
+        ids=["block-diagonal", "single-cell-beside-ten"],
+    )
+    def test_split_into_meet_components(self, first, second, targets):
+        # Every target but the last of each row lies inside one component.
+        partitions = (Partition.from_labels(first), Partition.from_labels(second))
+        for seed in range(3):
+            drawn, _ = random_structure(RandomStructureConfig(seed=seed, num_states=EXHAUSTIVE_STATE_LIMIT))
+            structure = InformationStructure(drawn.space, partitions)
+            assert len(meet_components(structure)) == 2
+            for target in targets:
+                assert_table_matches_reference(structure, target)
+
     def test_exact_where_the_common_scale_is_large(self):
         # Distinct prime denominators make the block weights' lcm, the table's
         # one integer scale, far wider than any single weight.
@@ -432,6 +498,16 @@ class TestBlockAnswers:
                 (player, frozenset(order[i] for i in block)): answer for (player, block), answer in answers.items()
             }
             assert moved_answers == reference_block_answers(moved, moved_target)
+
+    @pytest.mark.parametrize("size", range(1, EXHAUSTIVE_STATE_LIMIT + 1))
+    def test_swapping_the_partitions_swaps_the_players(self, size):
+        for seed in range(12):
+            structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=size))
+            swapped = InformationStructure(structure.space, structure.partitions[::-1])
+            answers = _block_answers.__wrapped__(structure, target)
+            assert _block_answers.__wrapped__(swapped, target) == {
+                (1 - player, block): answer for (player, block), answer in answers.items()
+            }
 
 
 def relabeled(structure, target, order):

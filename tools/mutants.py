@@ -230,6 +230,18 @@ MUTANTS = (
         "cells.setdefault(cell, weight)",
     ),
     Mutant(
+        "meet components linked through player-0 blocks only",
+        "src/epicoord/oracle.py",
+        "        if len(joined) > 1:\n",
+        "        if False:\n",
+    ),
+    Mutant(
+        "only the first component is scanned",
+        "src/epicoord/oracle.py",
+        "for component in _meet_components(blocks):",
+        "for component in list(_meet_components(blocks))[:1]:",
+    ),
+    Mutant(
         "_build_ladder drops tied blocks",
         "src/epicoord/epistemic.py",
         "            elif this == least:\n                work.append(b)\n",
