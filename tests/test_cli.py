@@ -814,3 +814,133 @@ class TestGoldenJson:
             outputs.append(result.output)
         digest = hashlib.sha256("".join(outputs).encode()).hexdigest()[:16]
         assert digest == GOLDEN_DIGESTS[group]
+
+
+def _text_invocations(group: str, csv_path: str) -> list[list[str]]:
+    """The argument lists, in order, whose exit codes and stdout one text digest covers."""
+    messenger_states = [
+        ",".join(map(str, state))
+        for state in from_world_model(builtin_messenger(Fraction(1, 4))).space.states
+    ]
+    at_every_state = [
+        ["--model", model, "--player", str(player), "--state", state]
+        for model, states in (
+            ("builtin:messenger", messenger_states),
+            ("builtin:loudspeaker", ("0,0", "0,1", "1,0", "1,1")),
+        )
+        for player in (0, 1)
+        for state in states
+    ]
+    builtins = ("builtin:messenger", "builtin:loudspeaker")
+    if group == "partition":
+        return [
+            ["--format", fmt, "partition", "--model", model, "--player", str(player)]
+            for fmt in ("table", "json")
+            for model in builtins
+            for player in (0, 1)
+        ]
+    if group == "pbelief":
+        return [["pbelief", "--event", event, *where] for event in ("x=1", "x=0") for where in at_every_state]
+    if group == "ladder":
+        return [["ladder", "--model", model, "--event", event] for model in builtins for event in ("x=1", "x=0")]
+    if group == "act":
+        settings = {
+            "rational": [["--payoffs", "1,0,3/5,1/2"]],
+            "itermax": [["--k", k, "--payoffs", "1,0,3/5,1/2"] for k in ("0", "2")],
+            "itermatch": [["--k", k] for k in ("0", "2")],
+            "cognitive": [["--payoffs", "1,0,3/5,1/2"]],
+        }
+        return [
+            ["act", "--strategy", strategy, *setting, *where]
+            for strategy in ("rational", "matched", "itermax", "itermatch", "cognitive", "private", "pair")
+            for setting in settings.get(strategy, [[]])
+            for where in at_every_state
+        ]
+    if group == "verify":
+        return [
+            ["verify", "--model", model, "--delta", delta, "--payoffs", payoffs]
+            for model in builtins
+            for delta in ("1/4", "19/20")
+            for payoffs in GOLDEN_PAYOFFS
+        ]
+    human = ["--human", csv_path]
+    if group == "compare":
+        return [
+            ["--format", fmt, "compare", *human, *extra]
+            for fmt in ("table", "csv")
+            for extra in ([], ["--delta", "3/5", "--payoffs", "1,0,3/5,1/2"])
+        ]
+    if group == "sweep":
+        return [
+            ["--format", fmt, "sweep", *human, *extra]
+            for fmt in ("table", "csv")
+            for extra in ([], ["--grid", "1/7:1/9:6/7"])
+        ]
+    messenger = ["--model", "builtin:messenger", "--player", "0", "--state", "1,1,0,1,0"]
+    return [
+        ["pbelief", "--model", "builtin:nowhere", "--player", "0", "--state", "1,1"],
+        ["ladder", "--model", "missing.json"],
+        ["ladder", "--model", csv_path],
+        ["pbelief", "--event", "y=1", *messenger],
+        ["pbelief", "--model", "builtin:messenger", "--player", "0", "--state", "1,2"],
+        ["pbelief", "--model", "builtin:messenger", "--player", "0", "--state", "0,0,0,0,1"],
+        ["act", "--strategy", "itermax", *messenger],
+        ["act", "--strategy", "rational", "--payoffs", "1,0,2,0", *messenger],
+        ["verify", "--model", "builtin:messenger", "--payoffs", "1,0"],
+        ["--format", "csv", "ladder", "--model", "builtin:messenger"],
+        ["--format", "json", "compare", "--human", csv_path + ".missing"],
+        ["compare", "--human", csv_path, "--out", "no/such.csv"],
+    ]
+
+
+# sha256 prefixes of each run's exit code, stdout and stderr, joined, captured
+# before every command shared one model loader and one printer: the table and
+# CSV bytes, partition's JSON and the refusals must not change.
+TEXT_DIGESTS = {
+    "partition": "56c4615085c810e4",
+    "pbelief": "bca518eba8a3cdc7",
+    "ladder": "595034c5f2a1f3b5",
+    "act": "150ffa42f5142aff",
+    "verify": "cfbfc776a5e56bd7",
+    "compare": "6de1a0e9adfbb0e2",
+    "sweep": "776a79a98f2ba618",
+    "refusals": "38e1dcdd4a81e8c5",
+}
+
+
+def _runs_digest(results) -> str:
+    return hashlib.sha256("".join(f"{r.exit_code}\n{r.stdout}\n{r.stderr}" for r in results).encode()).hexdigest()[:16]
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("group", sorted(TEXT_DIGESTS))
+    def test_text_output_is_byte_identical(self, runner, tmp_path, monkeypatch, group):
+        # Relative paths, so that no refusal names the temporary directory.
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path)
+        results = [runner.invoke(cli, args) for args in _text_invocations(group, "human.csv")]
+        assert _runs_digest(results) == TEXT_DIGESTS[group]
+
+    def test_verify_fail_is_byte_identical(self, runner, monkeypatch):
+        violations = (
+            Violation(0, 2, (1, 0, 0, 0, 0), Action.B, Fraction(3, 20)),
+            Violation(1, 3, (1, 1, 0, 1, 0), Action.A, Fraction(1, 8)),
+        )
+        monkeypatch.setattr(game, "verify_equilibrium", lambda instance: EquilibriumReport(True, None, violations))
+        results = [
+            runner.invoke(cli, ["--format", fmt, "verify", "--model", "builtin:messenger", "--payoffs", "1.1,0,1,0.4"])
+            for fmt in ("table", "json")
+        ]
+        assert [r.exit_code for r in results] == [1, 1]
+        assert _runs_digest(results) == "7a7e010589bfb830"
+
+    def test_out_file_bytes_are_byte_identical(self, runner, tmp_path):
+        csv_path = str(write_csv(tmp_path))
+        written = []
+        for command in ("compare", "sweep"):
+            for fmt in ("table", "json", "csv"):
+                out = tmp_path / f"{command}-{fmt}.out"
+                result = runner.invoke(cli, ["--format", fmt, command, "--human", csv_path, "--out", str(out)])
+                assert (result.exit_code, result.stdout) == (0, "")
+                written.append(out.read_bytes())
+        assert hashlib.sha256(b"".join(written)).hexdigest()[:16] == "61b0b2d76fa5888c"
