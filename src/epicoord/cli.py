@@ -4,6 +4,9 @@ Subcommands: partition (information sets), pbelief (perceived maximal common
 belief), ladder (the nested evident events), act (strategy evaluation), verify
 (equilibrium check), compare (model table vs. observed data), sweep (agent
 marginal value across risk levels), and fuzz (engine vs. an oracle).
+Each model is read by one loader, `_load` (the structure and its target event),
+and each result is printed by one printer, `_print` (the JSON payload under
+`--format json`, else the command's text renderer; to stdout or `--out`).
 Exact rationals are printed as p/q everywhere; human tables add a decimal
 rendering alongside.
 """
@@ -27,14 +30,16 @@ _PAYOFF_STRATEGIES = {"rational", "itermax", "cognitive"}
 _BUILTINS = {"builtin:messenger": worldmodel.builtin_messenger, "builtin:loudspeaker": worldmodel.builtin_loudspeaker}
 
 
-def _load_model(model: str, delta: str) -> tuple[worldmodel.WorldModelSpec, epistemic.InformationStructure]:
+def _load(model: str, delta: str, predicate: str = "x=1") -> tuple[epistemic.InformationStructure, frozenset[int]]:
+    """The structure of `--model` and the event where `predicate` holds in it; every model declares x."""
     if model in _BUILTINS:
         spec = _BUILTINS[model](parse_rational(delta))
     elif model.startswith("builtin:"):
         raise ValueError(f"unknown builtin model {model!r}: choose {' or '.join(_BUILTINS)}")
     else:
         spec = worldmodel.load_spec(Path(model))
-    return spec, epistemic.from_world_model(spec)
+    structure = epistemic.from_world_model(spec)
+    return structure, worldmodel.event_where(spec, structure.space, worldmodel.parse_event_predicate(predicate))
 
 
 def _state_index(structure: epistemic.InformationStructure, text: str) -> int:
@@ -42,10 +47,6 @@ def _state_index(structure: epistemic.InformationStructure, text: str) -> int:
     if any(part not in ("0", "1") for part in parts):
         raise click.ClickException(f"state must be comma-separated bits, got {text!r}")
     return structure.space.index_of(tuple(int(part) for part in parts))
-
-
-def _event_from(spec, space, predicate: str) -> frozenset[int]:
-    return worldmodel.event_where(spec, space, worldmodel.parse_event_predicate(predicate))
 
 
 def _state_text(state: worldmodel.State) -> str:
@@ -60,18 +61,15 @@ def _table_cell(value: Fraction) -> str:
     return f"{format_rational(value)} ({float(value):.6g})"
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header), *(len(row[i]) for row in rows)) if rows else len(header)
-        for i, header in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _violation_text(v: dict) -> str:
+    return f"player={v['player']} state={_state_text(v['state'])} chosen={v['chosen']} gap={v['gap']}"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _print(fmt: str, payload, render, out: str | None = None, indent: int | None = 2) -> None:
+    """Print a command's result: `payload` as JSON under `--format json`, else
+    the text `render()` returns, which is called only then.  To the file `out`
+    when one is given, else to stdout."""
+    text = json.dumps(payload, indent=indent) if fmt == "json" else render()
     if out is None:
         click.echo(text)
     else:
@@ -134,17 +132,13 @@ _out = click.option("--out", default=None, help="Write the output to a file inst
 @_player
 def partition(fmt, model, delta, player):
     """Print one information set per line as sorted state tuples."""
-    spec, structure = _load_model(model, delta)
-    blocks = [
-        sorted(structure.space.states[index] for index in block)
-        for block in structure.partitions[player].blocks
-    ]
-    blocks.sort(key=lambda states: states[0])
-    if fmt == "json":
-        click.echo(json.dumps({"blocks": [[list(s) for s in block] for block in blocks]}, indent=2))
-        return
-    for block in blocks:
-        click.echo(" ".join(_state_text(state) for state in block))
+    structure, _ = _load(model, delta)
+    # States are indexed in lexicographic order, so sorted indices give sorted tuples.
+    states = structure.space.states
+    blocks = sorted(
+        [states[index] for index in sorted(block)] for block in structure.partitions[player].blocks
+    )
+    _print(fmt, {"blocks": blocks}, lambda: "\n".join(" ".join(map(_state_text, block)) for block in blocks))
 
 
 @_command("table", "json")
@@ -155,14 +149,10 @@ def partition(fmt, model, delta, player):
 @_state
 def pbelief(fmt, model, delta, predicate, player, state):
     """Perceived maximal common belief in the event at a state."""
-    spec, structure = _load_model(model, delta)
-    target = _event_from(spec, structure.space, predicate)
+    structure, target = _load(model, delta, predicate)
     index = _state_index(structure, state)
     value = epistemic.common_p_belief(structure, target, player, index)
-    if fmt == "json":
-        click.echo(json.dumps({"value": format_rational(value)}))
-        return
-    click.echo(_rational_with_decimal(value))
+    _print(fmt, {"value": format_rational(value)}, lambda: _rational_with_decimal(value), indent=None)
 
 
 @_command("table", "json")
@@ -171,23 +161,17 @@ def pbelief(fmt, model, delta, predicate, player, state):
 @_event
 def ladder(fmt, model, delta, predicate):
     """The nested maximally evident events with their evidence levels."""
-    spec, structure = _load_model(model, delta)
-    target = _event_from(spec, structure.space, predicate)
-    rungs = epistemic.evident_ladder(structure, target).rungs
-    if fmt == "json":
-        payload = [
-            {
-                "level": format_rational(rung.level),
-                "members": [list(structure.space.states[i]) for i in sorted(rung.event)],
-            }
-            for rung in rungs
-        ]
-        click.echo(json.dumps({"rungs": payload}, indent=2))
-        return
-    for rung in rungs:
-        members = sorted(structure.space.states[i] for i in rung.event)
-        rendered = ",".join(_state_text(state) for state in members)
-        click.echo(f"level={format_rational(rung.level)}  members=[{rendered}]")
+    structure, target = _load(model, delta, predicate)
+    states = structure.space.states
+    rungs = [
+        {"level": format_rational(rung.level), "members": [states[i] for i in sorted(rung.event)]}
+        for rung in epistemic.evident_ladder(structure, target).rungs
+    ]
+
+    def render() -> str:
+        return "\n".join(f"level={r['level']}  members=[{','.join(map(_state_text, r['members']))}]" for r in rungs)
+
+    _print(fmt, {"rungs": rungs}, render)
 
 
 @_command("table", "json")
@@ -202,16 +186,15 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
     """Evaluate one strategy at a state: an action, or an exact probability of A."""
     if strategy in _PAYOFF_STRATEGIES and payoffs is None:
         raise click.UsageError(f"--payoffs is required for strategy {strategy}")
-    spec, structure = _load_model(model, delta)
-    target = worldmodel.x_event(spec, structure.space)
+    structure, target = _load(model, delta)
     index = _state_index(structure, state)
     params = game.PayoffParams.parse(payoffs) if payoffs is not None else None
     result = experiments.play(strategy, structure, target, params, level, player, index)
     if isinstance(result, game.Action):
-        payload, text = {"action": result.value}, result.value
+        payload, render = {"action": result.value}, lambda: result.value
     else:
-        payload, text = {"prob_a": format_rational(result)}, _rational_with_decimal(result)
-    click.echo(json.dumps(payload) if fmt == "json" else text)
+        payload, render = {"prob_a": format_rational(result)}, lambda: _rational_with_decimal(result)
+    _print(fmt, payload, render, indent=None)
 
 
 @_command("table", "json")
@@ -220,43 +203,25 @@ def act(fmt, strategy, level, payoffs, model, delta, player, state):
 @click.option("--payoffs", required=True)
 def verify(fmt, model, delta, payoffs):
     """Check the threshold strategy profile for profitable deviations."""
-    spec, structure = _load_model(model, delta)
-    instance = game.GameInstance(structure, game.PayoffParams.parse(payoffs), worldmodel.x_event(spec, structure.space))
-    report = game.verify_equilibrium(instance)
+    structure, target = _load(model, delta)
+    report = game.verify_equilibrium(game.GameInstance(structure, game.PayoffParams.parse(payoffs), target))
     if not report.applicable:
         status = "N-A"
     elif report.violations:
         status = "FAIL"
     else:
         status = "PASS"
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "status": status,
-                    "reason": report.reason,
-                    "violations": [
-                        {
-                            "player": v.player,
-                            "state": list(v.state),
-                            "chosen": v.chosen.value,
-                            "gap": format_rational(v.gap),
-                        }
-                        for v in report.violations
-                    ],
-                },
-                indent=2,
-            )
-        )
-    elif status == "N-A":
-        click.echo(f"N-A: {report.reason}")
-    else:
-        click.echo(status)
-        for v in report.violations:
-            click.echo(
-                f"player={v.player} state={_state_text(v.state)} "
-                f"chosen={v.chosen.value} gap={format_rational(v.gap)}"
-            )
+    violations = [
+        {"player": v.player, "state": v.state, "chosen": v.chosen.value, "gap": format_rational(v.gap)}
+        for v in report.violations
+    ]
+
+    def render() -> str:
+        if status == "N-A":
+            return f"N-A: {report.reason}"
+        return "\n".join([status, *map(_violation_text, violations)])
+
+    _print(fmt, {"status": status, "reason": report.reason, "violations": violations}, render)
     if status == "FAIL":
         click.get_current_context().exit(1)
 
@@ -269,48 +234,38 @@ def verify(fmt, model, delta, payoffs):
 def compare(fmt, human_path, delta, payoffs, out):
     """Per-model predictions, fitted recursion depths, and mean squared error."""
     human = experiments.HumanData.from_csv(human_path)
-    conditions = experiments.knowledge_conditions(parse_rational(delta))
+    delta = parse_rational(delta)
+    conditions = experiments.knowledge_conditions(delta)
     params = game.PayoffParams.parse(payoffs)
     fits = experiments.compare_models(conditions, params, human)
-    if fmt == "json":
-        payload = {
-            "delta": format_rational(parse_rational(delta)),
-            "payoffs": {k: format_rational(getattr(params, k)) for k in ("a", "b", "c", "d")},
-            "models": [
-                {
-                    "model": fit.kind.value,
-                    "level": fit.level,
-                    "predictions": {
-                        name: format_rational(fit.table.probs[name])
-                        for name in experiments.CONDITION_NAMES
-                    },
-                    "mse": format_rational(fit.error),
-                }
-                for fit in fits
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), out)
-        return
-    if fmt == "csv":
-        lines = [",".join(["model", "level", *experiments.CONDITION_NAMES, "mse"])]
+    payload = {
+        "delta": format_rational(delta),
+        "payoffs": {k: format_rational(getattr(params, k)) for k in ("a", "b", "c", "d")},
+        "models": [
+            {
+                "model": fit.kind.value,
+                "level": fit.level,
+                "predictions": {name: format_rational(fit.table.probs[name]) for name in experiments.CONDITION_NAMES},
+                "mse": format_rational(fit.error),
+            }
+            for fit in fits
+        ],
+    }
+
+    def render() -> str:
+        names = experiments.CONDITION_NAMES
+        csv = fmt == "csv"
+        cell = format_rational if csv else _table_cell
+        rows = [["model", "level" if csv else "k", *names, "mse"]]
         for fit in fits:
-            level = "" if fit.level is None else str(fit.level)
-            cells = [format_rational(fit.table.probs[name]) for name in experiments.CONDITION_NAMES]
-            lines.append(",".join([fit.kind.value, level, *cells, format_rational(fit.error)]))
-        _emit("\n".join(lines), out)
-        return
-    headers = ["model", "k", *experiments.CONDITION_NAMES, "mse"]
-    rows = []
-    for fit in fits:
-        rows.append(
-            [
-                fit.kind.value,
-                "-" if fit.level is None else str(fit.level),
-                *(_table_cell(fit.table.probs[name]) for name in experiments.CONDITION_NAMES),
-                _table_cell(fit.error),
-            ]
-        )
-    _emit(_render_table(headers, rows), out)
+            level = ("" if csv else "-") if fit.level is None else str(fit.level)
+            rows.append([fit.kind.value, level, *(cell(fit.table.probs[name]) for name in names), cell(fit.error)])
+        if csv:
+            return "\n".join(map(",".join, rows))
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+
+    _print(fmt, payload, render, out)
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -345,22 +300,20 @@ def sweep(fmt, human_path, delta, grid_text, out):
     human = experiments.HumanData.from_csv(human_path)
     conditions = experiments.knowledge_conditions(parse_rational(delta))
     result = experiments.human_agent_sweep(grid, conditions, human)
-    if fmt == "json":
-        payload = {
-            "grid": [format_rational(p) for p in result.grid],
-            "values": {
-                strategy.value: [format_rational(v) for v in values]
-                for strategy, values in result.values.items()
-            },
-        }
-        _emit(json.dumps(payload, indent=2), out)
-        return
-    lines = ["p_star,strategy,marginal_value"]
-    for position, p_star in enumerate(result.grid):
-        for strategy in experiments.SWEEP_STRATEGIES:
-            value = result.values[strategy][position]
-            lines.append(f"{format_rational(p_star)},{strategy.value},{format_rational(value)}")
-    _emit("\n".join(lines), out)
+    payload = {
+        "grid": [format_rational(p) for p in result.grid],
+        "values": {
+            strategy.value: [format_rational(v) for v in values]
+            for strategy, values in result.values.items()
+        },
+    }
+
+    def render() -> str:
+        values = payload["values"]
+        rows = [f"{p_star},{name},{values[name][i]}" for i, p_star in enumerate(payload["grid"]) for name in values]
+        return "\n".join(["p_star,strategy,marginal_value", *rows])
+
+    _print(fmt, payload, render, out)
 
 
 @_command("table")
@@ -392,7 +345,7 @@ def fuzz(fmt, seeds, states):
                             "actual": format_rational(actual),
                         }
                     )
-                    click.echo(json.dumps(dump, indent=2))
+                    _print("json", dump, None)
                     click.get_current_context().exit(1)
     click.echo(f"fuzz: {seeds} seeds x {states} states: engine matches the oracle exactly")
 

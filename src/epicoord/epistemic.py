@@ -73,11 +73,12 @@ def _entry(rows, player: int, state: int):
     """`rows[player][state]`, for two rows of equal length, one per player.
 
     A bad player, then a bad state (a negative one too), raises `IndexError`
-    before any row is read, so no index wraps to another entry.
+    before any row is read, so no index wraps to another entry.  A `bool` is
+    an int to Python, but neither a player nor a state.
     """
-    if player not in (0, 1):
+    if player not in (0, 1) or player is True or player is False:
         raise IndexError(f"player must be 0 or 1, got {player}")
-    if not 0 <= state < len(rows[0]):
+    if not 0 <= state < len(rows[0]) or state is True or state is False:
         raise IndexError(f"state index {state} out of range 0..{len(rows[0]) - 1}")
     return rows[player][state]
 
@@ -413,7 +414,8 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     except (KeyError, TypeError):
         answers = evident_ladder(structure, target).answers
     # `_entry`'s check inline, and `_entry` only to raise: a call on every query costs ladder-large ops/s.
-    if player in (0, 1) and 0 <= state < len(answers[0]):
+    # Only an exact int takes this path, so a `bool` (and any other int type) goes through `_entry`.
+    if type(player) is int and type(state) is int and player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]
     return _entry(answers, player, state)
 

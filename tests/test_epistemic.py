@@ -274,6 +274,33 @@ class TestCommonPBelief:
         with pytest.raises(ValueError, match="target event"):
             common_p_belief(loudspeaker, frozenset({len(loudspeaker)}), 2, -1)
 
+    # Every (player, state) read of the engine and both oracles.
+    READS = {
+        "common_p_belief": common_p_belief,
+        "block": lambda structure, target, player, state: structure.block(player, state),
+        "matched_policy.prob": lambda structure, target, *where: matched_policy(structure, target).prob(*where),
+        "iterated_matching": lambda structure, target, *where: iterated_matching(structure, target, 0, *where),
+        "brute_force_common_p_belief": brute_force_common_p_belief,
+        "fixedpoint_common_p_belief": fixedpoint_common_p_belief,
+    }
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize(
+        "player,state,message",
+        [
+            (True, 1, "player must be 0 or 1, got True"),
+            (False, 1, "player must be 0 or 1, got False"),
+            (1, True, "state index True out of range 0..5"),
+            (0, False, "state index False out of range 0..5"),
+        ],
+    )
+    def test_a_bool_is_no_player_or_state(self, read, player, state, message):
+        # True == 1 and False == 0, so a bool would otherwise read the int's entry.
+        structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
+        self.READS[read](structure, target, int(player), int(state))
+        with pytest.raises(IndexError, match=re.escape(message)):
+            self.READS[read](structure, target, player, state)
+
 
 class TestEvidentLadder:
     def test_loudspeaker_rungs(self, loudspeaker, loudspeaker_target):

@@ -140,8 +140,20 @@ MUTANTS = (
     Mutant(
         "_entry lets a negative state wrap to the end of the row",
         "src/epicoord/epistemic.py",
-        "if not 0 <= state < len(rows[0]):",
-        "if not state < len(rows[0]):",
+        "if not 0 <= state < len(rows[0]) or state is True or state is False:",
+        "if not state < len(rows[0]) or state is True or state is False:",
+    ),
+    Mutant(
+        "_entry takes a bool for a player",
+        "src/epicoord/epistemic.py",
+        "if player not in (0, 1) or player is True or player is False:",
+        "if player not in (0, 1):",
+    ),
+    Mutant(
+        "common_p_belief's inline check takes a bool for a player or a state",
+        "src/epicoord/epistemic.py",
+        "if type(player) is int and type(state) is int and player in (0, 1)",
+        "if player in (0, 1)",
     ),
     Mutant(
         "_build_ladder keeps a companion block at the level",
@@ -288,6 +300,24 @@ MUTANTS = (
         "src/epicoord/experiments.py",
         "    kind = ModelKind(kind)\n    probs: dict[str, Fraction] = {}\n",
         "    probs: dict[str, Fraction] = {}\n",
+    ),
+    Mutant(
+        "_load ignores the event predicate",
+        "src/epicoord/cli.py",
+        "worldmodel.parse_event_predicate(predicate)",
+        'worldmodel.parse_event_predicate("x=1")',
+    ),
+    Mutant(
+        "the printer writes to stdout when --out is given",
+        "src/epicoord/cli.py",
+        "    if out is None:\n        click.echo(text)\n",
+        "    if True:\n        click.echo(text)\n",
+    ),
+    Mutant(
+        "pbelief prints indented JSON",
+        "src/epicoord/cli.py",
+        "lambda: _rational_with_decimal(value), indent=None)",
+        "lambda: _rational_with_decimal(value))",
     ),
     Mutant(
         "_check_payoffs accepts None",
