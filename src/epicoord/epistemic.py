@@ -30,11 +30,12 @@ with no epsilons, because weak-vs-strict inequality is load-bearing.
 
 A belief depends on the state only through the information set, so the
 ladder is one integer peel over blocks, from the full space to empty, that
-removes each state once (`_build_ladder`).  It keeps the rung at which each
-block loses its last survivor and builds each player's row of answers from
-that record, so a `common_p_belief` query is one memo read and one row
-lookup.  The per-state definitions the peel is checked against live in
-`oracle`, which reads none of these tables.
+removes each state once and picks each rung's blocks from a heap of their
+floor keys (`_build_ladder`).  It keeps the rung at which each block loses
+its last survivor and builds each player's row of answers from that record,
+so a `common_p_belief` query is one memo read and one row lookup.  The
+per-state definitions the peel is checked against live in `oracle`, which
+reads none of these tables.
 
 Every public query reads each event or target argument once, at entry,
 through `InformationStructure._event`, which freezes any iterable of state
@@ -47,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 
 from .worldmodel import (
     Partition,
@@ -62,10 +64,11 @@ Event = frozenset[int]
 # tables (`_remember`), and by `from_world_model`'s cache, keyed on a whole model.
 CACHE_SIZE = 64
 
-# Bits of the floor key the ladder's peel keeps per block, read when a ladder is
-# built.  Any width gives the same answers; at 62 bits two distinct beliefs share
-# a key only when block totals reach 2**31, so each rung's exact comparison
-# almost always sees exact ties alone.
+# Bits of the floor key the ladder's peel keeps per block in its heap, read when a
+# ladder is built.  Any width gives the same answers: blocks that share the least
+# key are compared exactly, and the losers go back on the heap.  At 62 bits two
+# distinct beliefs share a key only when block totals reach 2**31, so a rung
+# almost never pushes a loser back.
 _KEY_BITS = 62
 
 
@@ -300,23 +303,28 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     its part that still survives, so its weakest belief in the survivors and
     in the target is min(surviving, on_target) / total.  A state survives
     only while both of its blocks stay strictly above the level.  Each block
-    also keeps a floor key, that belief times 2**_KEY_BITS rounded down, or
-    `dead`, above every belief's key, once no member survives: a smaller key
-    means a strictly smaller belief, and equal beliefs share a key.
+    also keeps a floor key, that belief times 2**_KEY_BITS rounded down: a
+    smaller key means a strictly smaller belief, and equal beliefs share a key.
 
-    Each rung takes the least key, one C-level `min`, and compares the few
-    blocks holding it exactly, cross-multiplied: the least belief among them
-    is the survivors' evidence level, and the blocks attaining it are exactly
-    the ones failing at that level, the rung's work list.  A popped block
-    loses all its survivors; each removal lowers the surviving weight of the
-    other player's block holding the state, read from the companion row of
-    `_block_ids` (player 1's for player 0's blocks, and the other way round),
-    and only that block, if its belief fell, is checked again, queued if it
-    is now at or below the level and re-keyed if not.  The states peeled at a
-    rung are the ones whose deepest rung it is, so each state is removed
-    once, and a ladder costs O(n) integer updates plus one `min` per rung; a
-    rung that removes no state would loop forever, so it raises
-    `RuntimeError` instead.
+    The keys live in a heap of integer entries, key * B + b for block b of
+    the B blocks, so the least entry holds the least key.  `entries[b]` is
+    block b's one live entry, or -1 once no member survives; a popped entry
+    that is not its block's live entry is stale and skipped.  Each rung pops
+    the least live entry, then every live entry sharing its key, and
+    compares those few blocks exactly, cross-multiplied: the least belief
+    among them is the survivors' evidence level, and the blocks attaining it
+    are exactly the ones failing at that level, the rung's work list; the
+    others are pushed back.  A popped block loses all its survivors; each
+    removal lowers the surviving weight of the other player's block holding
+    the state, read from the companion row of `_block_ids` (player 1's for
+    player 0's blocks, and the other way round), and only that block, if its
+    belief fell, is checked again, queued if it is now at or below the level
+    and re-keyed if not, which pushes a new entry only when its entry
+    changes.  The states peeled at a rung are the ones whose deepest rung it
+    is, so each state is removed once and pushes at most one entry, and a
+    ladder costs O((n + blocks) log blocks), plus one push per loser of a
+    shared key, which at 62 bits needs block totals of 2**31.  A rung that
+    removes no state would loop forever, so it raises `RuntimeError` instead.
 
     The peel records, in `died`, the rung at which each block loses its last
     survivor, where the block is popped or where its companions' removals
@@ -329,32 +337,48 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     """
     on_target, total = structure._block_weights(target), structure._totals
     weights, blocks, block_ids = structure._weights, structure._blocks, structure._block_ids
-    first_count = len(structure.partitions[0].blocks)
+    first_count, count = len(structure.partitions[0].blocks), len(blocks)
     bits = _KEY_BITS
-    dead = (1 << bits) + 1
     # Every block survives whole, so its weakest belief is its part on the target.
     surviving = list(total)
-    keys = [(on << bits) // weight for on, weight in zip(on_target, total)]
+    entries = [(on << bits) // weight * count + b for b, (on, weight) in enumerate(zip(on_target, total))]
+    heap = entries.copy()
+    heapify(heap)
     alive = bytearray(b"\x01") * len(structure)
-    died = [0] * len(blocks)
+    died = [0] * count
     levels: list[Fraction] = []
     remaining = len(structure)
     while remaining:
         rung = len(levels)
-        least_key = min(keys)
-        low, low_total, work = 1, 1, []
-        b = -1
-        for _ in range(keys.count(least_key)):
-            b = keys.index(least_key, b + 1)
+        # The least live entry holds the least key; every live entry below `limit` shares it.
+        entry = heappop(heap)
+        b = entry % count
+        while entries[b] != entry:
+            entry = heappop(heap)
+            b = entry % count
+        limit = entry - b + count
+        tied = [b]
+        while heap and heap[0] < limit:
+            entry = heappop(heap)
+            b = entry % count
+            if entries[b] == entry:
+                tied.append(b)
+        low, low_total, work, losers = 1, 1, [], []
+        for b in tied:
             held = surviving[b]
             if on_target[b] < held:
                 held = on_target[b]
             # held / total[b] against low / low_total, cross-multiplied.
             this, least = held * low_total, low * total[b]
             if this < least:
+                losers += work
                 low, low_total, work = held, total[b], [b]
             elif this == least:
                 work.append(b)
+            else:
+                losers.append(b)
+        for b in losers:
+            heappush(heap, entries[b])
         removed = 0
         while work:
             b = work.pop()
@@ -372,13 +396,16 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
                     # stays above the level or is queued already.
                     if surviving[other] < on_target[other]:
                         if not surviving[other]:
-                            keys[other] = dead
+                            entries[other] = -1
                             died[other] = rung
                         elif surviving[other] * low_total <= low * total[other]:
                             work.append(other)
                         else:
-                            keys[other] = (surviving[other] << bits) // total[other]
-            keys[b] = dead
+                            entry = (surviving[other] << bits) // total[other] * count + other
+                            if entry != entries[other]:
+                                entries[other] = entry
+                                heappush(heap, entry)
+            entries[b] = -1
             died[b] = rung
         level = Fraction(low, low_total)
         if not removed:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import random
 import re
 import weakref
@@ -90,6 +91,44 @@ def definitional_rungs(structure, target):
         rungs.append(LadderRung(event, level))
         event = literal_super_p_evident(structure, event, target, level)
     return tuple(rungs)
+
+
+def literal_block_peel(structure, target):
+    """(depth, levels) of the ladder by a plain peel on blocks, with no floor keys and no heap.
+
+    Each rung's level is the least belief, min(surviving, on target) / total,
+    over the blocks that still hold a survivor, found by one exact scan; the
+    rung then removes every state of a block at or below that level, again
+    and again, until no such block is left.
+    """
+    measures = structure.space.measures
+    scale = math.lcm(*(measure.denominator for measure in measures))
+    weights = [measure.numerator * (scale // measure.denominator) for measure in measures]
+    first, second = structure.partitions
+    blocks = first.blocks + second.blocks
+    rows = (first.block_of, [len(first.blocks) + b for b in second.block_of])
+    on = [sum(weights[s] for s in block if s in target) for block in blocks]
+    total = [sum(weights[s] for s in block) for block in blocks]
+    surviving = total.copy()
+    depth = [None] * len(measures)
+    levels = []
+    live = set(range(len(blocks)))
+    while live:
+        low, low_total = 1, 1
+        for b in live:
+            held = min(surviving[b], on[b])
+            if held * low_total < low * total[b]:
+                low, low_total = held, total[b]
+        while failing := [b for b in live if min(surviving[b], on[b]) * low_total <= low * total[b]]:
+            for b in failing:
+                for state in blocks[b]:
+                    if depth[state] is None:
+                        depth[state] = len(levels)
+                        for row in rows:
+                            surviving[row[state]] -= weights[state]
+            live = {b for b in live if surviving[b]}
+        levels.append(Fraction(low, low_total))
+    return tuple(depth), tuple(levels)
 
 
 def assert_block_table_matches_states(structure, target):
@@ -410,6 +449,30 @@ class TestEvidentLadder:
                         literal_super_p_evident(structure, event, target, level)
                     )
 
+    @pytest.mark.parametrize("smaller_first", [True, False])
+    def test_distinct_beliefs_sharing_a_key_at_the_shipped_width(self, smaller_first):
+        """Block totals of 2**32 + 1 and 2**32 + 3 put two distinct beliefs on one
+        62-bit floor key, so a rung pops both, compares them exactly, and pushes
+        the loser back; either block may come off the heap first."""
+        x = 1 << 31
+        low, high = [x, x + 1], [x + 1, x + 2]
+        weights = low + high if smaller_first else high + low
+        space = StateSpace(tuple((s,) for s in range(4)), tuple(Fraction(w, sum(weights)) for w in weights))
+        structure = InformationStructure(space, (Partition.from_labels([0, 0, 1, 1]), Partition.from_labels(range(4))))
+        target = frozenset({0, 2})
+        smaller, larger = Fraction(x, 2 * x + 1), Fraction(x + 1, 2 * x + 3)
+
+        on_target, totals = structure._block_weights(target), structure._totals
+        assert min(totals[:2]) >= 1 << 31
+        beliefs = [Fraction(on, weight) for on, weight in zip(on_target[:2], totals[:2])]
+        keys = [(on << epistemic._KEY_BITS) // weight for on, weight in zip(on_target[:2], totals[:2])]
+        assert sorted(beliefs) == [smaller, larger] and keys[0] == keys[1]
+
+        ladder = evident_ladder(structure, target)
+        assert ladder.levels == (0, smaller, larger)
+        assert ladder.rungs == definitional_rungs(structure, target)
+        assert_block_table_matches_states(structure, target)
+
     def test_answer_rows_are_the_block_table(self, loudspeaker, loudspeaker_target, messenger, messenger_target):
         cases = [(loudspeaker, loudspeaker_target), (messenger, messenger_target), *seeded_ladder_cases()]
         for structure, target in cases:
@@ -729,6 +792,14 @@ class TestBeliefKernel:
                 weakest_belief(structure, event, target, state) for state in event
             )
         assert_block_table_matches_states(structure, target)
+
+    @pytest.mark.parametrize("seed,n", [(1, 2000), (2, 3000), (4, 4000)])
+    def test_deep_ladder_matches_literal_block_peel(self, seed, n):
+        # 148, 187 and 256 rungs, each picked from the heap after many re-keys and stale entries.
+        structure, target = random_structure(RandomStructureConfig(seed=seed, num_states=n))
+        ladder = evident_ladder(structure, target)
+        assert (ladder.depth, ladder.levels) == literal_block_peel(structure, target)
+        assert len(ladder) > 100
 
     @pytest.mark.parametrize("n", [64, 128, 192])
     def test_block_table_matches_states_at_large_sizes(self, n):

@@ -12,15 +12,23 @@ Every command runs with `PYTHONPATH=<copy>/src` as `python -m pytest` or
 installed in editable mode.  The unmutated copy runs first and must pass.
 
     python tools/mutants.py
+    python tools/mutants.py --fuzz-only
 
 The last line gives the count and the whole run's wall time, unmutated copy
 included: `N of N mutants killed in M min S s`.  Exit status 0 when every
 mutant is killed; 1 when one survives, an old text does not occur exactly
 once, or the unmutated copy fails.
+
+`--fuzz-only` skips tier-1 and runs only the fuzz lines, on the unmutated
+copy and on each mutant, to show what the fuzz lines catch on their own; its
+last line reads `N of N mutants killed by the fuzz lines alone in M min S s`.
+A survivor there is the gap it reports, not a failure: the exit status is 1
+only when an old text does not occur exactly once or the unmutated copy fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -260,9 +268,21 @@ MUTANTS = (
         "",
     ),
     Mutant(
-        "_build_ladder leaves a companion block's key stale after a removal",
+        "_build_ladder leaves a companion block's heap entry stale after a removal",
         "src/epicoord/epistemic.py",
-        "keys[other] = (surviving[other] << bits) // total[other]",
+        "                                entries[other] = entry\n                                heappush(heap, entry)\n",
+        "                                pass\n",
+    ),
+    Mutant(
+        "_build_ladder does not skip a stale heap entry",
+        "src/epicoord/epistemic.py",
+        "while entries[b] != entry:",
+        "while False:",
+    ),
+    Mutant(
+        "_build_ladder does not push a tied loser back",
+        "src/epicoord/epistemic.py",
+        "heappush(heap, entries[b])",
         "pass",
     ),
     Mutant(
@@ -386,15 +406,16 @@ def _passes(copy: Path, args: tuple[str, ...], timeout: int) -> bool:
     return result.returncode == 0
 
 
-def _failing_check(mutant: Mutant | None, text: str) -> str | None:
-    """Run tier-1, then the fuzz lines, on a fresh copy whose mutant's file holds
-    `text`: the name of the first check that fails, or None when all pass."""
+def _failing_check(mutant: Mutant | None, text: str, fuzz_only: bool) -> str | None:
+    """Run tier-1 (unless `fuzz_only`), then the fuzz lines, on a fresh copy whose
+    mutant's file holds `text`: the name of the first check that fails, or None
+    when all pass."""
     with tempfile.TemporaryDirectory(prefix="epicoord-mutant-") as scratch:
         copy = Path(scratch)
         _copy(copy)
         if mutant is not None:
             (copy / mutant.path).write_text(text)
-        if not _passes(copy, ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"), TIER1_TIMEOUT):
+        if not fuzz_only and not _passes(copy, ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"), TIER1_TIMEOUT):
             return "tier-1"
         for args, timeout in _fuzz_lines():
             if not _passes(copy, ("-m", "epicoord", "fuzz", *args), timeout):
@@ -403,6 +424,9 @@ def _failing_check(mutant: Mutant | None, text: str) -> str | None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Check that the tests kill every checked-in mutant.")
+    parser.add_argument("--fuzz-only", action="store_true", help="run only the fuzz lines, not tier-1, and report")
+    fuzz_only = parser.parse_args().fuzz_only
     # Every old text is checked before anything runs, so a stale entry fails at once.
     try:
         texts = [_mutate(mutant) for mutant in MUTANTS]
@@ -413,7 +437,7 @@ def main() -> int:
     began = time.perf_counter()
     for mutant, text in ((None, ""), *zip(MUTANTS, texts)):
         start = time.perf_counter()
-        failing = _failing_check(mutant, text)
+        failing = _failing_check(mutant, text, fuzz_only)
         elapsed = f"{time.perf_counter() - start:.1f} s"
         if mutant is None:
             if failing is not None:
@@ -426,8 +450,9 @@ def main() -> int:
         else:
             print(f"killed by {failing}: {mutant.name} ({elapsed})", flush=True)
     minutes, seconds = divmod(round(time.perf_counter() - began), 60)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in {minutes} min {seconds} s")
-    return 1 if survivors else 0
+    by = " by the fuzz lines alone" if fuzz_only else ""
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed{by} in {minutes} min {seconds} s")
+    return 1 if survivors and not fuzz_only else 0
 
 
 if __name__ == "__main__":
