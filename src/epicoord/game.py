@@ -6,9 +6,11 @@ positive gain, so a tie plays B.  The human models are the threshold rule on
 graded common belief, its probability-matching relaxation, and the level-k
 families iterated maximization and iterated matching, which run on one
 routine, `_Levels`: it steps both players' blocks (`_blocks`) level by level,
-as integer numerators over one denominator per level.  The simulated agents
-are the two certainty heuristics and the "cognitive" best response to a
-probability-matching companion.
+as integer numerators over one denominator per level.  A read of a computed
+level costs a row lookup: maximization levels are 0/1 integers read as the
+shared `ONE` or `ZERO`, and a matching read builds one `Fraction`.  The
+simulated agents are the two certainty heuristics and the "cognitive" best
+response to a probability-matching companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
@@ -32,6 +34,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .epistemic import (
     Event,
@@ -159,14 +162,15 @@ class _Levels:
 
     - matching (no payoffs): level 0 is the block's own target belief
       t_B / W_B, that is m_B * W_B over L, and N_{k+1}[B] = m_B * S_B with
-      D_{k+1} = D_k * L, where m_B / L is the reduced t_B / W_B^2 on the
-      least common denominator L of them all (`on_one_scale`; L divides the
-      lcm of every W_B^2), so no level is ever reduced;
-    - maximization: every level is 0 or 1 over D_k = 1, and level 0 is
-      `_plays_a(t_B, 0, W_B)`, the threshold rule on the block's own target
-      belief.  The companion's A-weight over B is t_B * S_B on the target and
-      (W_B - t_B) * S_B off it, over a total of W_B^2, so N_{k+1}[B] is
-      `PayoffParams._plays_a` of those three integers.
+      D_{k+1} = D_k * L, where m_B / L is t_B / W_B^2 on the least common
+      denominator L of them all (the lcm of each W_B^2 / gcd(t_B, W_B^2)),
+      so no level is ever reduced;
+    - maximization: every level is an action, 0 or 1 over D_k = 1, and level
+      0 is `_plays_a(t_B, 0, W_B)`, the threshold rule on the block's own
+      target belief.  S_B is then the overlap weight of the companion blocks
+      that play A.  The companion's A-weight over B is t_B * S_B on the
+      target and (W_B - t_B) * S_B off it, over a total of W_B^2, so
+      N_{k+1}[B] is `PayoffParams._plays_a` of those three integers.
 
     The matching values fall with k and settle on common knowledge.  Write
     v_k[B] for level k's value, so v_{k+1} = F(v_k) with F(v)[B] = (t_B / W_B)
@@ -185,11 +189,13 @@ class _Levels:
     is common knowledge at B, which with every state of positive measure is
     `common_p_belief` = 1.
 
-    A Fraction is built only when a value is read.  Only level 0 and the
-    levels already read are kept; a read starts from the deepest kept level
-    below it, so memory grows with the reads and not with k.  The tables hold
-    the structure's tuples and not the structure, so a structure keeping them
-    in `_level_tables` is freed by reference counting.
+    A read of a kept level is one dict read and one list read.  A
+    maximization read returns the module's shared `ONE` or `ZERO`; a
+    `Fraction` is built only on a matching read.  Only level 0 and the
+    levels already read are kept; a read of another level starts from the
+    deepest kept level below it, so memory grows with the reads and not with
+    k.  The tables hold the structure's tuples and not the structure, so a
+    structure keeping them in `_level_tables` is freed by reference counting.
     """
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
@@ -198,27 +204,35 @@ class _Levels:
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
-            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in zip(self.on_target, self.totals))
+            squares = [w * w for w in self.totals]
+            # L is the lcm of the reduced denominators of t_B / W_B^2, so m_B = t_B * L / W_B^2 exactly.
+            self.lcm = lcm(*[s // gcd(t, s) for t, s in zip(self.on_target, squares)])
+            self.scale = [t * self.lcm // s for t, s in zip(self.on_target, squares)]
             self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}
         else:
             self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in zip(self.on_target, self.totals)], 1)}
 
     def _step(self, numerators, denominator):
-        sums = [sum(w * numerators[b] for b, w in meets) for meets in self.overlaps]
         if self.payoffs is None:
+            sums = [sum([w * numerators[b] for b, w in meets]) for meets in self.overlaps]
             return [c * s for c, s in zip(self.scale, sums)], denominator * self.lcm
+        # Every numerator is 0 or 1, so S_B is the overlap weight of the companion blocks that play A.
+        sums = [sum([w for b, w in meets if numerators[b]]) for meets in self.overlaps]
         plays = self.payoffs._plays_a
         return [int(plays(t * s, (w - t) * s, w * w)) for t, w, s in zip(self.on_target, self.totals, sums)], 1
 
     def value(self, level: int, block: int) -> Fraction:
-        if level not in self.kept:
+        kept = self.kept.get(level)
+        if kept is None:
             start = max(k for k in self.kept if k < level)
             numerators, denominator = self.kept[start]
             for _ in range(start, level):
                 numerators, denominator = self._step(numerators, denominator)
-            self.kept[level] = numerators, denominator
-        numerators, denominator = self.kept[level]
-        return Fraction(numerators[block], denominator)
+            kept = self.kept[level] = numerators, denominator
+        numerators, denominator = kept
+        if self.payoffs is None:
+            return Fraction(numerators[block], denominator)
+        return ONE if numerators[block] else ZERO
 
 
 def _levels(structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> _Levels:
@@ -239,11 +253,16 @@ def _levels(structure: InformationStructure, target: Event, payoffs: PayoffParam
 
 def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
     """A bad level, then a bad target, raises `ValueError`; then a bad player or state raises `IndexError`."""
+    rows = structure._block_ids
+    # `common_p_belief`'s inline check, with the level: only exact ints read the row directly.
+    if type(level) is int and type(player) is int and type(state) is int and (
+        level >= 0 and player in (0, 1) and 0 <= state < len(rows[0])
+    ):
+        return _levels(structure, target, payoffs).value(level, rows[player][state])
     # A bool is an int to Python, but no level.
     if isinstance(level, bool) or not isinstance(level, int) or level < 0:
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
-    levels = _levels(structure, target, payoffs)
-    return levels.value(level, structure._block_id(player, state))
+    return _levels(structure, target, payoffs).value(level, structure._block_id(player, state))
 
 
 def iterated_maximization_prob(

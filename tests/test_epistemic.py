@@ -19,6 +19,7 @@ from epicoord import (
     brute_force_common_p_belief,
     builtin_loudspeaker,
     builtin_messenger,
+    cognitive_strategy,
     common_p_belief,
     conditional_belief,
     evidence_level,
@@ -28,16 +29,19 @@ from epicoord import (
     is_c_indicating,
     is_p_evident,
     iterated_matching,
+    iterated_maximization_prob,
     largest_p_evident_indicating_event,
     matched_policy,
     min_belief,
     pair_heuristic,
+    private_heuristic,
     random_structure,
     super_p_evident,
     x_event,
 )
 from epicoord import epistemic, game, oracle
 from epicoord.epistemic import CACHE_SIZE
+from epicoord.experiments import PAYOFF_CONDITION_1
 from epicoord.rational import on_one_scale
 
 from .conftest import DELTA, email_chain
@@ -308,6 +312,12 @@ class TestCommonPBelief:
             common_p_belief(loudspeaker, loudspeaker_target, player, state)
         with pytest.raises(IndexError, match=re.escape(message)):
             loudspeaker.block(player, state)
+        # The level-k reads check the index inline, at a kept level and at one not yet stepped to.
+        for level in (0, 3):
+            with pytest.raises(IndexError, match=re.escape(message)):
+                iterated_matching(loudspeaker, loudspeaker_target, level, player, state)
+            with pytest.raises(IndexError, match=re.escape(message)):
+                iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, level, player, state)
 
     def test_bad_target_refused_before_a_bad_index(self, loudspeaker):
         with pytest.raises(ValueError, match="target event"):
@@ -319,6 +329,14 @@ class TestCommonPBelief:
         "block": lambda structure, target, player, state: structure.block(player, state),
         "matched_policy.prob": lambda structure, target, *where: matched_policy(structure, target).prob(*where),
         "iterated_matching": lambda structure, target, *where: iterated_matching(structure, target, 0, *where),
+        "iterated_maximization_prob": lambda structure, target, *where: iterated_maximization_prob(
+            structure, target, PAYOFF_CONDITION_1, 0, *where
+        ),
+        "cognitive_strategy": lambda structure, target, *where: cognitive_strategy(
+            structure, target, PAYOFF_CONDITION_1, *where
+        ),
+        "private_heuristic": private_heuristic,
+        "pair_heuristic": pair_heuristic,
         "brute_force_common_p_belief": brute_force_common_p_belief,
         "fixedpoint_common_p_belief": fixedpoint_common_p_belief,
     }

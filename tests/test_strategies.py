@@ -9,13 +9,17 @@ from epicoord import (
     Action,
     GameInstance,
     InformationStructure,
+    ObservationRule,
     Partition,
     PayoffParams,
     RandomStructureConfig,
     StateSpace,
+    VariableSpec,
+    WorldModelSpec,
     cognitive_strategy,
     common_p_belief,
     conditional_belief,
+    from_world_model,
     iterated_matching,
     iterated_maximization,
     iterated_maximization_prob,
@@ -26,10 +30,11 @@ from epicoord import (
     random_structure,
     rational_p_belief_action,
     risk_threshold,
+    x_event,
 )
 from epicoord.experiments import PAYOFF_CONDITION_1
 
-from .conftest import DELTA
+from .conftest import DELTA, email_chain
 
 
 def naive_maximization(structure, target, payoffs, level, player, state):
@@ -170,6 +175,41 @@ class TestRationalAndMatched:
                     assert len(probs) == 1
 
 
+def gated_model() -> WorldModelSpec:
+    """8 states: a is drawn only when x = 1 and b only when a = 1; player 0 sees x, and a
+    when c = 1; player 1 sees c, and b when a = 1."""
+    variables = (
+        VariableSpec("x", Fraction(1, 3)),
+        VariableSpec("a", Fraction(1, 2), gate=("x",)),
+        VariableSpec("b", Fraction(2, 3), gate=("a",)),
+        VariableSpec("c", Fraction(1, 4)),
+    )
+    rules = (
+        ObservationRule((), 0, ("x",)),
+        ObservationRule((), 1, ("c",)),
+        ObservationRule(("a",), 1, ("b",)),
+        ObservationRule(("c",), 0, ("a",)),
+    )
+    return WorldModelSpec(variables, rules)
+
+
+def world_model_cases(levels=range(4)):
+    """(structure, target, level, player, state) at every state of short e-mail chains
+    (4-6 variables) and of `gated_model`."""
+    specs = [email_chain(variables, DELTA, Fraction(1, 10)) for variables in (4, 5, 6)] + [gated_model()]
+    for spec in specs:
+        structure = from_world_model(spec)
+        target = x_event(spec, structure.space)
+        for level in levels:
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    yield structure, target, level, player, state
+
+
+# Cheap enough an attack that the chains' well-informed players play A at low levels.
+CHEAP_ATTACK = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 5), Fraction(0))
+
+
 class TestIteratedMaximization:
     def test_level0_examples(self, loudspeaker, loudspeaker_target):
         broadcast = loudspeaker.space.index_of((1, 1))
@@ -208,6 +248,19 @@ class TestIteratedMaximization:
             assert iterated_maximization_prob(
                 structure, target, payoffs, level, player, state
             ) == naive_maximization(structure, target, payoffs, level, player, state)
+
+    def test_agrees_with_naive_recursion_on_world_models(self):
+        for payoffs in (PAYOFF_CONDITION_1, CHEAP_ATTACK):
+            for structure, target, level, player, state in world_model_cases():
+                assert iterated_maximization_prob(
+                    structure, target, payoffs, level, player, state
+                ) == naive_maximization(structure, target, payoffs, level, player, state)
+
+    def test_values_are_exact_zeros_and_ones(self, messenger, messenger_target):
+        cases = [*world_model_cases(range(6)), *messenger_cases(messenger, messenger_target)]
+        values = [iterated_maximization_prob(structure, target, CHEAP_ATTACK, *where) for structure, target, *where in cases]
+        assert {type(value) for value in values} == {Fraction}
+        assert set(values) == {0, 1}
 
     def test_block_belief_is_independent_of_partner_play(self, messenger, messenger_target):
         """Level k multiplies the block's target belief by the partner's expected
@@ -342,6 +395,12 @@ class TestIteratedMatching:
     def test_agrees_with_naive_recursion(self, messenger, messenger_target):
         cases = [*messenger_cases(messenger, messenger_target), *random_cases()]
         for structure, target, level, player, state in cases:
+            assert iterated_matching(structure, target, level, player, state) == (
+                naive_matching(structure, target, level, player, state)
+            )
+
+    def test_agrees_with_naive_recursion_on_world_models(self):
+        for structure, target, level, player, state in world_model_cases():
             assert iterated_matching(structure, target, level, player, state) == (
                 naive_matching(structure, target, level, player, state)
             )

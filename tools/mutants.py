@@ -92,6 +92,24 @@ MUTANTS = (
         "plays(t * s, (w - t) * s, w)",
     ),
     Mutant(
+        "the maximization step sums the weights of companions that play B",
+        "src/epicoord/game.py",
+        "sums = [sum([w for b, w in meets if numerators[b]]) for meets in self.overlaps]",
+        "sums = [sum([w for b, w in meets if not numerators[b]]) for meets in self.overlaps]",
+    ),
+    Mutant(
+        "the level read's inline check accepts a bool player",
+        "src/epicoord/game.py",
+        "if type(level) is int and type(player) is int and type(state) is int and (",
+        "if type(level) is int and isinstance(player, int) and type(state) is int and (",
+    ),
+    Mutant(
+        "the level read's inline check lets state == n through",
+        "src/epicoord/game.py",
+        "level >= 0 and player in (0, 1) and 0 <= state < len(rows[0])",
+        "level >= 0 and player in (0, 1) and 0 <= state <= len(rows[0])",
+    ),
+    Mutant(
         "_Levels grounds itermatch at 1 for every block",
         "src/epicoord/game.py",
         "self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}",
