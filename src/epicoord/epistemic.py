@@ -31,9 +31,10 @@ with no epsilons, because weak-vs-strict inequality is load-bearing.
 A belief depends on the state only through the information set, so the
 ladder is one integer peel over blocks, from the full space to empty, that
 removes each state once and picks each rung's blocks from a heap of their
-floor keys (`_build_ladder`).  It keeps the rung at which each block loses
-its last survivor and builds each player's row of answers from that record,
-so a `common_p_belief` query is one memo read and one row lookup.  The
+floor keys (`_build_ladder`).  It marks each state's depth as it removes
+the state, keeps the rung at which each block loses its last survivor and
+builds each player's row of answers from that record, so a
+`common_p_belief` query is one memo read and one row lookup.  The
 per-state definitions the peel is checked against live in `oracle`, which
 reads none of these tables.
 
@@ -76,13 +77,14 @@ def _entry(rows, player: int, state: int):
     """`rows[player][state]`, for two rows of equal length, one per player.
 
     A bad player, then a bad state (a negative one too), raises `IndexError`
-    before any row is read, so no index wraps to another entry.  A `bool` is
-    an int to Python, but neither a player nor a state.
+    before any row is read, so no index wraps to another entry.  Only an
+    exact `int` is a player or a state: a `bool` is an int to Python, and it
+    is refused with a float, a string or `None`.
     """
-    if player not in (0, 1) or player is True or player is False:
-        raise IndexError(f"player must be 0 or 1, got {player}")
-    if not 0 <= state < len(rows[0]) or state is True or state is False:
-        raise IndexError(f"state index {state} out of range 0..{len(rows[0]) - 1}")
+    if type(player) is not int or player not in (0, 1):
+        raise IndexError(f"player must be 0 or 1, got {player!r}")
+    if type(state) is not int or not 0 <= state < len(rows[0]):
+        raise IndexError(f"state index {state!r} out of range 0..{len(rows[0]) - 1}")
     return rows[player][state]
 
 
@@ -127,7 +129,7 @@ class InformationStructure:
 
     @cached_property
     def _level_tables(self) -> dict:
-        """`game`'s level-k tables for each (target, payoffs) met lately, oldest first (`game._levels`)."""
+        """`game`'s level-k tables for each (target, payoffs) met lately, oldest first (`game._level_value`)."""
         return {}
 
     @cached_property
@@ -326,14 +328,15 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     shared key, which at 62 bits needs block totals of 2**31.  A rung that
     removes no state would loop forever, so it raises `RuntimeError` instead.
 
-    The peel records, in `died`, the rung at which each block loses its last
-    survivor, where the block is popped or where its companions' removals
-    empty it, and that is the block's deepest rung, `block_depth`.  A state
-    leaves the survivors when the first of its two blocks is popped, which
-    empties that block at that rung, and no block empties before all its
-    states have left, so a state's depth is the lesser of its two blocks'
-    dying rungs.  The answer rows, `levels[block_depth[b]]` at each (player,
-    state), are built here too, so a query is one lookup.
+    A state's depth is the rung that removes it, written in `depth` as it
+    leaves: the rung whose work list holds the first of its two blocks to be
+    popped.  The peel records, in `died`, the rung at which each block loses
+    its last survivor, where the block is popped or where its companions'
+    removals empty it, and that is the block's deepest rung, `block_depth`.
+    A popped block empties at its rung and no block empties before all its
+    states have left, so a state's depth is always the lesser of its two
+    blocks' dying rungs.  The answer rows, `levels[block_depth[b]]` at each
+    (player, state), are built here too, so a query is one lookup.
     """
     on_target, total = structure._block_weights(target), structure._totals
     weights, blocks, block_ids = structure._weights, structure._blocks, structure._block_ids
@@ -344,7 +347,7 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
     entries = [(on << bits) // weight * count + b for b, (on, weight) in enumerate(zip(on_target, total))]
     heap = entries.copy()
     heapify(heap)
-    alive = bytearray(b"\x01") * len(structure)
+    depth = [-1] * len(structure)
     died = [0] * count
     levels: list[Fraction] = []
     remaining = len(structure)
@@ -384,8 +387,8 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
             b = work.pop()
             companion = block_ids[b < first_count]
             for state in blocks[b]:
-                if alive[state]:
-                    alive[state] = 0
+                if depth[state] < 0:
+                    depth[state] = rung
                     removed += 1
                     weight = weights[state]
                     surviving[b] -= weight
@@ -413,12 +416,9 @@ def _build_ladder(structure: InformationStructure, target: Event) -> EvidentLadd
         levels.append(level)
         remaining -= removed
     first, second = block_ids
-    # A conditional expression, not `map(min, ...)`: the builtin's call costs twice as much per state.
-    pairs = zip(map(died.__getitem__, first), map(died.__getitem__, second))
-    depth = tuple([one if one < other else other for one, other in pairs])
     block_levels = tuple(map(levels.__getitem__, died))
     answers = (tuple(map(block_levels.__getitem__, first)), tuple(map(block_levels.__getitem__, second)))
-    return EvidentLadder(depth, tuple(levels), tuple(died), answers, on_target)
+    return EvidentLadder(tuple(depth), tuple(levels), tuple(died), answers, on_target)
 
 
 def common_p_belief(structure: InformationStructure, target: Event, player: int, state: int) -> Fraction:
@@ -441,7 +441,7 @@ def common_p_belief(structure: InformationStructure, target: Event, player: int,
     except (KeyError, TypeError):
         answers = evident_ladder(structure, target).answers
     # `_entry`'s check inline, and `_entry` only to raise: a call on every query costs ladder-large ops/s.
-    # Only an exact int takes this path, so a `bool` (and any other int type) goes through `_entry`.
+    # Only an exact int takes this path; anything else, a `bool` too, goes through `_entry`.
     if type(player) is int and type(state) is int and player in (0, 1) and 0 <= state < len(answers[0]):
         return answers[player][state]
     return _entry(answers, player, state)

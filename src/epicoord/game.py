@@ -6,11 +6,13 @@ positive gain, so a tie plays B.  The human models are the threshold rule on
 graded common belief, its probability-matching relaxation, and the level-k
 families iterated maximization and iterated matching, which run on one
 routine, `_Levels`: it steps both players' blocks (`_blocks`) level by level,
-as integer numerators over one denominator per level.  A read of a computed
-level costs a row lookup: maximization levels are 0/1 integers read as the
-shared `ONE` or `ZERO`, and a matching read builds one `Fraction`.  The
-simulated agents are the two certainty heuristics and the "cognitive" best
-response to a probability-matching companion.
+as integer numerators over one denominator per level.  One function,
+`_level_value`, reads a value: it checks the level and the index, finds the
+tables and reads a computed level at the cost of a row lookup; maximization
+levels are 0/1 integers read as the shared `ONE` or `ZERO`, and a matching
+read builds one `Fraction`.  The simulated agents are the two certainty
+heuristics and the "cognitive" best response to a probability-matching
+companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
@@ -20,10 +22,10 @@ it: the level-k steps, the heuristics and the noiseless check read the
 ladder's table of block weights on the target (`on_target`), and the
 cognitive agent and the threshold profile read its answer rows.  The level-k
 tables live on the structure too, in `_level_tables`, one per target and
-payoffs (`_levels`), kept by the ladder memo's rule (`epistemic._remember`),
-so they are freed with it.  A `GameInstance` checks its target against the
-space without building its ladder, and the cognitive agent builds no
-`GameInstance`: `_a_weights` reads a structure and a target.
+payoffs (`_level_value`), kept by the ladder memo's rule
+(`epistemic._remember`), so they are freed with it.  A `GameInstance` checks
+its target against the space without building its ladder, and the cognitive
+agent builds no `GameInstance`: `_a_weights` reads a structure and a target.
 `verify_equilibrium` checks the threshold profile when signals are noiseless
 and the risk threshold exceeds the target's prior.
 """
@@ -82,7 +84,7 @@ class PayoffParams:
 
         Only `_gain` reads the payoffs here, so every choice between A and B
         stays on integers; elsewhere only the denominator is read.  The tuple
-        identifies the payoffs exactly, so it keys their level-k tables (`_levels`).
+        identifies the payoffs exactly, so it keys their level-k tables (`_level_value`).
         """
         numerators, denominator = on_one_scale((self.a, self.b, self.c, self.d))
         return (*numerators, denominator)
@@ -189,13 +191,12 @@ class _Levels:
     is common knowledge at B, which with every state of positive measure is
     `common_p_belief` = 1.
 
-    A read of a kept level is one dict read and one list read.  A
-    maximization read returns the module's shared `ONE` or `ZERO`; a
-    `Fraction` is built only on a matching read.  Only level 0 and the
-    levels already read are kept; a read of another level starts from the
-    deepest kept level below it, so memory grows with the reads and not with
-    k.  The tables hold the structure's tuples and not the structure, so a
-    structure keeping them in `_level_tables` is freed by reference counting.
+    `_level_value` reads a kept level with one dict read and one list read.
+    Only level 0 and the levels already read are kept; `step_to` steps to
+    another level from the deepest kept level below it and keeps it, so
+    memory grows with the reads and not with k.  The tables hold the
+    structure's tuples and not the structure, so a structure keeping them in
+    `_level_tables` is freed by reference counting.
     """
 
     def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
@@ -221,48 +222,46 @@ class _Levels:
         plays = self.payoffs._plays_a
         return [int(plays(t * s, (w - t) * s, w * w)) for t, w, s in zip(self.on_target, self.totals, sums)], 1
 
-    def value(self, level: int, block: int) -> Fraction:
-        kept = self.kept.get(level)
-        if kept is None:
-            start = max(k for k in self.kept if k < level)
-            numerators, denominator = self.kept[start]
-            for _ in range(start, level):
-                numerators, denominator = self._step(numerators, denominator)
-            kept = self.kept[level] = numerators, denominator
-        numerators, denominator = kept
-        if self.payoffs is None:
-            return Fraction(numerators[block], denominator)
-        return ONE if numerators[block] else ZERO
+    def step_to(self, level: int):
+        """Level `level`, not kept yet: stepped from the deepest kept level below it, then kept."""
+        start = max(k for k in self.kept if k < level)
+        numerators, denominator = self.kept[start]
+        for _ in range(start, level):
+            numerators, denominator = self._step(numerators, denominator)
+        kept = self.kept[level] = numerators, denominator
+        return kept
 
 
-def _levels(structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> _Levels:
-    """The level-k tables of (target, payoffs) on `structure`; payoffs None is the matching family.
+def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
+    """Level `level`'s value at (`player`, `state`) of (target, payoffs) on `structure`; payoffs None is matching.
 
-    Built once and kept in the structure's `_level_tables` under the frozen
-    target and the payoffs' `_integers`; the dict holds at most `CACHE_SIZE`
-    tables and drops the oldest first, by the ladder memo's rule (`_remember`).
-    A target outside the space is refused (`evident_ladder`) before anything is stored.
+    The tables are built once and kept in the structure's `_level_tables`
+    under the frozen target and the payoffs' `_integers`; the dict holds at
+    most `CACHE_SIZE` tables and drops the oldest first, by the ladder memo's
+    rule (`_remember`).  A bad level raises `ValueError`; then a bad target
+    raises `ValueError` (`evident_ladder`) before any table is stored; then a
+    bad player or state raises `_entry`'s `IndexError` before any level is
+    stepped.  A maximization read returns the shared `ONE` or `ZERO`; a
+    matching read builds one `Fraction`.
     """
+    rows = structure._block_ids
+    # `common_p_belief`'s inline check, with the level: only exact ints read the row directly.
+    inline = type(level) is int and type(player) is int and type(state) is int and (
+        level >= 0 and player in (0, 1) and 0 <= state < len(rows[0])
+    )
+    # A bool is an int to Python, but no level.
+    if not inline and (isinstance(level, bool) or not isinstance(level, int) or level < 0):
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
     target = frozenset(target)
     key = target, None if payoffs is None else payoffs._integers
     levels = structure._level_tables.get(key)
     if levels is None:
         levels = _remember(structure._level_tables, key, _Levels(structure, target, payoffs))
-    return levels
-
-
-def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
-    """A bad level, then a bad target, raises `ValueError`; then a bad player or state raises `IndexError`."""
-    rows = structure._block_ids
-    # `common_p_belief`'s inline check, with the level: only exact ints read the row directly.
-    if type(level) is int and type(player) is int and type(state) is int and (
-        level >= 0 and player in (0, 1) and 0 <= state < len(rows[0])
-    ):
-        return _levels(structure, target, payoffs).value(level, rows[player][state])
-    # A bool is an int to Python, but no level.
-    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-        raise ValueError(f"level must be an integer >= 0, got {level!r}")
-    return _levels(structure, target, payoffs).value(level, structure._block_id(player, state))
+    block = rows[player][state] if inline else structure._block_id(player, state)
+    numerators, denominator = levels.kept.get(level) or levels.step_to(level)
+    if payoffs is None:
+        return Fraction(numerators[block], denominator)
+    return ONE if numerators[block] else ZERO
 
 
 def iterated_maximization_prob(

@@ -312,12 +312,17 @@ class TestCommonPBelief:
             common_p_belief(loudspeaker, loudspeaker_target, player, state)
         with pytest.raises(IndexError, match=re.escape(message)):
             loudspeaker.block(player, state)
-        # The level-k reads check the index inline, at a kept level and at one not yet stepped to.
-        for level in (0, 3):
+        # The level-k reads check the index inline, at a kept level and at ones not yet stepped to,
+        # and refuse it before any level is stepped: the tables keep level 0 alone.
+        loudspeaker._level_tables.clear()
+        target = frozenset(loudspeaker_target)
+        for level in (0, 3, 40):
             with pytest.raises(IndexError, match=re.escape(message)):
                 iterated_matching(loudspeaker, loudspeaker_target, level, player, state)
+            assert list(loudspeaker._level_tables[target, None].kept) == [0]
             with pytest.raises(IndexError, match=re.escape(message)):
                 iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, level, player, state)
+            assert list(loudspeaker._level_tables[target, PAYOFF_CONDITION_1._integers].kept) == [0]
 
     def test_bad_target_refused_before_a_bad_index(self, loudspeaker):
         with pytest.raises(ValueError, match="target event"):
@@ -355,6 +360,24 @@ class TestCommonPBelief:
         # True == 1 and False == 0, so a bool would otherwise read the int's entry.
         structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
         self.READS[read](structure, target, int(player), int(state))
+        with pytest.raises(IndexError, match=re.escape(message)):
+            self.READS[read](structure, target, player, state)
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    @pytest.mark.parametrize(
+        "player,state,message",
+        [
+            (1.0, 1, "player must be 0 or 1, got 1.0"),
+            ("0", 1, "player must be 0 or 1, got '0'"),
+            (0, 1.0, "state index 1.0 out of range 0..5"),
+            (1, 2.5, "state index 2.5 out of range 0..5"),
+            (0, "1", "state index '1' out of range 0..5"),
+            (1, None, "state index None out of range 0..5"),
+        ],
+    )
+    def test_a_non_int_is_no_player_or_state(self, read, player, state, message):
+        # Only an exact int indexes a row; anything else gets the same IndexError, not a TypeError.
+        structure, target = random_structure(RandomStructureConfig(seed=3, num_states=6))
         with pytest.raises(IndexError, match=re.escape(message)):
             self.READS[read](structure, target, player, state)
 
@@ -818,6 +841,18 @@ class TestBeliefKernel:
         ladder = evident_ladder(structure, target)
         assert (ladder.depth, ladder.levels) == literal_block_peel(structure, target)
         assert len(ladder) > 100
+
+    @pytest.mark.parametrize("variables", [50, 200])
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_email_chain_matches_literal_block_peel(self, variables, value):
+        # Block totals 164 and 663 bits wide; on the x = 0 target a rung pops several blocks sharing one key.
+        spec = email_chain(variables, Fraction(1, 3), Fraction(1, 10))
+        structure = from_world_model(spec)
+        target = x_event(spec, structure.space)
+        if not value:
+            target = structure.universe() - target
+        ladder = evident_ladder(structure, target)
+        assert (ladder.depth, ladder.levels) == literal_block_peel(structure, target)
 
     @pytest.mark.parametrize("n", [64, 128, 192])
     def test_block_table_matches_states_at_large_sizes(self, n):

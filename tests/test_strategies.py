@@ -4,7 +4,6 @@ from functools import partial
 
 import pytest
 
-from epicoord import game
 from epicoord import (
     Action,
     GameInstance,
@@ -456,8 +455,8 @@ class TestLevelsReadOutOfOrder:
         cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
         messenger._level_tables.clear()
         values = {level: [read(level, *case) for case in cases] for level in self.ORDER}
-        key_payoffs = payoffs if family == "maximization" else None
-        assert sorted(game._levels(messenger, messenger_target, key_payoffs).kept) == sorted(self.ORDER)
+        key = frozenset(messenger_target), payoffs._integers if family == "maximization" else None
+        assert sorted(messenger._level_tables[key].kept) == sorted(self.ORDER)
         for level in self.ORDER:
             messenger._level_tables.clear()
             assert [read(level, *case) for case in cases] == values[level]

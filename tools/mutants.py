@@ -100,8 +100,16 @@ MUTANTS = (
     Mutant(
         "the level read's inline check accepts a bool player",
         "src/epicoord/game.py",
-        "if type(level) is int and type(player) is int and type(state) is int and (",
-        "if type(level) is int and isinstance(player, int) and type(state) is int and (",
+        "inline = type(level) is int and type(player) is int and type(state) is int and (",
+        "inline = type(level) is int and isinstance(player, int) and type(state) is int and (",
+    ),
+    Mutant(
+        "the level read steps before it checks the index",
+        "src/epicoord/game.py",
+        "    block = rows[player][state] if inline else structure._block_id(player, state)\n"
+        "    numerators, denominator = levels.kept.get(level) or levels.step_to(level)\n",
+        "    numerators, denominator = levels.kept.get(level) or levels.step_to(level)\n"
+        "    block = rows[player][state] if inline else structure._block_id(player, state)\n",
     ),
     Mutant(
         "the level read's inline check lets state == n through",
@@ -166,13 +174,19 @@ MUTANTS = (
     Mutant(
         "_entry lets a negative state wrap to the end of the row",
         "src/epicoord/epistemic.py",
-        "if not 0 <= state < len(rows[0]) or state is True or state is False:",
-        "if not state < len(rows[0]) or state is True or state is False:",
+        "if type(state) is not int or not 0 <= state < len(rows[0]):",
+        "if type(state) is not int or not state < len(rows[0]):",
+    ),
+    Mutant(
+        "_entry takes a float state",
+        "src/epicoord/epistemic.py",
+        "if type(state) is not int or not 0 <= state < len(rows[0]):",
+        "if not 0 <= state < len(rows[0]):",
     ),
     Mutant(
         "_entry takes a bool for a player",
         "src/epicoord/epistemic.py",
-        "if player not in (0, 1) or player is True or player is False:",
+        "if type(player) is not int or player not in (0, 1):",
         "if player not in (0, 1):",
     ),
     Mutant(
@@ -302,6 +316,18 @@ MUTANTS = (
         "src/epicoord/epistemic.py",
         "heappush(heap, entries[b])",
         "pass",
+    ),
+    Mutant(
+        "the peel removes a state twice",
+        "src/epicoord/epistemic.py",
+        "if depth[state] < 0:",
+        "if depth[state] <= 0:",
+    ),
+    Mutant(
+        "the peel marks a state's depth one rung late",
+        "src/epicoord/epistemic.py",
+        "depth[state] = rung",
+        "depth[state] = rung + 1",
     ),
     Mutant(
         "_build_ladder records the dying rung only for popped blocks",
