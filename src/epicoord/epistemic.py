@@ -15,9 +15,10 @@ space.  The ladder carries the table its peel starts from, `on_target`: how
 much of each block lies on the target, summed in one pass over the target's
 states.  The level-k steps, the certainty heuristics and the attack game
 read that table, and a block is certain of the target exactly when its
-weight on the target equals its weight.  The structure also keeps `game`'s
-level-k tables, `_level_tables`, so they are freed with it; both memos keep
-at most `CACHE_SIZE` entries by one rule, `_remember`.
+weight on the target equals its weight.  Each ladder also keeps `game`'s
+level-k tables for its target, `_level_tables`, one per payoffs, so they are
+freed with it; the memo and each ladder's tables keep at most `CACHE_SIZE`
+entries by one rule, `_remember`.
 
 The central construction is the nested sequence of maximally evident
 target-indicating events: starting from the full space, repeatedly shrink to
@@ -61,7 +62,7 @@ from .worldmodel import (
 
 Event = frozenset[int]
 
-# Entries kept in each of a structure's two memos, its ladders and its level-k
+# Entries kept in a structure's memo of ladders and in each ladder's level-k
 # tables (`_remember`), and by `from_world_model`'s cache, keyed on a whole model.
 CACHE_SIZE = 64
 
@@ -104,10 +105,14 @@ class InformationStructure:
     partitions: tuple[Partition, Partition]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.space, StateSpace):
+            raise ValueError(f"space must be a StateSpace, got {type(self.space).__name__}")
         object.__setattr__(self, "partitions", tuple(self.partitions))
         if len(self.partitions) != 2:
             raise ValueError("exactly two player partitions are required")
         for player, partition in enumerate(self.partitions):
+            if not isinstance(partition, Partition):
+                raise ValueError(f"partition for player {player} must be a Partition, got {type(partition).__name__}")
             if len(partition.block_of) != len(self.space.states):
                 raise ValueError(f"partition for player {player} does not cover the state space")
 
@@ -128,17 +133,9 @@ class InformationStructure:
         return {}
 
     @cached_property
-    def _level_tables(self) -> dict:
-        """`game`'s level-k tables for each (target, payoffs) met lately, oldest first (`game._level_value`)."""
-        return {}
-
-    @cached_property
     def _weights(self) -> tuple[int, ...]:
         """Each state's measure times the least common denominator of all of them, as the space keeps them."""
         return self.space._weights
-
-    def _weight(self, members) -> int:
-        return sum(map(self._weights.__getitem__, members))
 
     @cached_property
     def _blocks(self) -> tuple[frozenset[int], ...]:
@@ -213,9 +210,9 @@ class InformationStructure:
         return self._blocks[self._block_id(player, state)]
 
     def measure_of(self, event: Event) -> Fraction:
-        event = self._event(event, "event")
+        event, weights = self._event(event, "event"), self._weights
         # The measures sum to 1, so the weights sum to their common denominator.
-        return Fraction(self._weight(event), sum(self._weights))
+        return Fraction(sum(map(weights.__getitem__, event)), sum(weights))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -254,7 +251,8 @@ class EvidentLadder:
     `on_target[b]` is block b's integer weight on the target, the table the
     peel starts from, which the level-k steps, the certainty heuristics and
     the attack game read.  Both follow from the structure and the target, so
-    they take no part in equality, hashing or the repr.
+    they take no part in equality, hashing or the repr; nor does
+    `_level_tables`, the level-k tables `game` keeps for the target.
     """
 
     depth: tuple[int, ...]
@@ -262,6 +260,11 @@ class EvidentLadder:
     block_depth: tuple[int, ...]
     answers: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = field(compare=False, repr=False)
     on_target: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def _level_tables(self) -> dict:
+        """`game`'s level-k tables of this target, under `payoffs._integers` or None for matching, oldest first."""
+        return {}
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -285,7 +288,7 @@ def evident_ladder(structure: InformationStructure, target: Event) -> EvidentLad
     against the space, and kept in the structure's memo, which holds at most
     `CACHE_SIZE` targets and drops the oldest first (`_remember`).  It refers
     to no structure, so a structure's memo is freed with it by reference
-    counting.
+    counting, and a ladder dropped from the memo takes its level-k tables with it.
     """
     target = frozenset(target)
     ladder = structure._memo.get(target)

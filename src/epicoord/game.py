@@ -7,12 +7,12 @@ graded common belief, its probability-matching relaxation, and the level-k
 families iterated maximization and iterated matching, which run on one
 routine, `_Levels`: it steps both players' blocks (`_blocks`) level by level,
 as integer numerators over one denominator per level.  One function,
-`_level_value`, reads a value: it checks the level and the index, finds the
-tables and reads a computed level at the cost of a row lookup; maximization
-levels are 0/1 integers read as the shared `ONE` or `ZERO`, and a matching
-read builds one `Fraction`.  The simulated agents are the two certainty
-heuristics and the "cognitive" best response to a probability-matching
-companion.
+`_level_value`, reads a value: it checks the level, the target and the
+index, finds the tables on the target's ladder and reads a computed level at
+the cost of a row lookup; maximization levels are 0/1 integers read as the
+shared `ONE` or `ZERO`, and a matching read builds one `Fraction`.  The
+simulated agents are the two certainty heuristics and the "cognitive" best
+response to a probability-matching companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
@@ -21,13 +21,13 @@ A-weight on and off the target over a block as two integer sums, and build a
 it: the level-k steps, the heuristics and the noiseless check read the
 ladder's table of block weights on the target (`on_target`), and the
 cognitive agent and the threshold profile read its answer rows.  The level-k
-tables live on the structure too, in `_level_tables`, one per target and
-payoffs (`_level_value`), kept by the ladder memo's rule
-(`epistemic._remember`), so they are freed with it.  A `GameInstance` checks
-its target against the space without building its ladder, and the cognitive
-agent builds no `GameInstance`: `_a_weights` reads a structure and a target.
+tables live on the target's ladder, in `_level_tables`, one per payoffs
+(`_level_value`), kept by the ladder memo's rule (`epistemic._remember`), so
+they are freed with the ladder.  A `GameInstance` checks its target against
+the space without building its ladder, and the cognitive agent builds no
+`GameInstance`: `_a_weights` reads a structure and a target.
 `verify_equilibrium` checks the threshold profile when signals are noiseless
-and the risk threshold exceeds the target's prior.
+and the risk threshold exceeds the target's prior, `measure_of` the target.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 
 from .epistemic import (
     Event,
@@ -157,7 +156,7 @@ class _Levels:
     Level k is one integer numerator per block of the structure's `_blocks`
     (both players' blocks, numbered once) over one denominator D_k.  For a
     block B with total weight W_B (`_totals`) and on-target weight t_B (the
-    structure's table for the target, which checks it), the next level
+    target ladder's `on_target`, handed in by `_level_value`), the next level
     comes from the overlap sum S_B = sum of w(B & B') * N_k[B'] over the
     companion blocks B' that B meets, so the companion's expected play over B
     is S_B / (W_B * D_k).  Each family has one base case, its level 0:
@@ -165,8 +164,7 @@ class _Levels:
     - matching (no payoffs): level 0 is the block's own target belief
       t_B / W_B, that is m_B * W_B over L, and N_{k+1}[B] = m_B * S_B with
       D_{k+1} = D_k * L, where m_B / L is t_B / W_B^2 on the least common
-      denominator L of them all (the lcm of each W_B^2 / gcd(t_B, W_B^2)),
-      so no level is ever reduced;
+      denominator L of them all (`on_one_scale`), so no level is ever reduced;
     - maximization: every level is an action, 0 or 1 over D_k = 1, and level
       0 is `_plays_a(t_B, 0, W_B)`, the threshold rule on the block's own
       target belief.  S_B is then the overlap weight of the companion blocks
@@ -195,20 +193,17 @@ class _Levels:
     Only level 0 and the levels already read are kept; `step_to` steps to
     another level from the deepest kept level below it and keeps it, so
     memory grows with the reads and not with k.  The tables hold the
-    structure's tuples and not the structure, so a structure keeping them in
-    `_level_tables` is freed by reference counting.
+    structure's tuples and not the structure, so a ladder keeping them in
+    `_level_tables` refers to no structure either.
     """
 
-    def __init__(self, structure: InformationStructure, target: Event, payoffs: PayoffParams | None) -> None:
+    def __init__(self, structure: InformationStructure, on_target: tuple[int, ...], payoffs: PayoffParams | None) -> None:
         # t_B and W_B for each block of `_blocks`.
-        self.on_target, self.totals = evident_ladder(structure, target).on_target, structure._totals
+        self.on_target, self.totals = on_target, structure._totals
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
-            squares = [w * w for w in self.totals]
-            # L is the lcm of the reduced denominators of t_B / W_B^2, so m_B = t_B * L / W_B^2 exactly.
-            self.lcm = lcm(*[s // gcd(t, s) for t, s in zip(self.on_target, squares)])
-            self.scale = [t * self.lcm // s for t, s in zip(self.on_target, squares)]
+            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in zip(self.on_target, self.totals))
             self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}
         else:
             self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in zip(self.on_target, self.totals)], 1)}
@@ -235,8 +230,8 @@ class _Levels:
 def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
     """Level `level`'s value at (`player`, `state`) of (target, payoffs) on `structure`; payoffs None is matching.
 
-    The tables are built once and kept in the structure's `_level_tables`
-    under the frozen target and the payoffs' `_integers`; the dict holds at
+    The tables are built once and kept in the target ladder's `_level_tables`
+    under the payoffs' `_integers`, or None for matching; the dict holds at
     most `CACHE_SIZE` tables and drops the oldest first, by the ladder memo's
     rule (`_remember`).  A bad level raises `ValueError`; then a bad target
     raises `ValueError` (`evident_ladder`) before any table is stored; then a
@@ -252,11 +247,11 @@ def _level_value(structure, target, payoffs, level, player, state) -> Fraction:
     # A bool is an int to Python, but no level.
     if not inline and (isinstance(level, bool) or not isinstance(level, int) or level < 0):
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
-    target = frozenset(target)
-    key = target, None if payoffs is None else payoffs._integers
-    levels = structure._level_tables.get(key)
+    ladder = evident_ladder(structure, target)
+    key = None if payoffs is None else payoffs._integers
+    levels = ladder._level_tables.get(key)
     if levels is None:
-        levels = _remember(structure._level_tables, key, _Levels(structure, target, payoffs))
+        levels = _remember(ladder._level_tables, key, _Levels(structure, ladder.on_target, payoffs))
     block = rows[player][state] if inline else structure._block_id(player, state)
     numerators, denominator = levels.kept.get(level) or levels.step_to(level)
     if payoffs is None:
@@ -473,13 +468,13 @@ def noiseless_check(game: GameInstance) -> bool:
     """True when any evidence for the target is conclusive: no state lifts a
     player's target belief above the prior without reaching certainty.
 
-    A block's belief is on / total and the prior is P / W (P the target's
-    weight, W the whole space's), so each block is one integer comparison.
+    A block's belief is on / total and the prior is P / Q (`measure_of` the
+    target), so each block is one integer comparison.
     """
     structure = game.structure
-    whole, inside = sum(structure._weights), structure._weight(game.target)
+    prior = structure.measure_of(game.target)
     return not any(
-        on * whole > inside * total and on != total
+        on * prior.denominator > prior.numerator * total and on != total
         for on, total in zip(evident_ladder(structure, game.target).on_target, structure._totals)
     )
 

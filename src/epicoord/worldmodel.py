@@ -180,8 +180,9 @@ class Partition:
         if sum(len(block) for block in self.blocks) != len(self.block_of):
             raise ValueError("partition blocks must be disjoint and exhaustive")
         for index, block_id in enumerate(self.block_of):
-            if not 0 <= block_id < len(self.blocks):
-                raise ValueError(f"state {index} has block id {block_id} outside 0..{len(self.blocks) - 1}")
+            # Only an exact `int` is a block id: a `bool` is an int to Python, and it is refused with a float.
+            if type(block_id) is not int or not 0 <= block_id < len(self.blocks):
+                raise ValueError(f"state {index} has block id {block_id!r} outside 0..{len(self.blocks) - 1}")
             if index not in self.blocks[block_id]:
                 raise ValueError(f"state {index} is not in its assigned block")
 
@@ -470,10 +471,10 @@ def load_spec(path) -> WorldModelSpec:
 
 
 def event_where(spec: WorldModelSpec, space: StateSpace, assignment: Mapping[str, int]) -> frozenset[int]:
-    """Indices of the states satisfying every `name: value` constraint."""
+    """Indices of the states satisfying every `name: value` constraint; a value is the exact int 0 or 1."""
     pairs = []
     for name, value in assignment.items():
-        if value not in (0, 1):
+        if type(value) is not int or value not in (0, 1):
             raise SpecError(f"constraint {name}={value!r}: value must be 0 or 1")
         pairs.append((spec.variable_index(name), value))
     return frozenset(

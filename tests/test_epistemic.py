@@ -314,15 +314,15 @@ class TestCommonPBelief:
             loudspeaker.block(player, state)
         # The level-k reads check the index inline, at a kept level and at ones not yet stepped to,
         # and refuse it before any level is stepped: the tables keep level 0 alone.
-        loudspeaker._level_tables.clear()
-        target = frozenset(loudspeaker_target)
+        tables = evident_ladder(loudspeaker, loudspeaker_target)._level_tables
+        tables.clear()
         for level in (0, 3, 40):
             with pytest.raises(IndexError, match=re.escape(message)):
                 iterated_matching(loudspeaker, loudspeaker_target, level, player, state)
-            assert list(loudspeaker._level_tables[target, None].kept) == [0]
+            assert list(tables[None].kept) == [0]
             with pytest.raises(IndexError, match=re.escape(message)):
                 iterated_maximization_prob(loudspeaker, loudspeaker_target, PAYOFF_CONDITION_1, level, player, state)
-            assert list(loudspeaker._level_tables[target, PAYOFF_CONDITION_1._integers].kept) == [0]
+            assert list(tables[PAYOFF_CONDITION_1._integers].kept) == [0]
 
     def test_bad_target_refused_before_a_bad_index(self, loudspeaker):
         with pytest.raises(ValueError, match="target event"):
@@ -689,6 +689,9 @@ class TestBeliefKernel:
         assert list(fresh._memo) == [target]
         assert type(fresh._memo[target]) is epistemic.EvidentLadder
         assert fresh._memo[target] is evident_ladder(fresh, target)
+        # The level-k tables live on the ladder: the structure keeps no memo beside `_memo`.
+        assert not hasattr(fresh, "_level_tables")
+        assert list(fresh._memo[target]._level_tables) == [None, payoffs._integers]
 
     def test_memo_is_freed_with_its_structure(self):
         """No ladder in the memo refers back to its structure, so reference counting alone
@@ -704,6 +707,24 @@ class TestBeliefKernel:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_evicted_ladder_takes_its_level_tables(self):
+        """A ladder dropped from the memo at its bound frees its level-k tables with it, and a
+        re-read builds a fresh ladder whose tables hold only the table that read needs."""
+        structure, target = random_structure(RandomStructureConfig(seed=5, num_states=8))
+        before = iterated_matching(structure, target, 3, 0, 0)
+        ladder = evident_ladder(structure, target)
+        assert list(ladder._level_tables) == [None]
+        alive = weakref.ref(ladder._level_tables[None])
+        del ladder
+        others = [frozenset(s for s in range(8) if mask >> s & 1) for mask in range(256)]
+        for other in [other for other in others if other != target][:CACHE_SIZE]:
+            evident_ladder(structure, other)
+        assert target not in structure._memo
+        assert alive() is None
+        assert iterated_maximization_prob(structure, target, PAYOFF_CONDITION_1, 2, 1, 0) in (0, 1)
+        assert list(evident_ladder(structure, target)._level_tables) == [PAYOFF_CONDITION_1._integers]
+        assert iterated_matching(structure, target, 3, 0, 0) == before
 
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
     def test_totals_and_target_table_match_literal_sums(self, uniform, loudspeaker_spec, messenger_spec):
@@ -750,6 +771,17 @@ class TestBeliefKernel:
         with pytest.raises(ValueError, match=message):
             InformationStructure(space, partitions)
 
+    def test_space_and_partitions_must_be_their_types(self):
+        # Each check comes from the types: a tuple of states is no space, and labels are no partition.
+        space = StateSpace(((0,), (1,)), (Fraction(1, 2),) * 2)
+        partition = Partition.from_labels([0, 1])
+        with pytest.raises(ValueError, match="^space must be a StateSpace, got tuple$"):
+            InformationStructure(((0,), (1,)), (partition, partition))
+        with pytest.raises(ValueError, match="^partition for player 1 must be a Partition, got list$"):
+            InformationStructure(space, (partition, [0, 1]))
+        with pytest.raises(ValueError, match="^partition for player 0 must be a Partition, got tuple$"):
+            InformationStructure(space, (((0,), (1,)), partition))
+
     @pytest.mark.parametrize(
         "kinds",
         [("singletons", "one-block"), ("one-block", "random"), ("random", "singletons"), ("random", "random")],
@@ -777,10 +809,10 @@ class TestBeliefKernel:
             grouping = {}
             for state in block:
                 grouping.setdefault(structure._block_ids[companion][state], []).append(state)
-            literal = {other: structure._weight(states) for other, states in grouping.items()}
+            literal = {other: sum(structure._weights[s] for s in states) for other, states in grouping.items()}
             assert dict(structure._overlaps[b]) == literal
             assert len(structure._overlaps[b]) == len(literal)
-            assert sum(w for _, w in structure._overlaps[b]) == structure._weight(block)
+            assert sum(w for _, w in structure._overlaps[b]) == sum(structure._weights[s] for s in block)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_full_space_peel_starts_from_block_totals(self, seed):
@@ -894,12 +926,13 @@ class TestBeliefKernel:
             small = random_structure(RandomStructureConfig(seed=n, num_states=4))
             brute_force_common_p_belief(*small, 0, 0)
             fixedpoint_common_p_belief(*small, 0, 0)
-        # More distinct payoffs than the bound on one structure and target: it keeps the latest level tables.
+        # More distinct payoffs than the bound on one structure and target: its ladder keeps the latest level tables.
         payoffs = [game.PayoffParams(1, 0, Fraction(k, CACHE_SIZE + 10), 0) for k in range(1, CACHE_SIZE + 10)]
+        tables = evident_ladder(structure, target)._level_tables
         for each in payoffs:
             game.iterated_maximization_prob(structure, target, each, 2, 0, 0)
-            assert len(structure._level_tables) <= CACHE_SIZE
-        assert list(structure._level_tables) == [(target, each._integers) for each in payoffs[-CACHE_SIZE:]]
+            assert len(tables) <= CACHE_SIZE
+        assert list(tables) == [each._integers for each in payoffs[-CACHE_SIZE:]]
         for cache, bound in (
             (from_world_model, CACHE_SIZE),
             # The oracle keeps only the weights and answers of the structure in use.

@@ -4,6 +4,7 @@ read through every entry point that takes a probability."""
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -27,17 +28,27 @@ from .conftest import DELTA
 HALF = Fraction(1, 2)
 
 
+@cache
+def _messenger_game():
+    """The messenger game and its matched policy, built on first use, so collecting the tests builds no ladder."""
+    game = GameInstance.from_world_model(builtin_messenger(DELTA), PAYOFF_CONDITION_1)
+    return game, matched_policy(game.structure, game.target)
+
+
+def _expected_utility(p):
+    game, matched = _messenger_game()
+    return expected_utility(game, 0, 3, p, matched)
+
+
 def _entry_points():
     """(the field an entry point's error names, a call passing one probability there)."""
-    game = GameInstance.from_world_model(builtin_messenger(DELTA), PAYOFF_CONDITION_1)
-    matched = matched_policy(game.structure, game.target)
     halves = {name: HALF for name in CONDITION_NAMES}
     return {
         "policy": ("action probabilities", lambda p: Policy(((p,), (HALF,)))),
         "value_of_a-on_target": ("on_target", lambda p: PAYOFF_CONDITION_1.value_of_a(p, HALF)),
         "value_of_a-partner": ("partner", lambda p: PAYOFF_CONDITION_1.value_of_a(1, p)),
         "stage_payoff": ("my_prob_a", lambda p: stage_payoff(PAYOFF_CONDITION_1, True, p, HALF)),
-        "expected_utility": ("my_prob_a", lambda p: expected_utility(game, 0, 3, p, matched)),
+        "expected_utility": ("my_prob_a", _expected_utility),
         "bias": ("'bias'", lambda p: VariableSpec("x", p)),
         "messenger-delta": ("delta", builtin_messenger),
         "loudspeaker-delta": ("delta", builtin_loudspeaker),

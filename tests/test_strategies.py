@@ -18,6 +18,7 @@ from epicoord import (
     cognitive_strategy,
     common_p_belief,
     conditional_belief,
+    evident_ladder,
     from_world_model,
     iterated_matching,
     iterated_maximization,
@@ -453,12 +454,13 @@ class TestLevelsReadOutOfOrder:
             return naive_matching(messenger, messenger_target, level, player, state)
 
         cases = [(player, min(block)) for player in (0, 1) for block in messenger.partitions[player].blocks]
-        messenger._level_tables.clear()
+        tables = evident_ladder(messenger, messenger_target)._level_tables
+        tables.clear()
         values = {level: [read(level, *case) for case in cases] for level in self.ORDER}
-        key = frozenset(messenger_target), payoffs._integers if family == "maximization" else None
-        assert sorted(messenger._level_tables[key].kept) == sorted(self.ORDER)
+        key = payoffs._integers if family == "maximization" else None
+        assert sorted(tables[key].kept) == sorted(self.ORDER)
         for level in self.ORDER:
-            messenger._level_tables.clear()
+            tables.clear()
             assert [read(level, *case) for case in cases] == values[level]
         for level in range(6):
             assert values[level] == [naive(level, *case) for case in cases]

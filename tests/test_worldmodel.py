@@ -329,10 +329,14 @@ class TestPartitions:
                 "state 1 has block id -1 outside 0..1",
             ),
             (lambda: Partition((frozenset({0}),), (5,)), "state 0 has block id 5 outside 0..0"),
+            # Only an exact int is a block id: a bool is an int to Python, and it would read blocks[0].
+            (lambda: Partition((frozenset({0}),), (False,)), "state 0 has block id False outside 0..0"),
+            (lambda: Partition((frozenset({0}),), (0.0,)), "state 0 has block id 0.0 outside 0..0"),
+            (lambda: Partition((frozenset({0}),), ("0",)), "state 0 has block id '0' outside 0..0"),
         ],
         ids=[
             "lengths", "duplicates", "zero-measure", "sum", "float-measure", "empty-block", "wrong-block",
-            "negative-block-id", "block-id-past-end",
+            "negative-block-id", "block-id-past-end", "bool-block-id", "float-block-id", "str-block-id",
         ],
     )
     def test_malformed_space_or_partition_rejected(self, build, message):
@@ -548,6 +552,13 @@ class TestEvents:
         space = enumerate_states(loudspeaker_spec)
         with pytest.raises(SpecError, match=re.escape("constraint x=2: value must be 0 or 1")):
             event_where(loudspeaker_spec, space, {"x": 2})
+
+    # True and 1.0 equal 1, but only the exact int 0 or 1 is a value: neither selects the x = 1 states.
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"], ids=["true", "false", "float", "str"])
+    def test_event_where_value_must_be_an_exact_int(self, loudspeaker_spec, value):
+        space = enumerate_states(loudspeaker_spec)
+        with pytest.raises(SpecError, match=f"^{re.escape(f'constraint x={value!r}: value must be 0 or 1')}$"):
+            event_where(loudspeaker_spec, space, {"x": value})
 
 
 class TestRationalHelpers:

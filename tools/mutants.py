@@ -126,8 +126,20 @@ MUTANTS = (
     Mutant(
         "the level table is keyed without the payoffs",
         "src/epicoord/game.py",
-        "key = target, None if payoffs is None else payoffs._integers",
-        "key = target, None",
+        "key = None if payoffs is None else payoffs._integers",
+        "key = None",
+    ),
+    Mutant(
+        "the matching scale reads t_B / W_B, not t_B / W_B^2",
+        "src/epicoord/game.py",
+        "Fraction(t, w * w)",
+        "Fraction(t, w)",
+    ),
+    Mutant(
+        "noiseless_check counts a belief equal to the prior as noisy",
+        "src/epicoord/game.py",
+        "on * prior.denominator > prior.numerator * total",
+        "on * prior.denominator >= prior.numerator * total",
     ),
     Mutant(
         "GameInstance skips its target check",
