@@ -1,6 +1,11 @@
 """Scenario harness: the four built-in knowledge conditions, per-model
 prediction tables, mean-squared-error comparison with a recursion-depth grid
-search, and the simulated agent-vs-human risk sweep."""
+search, and the simulated agent-vs-human risk sweep.
+
+The sweep builds no payoffs, `GameInstance` or `Policy`: at payoffs
+(1, 0, p*, 0) each agent's decision is one bound on p*, and the cognitive
+agent's bound is read off the target's ladder by `game._matched_a_weights`,
+the read `cognitive_strategy` decides through."""
 
 from __future__ import annotations
 
@@ -15,15 +20,13 @@ from .game import (
     ONE,
     ZERO,
     Action,
-    GameInstance,
     PayoffParams,
+    _matched_a_weights,
     cognitive_strategy,
     iterated_matching,
     iterated_maximization,
     matched_p_belief_prob,
-    matched_policy,
     pair_heuristic,
-    payoff_of_a,
     private_heuristic,
     rational_p_belief_action,
 )
@@ -348,13 +351,18 @@ def human_agent_sweep(
     strategies: tuple[AgentStrategy, ...] = SWEEP_STRATEGIES,
 ) -> SweepResult:
     """Marginal value of each agent strategy at payoffs (1, 0, p*, 0) for each
-    risk level p* on the grid.
+    risk level p* on the grid: `marginal_value` at each p*, computed once per grid.
 
-    The scan is integer-only: the gains and the grid share one scale L, the
-    lcm of their denominators, the test p* < bound is one cross-multiplied
-    integer comparison, and each cell is one `Fraction` over L.  Each strategy
-    is an `AgentStrategy` or its value, and keys its row as the member; another
-    name raises `ValueError`.
+    At these payoffs A against a human mixing at proportion h pays h where
+    x = 1 and 0 where x = 0, and B pays p*, so a condition where the agent
+    plays A adds that gain less p*.  Only c = p* moves, and each agent plays A
+    exactly when p* lies below its `_attack_bound`, so each (strategy,
+    condition) is decided once, with no payoffs built.  The scan is
+    integer-only: the gains and the grid share one scale L, the lcm of their
+    denominators, the test p* < bound is one cross-multiplied integer
+    comparison, and each cell is one `Fraction` over L.  Each strategy is an
+    `AgentStrategy` or its value, and keys its row as the member; another name
+    raises `ValueError`.
     """
     strategies = tuple(map(AgentStrategy, strategies))
     grid = tuple(map(parse_rational, grid))
@@ -362,15 +370,7 @@ def human_agent_sweep(
         raise ValueError("risk grid values must lie strictly in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("risk grid must be strictly increasing")
-    # At payoffs (1, 0, p*, 0) only c moves, and no agent decision and no
-    # payoff of A reads c, so each (strategy, condition) is decided once, as a
-    # bound below which the agent plays A; the grid is then scanned against it.
-    # The c of these payoffs is a placeholder that nothing reads.
-    payoffs = PayoffParams(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(0))
-    gains = [
-        payoffs.value_of_a(condition.state_index() in condition.target(), human.prob_a[condition.name])
-        for condition in conditions
-    ]
+    gains = [human.prob_a[c.name] if c.state_index() in c.target() else ZERO for c in conditions]
     # The gains and the grid on one integer scale: a cell is (sum of gains - count * p*) / scale.
     scaled, scale = on_one_scale((*gains, *grid))
     scaled_gains, scaled_grid = scaled[: len(gains)], scaled[len(gains) :]
@@ -380,7 +380,7 @@ def human_agent_sweep(
         # exactly when p * d < n * scale; a tie stays B.
         bounds = [
             (g, bound.denominator, bound.numerator * scale)
-            for g, bound in zip(scaled_gains, (_attack_bound(strategy, c, payoffs) for c in conditions))
+            for g, bound in zip(scaled_gains, (_attack_bound(strategy, c) for c in conditions))
         ]
         row = []
         for p in scaled_grid:
@@ -390,15 +390,16 @@ def human_agent_sweep(
     return SweepResult(grid, values)
 
 
-def _attack_bound(strategy: AgentStrategy, condition: KnowledgeCondition, payoffs: PayoffParams) -> Fraction:
+def _attack_bound(strategy: AgentStrategy, condition: KnowledgeCondition) -> Fraction:
     """The agent plays A at payoffs (1, 0, p*, 0) exactly when p* lies below this bound.
 
-    For the cognitive agent it is the expected payoff of A against the matched
-    companion (A iff it beats c strictly, so a tie stays safe); the other agents
-    do not read the payoffs, so it is 1 (A at every p* in (0, 1)) or 0 (never).
+    For the cognitive agent it is the payoff of A against the matched companion,
+    on / total of its A-weight on the target over the agent's block
+    (`_matched_a_weights`; at these payoffs c cancels), and A must beat c = p*
+    strictly, so a tie stays safe.  The other agents read no payoffs, so it is
+    1 (A at every p* in (0, 1)) or 0 (never), from `agent_action`.
     """
     if strategy is AgentStrategy.COGNITIVE:
-        structure, target = condition.structure(), condition.target()
-        game = GameInstance(structure, payoffs, target)
-        return payoff_of_a(game, condition.agent, condition.state_index(), matched_policy(structure, target))
-    return Fraction(int(agent_action(strategy, condition, payoffs) is Action.A))
+        on, _, total = _matched_a_weights(condition.structure(), condition.target(), condition.agent, condition.state_index())
+        return Fraction(on, total)
+    return Fraction(int(agent_action(strategy, condition, None) is Action.A))

@@ -24,8 +24,10 @@ cognitive agent and the threshold profile read its answer rows.  The level-k
 tables live on the target's ladder, in `_level_tables`, one per payoffs
 (`_level_value`), kept by the ladder memo's rule (`epistemic._remember`), so
 they are freed with the ladder.  A `GameInstance` checks its target against
-the space without building its ladder, and the cognitive agent builds no
-`GameInstance`: `_a_weights` reads a structure and a target.
+the space without building its ladder.  The cognitive agent's one read,
+`_matched_a_weights`, sums the matched companion's A-weight straight off the
+ladder's answer rows, with no `GameInstance` and no `Policy`; the sweep in
+`experiments` reads the cognitive agent's bound through it too.
 `verify_equilibrium` checks the threshold profile when signals are noiseless
 and the risk threshold exceeds the target's prior, `measure_of` the target.
 """
@@ -33,6 +35,7 @@ and the risk threshold exceeds the target's prior, `measure_of` the target.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -164,7 +167,9 @@ class _Levels:
     - matching (no payoffs): level 0 is the block's own target belief
       t_B / W_B, that is m_B * W_B over L, and N_{k+1}[B] = m_B * S_B with
       D_{k+1} = D_k * L, where m_B / L is t_B / W_B^2 on the least common
-      denominator L of them all (`on_one_scale`), so no level is ever reduced;
+      denominator L of them all, so no level is ever reduced.  The scale is
+      computed on integers: t_B / W_B^2 in lowest terms has denominator
+      W_B^2 / gcd(t_B, W_B^2), L is the lcm of those, and m_B = t_B * L // W_B^2;
     - maximization: every level is an action, 0 or 1 over D_k = 1, and level
       0 is `_plays_a(t_B, 0, W_B)`, the threshold rule on the block's own
       target belief.  S_B is then the overlap weight of the companion blocks
@@ -203,7 +208,9 @@ class _Levels:
         self.overlaps = structure._overlaps
         self.payoffs = payoffs
         if payoffs is None:
-            self.scale, self.lcm = on_one_scale(Fraction(t, w * w) for t, w in zip(self.on_target, self.totals))
+            squares = [w * w for w in self.totals]
+            self.lcm = math.lcm(*[s // math.gcd(t, s) for t, s in zip(self.on_target, squares)])
+            self.scale = [t * self.lcm // s for t, s in zip(self.on_target, squares)]
             self.kept = {0: ([m * w for m, w in zip(self.scale, self.totals)], self.lcm)}
         else:
             self.kept = {0: ([int(payoffs._plays_a(t, 0, w)) for t, w in zip(self.on_target, self.totals)], 1)}
@@ -272,8 +279,8 @@ def iterated_maximization_prob(
 
     The utility of A multiplies the player's block-level belief in the target
     by the companion's expected play over the block, treating the two as
-    independent within the block.  `game.payoff_of_a`, which the cognitive
-    agent and the equilibrium check read, instead pairs the companion's play
+    independent within the block.  `_a_weights`, which `payoff_of_a`, the
+    cognitive agent and the equilibrium check read, instead pairs the companion's play
     with the target state by state, so the two forms can disagree on a block
     where the companion's play and the target are correlated.
 
@@ -495,19 +502,25 @@ def rational_policy(game: GameInstance) -> Policy:
     return Policy(tuple(tuple(ONE if plays(p.numerator, 0, p.denominator) else ZERO for p in row) for row in rows))
 
 
+def _matched_a_weights(structure: InformationStructure, target: Event, player: int, state: int) -> tuple[int, int, int]:
+    """`_a_weights` of the probability-matching companion over the (player, state)'s block:
+    the ladder's answer rows, read as they stand.  A bad target raises `ValueError` before
+    a bad player or state raises `IndexError`."""
+    target = frozenset(target)
+    answers = evident_ladder(structure, target).answers
+    return _a_weights(structure, target, structure._block_id(player, state), answers)
+
+
 def cognitive_strategy(
     structure: InformationStructure, target: Event, payoffs: PayoffParams, player: int, state: int
 ) -> Action:
     """The "cognitive" agent: best respond to a companion assumed to
-    probability-match on perceived common belief, so a tie plays B.
+    probability-match on perceived common belief (`_matched_a_weights`), so a tie plays B.
 
     Bad payoffs, then a bad target, raise `ValueError`; then a bad player or state raises `IndexError`.
     """
     _check_payoffs(payoffs)
-    target = frozenset(target)
-    answers = evident_ladder(structure, target).answers
-    weights = _a_weights(structure, target, structure._block_id(player, state), answers)
-    return Action.A if payoffs._plays_a(*weights) else Action.B
+    return Action.A if payoffs._plays_a(*_matched_a_weights(structure, target, player, state)) else Action.B
 
 
 @dataclass(frozen=True)

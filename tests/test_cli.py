@@ -551,6 +551,15 @@ class TestUsageAndErrors:
         with pytest.raises(ValueError, match=r"^risk grid values must lie strictly in \(0, 1\)$"):
             _parse_grid(grid)
 
+    def test_one_point_grid_is_accepted(self, runner, tmp_path):
+        """A start equal to its end is one risk level, not an empty grid."""
+        assert _parse_grid("1/2:1/2:1/2") == (Fraction(1, 2),)
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "1/2:1/2:1/2"])
+        assert result.exit_code == 0
+        assert [line.split(",")[:2] for line in result.output.splitlines()[1:]] == [
+            ["1/2", "cognitive"], ["1/2", "private"], ["1/2", "pair"]
+        ]
+
     def test_grid_end_past_one_is_kept_while_every_point_stays_below(self):
         assert _parse_grid("1/20:1/3:1") == (Fraction(1, 20), Fraction(23, 60), Fraction(43, 60))
 

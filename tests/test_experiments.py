@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicoord import experiments
+from epicoord import game as game_module
 from epicoord import (
     Action,
     AgentStrategy,
@@ -48,9 +49,9 @@ from epicoord.experiments import (
     agent_action,
     play,
 )
-from epicoord.game import GameInstance, matched_policy, payoff_of_a
+from epicoord.game import GameInstance, _matched_a_weights, matched_policy, payoff_of_a
 
-from .conftest import DELTA, make_human
+from .conftest import DELTA, email_chain, make_human
 from .test_cli import GOLDEN_PAYOFFS
 
 # Agent-seat behavior at payoffs (1, 0, p*, 0), frozen from hand analysis and
@@ -90,7 +91,7 @@ def per_grid_fraction_sweep(grid, conditions, human, strategies):
     ]
     values = {}
     for strategy in strategies:
-        bounds = [experiments._attack_bound(strategy, c, payoffs) for c in conditions]
+        bounds = [experiments._attack_bound(strategy, c) for c in conditions]
         values[strategy] = tuple(
             sum((gain - p for gain, bound in zip(gains, bounds) if p < bound), Fraction(0)) for p in grid
         )
@@ -152,7 +153,7 @@ class TestKnowledgeConditions:
 
     @pytest.mark.parametrize("delta", ["0", "1", "5/4"])
     def test_delta_must_be_interior(self, delta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^delta must lie strictly in \(0, 1\), got {delta}$"):
             knowledge_conditions(delta)
 
     @pytest.mark.parametrize("participant", [2, -1, True, False, 1.0, "0", None])
@@ -543,6 +544,11 @@ class TestSweep:
             human_agent_sweep((Fraction(1, 2), Fraction(1, 4)), conditions, synthetic_human)
         with pytest.raises(ValueError, match="refusing inexact float 0.5"):
             human_agent_sweep((Fraction(1, 4), 0.5), conditions, synthetic_human)
+        # Each end of the rule, at its exact value: a repeated point, and p* = 1.
+        with pytest.raises(ValueError, match="^risk grid must be strictly increasing$"):
+            human_agent_sweep((Fraction(1, 4), Fraction(1, 4)), conditions, synthetic_human)
+        with pytest.raises(ValueError, match=r"^risk grid values must lie strictly in \(0, 1\)$"):
+            human_agent_sweep((Fraction(1),), conditions, synthetic_human)
 
     @pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 4), Fraction(3, 5)])
     @pytest.mark.parametrize(
@@ -605,21 +611,86 @@ class TestSweep:
     def test_each_agent_is_decided_once_per_condition(self, monkeypatch, synthetic_human, length):
         decided = []
 
-        def counted_payoff(game, player, state, companion):
+        def counted_read(structure, target, player, state):
             decided.append(("cognitive", player, state))
-            return payoff_of_a(game, player, state, companion)
+            return _matched_a_weights(structure, target, player, state)
 
         def counted_action(strategy, condition, payoffs):
             decided.append((strategy.value, condition.name))
             return agent_action(strategy, condition, payoffs)
 
-        monkeypatch.setattr(experiments, "payoff_of_a", counted_payoff)
+        monkeypatch.setattr(experiments, "_matched_a_weights", counted_read)
         monkeypatch.setattr(experiments, "agent_action", counted_action)
         conditions = knowledge_conditions(DELTA)
         grid = tuple(Fraction(k, length + 1) for k in range(1, length + 1))
         human_agent_sweep(grid, conditions, synthetic_human, (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B))
         assert len(decided) == len(set(decided)) == 4 * len(conditions)
         assert sum(entry[0] == "cognitive" for entry in decided) == len(conditions)
+
+    def test_a_condition_at_x_0_gives_the_agent_no_gain(self, synthetic_human):
+        """At x = 0, A pays d = 0 against any human mix, so an agent that attacks there only
+        gives up p*.  The built-in conditions all sit at x = 1: here the messenger's
+        all-zero state, where the cognitive agent (player 1) attacks below 5/64."""
+        bad = KnowledgeCondition("private", builtin_messenger(DELTA), (0, 0, 0, 0, 0), 0)
+        assert bad.state_index() not in bad.target()
+        assert experiments._attack_bound(AgentStrategy.COGNITIVE, bad) == Fraction(5, 64)
+        grid = (Fraction(1, 20), Fraction(5, 64), Fraction(1, 10), Fraction(1, 2))
+        strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
+        for conditions in ((bad,), (*knowledge_conditions(DELTA), bad)):
+            result = human_agent_sweep(grid, conditions, synthetic_human, strategies)
+            assert result.values == per_grid_fraction_sweep(grid, conditions, synthetic_human, strategies)
+            for strategy in strategies:
+                expected = tuple(
+                    marginal_value(strategy, conditions, synthetic_human, PayoffParams(1, 0, p, 0)) for p in grid
+                )
+                assert result.values[strategy] == expected, strategy
+            if conditions == (bad,):
+                assert result.values[AgentStrategy.COGNITIVE] == (Fraction(-1, 20), 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [builtin_messenger(DELTA), builtin_loudspeaker(DELTA), email_chain(12, Fraction(1, 3), Fraction(1, 10))],
+        ids=["messenger", "loudspeaker", "email-chain-12"],
+    )
+    def test_the_cognitive_bound_is_the_payoff_of_a_against_matched(self, spec):
+        """At every state and seat: the bound equals `payoff_of_a` against `matched_policy`
+        at (1, 0, 1/2, 0), and `cognitive_strategy` attacks just below it and not at it."""
+        structure = from_world_model(spec)
+        target = x_event(spec, structure.space)
+        game = GameInstance(structure, PayoffParams(1, 0, Fraction(1, 2), 0), target)
+        matched, step = matched_policy(structure, target), Fraction(1, 10**6)
+        inside = 0
+        for state in structure.space.states:
+            for participant in (0, 1):
+                condition = KnowledgeCondition("private", spec, state, participant)
+                agent, index = condition.agent, condition.state_index()
+                bound = experiments._attack_bound(AgentStrategy.COGNITIVE, condition)
+                assert bound == payoff_of_a(game, agent, index, matched), (state, participant)
+                for c, action in ((bound - step, Action.A), (bound, Action.B)):
+                    if 0 < c < 1:
+                        payoffs = PayoffParams(1, 0, c, 0)
+                        assert cognitive_strategy(structure, target, payoffs, agent, index) is action, (state, c)
+                inside += 0 < bound < 1
+        assert inside
+
+    def test_the_sweep_builds_no_payoffs_game_instance_or_policy(self, monkeypatch, synthetic_human):
+        grid, strategies = default_risk_grid(), (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built payoffs, a GameInstance or a Policy")
+
+        monkeypatch.setattr(game_module, "GameInstance", refuse)
+        monkeypatch.setattr(game_module, "Policy", refuse)
+        monkeypatch.setattr(experiments, "PayoffParams", refuse)
+        # Fresh conditions, so every ladder is built under the refusals.
+        result = human_agent_sweep(grid, knowledge_conditions(Fraction(1, 3)), synthetic_human, strategies)
+        monkeypatch.undo()
+        conditions = knowledge_conditions(Fraction(1, 3))
+        for strategy in strategies:
+            expected = tuple(
+                marginal_value(strategy, conditions, synthetic_human, PayoffParams(1, 0, p, 0)) for p in grid
+            )
+            assert result.values[strategy] == expected, strategy
 
     def test_empty_grid(self, synthetic_human):
         strategies = (*SWEEP_STRATEGIES, AgentStrategy.ALWAYS_B)

@@ -307,6 +307,14 @@ class TestVerifyEquilibrium:
         assert "prior" in report.reason
         assert not report.passed
 
+    def test_risk_threshold_equal_to_the_prior_is_not_applicable(self):
+        """The threshold rule is checked only for a risk threshold strictly above the prior (1/4 here)."""
+        game = GameInstance.from_world_model(builtin_messenger(DELTA), PayoffParams.parse("1,0,1/4,0"))
+        assert noiseless_check(game)
+        report = verify_equilibrium(game)
+        assert (report.applicable, report.violations) == (False, ())
+        assert report.reason == "risk threshold 1/4 does not exceed the target prior 1/4"
+
     def test_noisy_structure_is_not_applicable(self):
         game = GameInstance(noisy_structure(), PAYOFF_CONDITION_1, frozenset({1}))
         report = verify_equilibrium(game)

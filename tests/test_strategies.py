@@ -105,6 +105,8 @@ class TestPayoffs:
             PayoffParams(Fraction(1), Fraction(0), Fraction(2), Fraction(0))  # c > a
         with pytest.raises(ValueError):
             PayoffParams(Fraction(2), Fraction(0), Fraction(1), Fraction(1))  # d == c
+        with pytest.raises(ValueError, match=re.escape("must satisfy a > c > max(b, d), got a=1, b=0, c=1, d=0")):
+            PayoffParams(1, 0, 1, 0)  # a == c
 
     def test_boolean_payoff_rejected(self):
         with pytest.raises(ValueError, match="boolean"):

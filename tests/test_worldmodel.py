@@ -329,6 +329,11 @@ class TestPartitions:
                 "state 1 has block id -1 outside 0..1",
             ),
             (lambda: Partition((frozenset({0}),), (5,)), "state 0 has block id 5 outside 0..0"),
+            # An id equal to the block count is the first one past the end.
+            (
+                lambda: Partition((frozenset({0}), frozenset({1})), (0, 2)),
+                "state 1 has block id 2 outside 0..1",
+            ),
             # Only an exact int is a block id: a bool is an int to Python, and it would read blocks[0].
             (lambda: Partition((frozenset({0}),), (False,)), "state 0 has block id False outside 0..0"),
             (lambda: Partition((frozenset({0}),), (0.0,)), "state 0 has block id 0.0 outside 0..0"),
@@ -336,7 +341,8 @@ class TestPartitions:
         ],
         ids=[
             "lengths", "duplicates", "zero-measure", "sum", "float-measure", "empty-block", "wrong-block",
-            "negative-block-id", "block-id-past-end", "bool-block-id", "float-block-id", "str-block-id",
+            "negative-block-id", "block-id-past-end", "block-id-at-count", "bool-block-id", "float-block-id",
+            "str-block-id",
         ],
     )
     def test_malformed_space_or_partition_rejected(self, build, message):
@@ -580,6 +586,20 @@ class TestRationalHelpers:
             parse_rational(0.25)
         with pytest.raises(ValueError):
             parse_rational("one half")
+
+    def test_a_bad_value_of_40_characters_is_quoted_whole(self):
+        text = "x" * 40
+        with pytest.raises(ValueError, match=f"^{re.escape(f'not a rational number: {text!r}')}$"):
+            parse_rational(text)
+
+    def test_an_exponent_value_is_quoted_whole_up_to_40_characters(self):
+        """A value of 40 characters is quoted whole, and from 41 on only its first 40 are."""
+        for text, shown in (
+            ("1e" + "9" * 38, repr("1e" + "9" * 38)),
+            ("1e" + "9" * 39, f"the 41-character value {'1e' + '9' * 38!r}..."),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'cannot read {shown}: its exponent exceeds')}"):
+                parse_rational(text)
 
     def test_format_always_carries_denominator(self):
         assert format_rational(Fraction(1)) == "1/1"

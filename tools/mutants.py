@@ -3,9 +3,10 @@
 A mutant is a small deliberate bug: a file, an exact old text that occurs in
 it exactly once, and the new text that replaces it.  For each mutant the
 script copies `src/`, `tests/` and `pyproject.toml` to a temporary directory,
-applies the mutant there and runs tier-1 with `-x` under a timeout; a failure
-or a timeout kills it.  A mutant that passes tier-1 then meets the fuzz lines
-of `tools/fuzz-lines`, which CI runs too.  A mutant that passes both survives.
+applies the mutant there and runs tier-1 with `-x` under a timeout and an
+address-space limit; a failure, a timeout or running out of memory kills it.
+A mutant that passes tier-1 then meets the fuzz lines of `tools/fuzz-lines`,
+which CI runs too.  A mutant that passes both survives.
 
 Every command runs with `PYTHONPATH=<copy>/src` as `python -m pytest` or
 `python -m epicoord`, so the copy is what runs even where the package is
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -40,6 +42,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1_TIMEOUT = 120
+# Each child's address-space limit (RLIMIT_AS): a mutant that builds without end
+# stops growing here, and fails with a `MemoryError` or at the timeout.
+MEMORY_LIMIT = 2 * 1024**3
 
 
 def _fuzz_lines() -> list[tuple[tuple[str, ...], int]]:
@@ -132,8 +137,8 @@ MUTANTS = (
     Mutant(
         "the matching scale reads t_B / W_B, not t_B / W_B^2",
         "src/epicoord/game.py",
-        "Fraction(t, w * w)",
-        "Fraction(t, w)",
+        "squares = [w * w for w in self.totals]",
+        "squares = [w for w in self.totals]",
     ),
     Mutant(
         "noiseless_check counts a belief equal to the prior as noisy",
@@ -402,6 +407,18 @@ MUTANTS = (
         "if payoffs is not None and not isinstance(payoffs, PayoffParams):",
     ),
     Mutant(
+        "the sweep credits the human's proportion at a bad-state condition",
+        "src/epicoord/experiments.py",
+        "gains = [human.prob_a[c.name] if c.state_index() in c.target() else ZERO for c in conditions]",
+        "gains = [human.prob_a[c.name] for c in conditions]",
+    ),
+    Mutant(
+        "the sweep's cognitive bound reads the off-target A-weight",
+        "src/epicoord/experiments.py",
+        "on, _, total = _matched_a_weights(",
+        "_, on, total = _matched_a_weights(",
+    ),
+    Mutant(
         "WorldModelSpec's position map puts each variable one place early",
         "src/epicoord/worldmodel.py",
         "position[var.name] = len(position)",
@@ -450,12 +467,13 @@ def _mutate(mutant: Mutant) -> str:
 
 
 def _passes(copy: Path, args: tuple[str, ...], timeout: int) -> bool:
-    """Does `python <args>` exit 0 in the copy within `timeout` seconds?"""
+    """Does `python <args>` exit 0 in the copy within `timeout` seconds and `MEMORY_LIMIT` bytes?"""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         result = subprocess.run(
             (sys.executable, *args), cwd=copy, env=env, timeout=timeout,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT)),
         )
     except subprocess.TimeoutExpired:
         return False
