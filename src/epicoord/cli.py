@@ -268,6 +268,11 @@ def compare(fmt, human_path, delta, payoffs, out):
     _print(fmt, payload, render, out)
 
 
+# Risk levels a sweep grid may hold: a sweep of 99,999 points takes about 3 s and
+# 140 MiB, and a tiny step would otherwise build points until memory runs out.
+_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -277,16 +282,15 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
         raise click.UsageError("grid step must be positive")
     if start > end:
         raise click.UsageError(f"--grid {text} holds no risk level: its start exceeds its end")
-    # Each value is checked as it is made, so a grid reaching outside (0, 1) is
-    # refused before the rest of it is built.
-    grid = []
-    value = start
-    while value <= end:
-        if not 0 < value < 1:
-            raise ValueError("risk grid values must lie strictly in (0, 1)")
-        grid.append(value)
-        value += step
-    return tuple(grid)
+    # The point count and the last point, exactly, so a grid reaching outside
+    # (0, 1) or past the cap is refused before any point is made.
+    count = (end - start) // step + 1
+    last = start + (count - 1) * step
+    if not (0 < start and last < 1):
+        raise ValueError("risk grid values must lie strictly in (0, 1)")
+    if count > _GRID_POINTS:
+        raise ValueError(f"--grid {text} holds {count} risk levels; at most {_GRID_POINTS} are allowed")
+    return tuple(start + k * step for k in range(count))
 
 
 @_command("table", "json", "csv")

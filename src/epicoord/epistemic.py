@@ -16,8 +16,9 @@ much of each block lies on the target, summed in one pass over the target's
 states.  The level-k steps, the certainty heuristics and the attack game
 read that table, and a block is certain of the target exactly when its
 weight on the target equals its weight.  Each ladder also keeps `game`'s
-level-k tables for its target, `_level_tables`, one per payoffs, so they are
-freed with it; the memo and each ladder's tables keep at most `CACHE_SIZE`
+level-k tables for its target, `_level_tables`, one per payoffs, and the
+matched companion's per-block A-weights, `_matched_sums`, so they are freed
+with it; the memo and each ladder's tables keep at most `CACHE_SIZE`
 entries by one rule, `_remember`.
 
 The central construction is the nested sequence of maximally evident
@@ -251,8 +252,10 @@ class EvidentLadder:
     `on_target[b]` is block b's integer weight on the target, the table the
     peel starts from, which the level-k steps, the certainty heuristics and
     the attack game read.  Both follow from the structure and the target, so
-    they take no part in equality, hashing or the repr; nor does
-    `_level_tables`, the level-k tables `game` keeps for the target.
+    they take no part in equality, hashing or the repr; nor do
+    `_level_tables`, the level-k tables `game` keeps for the target, and
+    `_matched_sums`, the per-block A-weights of the probability-matching
+    companion that `game` stores once it has summed them.
     """
 
     depth: tuple[int, ...]
@@ -260,6 +263,7 @@ class EvidentLadder:
     block_depth: tuple[int, ...]
     answers: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] = field(compare=False, repr=False)
     on_target: tuple[int, ...] = field(compare=False, repr=False)
+    _matched_sums: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def _level_tables(self) -> dict:

@@ -16,20 +16,27 @@ response to a probability-matching companion.
 
 The payoff of A, best response and the equilibrium check read a companion's
 A-weight on and off the target over a block as two integer sums, and build a
-`Fraction` only for a returned value.  Every per-target reader goes through
-`evident_ladder`, which checks a target where a structure's memo first meets
-it: the level-k steps, the heuristics and the noiseless check read the
-ladder's table of block weights on the target (`on_target`), and the
-cognitive agent and the threshold profile read its answer rows.  The level-k
-tables live on the target's ladder, in `_level_tables`, one per payoffs
-(`_level_value`), kept by the ladder memo's rule (`epistemic._remember`), so
-they are freed with the ladder.  A `GameInstance` checks its target against
-the space without building its ladder.  The cognitive agent's one read,
-`_matched_a_weights`, sums the matched companion's A-weight straight off the
-ladder's answer rows, with no `GameInstance` and no `Policy`; the sweep in
-`experiments` reads the cognitive agent's bound through it too.
-`verify_equilibrium` checks the threshold profile when signals are noiseless
-and the risk threshold exceeds the target's prior, `measure_of` the target.
+`Fraction` only for a returned value.  One function, `_block_a_weights`,
+sums every block's A-weight in one pass over the states, from the
+companion's play as two per-state integer rows over one scale; `_a_weights`
+sums one block on its own scale, for the single-block public reads
+`payoff_of_a`, `expected_utility` and `best_response`.  Every per-target
+reader goes through `evident_ladder`, which checks a target where a
+structure's memo first meets it: the level-k steps, the heuristics and the
+noiseless check read the ladder's table of block weights on the target
+(`on_target`), and the cognitive agent and the threshold profile read its
+rungs.  The level-k tables live on the target's ladder, in `_level_tables`,
+one per payoffs (`_level_value`), kept by the ladder memo's rule
+(`epistemic._remember`), so they are freed with the ladder.  A
+`GameInstance` checks its target against the space without building its
+ladder.  The cognitive agent's one read, `_matched_a_weights`, reads the
+matched companion's sums, summed once per target ladder from its levels on
+one scale and kept on it (`_matched_sums`), with no `GameInstance` and no
+`Policy`; the sweep in `experiments` reads the cognitive agent's bound
+through it too.  `verify_equilibrium` checks the threshold profile when
+signals are noiseless and the risk threshold exceeds the target's prior,
+`measure_of` the target: its rows are 0/1, one tie rule call per rung, and
+`_violations` of a `Policy` runs the same scan, `_scan`.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from functools import cached_property
 
 from .epistemic import (
     Event,
+    EvidentLadder,
     InformationStructure,
     _entry,
     _remember,
@@ -279,9 +287,9 @@ def iterated_maximization_prob(
 
     The utility of A multiplies the player's block-level belief in the target
     by the companion's expected play over the block, treating the two as
-    independent within the block.  `_a_weights`, which `payoff_of_a`, the
-    cognitive agent and the equilibrium check read, instead pairs the companion's play
-    with the target state by state, so the two forms can disagree on a block
+    independent within the block.  `_a_weights` and `_block_a_weights`, which
+    `payoff_of_a`, the cognitive agent and the equilibrium check read, instead pair
+    the companion's play with the target state by state, so the two forms can disagree on a block
     where the companion's play and the target are correlated.
 
     Payoffs that are not a `PayoffParams` raise `ValueError` (`_check_payoffs`).
@@ -428,7 +436,9 @@ def _a_weights(structure: InformationStructure, target: Event, block: int, rows)
     `_blocks` of a companion whose two rows of exact play are `rows`, and the
     block's weight, on one integer scale T = W_B * L (`payoff_of_a`'s sums).
     The companion's row is `rows[block < first_count]`: player 0's blocks come
-    first.  Rows that do not cover the structure's states are refused."""
+    first.  Rows that do not cover the structure's states are refused.  Only the
+    single-block public reads, `payoff_of_a`, `expected_utility` and
+    `best_response`, sum this way; `_block_a_weights` sums every block at once."""
     weights, members = structure._weights, structure._blocks[block]
     plays = _covering(structure, rows)[block < len(structure.partitions[0].blocks)]
     numerators, scale = on_one_scale([plays[member] for member in members])
@@ -440,6 +450,31 @@ def _a_weights(structure: InformationStructure, target: Event, block: int, rows)
         else:
             off += share
     return on, off, structure._totals[block] * scale
+
+
+def _block_a_weights(structure: InformationStructure, target: Event, rows) -> tuple[list[int], list[int]]:
+    """(on, off): every block's A-weight on and off `target`, a frozenset checked against
+    the space, of a companion whose play is `rows`, two per-state integer rows, player 0's
+    and player 1's, over one scale L, in one pass over the states.  Block b of `_blocks`
+    has total weight `_totals[b] * L` on that scale.
+
+    Each state's weight times player 1's play is credited to the state's player-0 block,
+    and times player 0's play to its player-1 block: a block's companion is the other
+    player."""
+    weights, (first, second), count = structure._weights, structure._block_ids, len(structure._blocks)
+    on, off = [0] * count, [0] * count
+    for state, (weight, zero, one) in enumerate(zip(weights, *rows)):
+        sums = on if state in target else off
+        sums[first[state]] += weight * one
+        sums[second[state]] += weight * zero
+    return on, off
+
+
+def _rung_rows(structure: InformationStructure, ladder: EvidentLadder, plays) -> tuple[list, list]:
+    """Two per-state rows of a companion that plays `plays[k]` on each block whose deepest
+    rung (`block_depth`) is k, as the ladder's answer rows hold `levels[k]`."""
+    by_block = [plays[depth] for depth in ladder.block_depth]
+    return tuple([by_block[block] for block in row] for row in structure._block_ids)
 
 
 def payoff_of_a(game: GameInstance, player: int, state: int, companion: Policy) -> Fraction:
@@ -489,26 +524,44 @@ def noiseless_check(game: GameInstance) -> bool:
 def matched_policy(structure: InformationStructure, target: Event) -> Policy:
     """Both players probability-matching on perceived common belief in the target: the
     ladder's answer rows, where block b of `_blocks` plays `levels[block_depth[b]]` at
-    each of its states.  A new `Policy` on each call; the rules that play against it
-    read the rows from the ladder itself."""
+    each of its states.  A new `Policy` on each call; the cognitive agent, which plays
+    against it, reads the ladder itself (`_matched_a_weights`)."""
     return Policy(evident_ladder(structure, target).answers)
 
 
 def rational_policy(game: GameInstance) -> Policy:
     """Both players following the common-belief threshold rule everywhere: A where
     `matched_policy` plays above the risk threshold (`PayoffParams._plays_a`)."""
-    plays = game.payoffs._plays_a
-    rows = evident_ladder(game.structure, game.target).answers
-    return Policy(tuple(tuple(ONE if plays(p.numerator, 0, p.denominator) else ZERO for p in row) for row in rows))
+    return Policy(_threshold_rows(game))
+
+
+def _threshold_rows(game: GameInstance) -> tuple[list[int], list[int]]:
+    """The threshold profile as two per-state 0/1 rows: `PayoffParams._plays_a` once
+    per rung of the target's ladder, at the rung's level, mapped through `block_depth`."""
+    ladder = evident_ladder(game.structure, game.target)
+    plays = [int(game.payoffs._plays_a(level.numerator, 0, level.denominator)) for level in ladder.levels]
+    return _rung_rows(game.structure, ladder, plays)
 
 
 def _matched_a_weights(structure: InformationStructure, target: Event, player: int, state: int) -> tuple[int, int, int]:
-    """`_a_weights` of the probability-matching companion over the (player, state)'s block:
-    the ladder's answer rows, read as they stand.  A bad target raises `ValueError` before
-    a bad player or state raises `IndexError`."""
+    """The probability-matching companion's (on, off, T) over the (player, state)'s block,
+    as `_a_weights` gives them, on the ladder's one scale: the companion plays the
+    ladder's answer rows.
+
+    Every block's sums come from one `_block_a_weights` pass, made on the first read
+    of a target and kept on its ladder (`_matched_sums`), so they are freed with it:
+    the rows are `on_one_scale(levels)` mapped through `block_depth`.  A bad target
+    raises `ValueError` before a bad player or state raises `IndexError`."""
     target = frozenset(target)
-    answers = evident_ladder(structure, target).answers
-    return _a_weights(structure, target, structure._block_id(player, state), answers)
+    ladder = evident_ladder(structure, target)
+    block = structure._block_id(player, state)
+    sums = ladder._matched_sums
+    if sums is None:
+        plays, scale = on_one_scale(ladder.levels)
+        sums = (*_block_a_weights(structure, target, _rung_rows(structure, ladder, plays)), scale)
+        object.__setattr__(ladder, "_matched_sums", sums)
+    on, off, scale = sums
+    return on[block], off[block], structure._totals[block] * scale
 
 
 def cognitive_strategy(
@@ -549,7 +602,10 @@ def verify_equilibrium(game: GameInstance) -> EquilibriumReport:
 
     Requires noiseless signals and a risk threshold above the target's prior;
     otherwise the report is marked not applicable rather than pass/fail.
-    Pure deviations suffice: expected utility is linear in the own mix.
+    Pure deviations suffice: expected utility is linear in the own mix.  The
+    threshold profile is `rational_policy`'s, read as 0/1 rows (`_threshold_rows`:
+    `_plays_a` once per ladder rung), with no `Policy` built; `_scan` finds its
+    violations as `_violations` does.
     """
     threshold = risk_threshold(game.payoffs)
     prior = game.structure.measure_of(game.target)
@@ -563,27 +619,38 @@ def verify_equilibrium(game: GameInstance) -> EquilibriumReport:
             f"risk threshold {threshold} does not exceed the target prior {prior}",
             (),
         )
-    return EquilibriumReport(True, None, _violations(game, rational_policy(game)))
+    return EquilibriumReport(True, None, _scan(game, _threshold_rows(game), 1))
 
 
 def _violations(game: GameInstance, policy: Policy) -> tuple[Violation, ...]:
-    """Every (player, state) where switching the own play against `policy` pays.
+    """Every (player, state) where switching the own play against `policy` pays:
+    the policy's 2n entries put on one scale (`on_one_scale`) and `_scan`ned.
+    A policy that does not cover the structure's states is refused."""
+    rows = _covering(game.structure, policy.prob_a)
+    numerators, scale = on_one_scale(rows[0] + rows[1])
+    return _scan(game, (numerators[: len(rows[0])], numerators[len(rows[0]) :]), scale)
+
+
+def _scan(game: GameInstance, rows, scale: int) -> tuple[Violation, ...]:
+    """Every (player, state) where switching the own play pays, both players playing
+    `rows`, two per-state integer rows over `scale`.
 
     B is worth c and utility is linear in the own mix, so switching from own
     play p gains (1 - 2p) times the block's one gain of A over B
-    (`PayoffParams._gain`).  A state is decided by the two signs, the gain's and
-    that of 1 - 2p; the gap is built as a `Fraction` only for an actual violation."""
+    (`PayoffParams._gain`) against the companion's sums (`_block_a_weights`).
+    A state is decided by the two signs, the gain's and that of 1 - 2p; the gap
+    is built as a `Fraction` only for an actual violation."""
     structure, payoffs = game.structure, game.payoffs
-    gains = []
-    for block in range(len(structure._blocks)):
-        on, off, total = _a_weights(structure, game.target, block, policy.prob_a)
-        gains.append((payoffs._gain(on, off, total), total * payoffs._integers[4]))
+    on, off = _block_a_weights(structure, game.target, rows)
+    totals = [total * scale for total in structure._totals]
+    gains = [payoffs._gain(*sums) for sums in zip(on, off, totals)]
+    denominator = scale * payoffs._integers[4]
     violations = []
-    for player, (plays, row) in enumerate(zip(policy.prob_a, structure._block_ids)):
+    for player, (plays, row) in enumerate(zip(rows, structure._block_ids)):
         for state, (own, block) in enumerate(zip(plays, row)):
-            gain, scale = gains[block]
-            if gain * (own.denominator - 2 * own.numerator) > 0:
-                chosen = Action.A if own == ONE else Action.B
-                gap = (1 - 2 * own) * Fraction(gain, scale)
+            switch = gains[block] * (scale - 2 * own)
+            if switch > 0:
+                chosen = Action.A if own == scale else Action.B
+                gap = Fraction(switch, totals[block] * denominator)
                 violations.append(Violation(player, state, structure.space.states[state], chosen, gap))
     return tuple(violations)

@@ -546,10 +546,26 @@ class TestUsageAndErrors:
 
     @pytest.mark.parametrize("grid", ["-1000000:1/10:1/2", "0:1e-9:1", "1/2:1/2:1", "9/10:1/20:1000000"])
     def test_grid_outside_the_unit_interval_is_refused_as_it_is_built(self, grid):
-        """A start at or below 0 is refused before any point is made, and a
-        point at or above 1 as soon as it is made, so no grid is built whole."""
+        """A start at or below 0, or a last point at or above 1, is refused
+        before any point is made: the count and the last point are exact."""
         with pytest.raises(ValueError, match=r"^risk grid values must lie strictly in \(0, 1\)$"):
             _parse_grid(grid)
+
+    def test_a_grid_of_too_many_points_exits_1_at_once(self, runner, tmp_path):
+        """Every point of 1e-9:1e-9:1/2 lies inside (0, 1), but there are 5e8 of them: the
+        count is refused before any point is made, with no traceback."""
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "1e-9:1e-9:1/2"])
+        assert result.exit_code == 1
+        assert result.output == "Error: --grid 1e-9:1e-9:1/2 holds 500000000 risk levels; at most 100000 are allowed\n"
+        assert "Traceback" not in result.output
+
+    def test_a_grid_at_the_point_cap_is_accepted_one_past_it_refused(self, runner, tmp_path):
+        grid = _parse_grid("1/200000:1/200000:1/2")
+        assert len(grid) == 100_000
+        assert (grid[0], grid[1], grid[-1]) == (Fraction(1, 200000), Fraction(1, 100000), Fraction(1, 2))
+        result = runner.invoke(cli, ["sweep", "--human", str(write_csv(tmp_path)), "--grid", "1/200002:1/200002:1/2"])
+        assert result.exit_code == 1
+        assert result.output == "Error: --grid 1/200002:1/200002:1/2 holds 100001 risk levels; at most 100000 are allowed\n"
 
     def test_one_point_grid_is_accepted(self, runner, tmp_path):
         """A start equal to its end is one risk level, not an empty grid."""

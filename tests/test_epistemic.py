@@ -702,6 +702,7 @@ class TestBeliefKernel:
             common_p_belief(structure, target, 0, 0)
             matched_policy(structure, target)
             pair_heuristic(structure, target, 1, 0)
+            game.cognitive_strategy(structure, target, PAYOFF_CONDITION_1, 0, 0)
             alive = weakref.ref(structure)
             del structure
             assert alive() is None
@@ -725,6 +726,29 @@ class TestBeliefKernel:
         assert iterated_maximization_prob(structure, target, PAYOFF_CONDITION_1, 2, 1, 0) in (0, 1)
         assert list(evident_ladder(structure, target)._level_tables) == [PAYOFF_CONDITION_1._integers]
         assert iterated_matching(structure, target, 3, 0, 0) == before
+
+    def test_evicted_ladder_takes_its_matched_sums(self):
+        """The matched companion's per-block sums are summed on the first cognitive read and
+        kept on the ladder alone, outside its equality: a ladder dropped from the memo frees
+        them with it, and a re-read builds a fresh ladder that sums them again."""
+        structure, target = random_structure(RandomStructureConfig(seed=5, num_states=8))
+        ladder = evident_ladder(structure, target)
+        assert ladder._matched_sums is None
+        before = [game.cognitive_strategy(structure, target, PAYOFF_CONDITION_1, 0, s) for s in range(8)]
+        sums = ladder._matched_sums
+        assert sums is not None and ladder == dataclasses.replace(ladder)
+        game.cognitive_strategy(structure, target, PAYOFF_CONDITION_1, 1, 3)
+        assert ladder._matched_sums is sums
+        alive = weakref.ref(ladder)
+        del ladder
+        others = [frozenset(s for s in range(8) if mask >> s & 1) for mask in range(256)]
+        for other in [other for other in others if other != target][:CACHE_SIZE]:
+            evident_ladder(structure, other)
+        assert target not in structure._memo
+        assert alive() is None
+        assert evident_ladder(structure, target)._matched_sums is None
+        assert [game.cognitive_strategy(structure, target, PAYOFF_CONDITION_1, 0, s) for s in range(8)] == before
+        assert evident_ladder(structure, target)._matched_sums == sums
 
     @pytest.mark.parametrize("uniform", [False, True], ids=["weighted", "uniform"])
     def test_totals_and_target_table_match_literal_sums(self, uniform, loudspeaker_spec, messenger_spec):

@@ -11,17 +11,21 @@ from epicoord import (
     Action,
     GameInstance,
     InformationStructure,
+    ObservationRule,
     Partition,
     PayoffParams,
     Policy,
     RandomStructureConfig,
     StateSpace,
+    VariableSpec,
+    WorldModelSpec,
     best_response,
     builtin_loudspeaker,
     builtin_messenger,
     cognitive_strategy,
     common_p_belief,
     conditional_belief,
+    evident_ladder,
     expected_utility,
     from_world_model,
     is_partition_measurable,
@@ -39,7 +43,8 @@ from epicoord import (
 )
 from epicoord import game as game_module
 from epicoord.experiments import PAYOFF_CONDITION_1
-from epicoord.game import Violation, _violations
+from epicoord.game import Violation, _a_weights, _block_a_weights, _matched_a_weights, _violations
+from epicoord.rational import on_one_scale
 
 from .conftest import DELTA, email_chain
 
@@ -563,6 +568,97 @@ class TestPoliciesEqualThePerStateRules:
         if payoffs == "1,0,1/2,0":
             # The messenger's tertiary state ties the threshold: the rule plays B there.
             assert ties
+
+
+def random_gated_model(rng: random.Random) -> WorldModelSpec:
+    """A seeded gated world model: x first and ungated, 4-6 more variables, each gated on up
+    to two earlier ones, and 2-5 observation rules with at most one guard."""
+    biases = tuple(Fraction(k, 6) for k in range(1, 6))
+    names = ["x"] + [f"v{i}" for i in range(1, rng.randint(5, 7))]
+    variables = [VariableSpec("x", rng.choice(biases))]
+    for i in range(1, len(names)):
+        gate = tuple(rng.sample(names[:i], rng.randint(0, min(2, i))))
+        variables.append(VariableSpec(names[i], rng.choice(biases), gate=gate))
+    rules = tuple(
+        ObservationRule(tuple(rng.sample(names, rng.randint(0, 1))), rng.randrange(2), tuple(rng.sample(names, rng.randint(1, 2))))
+        for _ in range(rng.randint(2, 5))
+    )
+    return WorldModelSpec(tuple(variables), rules)
+
+
+def a_weight_structures():
+    """Random structures (seeds 0-19 at 1, 4, 9 and 30 states, every third seed uniform),
+    twelve seeded gated world models and a 12-variable e-mail chain, each with its x = 1 target."""
+    for num_states in (1, 4, 9, 30):
+        for seed in range(20):
+            yield random_structure(RandomStructureConfig(seed, num_states, uniform_measure=seed % 3 == 0))
+    rng = random.Random("gated")
+    for spec in [random_gated_model(rng) for _ in range(12)] + [email_chain(12, Fraction(1, 3), Fraction(1, 10))]:
+        structure = from_world_model(spec)
+        yield structure, x_event(spec, structure.space)
+
+
+class TestBlockAWeights:
+    """`_block_a_weights` sums every block's A-weight in one pass over the states; `_a_weights`
+    walks one block at a time, on that block's own scale."""
+
+    @staticmethod
+    def ratios(on, off, total):
+        return Fraction(on, total), Fraction(off, total)
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed", "non-measurable"])
+    def test_equal_a_weights_at_every_block(self, kind):
+        rng = random.Random(kind)
+        for structure, target in a_weight_structures():
+            policy = random_policy(rng, structure, kind)
+            n = len(structure)
+            numerators, scale = on_one_scale(policy.prob_a[0] + policy.prob_a[1])
+            on, off = _block_a_weights(structure, target, (numerators[:n], numerators[n:]))
+            for block, total in enumerate(structure._totals):
+                expected = self.ratios(*_a_weights(structure, target, block, policy.prob_a))
+                assert self.ratios(on[block], off[block], total * scale) == expected, (kind, block)
+
+    def test_an_all_a_companion_weighs_each_block_whole(self):
+        for structure, target in a_weight_structures():
+            on, off = _block_a_weights(structure, target, ([1] * len(structure),) * 2)
+            assert on == list(evident_ladder(structure, target).on_target)
+            assert [a + b for a, b in zip(on, off)] == list(structure._totals)
+
+    def test_the_matched_sums_equal_a_weights_of_the_answer_rows(self):
+        for structure, target in a_weight_structures():
+            answers = evident_ladder(structure, target).answers
+            for player in (0, 1):
+                for state in range(len(structure)):
+                    block = structure._block_id(player, state)
+                    expected = self.ratios(*_a_weights(structure, target, block, answers))
+                    assert self.ratios(*_matched_a_weights(structure, target, player, state)) == expected
+
+    @pytest.mark.parametrize("payoffs", POLICY_PAYOFFS)
+    def test_verify_scans_the_threshold_profile_and_builds_no_policy(self, payoffs, monkeypatch):
+        """`verify_equilibrium` reads the threshold profile off the ladder as 0/1 rows: the rows
+        it scans are `rational_policy`'s, and its report is `_violations` of that policy."""
+        params = PayoffParams.parse(payoffs)
+        games = [GameInstance(structure, params, target) for structure, target in policy_structures()]
+        expected = [(game, rational_policy(game), verify_equilibrium(game)) for game in games]
+        assert any(report.applicable for _, _, report in expected)
+        scanned = []
+        scan = game_module._scan
+
+        def spy(game, rows, scale):
+            scanned.append((rows, scale))
+            return scan(game, rows, scale)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Policy was built")
+
+        monkeypatch.setattr(game_module, "_scan", spy)
+        monkeypatch.setattr(game_module, "Policy", refuse)
+        for game, policy, report in expected:
+            scanned.clear()
+            assert verify_equilibrium(game) == report
+            if report.applicable:
+                assert scanned == [(tuple(list(map(int, row)) for row in policy.prob_a), 1)]
+                assert report.violations == _violations(game, policy)
 
 
 # The package's public names other than its submodules.  The first set is the attack game's

@@ -155,8 +155,26 @@ MUTANTS = (
     Mutant(
         "_violations counts a zero gain as a violation",
         "src/epicoord/game.py",
-        "if gain * (own.denominator - 2 * own.numerator) > 0:",
-        "if gain * (own.denominator - 2 * own.numerator) >= 0:",
+        "if switch > 0:",
+        "if switch >= 0:",
+    ),
+    Mutant(
+        "_block_a_weights credits a state with its own player's play",
+        "src/epicoord/game.py",
+        "        sums[first[state]] += weight * one\n        sums[second[state]] += weight * zero\n",
+        "        sums[first[state]] += weight * zero\n        sums[second[state]] += weight * one\n",
+    ),
+    Mutant(
+        "_block_a_weights credits a target state's weight off the target",
+        "src/epicoord/game.py",
+        "sums = on if state in target else off",
+        "sums = off",
+    ),
+    Mutant(
+        "the threshold profile's rung play, which verify_equilibrium scans, takes a tie to A",
+        "src/epicoord/game.py",
+        "plays = [int(game.payoffs._plays_a(level.numerator, 0, level.denominator)) for level in ladder.levels]",
+        "plays = [int(game.payoffs._gain(level.numerator, 0, level.denominator) >= 0) for level in ladder.levels]",
     ),
     Mutant(
         "_overlaps groups by the own row of _block_ids",
